@@ -19,7 +19,7 @@ from .errors import (
     ZeroDiagonal,
     ZeroPivot,
 )
-from .exponents import EPS, INF, Exponent, conjugate, multiplier_exponent
+from .exponents import INF, Exponent, conjugate, multiplier_exponent
 from .factorization import (
     Certificate,
     CertifierResult,

@@ -115,10 +115,12 @@ def _load_matrix(args, n: int) -> MatrixOp:
     else:
         raise SpecError("an input matrix is required (--matrix or --gen)")
     if getattr(args, "perturb", None):
-        parts = args.perturb.split(",")
-        if len(parts) != 3:
-            raise SpecError("--perturb expects i,j,eps")
-        op = perturb_entry(op, int(parts[0]), int(parts[1]), float(parts[2]))
+        try:
+            i, j, eps = args.perturb.split(",")
+            i, j, eps = int(i), int(j), float(eps)
+        except ValueError:
+            raise SpecError(f"--perturb expects i,j,eps; got {args.perturb!r}") from None
+        op = perturb_entry(op, i, j, eps)
     return op
 
 

@@ -4,9 +4,6 @@ An :class:`Exponent` is either a finite rational p >= 1 (kept as an exact
 ``fractions.Fraction``, so conjugation round-trips without drift) or the
 distinguished value :data:`INF`.  Floats are converted to their exact binary
 rational, which keeps the identities exact for float inputs too.
-
-Float-valued norm comparisons elsewhere in the package use the tolerance
-:data:`EPS`.
 """
 
 from __future__ import annotations
@@ -16,9 +13,6 @@ from fractions import Fraction
 from functools import total_ordering
 
 from .errors import ExponentRange
-
-#: comparison tolerance for float-valued identities built on exponents
-EPS = 1e-12
 
 _INF_TOKENS = {"inf", "infinity", "oo"}
 
@@ -38,7 +32,10 @@ class Exponent:
             if token in _INF_TOKENS:
                 self._frac = None
                 return
-            value = Fraction(token)
+            try:
+                value = Fraction(token)
+            except (ValueError, ZeroDivisionError):
+                raise ExponentRange(f"not an exponent: {value!r}") from None
         if isinstance(value, float):
             if math.isinf(value):
                 self._frac = None

@@ -5,7 +5,11 @@ Two complementary routes are provided for each operator family and are never
 merged:
 
 * **shape checkers** decide the verdict from the closed matrix shape that an
-  exact factorization forces, recovering the outer multiplier when it exists;
+  exact factorization forces, recovering the outer multiplier when it exists.
+  All of them read a factorization A = M_g B M_h of N x N truncations as
+  a_ij = g_i w_ij with w_ij = b_ij h_j, and one kernel decides that identity;
+  the Cesàro (B = C_N), shifted-Cesàro, Fourier (B = I, h = 1) and general
+  matrix checkers are thin wrappers that build w and check exponents;
 * **inequality certifiers** evaluate the equivalent vector-norm inequality on
   sign patterns.  A finite sweep can never prove the full inequality, so a
   bounded ratio is reported as finite-truncation evidence only, while a
@@ -27,7 +31,7 @@ checks).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from enum import Enum
 
@@ -138,10 +142,6 @@ class Certificate:
         }
 
 
-def _truncation_norm(values, s: Exponent) -> tuple[float, Exponent]:
-    return lp_norm(values, s), s
-
-
 def _require_range(name: str, value: Exponent, low, high,
                    low_open: bool, high_open: bool) -> None:
     lo, hi = Exponent(low), Exponent(high)
@@ -153,17 +153,66 @@ def _require_range(name: str, value: Exponent, low, high,
         raise ExponentRange(f"{name}={value} outside {lo_b}{lo}, {hi}{hi_b}")
 
 
-def _first_violation(dev: np.ndarray, tol: float):
-    """First entry (row-major, 1-based) whose deviation exceeds tol."""
-    mask = dev > tol
-    if not mask.any():
-        return None
-    i, j = np.unravel_index(int(np.argmax(mask)), mask.shape)
-    return int(i) + 1, int(j) + 1
+def _first_violation(dev: np.ndarray, tol: float) -> tuple[int, int]:
+    """First entry (row-major, 0-based) whose deviation exceeds tol; the
+    caller has checked that one does."""
+    i, j = np.unravel_index(int(np.argmax(dev > tol)), dev.shape)
+    return int(i), int(j)
 
 
 # ---------------------------------------------------------------------------
 # shape checkers
+
+def _sandwich_check(ent: np.ndarray, w: np.ndarray, tol: float,
+                    g_exp: Exponent | None, notes: tuple[str, ...] = (),
+                    pivot_tol: float = 0.0, **meta) -> Certificate:
+    """Decide a_ij = g_i * w_ij for some g, where w_ij = b_ij * h_j and every
+    forced zero of w is stored as an exact 0.
+
+    g_i is read at the first entry of row i of w with |w_ij| > pivot_tol; a
+    row with no such entry gets g_i = 0.  The witness is the first row-major
+    entry whose deviation |a_ij - g_i w_ij| exceeds tol.  ``notes`` are added
+    to a FACTORS certificate; ``meta`` holds the remaining certificate fields.
+    """
+    n = ent.shape[0]
+    meta.update(tol=tol, truncation=n)
+    if ent.max() <= tol and ent.min() >= -tol:
+        return Certificate(verdict=Verdict.INCONCLUSIVE, residual=0.0,
+                           notes=("zero operator: nontrivial operator required",
+                                  EVIDENCE_NOTE), **meta)
+
+    rows = np.arange(n)
+    dev = np.abs(w)  # the buffer is reused for the deviation below
+    first = (dev > pivot_tol).argmax(axis=1)
+    pivot = w[rows, first]
+    live = np.abs(pivot) > pivot_tol
+    g_vals = np.zeros(n)
+    np.divide(ent[rows, first], pivot, out=g_vals, where=live)
+
+    np.multiply(g_vals[:, None], w, out=dev)
+    np.subtract(ent, dev, out=dev)
+    np.abs(dev, out=dev)
+    residual = float(dev.max())
+    if residual > tol:
+        i, j = _first_violation(dev, tol)
+        return Certificate(
+            verdict=Verdict.DOES_NOT_FACTOR, residual=float(dev[i, j]),
+            # + 0.0 turns a -0.0 product into 0.0
+            witness={"i": i + 1, "j": j + 1,
+                     "expected": float(g_vals[i] * w[i, j]) + 0.0,
+                     "actual": float(ent[i, j])},
+            notes=(EVIDENCE_NOTE,), **meta)
+
+    notes = (EVIDENCE_NOTE, *notes)
+    dead = np.flatnonzero(~live)
+    if dead.size:
+        notes += (f"{dead.size} row(s) of B M_h vanish, first i={dead[0] + 1}; "
+                  "g_i = 0 recorded for them",)
+    g_norm = None if g_exp is None else (lp_norm(g_vals, g_exp), g_exp)
+    return Certificate(verdict=Verdict.FACTORS,
+                       g=TruncatedSeq(g_vals, IndexDomain.NAT1), g_norm=g_norm,
+                       residual=residual, notes=notes, **meta)
+
 
 def cesaro_factor_check(a: MatrixOp, h: TruncatedSeq, p: Exponent, q: Exponent,
                         r: Exponent, tol: float = EXACT_TOL,
@@ -199,45 +248,22 @@ def cesaro_factor_check_j0(a: MatrixOp, h: TruncatedSeq, p: Exponent, q: Exponen
     if nonzero.size == 0:
         raise AllZeroMultiplier("h is identically zero")
     j0 = int(nonzero[0]) + 1
-    n = a.n
-    ent = a.entries
     s_rq = multiplier_exponent(r, q)
     s_pr = multiplier_exponent(p, r)
-    exps = {"p": p, "q": q, "r": r, "s_rq": s_rq, "s_pr": s_pr}
-    common = dict(h=h, h_norm=_truncation_norm(hv, s_pr), exponents=exps,
-                  tol=tol, seed=seed, truncation=n)
-
-    if np.all(np.abs(ent) <= tol):
-        return Certificate(verdict=Verdict.INCONCLUSIVE, residual=0.0,
-                           notes=("zero operator: nontrivial operator required",
-                                  EVIDENCE_NOTE), **common)
-
-    pivot = hv[j0 - 1]
-    rows = np.arange(1, n + 1)[:, None]
-    cols = np.arange(1, n + 1)[None, :]
-    on_triangle = (rows >= j0) & (cols >= j0) & (cols <= rows)
-    expected = np.where(on_triangle, (ent[:, j0 - 1] / pivot)[:, None] * hv[None, :], 0.0)
-    dev = np.abs(ent - expected)
-    hit = _first_violation(dev, tol)
-    if hit is not None:
-        i, j = hit
-        return Certificate(
-            verdict=Verdict.DOES_NOT_FACTOR, residual=float(dev[i - 1, j - 1]),
-            witness={"i": i, "j": j, "expected": float(expected[i - 1, j - 1]),
-                     "actual": float(ent[i - 1, j - 1])},
-            notes=(EVIDENCE_NOTE,), **common)
-
-    alpha_vals = ent[j0 - 1:, j0 - 1] / pivot
-    g_vals = np.zeros(n)
-    g_vals[j0 - 1:] = np.arange(j0, n + 1, dtype=float) * alpha_vals
-    notes = [EVIDENCE_NOTE]
-    if j0 > 1:
-        notes.append(f"shifted shape with j0={j0}; g_i = 0 recorded for i < j0")
-    return Certificate(verdict=Verdict.FACTORS,
-                       g=TruncatedSeq(g_vals, IndexDomain.NAT1),
-                       alpha=TruncatedSeq(alpha_vals, IndexDomain.NAT1),
-                       g_norm=_truncation_norm(g_vals, s_rq),
-                       residual=float(dev.max()), notes=tuple(notes), **common)
+    # row i of the running-averages matrix is 1/i on j <= i
+    w = np.tri(a.n)
+    w *= hv
+    w *= (1.0 / np.arange(1, a.n + 1))[:, None]
+    # the default pivot_tol = 0 reads every row i >= j0 at column j0
+    cert = _sandwich_check(
+        a.entries, w, tol, s_rq,
+        notes=(f"shifted shape with j0={j0}",) if j0 > 1 else (),
+        h=h, h_norm=(lp_norm(hv, s_pr), s_pr), seed=seed,
+        exponents={"p": p, "q": q, "r": r, "s_rq": s_rq, "s_pr": s_pr})
+    if cert.verdict is not Verdict.FACTORS:
+        return cert
+    alpha = a.entries[j0 - 1:, j0 - 1] / hv[j0 - 1]
+    return replace(cert, alpha=TruncatedSeq(alpha, IndexDomain.NAT1))
 
 
 def fourier_factor_check(tphi: MatrixOp, r: Exponent, p: Exponent, q: Exponent,
@@ -254,33 +280,9 @@ def fourier_factor_check(tphi: MatrixOp, r: Exponent, p: Exponent, q: Exponent,
     _require_range("q", q, 1, INF, low_open=True, high_open=False)
     if not (r <= p and p < INF):
         raise ExponentRange(f"p={p} outside [r, inf) with r={r}")
-    n = tphi.n
-    ent = tphi.entries
     s = multiplier_exponent(conjugate(r), q)
-    exps = {"r": r, "p": p, "q": q, "s_rprime_q": s}
-    common = dict(exponents=exps, tol=tol, seed=seed, truncation=n)
-
-    if np.all(np.abs(ent) <= tol):
-        return Certificate(verdict=Verdict.INCONCLUSIVE, residual=0.0,
-                           notes=("zero operator: nontrivial operator required",
-                                  EVIDENCE_NOTE), **common)
-
-    off = np.abs(ent - np.diag(np.diag(ent)))
-    hit = _first_violation(off, tol)
-    if hit is not None:
-        i, j = hit
-        return Certificate(
-            verdict=Verdict.DOES_NOT_FACTOR, residual=float(off[i - 1, j - 1]),
-            witness={"i": i, "j": j, "expected": 0.0,
-                     "actual": float(ent[i - 1, j - 1])},
-            notes=(EVIDENCE_NOTE,), **common)
-
-    g_vals = np.diag(ent).copy()
-    return Certificate(verdict=Verdict.FACTORS,
-                       g=TruncatedSeq(g_vals, IndexDomain.NAT1),
-                       g_norm=_truncation_norm(g_vals, s),
-                       residual=float(off.max()),
-                       notes=(EVIDENCE_NOTE,), **common)
+    return _sandwich_check(tphi.entries, np.eye(tphi.n), tol, s, seed=seed,
+                           exponents={"r": r, "p": p, "q": q, "s_rprime_q": s})
 
 
 def matrix_factor_check(a: MatrixOp, b: MatrixOp, h: TruncatedSeq,
@@ -291,65 +293,26 @@ def matrix_factor_check(a: MatrixOp, b: MatrixOp, h: TruncatedSeq,
     ratios a_ij / (b_ij h_j) constant along each row elsewhere; the row
     constants form the recovered g.
 
-    Row recovery uses the first index j with |b_ij h_j| > tol; rows with no
-    recovery index get g_i = 0 with a recorded note.
+    Entries with |b_ij| <= tol count as vanishing.  Row recovery uses the
+    first index j with |b_ij h_j| > tol; rows with none get g_i = 0 with a
+    recorded note.
     """
     if a.n != b.n:
         raise SizeMismatch(f"matrix sizes differ: {a.n} vs {b.n}")
     if len(h) != a.n:
         raise LengthMismatch(f"multiplier length {len(h)} != matrix size {a.n}")
-    n = a.n
-    av, bv, hv = a.entries, b.entries, h.coeffs
     g_exp = None
     if b.codomain.kind is SpaceKind.LP and a.codomain.kind is SpaceKind.LP:
         g_exp = multiplier_exponent(b.codomain.p, a.codomain.p)
-    exps = {} if g_exp is None else {"s": g_exp}
-    common = dict(h=h, exponents=exps, tol=tol, seed=seed, truncation=n)
-
-    if np.all(np.abs(av) <= tol):
-        return Certificate(verdict=Verdict.INCONCLUSIVE, residual=0.0,
-                           notes=("zero operator: nontrivial operator required",
-                                  EVIDENCE_NOTE), **common)
-
-    b_zero = np.abs(bv) <= tol
-    forced = b_zero & (np.abs(av) > tol)
-    hit = _first_violation(forced.astype(float), 0.5)
-    if hit is not None:
-        i, j = hit
-        return Certificate(
-            verdict=Verdict.DOES_NOT_FACTOR, residual=abs(float(av[i - 1, j - 1])),
-            witness={"i": i, "j": j, "expected": 0.0,
-                     "actual": float(av[i - 1, j - 1]),
-                     "reason": "b vanishes but a does not"},
-            notes=(EVIDENCE_NOTE,), **common)
-
-    g_vals = np.zeros(n)
-    rec_idx = np.full(n, -1, dtype=int)
-    notes = [EVIDENCE_NOTE]
-    for i in range(n):
-        rec = np.flatnonzero(np.abs(bv[i] * hv) > tol)
-        if rec.size == 0:
-            notes.append(f"row {i + 1}: no recovery index; g_{i + 1} = 0 recorded")
-        else:
-            rec_idx[i] = int(rec[0])
-            g_vals[i] = av[i, rec_idx[i]] / (bv[i, rec_idx[i]] * hv[rec_idx[i]])
-    expected = np.where(b_zero, 0.0, g_vals[:, None] * hv[None, :] * bv)
-    dev = np.abs(av - expected)
-    hit = _first_violation(dev, tol)
-    if hit is not None:
-        i, j = hit
-        return Certificate(
-            verdict=Verdict.DOES_NOT_FACTOR, residual=float(dev[i - 1, j - 1]),
-            witness={"i": i, "j": int(rec_idx[i - 1]) + 1 if rec_idx[i - 1] >= 0 else None,
-                     "j_prime": j, "expected": float(expected[i - 1, j - 1]),
-                     "actual": float(av[i - 1, j - 1]),
-                     "reason": "row ratios inconsistent"},
-            notes=(EVIDENCE_NOTE,), **common)
-    g_norm = None if g_exp is None else _truncation_norm(g_vals, g_exp)
-    return Certificate(verdict=Verdict.FACTORS,
-                       g=TruncatedSeq(g_vals, IndexDomain.NAT1),
-                       g_norm=g_norm, residual=float(dev.max()),
-                       notes=tuple(notes), **common)
+    w = np.abs(b.entries)
+    b_zero = w <= tol
+    np.multiply(b.entries, h.coeffs, out=w)
+    w[b_zero] = 0.0
+    # reading g_i at |b_ij h_j| > tol keeps a difference below tol from being
+    # divided by a tiny b_ij h_j
+    return _sandwich_check(a.entries, w, tol, g_exp, pivot_tol=tol, h=h,
+                           seed=seed,
+                           exponents={} if g_exp is None else {"s": g_exp})
 
 
 # ---------------------------------------------------------------------------

@@ -194,17 +194,18 @@ def matrix_from_csv(path, domain: SeqSpaceSpec | None = None,
                     codomain: SeqSpaceSpec | None = None) -> MatrixOp:
     """Row-major CSV with a one-line header ``N=<n>``."""
     with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines or not lines[0].startswith("N="):
+        lines = [(k, ln.strip()) for k, ln in enumerate(fh, start=1) if ln.strip()]
+    if not lines or not lines[0][1].startswith("N="):
         raise ParseError(f"{path}:1: expected header 'N=<n>'")
+    k, header = lines[0]
     try:
-        n = int(lines[0][2:])
+        n = int(header[2:])
     except ValueError:
-        raise ParseError(f"{path}:1: malformed size in header {lines[0]!r}") from None
+        raise ParseError(f"{path}:{k}: malformed size in header {header!r}") from None
     if len(lines) - 1 != n:
         raise ParseError(f"{path}: expected {n} rows, found {len(lines) - 1}")
     rows = []
-    for k, ln in enumerate(lines[1:], start=2):
+    for k, ln in lines[1:]:
         parts = ln.split(",")
         if len(parts) != n:
             raise ParseError(f"{path}:{k}: expected {n} values, found {len(parts)}")
@@ -212,8 +213,15 @@ def matrix_from_csv(path, domain: SeqSpaceSpec | None = None,
             rows.append([float(v) for v in parts])
         except ValueError as exc:
             raise ParseError(f"{path}:{k}: {exc}") from None
+    entries = np.asarray(rows)
+    del rows  # free the parsed floats before the scans and the copy below
+    bad = ~np.isfinite(entries)
+    if bad.any():
+        i, j = np.unravel_index(int(bad.argmax()), bad.shape)
+        raise ParseError(f"{path}:{lines[i + 1][0]}: non-finite value "
+                         f"{float(entries[i, j])!r} in column {j + 1}")
     spec2 = lp_space(TWO)
-    return MatrixOp(np.asarray(rows), domain or spec2, codomain or spec2)
+    return MatrixOp(entries, domain or spec2, codomain or spec2)
 
 
 def matrix_from_json_file(path) -> MatrixOp:
@@ -226,6 +234,8 @@ def matrix_from_json_file(path) -> MatrixOp:
         return MatrixOp.from_json(obj)
     except KeyError as exc:
         raise ParseError(f"{path}: missing key {exc}") from None
+    except (ValueError, TypeError) as exc:
+        raise ParseError(f"{path}: {exc}") from None
 
 
 def seq_to_csv(x: TruncatedSeq, path) -> None:
@@ -236,7 +246,7 @@ def seq_to_csv(x: TruncatedSeq, path) -> None:
 
 def seq_from_csv(path, index_domain: IndexDomain = IndexDomain.NAT1) -> TruncatedSeq:
     """Single-column CSV of coefficients."""
-    values = []
+    values, lines = [], []
     with open(path) as fh:
         for k, ln in enumerate(fh, start=1):
             ln = ln.strip()
@@ -246,6 +256,11 @@ def seq_from_csv(path, index_domain: IndexDomain = IndexDomain.NAT1) -> Truncate
                 values.append(float(ln))
             except ValueError:
                 raise ParseError(f"{path}:{k}: not a number: {ln!r}") from None
+            lines.append(k)
     if not values:
         raise ParseError(f"{path}: empty sequence")
-    return TruncatedSeq(np.asarray(values), index_domain)
+    coeffs = np.asarray(values)
+    bad = np.flatnonzero(~np.isfinite(coeffs))
+    if bad.size:
+        raise ParseError(f"{path}:{lines[bad[0]]}: non-finite value {values[bad[0]]!r}")
+    return TruncatedSeq(coeffs, index_domain)

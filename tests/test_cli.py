@@ -60,6 +60,34 @@ class TestCheckCesaro:
                     "--N", "4", "--p", "2", "--q", "2"])
         assert code == 64
 
+    @pytest.mark.parametrize("extra", [["--perturb", "1,x,1e-3"],
+                                       ["--perturb", "1,2,abc"],
+                                       ["--r", "abc"],
+                                       ["--r", "1/0"]])
+    def test_bad_value_is_usage_error(self, extra, capsys):
+        args = ["check-cesaro", "--gen", "cesaro", "--h", "ones", "--N", "4",
+                "--p", "2", "--q", "2", "--r", "2"]
+        assert run(args + extra) == 64
+        assert extra[1] in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, text, inputs, location", [
+        ("m.csv", "N=2\n1.0,0.0\n\n0.0,nan\n", ["--matrix", "{}", "--h", "ones"], "m.csv:4"),
+        ("h.csv", "1.0\n\ninf\n", ["--gen", "identity", "--h", "{}"], "h.csv:3"),
+        ("m.json", '{"entries": [[1, "x"], [0, 1]], "domain": {"kind": "lp", "p": 2},'
+                   ' "codomain": {"kind": "lp", "p": 2}}', ["--matrix", "{}", "--h", "ones"],
+         "m.json"),
+        ("m.json", '{"entries": [[1, 0], [0, 1]], "domain": {"kind": "lq", "p": 2},'
+                   ' "codomain": {"kind": "lp", "p": 2}}', ["--matrix", "{}", "--h", "ones"],
+         "m.json"),
+    ], ids=["csv-nan", "h-csv-inf", "json-non-numeric", "json-unknown-kind"])
+    def test_malformed_file_is_parse_error(self, tmp_path, capsys, name, text,
+                                           inputs, location):
+        path = tmp_path / name
+        path.write_text(text)
+        args = ["check-cesaro", "--N", "2", "--p", "2", "--q", "2", "--r", "2"]
+        assert run(args + [a.format(path) for a in inputs]) == 65
+        assert location in capsys.readouterr().err
+
     def test_malformed_csv_is_parse_error(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
         path.write_text("not-a-header\n")

@@ -24,6 +24,11 @@ class TestConstruction:
         with pytest.raises(ExponentRange):
             Exponent(float("nan"))
 
+    @pytest.mark.parametrize("token", ["abc", "1/0", ""])
+    def test_rejects_malformed_strings(self, token):
+        with pytest.raises(ExponentRange):
+            Exponent(token)
+
     def test_accepts_strings(self):
         assert Exponent("4/3").as_fraction() == Fraction(4, 3)
         assert Exponent("inf").is_inf

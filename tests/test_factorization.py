@@ -52,6 +52,33 @@ def harmonic(n):
     return TruncatedSeq(1.0 / np.arange(1, n + 1))
 
 
+def assert_same_decision(cert, ref):
+    """A wrapper agrees with the general matrix check it specializes."""
+    assert cert.verdict is ref.verdict
+    if ref.witness is None:
+        assert cert.witness is None
+    else:
+        assert cert.witness == pytest.approx(ref.witness, rel=1e-12, abs=0.0)
+    if ref.g is None:
+        assert cert.g is None
+    else:
+        assert np.abs(cert.g.coeffs - ref.g.coeffs).max() \
+            <= 1e-12 * np.abs(ref.g.coeffs).max()
+
+
+def seeded_instances(seed, make):
+    """Ten instances from ``make(rng, n)``, every other one perturbed at a
+    random entry."""
+    rng = np.random.default_rng(seed)
+    for k in range(10):
+        n = int(rng.integers(2, 24))
+        a, h = make(rng, n)
+        if k % 2:
+            i, j = (int(v) for v in rng.integers(1, n + 1, 2))
+            a = perturb_entry(a, i, j, 1e-3)
+        yield a, h
+
+
 class TestCesaroCheck:
     def test_round_trip_recovers_multiplier(self):
         n = 64
@@ -63,6 +90,16 @@ class TestCesaroCheck:
         assert cert.g_norm[1] == INF  # s(2,2)
         assert cert.g_norm[0] == pytest.approx(1.0)
         assert cert.h_norm is not None
+
+    def test_rows_below_tol_read_at_pivot(self):
+        # from row 10 on every h_j / i is at most tol, yet a_ij = 1.5 h_j / i
+        # is not; g is still read at column j0 = 1
+        n = 12
+        g, h = TruncatedSeq(np.full(n, 1.5)), TruncatedSeq(np.full(n, 1e-8))
+        a = diagonal_sandwich(g, cesaro_matrix(n), h)
+        cert = cesaro_factor_check(a, h, P2, P2, P2, tol=1e-9)
+        assert cert.verdict is Verdict.FACTORS
+        assert cert.g.coeffs == pytest.approx(g.coeffs, rel=1e-12)
 
     def test_identity_witness(self):
         cert = cesaro_factor_check(identity_matrix(4), ones(4), P2, P2, P2)
@@ -98,6 +135,17 @@ class TestCesaroCheck:
             bad = perturb_entry(a, i, j, 1e-3)
             cert = cesaro_factor_check(bad, h, P2, P2, P2, tol=1e-6)
             assert cert.verdict is Verdict.DOES_NOT_FACTOR
+
+    def test_matches_matrix_check(self):
+        def make(rng, n):
+            g = TruncatedSeq(rng.uniform(-1.5, 1.5, n))
+            h = TruncatedSeq(rng.uniform(0.5, 1.5, n))
+            return diagonal_sandwich(g, cesaro_matrix(n), h), h
+
+        for a, h in seeded_instances(40, make):
+            cert = cesaro_factor_check(a, h, P2, P2, P2, tol=1e-6)
+            ref = matrix_factor_check(a, cesaro_matrix(a.n), h, tol=1e-6)
+            assert_same_decision(cert, ref)
 
     def test_exponents_recorded(self):
         n = 8
@@ -142,6 +190,17 @@ class TestCesaroCheckShifted:
         assert cert.verdict is Verdict.DOES_NOT_FACTOR
         assert (cert.witness["i"], cert.witness["j"]) == (1, 1)
 
+    def test_matches_matrix_check(self):
+        def make(rng, n):
+            j0 = int(rng.integers(1, n + 1))
+            alpha, h = self.shifted_instance(n, j0, seed=int(rng.integers(1 << 30)))
+            return factorable_matrix(alpha, h, j0=j0), h
+
+        for a, h in seeded_instances(41, make):
+            cert = cesaro_factor_check_j0(a, h, P2, P2, P2)
+            ref = matrix_factor_check(a, cesaro_matrix(a.n), h)
+            assert_same_decision(cert, ref)
+
     def test_all_zero_multiplier(self):
         with pytest.raises(AllZeroMultiplier):
             cesaro_factor_check_j0(cesaro_matrix(3), TruncatedSeq(np.zeros(3)),
@@ -179,6 +238,16 @@ class TestFourierCheck:
     def test_zero_matrix_inconclusive(self):
         zero = MatrixOp(np.zeros((2, 2)), lp_space(2), lp_space(2))
         assert fourier_factor_check(zero, P2, P2, P2).verdict is Verdict.INCONCLUSIVE
+
+    def test_matches_matrix_check(self):
+        def make(rng, n):
+            g = TruncatedSeq(rng.uniform(-1.5, 1.5, n))
+            return diagonal_sandwich(g, identity_matrix(n), ones(n)), ones(n)
+
+        for a, h in seeded_instances(42, make):
+            cert = fourier_factor_check(a, P2, P2, P2)
+            ref = matrix_factor_check(a, identity_matrix(a.n), h)
+            assert_same_decision(cert, ref)
 
     def test_hypotheses_enforced(self):
         op = identity_matrix(2)
@@ -231,9 +300,26 @@ class TestMatrixCheck:
         a = perturb_entry(diagonal_sandwich(ones(3), b, ones(3)), 3, 2, 0.25)
         cert = matrix_factor_check(a, b, ones(3))
         assert cert.verdict is Verdict.DOES_NOT_FACTOR
-        assert cert.witness["reason"] == "row ratios inconsistent"
-        assert cert.witness["j_prime"] == 2
-        assert cert.witness["i"] == 3
+        assert (cert.witness["i"], cert.witness["j"]) == (3, 2)
+
+    def test_witness_is_first_violation_in_row_major_order(self):
+        # a ratio violation at (2, 2) precedes a forced-zero violation at (3, 4)
+        b = cesaro_matrix(4)
+        a = diagonal_sandwich(ones(4), b, ones(4))
+        a = perturb_entry(perturb_entry(a, 2, 2, 0.25), 3, 4, 0.5)
+        cert = matrix_factor_check(a, b, ones(4))
+        assert cert.verdict is Verdict.DOES_NOT_FACTOR
+        assert cert.witness == {"i": 2, "j": 2, "expected": 0.5, "actual": 0.75}
+
+    def test_recovery_ignores_entries_within_tol(self):
+        # b_21 h_1 = 1e-10 <= tol, so row 2 is read at (2, 2); a_21 = 0 is
+        # within tol of g_2 b_21 h_1
+        b = MatrixOp(np.array([[1.0, 0.0], [1e-7, 1.0]]), lp_space(2), lp_space(2))
+        a = MatrixOp(np.array([[1e-3, 0.0], [0.0, 1.0]]), lp_space(2), lp_space(2))
+        h = TruncatedSeq(np.array([1e-3, 1.0]))
+        cert = matrix_factor_check(a, b, h, tol=1e-9)
+        assert cert.verdict is Verdict.FACTORS
+        assert cert.g.coeffs == pytest.approx([1.0, 1.0], rel=1e-12)
 
     def test_size_mismatch(self):
         with pytest.raises(SizeMismatch):
