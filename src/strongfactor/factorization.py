@@ -392,35 +392,45 @@ def _max_dot_with_zero_sum(c: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 class _CesaroForm:
-    """LHS/RHS bookkeeping for the running-averages inequality at fixed s'."""
+    """LHS/RHS of the running-averages inequality at fixed s', evaluated on
+    stacks of n x n patterns."""
 
     def __init__(self, ent: np.ndarray, hv: np.ndarray, sp: float):
-        self.ent = ent
-        self.hv = hv
-        self.sp = sp
         n = ent.shape[0]
-        self.kmin = np.minimum(np.arange(1, n + 1), ent.shape[1])
+        self.ent = ent
+        self.sp = sp
+        self.w = np.tri(n) * hv  # row i holds h_j on j <= i
         self.inv_pow = np.arange(1, n + 1, dtype=float) ** (-sp)
 
-    def evaluate(self, r: np.ndarray) -> tuple[float, float]:
-        lhs = float(np.sum(r * self.ent))
-        n = self.ent.shape[0]
-        s_rows = np.fromiter(
-            (np.dot(self.hv[:self.kmin[i]], r[i, :self.kmin[i]]) for i in range(n)),
-            dtype=float, count=n)
-        rhs = float(np.dot(self.inv_pow, np.abs(s_rows) ** self.sp) ** (1.0 / self.sp))
-        return lhs, rhs
+    def evaluate(self, r: np.ndarray):
+        """LHS, RHS, the row sums sum_{j<=i} h_j r_ij and RHS^s' of each
+        pattern in a stack of shape (P, n, n).
 
-    def evaluate_many(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized over a stack of patterns of shape (P, n, m)."""
-        pcount, n, m = r.shape
-        lhs = r.reshape(pcount, n * m) @ self.ent.ravel()
-        rhs_pow = np.zeros(pcount)
-        for i in range(n):
-            k = self.kmin[i]
-            s_i = r[:, i, :k] @ self.hv[:k]
-            rhs_pow += self.inv_pow[i] * np.abs(s_i) ** self.sp
-        return lhs, rhs_pow ** (1.0 / self.sp)
+        einsum, unlike BLAS, reduces each pattern in the same order whatever
+        P is, so a pattern scores the same alone as inside a stack.
+        """
+        lhs = np.einsum("pij,ij->p", r, self.ent)
+        rows = np.einsum("pij,ij->pi", r, self.w)
+        rhs_pow = np.einsum("pi,i->p", np.abs(rows) ** self.sp, self.inv_pow)
+        return lhs, rhs_pow ** (1.0 / self.sp), rows, rhs_pow
+
+
+def _select(stack, lhs: np.ndarray, rhs: np.ndarray):
+    """The best vertex (ratio, pattern, lhs, rhs) over the patterns with
+    RHS > REFUTE_RHS_TOL, earliest on ties, and the first refuting
+    (pattern, lhs, rhs); either is None when the stack has none.  ``stack``
+    is an array or a list of patterns, scored by ``lhs`` and ``rhs``."""
+    bounded = rhs > REFUTE_RHS_TOL
+    refutes = (rhs <= REFUTE_RHS_TOL) & (lhs > REFUTE_LHS_TOL)
+    vertex = refute = None
+    if bounded.any():
+        ratios = np.where(bounded, lhs / np.where(bounded, rhs, 1.0), -math.inf)
+        k = int(np.argmax(ratios))
+        vertex = (float(ratios[k]), stack[k].copy(), float(lhs[k]), float(rhs[k]))
+    if refutes.any():
+        k = int(np.argmax(refutes))
+        refute = (stack[k].copy(), float(lhs[k]), float(rhs[k]))
+    return vertex, refute
 
 
 def _exhaustive_vertex_max(form, n: int, m: int):
@@ -431,93 +441,96 @@ def _exhaustive_vertex_max(form, n: int, m: int):
     """
     k = n * m
     codes = np.arange(1 << k, dtype=np.int64)
-    bits = ((codes[:, None] >> np.arange(k)) & 1).astype(float)
-    stack = (2.0 * bits - 1.0).reshape(-1, n, m)
-    lhs, rhs = form.evaluate_many(stack)
-    ok = rhs > REFUTE_RHS_TOL
-    ratios = np.where(ok, lhs / np.where(ok, rhs, 1.0), -math.inf)
-    best = int(np.argmax(ratios))
-    vertex = (float(ratios[best]), stack[best].copy(), float(lhs[best]), float(rhs[best]))
-    refute = None
-    bad = (~ok) & (lhs > REFUTE_LHS_TOL)
-    if bad.any():
-        idx = int(np.argmax(bad))
-        refute = (stack[idx].copy(), float(lhs[idx]), float(rhs[idx]))
-    return vertex, refute
+    # no 0/1 copy of the bits outlives the +-1 stack
+    stack = (2.0 * ((codes[:, None] >> np.arange(k)) & 1) - 1.0).reshape(-1, n, m)
+    return _select(stack, *form.evaluate(stack)[:2])
+
+
+def _ascend(form, r: np.ndarray) -> None:
+    """Single-entry sign flips on r, in place, while a flip raises the ratio;
+    stops after a flip that leaves the RHS vanishing with a positive LHS.
+    The row sums are updated incrementally: they steer the flips only.
+    """
+    ent, w, sp, inv_pow = form.ent, form.w, form.sp, form.inv_pow
+    lhs, _, rows, rhs_pow = form.evaluate(r[None])
+    lhs, rows, rhs_pow = float(lhs[0]), rows[0], float(rhs_pow[0])
+    n = r.shape[0]
+    for _pass in range(_ASCENT_PASSES):
+        improved = False
+        for i in range(n):
+            for j in range(n):
+                new_lhs = lhs - 2.0 * r[i, j] * ent[i, j]
+                if j <= i:
+                    new_si = rows[i] - 2.0 * r[i, j] * w[i, j]
+                    new_pow = rhs_pow + inv_pow[i] * (abs(new_si) ** sp - abs(rows[i]) ** sp)
+                else:
+                    new_si = rows[i]
+                    new_pow = rhs_pow
+                new_rhs = max(new_pow, 0.0) ** (1.0 / sp)
+                if new_rhs <= REFUTE_RHS_TOL:
+                    if new_lhs > REFUTE_LHS_TOL:
+                        r[i, j] = -r[i, j]
+                        return
+                    continue
+                cur = lhs / max(rhs_pow, 0.0) ** (1.0 / sp) if rhs_pow > 0 else -math.inf
+                if new_lhs / new_rhs > cur:
+                    r[i, j] = -r[i, j]
+                    lhs, rhs_pow, rows[i] = new_lhs, new_pow, new_si
+                    improved = True
+        if not improved:
+            return
 
 
 def _sampled_vertex_max(form, n: int, m: int, patterns: int, seed: int):
     """Seeded sampling plus deterministic single-entry sign flips.
 
-    Flips update the row sums incrementally; accepted patterns are re-scored
-    from scratch before being recorded, so the report carries no drift.
+    Each sampled pattern, and the pattern its ascent ends at, is recorded in
+    visit order, and the sweep stops at the first record that refutes.  The
+    records are scored by the form's evaluator, so every reported (lhs, rhs)
+    is its value on the reported pattern.
     """
     rng = np.random.default_rng(seed)
-    best = (-math.inf, None, 0.0, 0.0)
-    refute = None
-    hv, ent, sp = form.hv, form.ent, form.sp
-    kmin, inv_pow = form.kmin, form.inv_pow
+    records, lhs, rhs = [], [], []
 
-    def record(best, r):
-        lhs, rhs = form.evaluate(r)
-        if rhs > REFUTE_RHS_TOL:
-            ratio = lhs / rhs
-            if ratio > best[0]:
-                return (ratio, r.copy(), lhs, rhs), None
-            return best, None
-        if lhs > REFUTE_LHS_TOL:
-            return best, (r.copy(), lhs, rhs)
-        return best, None
+    def record(r):
+        """Append r and its score to the records; whether it refutes."""
+        rec_lhs, rec_rhs = form.evaluate(r[None])[:2]
+        records.append(r.copy())
+        lhs.append(rec_lhs[0])
+        rhs.append(rec_rhs[0])
+        return _select(r[None], rec_lhs, rec_rhs)[1] is not None
 
     for _ in range(patterns):
         r = np.where(rng.random((n, m)) < 0.5, -1.0, 1.0)
-        best, ref = record(best, r)
-        if ref is not None:
-            return best, ref
-        lhs = float(np.sum(r * ent))
-        s_rows = np.fromiter(
-            (np.dot(hv[:kmin[i]], r[i, :kmin[i]]) for i in range(n)),
-            dtype=float, count=n)
-        rhs_pow = float(np.dot(inv_pow, np.abs(s_rows) ** sp))
-        for _pass in range(_ASCENT_PASSES):
-            improved = False
-            for i in range(n):
-                for j in range(m):
-                    new_lhs = lhs - 2.0 * r[i, j] * ent[i, j]
-                    if j < kmin[i]:
-                        new_si = s_rows[i] - 2.0 * r[i, j] * hv[j]
-                        new_pow = rhs_pow + inv_pow[i] * (abs(new_si) ** sp - abs(s_rows[i]) ** sp)
-                    else:
-                        new_si = s_rows[i]
-                        new_pow = rhs_pow
-                    new_rhs = max(new_pow, 0.0) ** (1.0 / sp)
-                    if new_rhs <= REFUTE_RHS_TOL:
-                        if new_lhs > REFUTE_LHS_TOL:
-                            r[i, j] = -r[i, j]
-                            return best, (r.copy(), new_lhs, new_rhs)
-                        continue
-                    cur = lhs / max(rhs_pow, 0.0) ** (1.0 / sp) if rhs_pow > 0 else -math.inf
-                    if new_lhs / new_rhs > cur:
-                        r[i, j] = -r[i, j]
-                        lhs, rhs_pow, s_rows[i] = new_lhs, new_pow, new_si
-                        improved = True
-            if not improved:
-                break
-        best, ref = record(best, r)
-        if ref is not None:
-            return best, ref
-    return best, None
+        if record(r):
+            break
+        _ascend(form, r)
+        if record(r):
+            break
+    return _select(records, np.array(lhs), np.array(rhs))
+
+
+def _certifier_result(vertex: tuple, refute: tuple | None, rows: int,
+                      seed: int) -> CertifierResult:
+    """Result of a sweep from its best vertex (ratio, pattern, lhs, rhs) and
+    a refuting (pattern, lhs, rhs), which is reported instead when given."""
+    ratio, *found = vertex
+    c_vertex = max(ratio, 0.0)
+    refuted = refute is not None
+    pattern, lhs, rhs = refute if refuted else found
+    return CertifierResult(math.inf if refuted else c_vertex, SignPattern(pattern),
+                           lhs, rhs, refuted, c_vertex, rows, pattern.shape[-1], seed)
 
 
 def certify_inequality_cesaro(a: MatrixOp, h: TruncatedSeq, s_rq: Exponent,
                               patterns: int = 64, seed: int = 0) -> CertifierResult:
     """Sweep sign patterns through the running-averages inequality:
     LHS = sum_ij r_ij a_ij against
-    RHS = (sum_i i^(-s') |sum_{j<=min(i,m)} h_j r_ij|^(s'))^(1/s'),
+    RHS = (sum_i i^(-s') |sum_{j<=i} h_j r_ij|^(s'))^(1/s'),
     with s' conjugate to the multiplier exponent.
 
     Finite ratios come from +-1 vertex patterns, enumerated exhaustively when
-    the rectangle has at most EXHAUSTIVE_LIMIT entries and otherwise sampled
+    the matrix has at most EXHAUSTIVE_LIMIT entries and otherwise sampled
     (seeded) with coordinate-ascent sign flips.  A separate per-row search
     over patterns with zeroed entries looks for a refutation, reported as
     c_hat = inf with the refuting pattern as witness.  Deterministic given
@@ -531,39 +544,28 @@ def certify_inequality_cesaro(a: MatrixOp, h: TruncatedSeq, s_rq: Exponent,
     if patterns < 1:
         raise SpecError("patterns must be >= 1")
     sp = float(conjugate(s_rq))
-    n = m = a.n
+    n = a.n
     form = _CesaroForm(a.entries, h.coeffs, sp)
 
-    if n * m <= EXHAUSTIVE_LIMIT:
-        vertex, refute = _exhaustive_vertex_max(form, n, m)
+    if n * n <= EXHAUSTIVE_LIMIT:
+        vertex, refute = _exhaustive_vertex_max(form, n, n)
     else:
-        vertex, refute = _sampled_vertex_max(form, n, m, patterns, seed)
+        vertex, refute = _sampled_vertex_max(form, n, n, patterns, seed)
 
     if refute is None:
         # targeted refutation: per row, maximize the LHS subject to a vanishing
         # weighted prefix sum; entries beyond the constrained prefix are free
-        r = np.zeros((n, m))
+        r = np.sign(a.entries)[None]
         for i in range(n):
-            k = int(form.kmin[i])
-            r[i, :k] = _max_dot_with_zero_sum(a.entries[i, :k].astype(float),
-                                              h.coeffs[:k].astype(float))
-            r[i, k:] = np.sign(a.entries[i, k:])
-        lhs, rhs = form.evaluate(r)
-        if rhs <= REFUTE_RHS_TOL and lhs > REFUTE_LHS_TOL:
-            refute = (r, lhs, rhs)
+            r[0, i, :i + 1] = _max_dot_with_zero_sum(a.entries[i, :i + 1], h.coeffs[:i + 1])
+        refute = _select(r, *form.evaluate(r)[:2])[1]
 
-    ratio, rbest, lhs, rhs = vertex
-    if rbest is None or not math.isfinite(ratio):
-        rbest = np.ones((n, m))
-        lhs, rhs = form.evaluate(rbest)
-        ratio = lhs / rhs if rhs > REFUTE_RHS_TOL else 0.0
-    c_vertex = max(ratio, 0.0)
-    if refute is not None:
-        rref, lref, rhsref = refute
-        return CertifierResult(math.inf, SignPattern(rref), lref, rhsref, True,
-                               c_vertex, n, m, seed)
-    return CertifierResult(c_vertex, SignPattern(rbest), lhs, rhs, False,
-                           c_vertex, n, m, seed)
+    if vertex is None:
+        # no searched vertex has a nonvanishing RHS: report the all-ones pattern
+        ones = np.ones((1, n, n))
+        lhs, rhs = form.evaluate(ones)[:2]
+        vertex = _select(ones, lhs, rhs)[0] or (0.0, ones[0], float(lhs[0]), float(rhs[0]))
+    return _certifier_result(vertex, refute, n, seed)
 
 
 def certify_inequality_fourier(tphi: MatrixOp, s: Exponent,
@@ -586,39 +588,31 @@ def certify_inequality_fourier(tphi: MatrixOp, s: Exponent,
     if s == Exponent(1):
         raise DegenerateExponent("multiplier exponent 1 has infinite conjugate")
     sp = float(conjugate(s))
-    n = m = tphi.n
     ent = tphi.entries
-    kmin = min(n, m)
 
     def evaluate(r):
         lhs = float(np.sum(r * ent))
-        diag = np.abs(np.diagonal(r)[:kmin])
-        rhs = float((diag ** sp).sum() ** (1.0 / sp))
+        rhs = float((np.abs(np.diagonal(r)) ** sp).sum() ** (1.0 / sp))
         return lhs, rhs
 
     r_best = np.sign(ent)
     r_best[r_best == 0.0] = 1.0
     lhs, rhs = evaluate(r_best)
-    c_vertex = max(lhs / rhs, 0.0)
-
     r_zero = np.sign(ent)
-    for i in range(kmin):
-        r_zero[i, i] = 0.0
+    np.fill_diagonal(r_zero, 0.0)
     lhs0, rhs0 = evaluate(r_zero)
+    refute = None
     if rhs0 <= REFUTE_RHS_TOL and lhs0 > REFUTE_LHS_TOL:
-        return CertifierResult(math.inf, SignPattern(r_zero), lhs0, rhs0, True,
-                               c_vertex, n, m, seed)
-    return CertifierResult(c_vertex, SignPattern(r_best), lhs, rhs, False,
-                           c_vertex, n, m, seed)
+        refute = (r_zero, lhs0, rhs0)
+    return _certifier_result((lhs / rhs, r_best, lhs, rhs), refute, tphi.n, seed)
 
 
 def _certify_fourier_rowform(tphi: MatrixOp, seed: int) -> CertifierResult:
     """Entrywise form for s = inf: per-row vector patterns."""
-    n = m = tphi.n
     ent = tphi.entries
     best = (-math.inf, None, 0.0, 0.0, 0)
     refutation = None
-    for row in range(1, n + 1):
+    for row in range(1, tphi.n + 1):
         arow = ent[row - 1]
         r = np.sign(arow)
         r[r == 0.0] = 1.0
@@ -631,14 +625,11 @@ def _certify_fourier_rowform(tphi: MatrixOp, seed: int) -> CertifierResult:
         lhs0 = float(np.dot(r_zero, arow))
         if refutation is None and lhs0 > REFUTE_LHS_TOL:
             refutation = (r_zero, lhs0, 0.0, row)
-    ratio, pattern, lhs, rhs, row = best
-    c_vertex = max(ratio, 0.0)
+    *vertex, row = best
+    refute = None
     if refutation is not None:
-        r, lhs0, rhs0, rrow = refutation
-        return CertifierResult(math.inf, SignPattern(r), lhs0, rhs0, True,
-                               c_vertex, rrow, m, seed)
-    return CertifierResult(c_vertex, SignPattern(pattern), lhs, rhs, False,
-                           c_vertex, row, m, seed)
+        *refute, row = refutation
+    return _certifier_result(vertex, refute, row, seed)
 
 
 # ---------------------------------------------------------------------------

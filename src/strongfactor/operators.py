@@ -57,14 +57,6 @@ class MatrixOp:
             "codomain": self.codomain.to_json(),
         }
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "MatrixOp":
-        return cls(
-            np.asarray(obj["entries"], dtype=float),
-            SeqSpaceSpec.from_json(obj["domain"]),
-            SeqSpaceSpec.from_json(obj["codomain"]),
-        )
-
 
 def cesaro_matrix(n: int, r: Exponent = TWO) -> MatrixOp:
     """Running-averages operator: entry (i, j) is 1/i for j <= i, else 0."""
@@ -125,7 +117,8 @@ def diagonal_sandwich(g: TruncatedSeq, op: MatrixOp, h: TruncatedSeq) -> MatrixO
     """Matrix of M_g . S . M_h: entries g_i * s_ij * h_j."""
     if len(g) != op.n or len(h) != op.n:
         raise LengthMismatch("multiplier lengths must equal the matrix size")
-    entries = g.coeffs[:, None] * op.entries * h.coeffs[None, :]
+    entries = g.coeffs[:, None] * op.entries
+    entries *= h.coeffs
     return MatrixOp(entries, op.domain, op.codomain)
 
 
@@ -225,17 +218,26 @@ def matrix_from_csv(path, domain: SeqSpaceSpec | None = None,
 
 
 def matrix_from_json_file(path) -> MatrixOp:
+    """JSON object with ``entries`` (a list of rows), ``domain`` and
+    ``codomain``, as written by ``MatrixOp.to_json``."""
     try:
         with open(path) as fh:
             obj = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}:{exc.lineno}: {exc.msg}") from None
     try:
-        return MatrixOp.from_json(obj)
+        entries = np.asarray(obj["entries"], dtype=float)
+        domain = SeqSpaceSpec.from_json(obj["domain"])
+        codomain = SeqSpaceSpec.from_json(obj["codomain"])
     except KeyError as exc:
         raise ParseError(f"{path}: missing key {exc}") from None
     except (ValueError, TypeError) as exc:
         raise ParseError(f"{path}: {exc}") from None
+    bad = ~np.isfinite(entries)  # a null, NaN or Infinity entry
+    if entries.ndim == 2 and bad.any():
+        i, j = np.unravel_index(int(bad.argmax()), bad.shape)
+        raise ParseError(f"{path}: row {i + 1}, column {j + 1}: entry is null or not finite")
+    return MatrixOp(entries, domain, codomain)
 
 
 def seq_to_csv(x: TruncatedSeq, path) -> None:

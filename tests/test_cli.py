@@ -79,7 +79,14 @@ class TestCheckCesaro:
         ("m.json", '{"entries": [[1, 0], [0, 1]], "domain": {"kind": "lq", "p": 2},'
                    ' "codomain": {"kind": "lp", "p": 2}}', ["--matrix", "{}", "--h", "ones"],
          "m.json"),
-    ], ids=["csv-nan", "h-csv-inf", "json-non-numeric", "json-unknown-kind"])
+        ("m.json", '{"entries": [[1, 0], [null, 1]], "domain": {"kind": "lp", "p": 2},'
+                   ' "codomain": {"kind": "lp", "p": 2}}', ["--matrix", "{}", "--h", "ones"],
+         "m.json: row 2, column 1"),
+        ("m.json", '{"entries": [[1, NaN], [0, 1]], "domain": {"kind": "lp", "p": 2},'
+                   ' "codomain": {"kind": "lp", "p": 2}}', ["--matrix", "{}", "--h", "ones"],
+         "m.json: row 1, column 2"),
+    ], ids=["csv-nan", "h-csv-inf", "json-non-numeric", "json-unknown-kind", "json-null",
+            "json-nan"])
     def test_malformed_file_is_parse_error(self, tmp_path, capsys, name, text,
                                            inputs, location):
         path = tmp_path / name

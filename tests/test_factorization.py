@@ -406,6 +406,67 @@ class TestRefutationLP:
         assert np.array_equal(r, np.sign(c))
 
 
+class TestCesaroForm:
+    """The certifier's one evaluator of the running-averages inequality."""
+
+    @staticmethod
+    def reference(ent, hv, sp, r):
+        """LHS and RHS of one pattern in plain Python, as in oracle_cesaro."""
+        n = len(hv)
+        lhs = sum(r[i, j] * ent[i, j] for i in range(n) for j in range(n))
+        rhs_pow = 0.0
+        for i in range(n):
+            s = sum(hv[j] * r[i, j] for j in range(i + 1))
+            rhs_pow += abs(s) ** sp / (i + 1) ** sp
+        return lhs, rhs_pow ** (1.0 / sp)
+
+    @pytest.mark.parametrize("n", [1, 5, 32])
+    def test_matches_plain_python(self, n):
+        from strongfactor.factorization import _CesaroForm
+
+        rng = np.random.default_rng(40 + n)
+        ent = rng.standard_normal((n, n))
+        hv = rng.uniform(-1.5, 1.5, n)
+        stack = rng.uniform(-1.0, 1.0, (8, n, n))
+        for sp in (1.0, 4.0 / 3.0, 2.0, 4.0):
+            lhs, rhs = _CesaroForm(ent, hv, sp).evaluate(stack)[:2]
+            for k, r in enumerate(stack):
+                ref_lhs, ref_rhs = self.reference(ent, hv, sp, r)
+                # the LHS may cancel: measure it against its absolute terms
+                scale = float(np.abs(r * ent).sum())
+                assert lhs[k] == pytest.approx(ref_lhs, rel=1e-12, abs=1e-12 * scale)
+                assert rhs[k] == pytest.approx(ref_rhs, rel=1e-12)
+
+    @pytest.mark.parametrize("n, s", [(2, Exponent(4)), (4, INF), (4, Exponent(4)),
+                                      (5, Exponent(4)), (8, INF), (12, Exponent(3))])
+    def test_report_is_the_evaluators_value(self, n, s):
+        # n * n <= 16 takes the exhaustive sweep, larger n the sampled one
+        from strongfactor.factorization import _CesaroForm
+
+        rng = np.random.default_rng(50 + n)
+        g = TruncatedSeq(rng.uniform(0.5, 1.5, n))
+        h = TruncatedSeq(rng.uniform(0.5, 1.5, n))
+        a = diagonal_sandwich(g, cesaro_matrix(n), h)
+        res = certify_inequality_cesaro(a, h, s, patterns=16, seed=2)
+        assert not res.refuted
+        form = _CesaroForm(a.entries, h.coeffs, float(conjugate(s)))
+        lhs, rhs = form.evaluate(np.asarray(res.pattern.r)[None])[:2]
+        assert (res.lhs, res.rhs) == (lhs[0], rhs[0])
+        assert res.c_hat_vertex == lhs[0] / rhs[0]
+
+    @pytest.mark.parametrize("n", [2, 5])
+    def test_refutation_is_the_evaluators_value(self, n):
+        # with h_1 != 0 no vertex refutes: the targeted search finds it
+        from strongfactor.factorization import _CesaroForm
+
+        res = certify_inequality_cesaro(identity_matrix(n), ones(n), Exponent(4),
+                                        patterns=4, seed=0)
+        assert res.refuted
+        form = _CesaroForm(identity_matrix(n).entries, np.ones(n), float(conjugate(Exponent(4))))
+        lhs, rhs = form.evaluate(np.asarray(res.pattern.r)[None])[:2]
+        assert (res.lhs, res.rhs) == (lhs[0], rhs[0])
+
+
 class TestCertifyCesaro:
     def test_continuous_patterns_respect_the_bound(self):
         # the inequality quantifies over the whole unit ball, not only
