@@ -99,6 +99,10 @@ def _load_sequence(spec: str, n: int) -> TruncatedSeq:
         raise
 
 
+def _read_matrix_file(path: str) -> MatrixOp:
+    return matrix_from_json_file(path) if path.endswith(".json") else matrix_from_csv(path)
+
+
 def _load_matrix(args, n: int) -> MatrixOp:
     if getattr(args, "matrix", None) and getattr(args, "gen", None):
         raise SpecError("give either --matrix or --gen, not both")
@@ -106,10 +110,7 @@ def _load_matrix(args, n: int) -> MatrixOp:
         path = args.matrix
         if not Path(path).exists():
             raise ParseError(f"{path}: no such file")
-        if path.endswith(".json"):
-            op = matrix_from_json_file(path)
-        else:
-            op = matrix_from_csv(path)
+        op = _read_matrix_file(path)
     elif getattr(args, "gen", None):
         op = _generate_matrix(args, n)
     else:
@@ -219,7 +220,7 @@ def _cmd_check_matrix(args) -> int:
     elif through == "identity":
         b = identity_matrix(op.n)
     elif Path(through).exists():
-        b = matrix_from_json_file(through) if through.endswith(".json") else matrix_from_csv(through)
+        b = _read_matrix_file(through)
     else:
         raise SpecError(f"--through must be cesaro, identity, or a file path; got {through!r}")
     if not getattr(args, "h", None):

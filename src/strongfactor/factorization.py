@@ -449,33 +449,38 @@ def _exhaustive_vertex_max(form, n: int, m: int):
 def _ascend(form, r: np.ndarray) -> None:
     """Single-entry sign flips on r, in place, while a flip raises the ratio;
     stops after a flip that leaves the RHS vanishing with a positive LHS.
-    The row sums are updated incrementally: they steer the flips only.
+    The row sums are updated incrementally: they steer the flips only.  The
+    current RHS, ratio and |row sum|^s' change only when a flip is accepted.
     """
     ent, w, sp, inv_pow = form.ent, form.w, form.sp, form.inv_pow
     lhs, _, rows, rhs_pow = form.evaluate(r[None])
     lhs, rows, rhs_pow = float(lhs[0]), rows[0], float(rhs_pow[0])
+    rhs = max(rhs_pow, 0.0) ** (1.0 / sp)
+    cur = lhs / rhs if rhs_pow > 0 else -math.inf
     n = r.shape[0]
     for _pass in range(_ASCENT_PASSES):
         improved = False
         for i in range(n):
+            row_pow = abs(rows[i]) ** sp
             for j in range(n):
                 new_lhs = lhs - 2.0 * r[i, j] * ent[i, j]
                 if j <= i:
                     new_si = rows[i] - 2.0 * r[i, j] * w[i, j]
-                    new_pow = rhs_pow + inv_pow[i] * (abs(new_si) ** sp - abs(rows[i]) ** sp)
-                else:
-                    new_si = rows[i]
-                    new_pow = rhs_pow
-                new_rhs = max(new_pow, 0.0) ** (1.0 / sp)
+                    new_row_pow = abs(new_si) ** sp
+                    new_pow = rhs_pow + inv_pow[i] * (new_row_pow - row_pow)
+                    new_rhs = max(new_pow, 0.0) ** (1.0 / sp)
+                else:  # outside the triangle a flip leaves the RHS alone
+                    new_si, new_row_pow, new_pow, new_rhs = rows[i], row_pow, rhs_pow, rhs
                 if new_rhs <= REFUTE_RHS_TOL:
                     if new_lhs > REFUTE_LHS_TOL:
                         r[i, j] = -r[i, j]
                         return
                     continue
-                cur = lhs / max(rhs_pow, 0.0) ** (1.0 / sp) if rhs_pow > 0 else -math.inf
-                if new_lhs / new_rhs > cur:
+                ratio = new_lhs / new_rhs
+                if ratio > cur:
                     r[i, j] = -r[i, j]
-                    lhs, rhs_pow, rows[i] = new_lhs, new_pow, new_si
+                    lhs, rhs_pow, rhs, cur = new_lhs, new_pow, new_rhs, ratio
+                    rows[i], row_pow = new_si, new_row_pow
                     improved = True
         if not improved:
             return

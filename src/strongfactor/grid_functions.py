@@ -30,6 +30,7 @@ import numpy as np
 
 from .errors import DomainMismatch, ExponentRange, IndexOutOfRange, ParseError, SpecError
 from .exponents import Exponent
+from .operators import _nonblank_lines, _read_csv
 from .seq_spaces import IndexDomain, TruncatedSeq
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -195,26 +196,16 @@ def constant(c: float, spec_or_rule) -> GridFunction:
 
 def grid_from_csv(path, rule: QuadRule, node_tol: float = 1e-9) -> GridFunction:
     """(node, value) rows; nodes must match the declared rule's nodes."""
-    rows = []
-    with open(path) as fh:
-        for k, ln in enumerate(fh, start=1):
-            ln = ln.strip()
-            if not ln:
-                continue
-            parts = ln.split(",")
-            if len(parts) != 2:
-                raise ParseError(f"{path}:{k}: expected 'node,value'")
-            try:
-                rows.append((float(parts[0]), float(parts[1])))
-            except ValueError as exc:
-                raise ParseError(f"{path}:{k}: {exc}") from None
+    lines = _nonblank_lines(path)
+    rows = _read_csv(path, 2, lines)
     if len(rows) != rule.nodes.size:
         raise ParseError(f"{path}: expected {rule.nodes.size} rows, found {len(rows)}")
-    nodes = np.asarray([r[0] for r in rows])
-    if np.max(np.abs(nodes - rule.nodes)) > node_tol:
-        k = int(np.argmax(np.abs(nodes - rule.nodes)))
-        raise ParseError(f"{path}:{k + 1}: node {nodes[k]!r} does not match the declared rule")
-    return GridFunction(rule, np.asarray([r[1] for r in rows]))
+    miss = np.abs(rows[:, 0] - rule.nodes)
+    if miss.max() > node_tol:
+        k = int(miss.argmax())
+        raise ParseError(f"{path}:{lines[k][0]}: node {float(rows[k, 0])!r} "
+                         "does not match the declared rule")
+    return GridFunction(rule, rows[:, 1])
 
 
 # ---------------------------------------------------------------------------

@@ -37,8 +37,8 @@ class MatrixOp:
 
     def __post_init__(self):
         arr = np.asarray(self.entries, dtype=float)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise SizeMismatch(f"matrix must be square, got shape {arr.shape}")
+        if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or not arr.size:
+            raise SizeMismatch(f"matrix must be square and nonempty, got shape {arr.shape}")
         if not np.all(np.isfinite(arr)):
             raise SpecError("matrix entries must be finite")
         arr = arr.copy()
@@ -176,18 +176,48 @@ def operator_norm_estimate(op: MatrixOp, trials: int = 64, seed: int = 0) -> flo
 # ---------------------------------------------------------------------------
 # ingestion / serialization
 
-def matrix_to_csv(op: MatrixOp, path) -> None:
+def _nonblank_lines(path) -> list[tuple[int, str]]:
+    with open(path) as fh:
+        return [(k, text) for k, ln in enumerate(fh, start=1) if (text := ln.strip())]
+
+
+def _read_csv(path, width: int, lines: list[tuple[int, str]]) -> np.ndarray:
+    """(len(lines), width) array from a file's (line number, text) pairs.
+    The one CSV format of matrix, sequence and grid files: each text holds
+    width fields that float() accepts, all finite; errors name path:line."""
+    out = np.empty((len(lines), width))
+    for r, (k, text) in enumerate(lines):
+        fields = text.split(",")
+        if len(fields) != width:  # numpy would broadcast a single field
+            raise ParseError(f"{path}:{k}: expected {width} values, found {len(fields)}")
+        try:
+            out[r] = fields  # numpy converts each field with float()
+        except ValueError as exc:
+            raise ParseError(f"{path}:{k}: {exc}") from None
+    bad = ~np.isfinite(out)
+    if bad.any():
+        r, j = np.unravel_index(int(bad.argmax()), bad.shape)
+        raise ParseError(f"{path}:{lines[r][0]}: non-finite value "
+                         f"{float(out[r, j])!r} in column {j + 1}")
+    return out
+
+
+def _write_csv(path, rows: np.ndarray, header: str | None = None) -> None:
     with open(path, "w") as fh:
-        fh.write(f"N={op.n}\n")
-        for row in op.entries:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+        if header is not None:
+            fh.write(header + "\n")
+        for row in rows:  # one row of Python floats at a time, not all N^2
+            fh.write(",".join(map(repr, row.tolist())) + "\n")
+
+
+def matrix_to_csv(op: MatrixOp, path) -> None:
+    _write_csv(path, op.entries, header=f"N={op.n}")
 
 
 def matrix_from_csv(path, domain: SeqSpaceSpec | None = None,
                     codomain: SeqSpaceSpec | None = None) -> MatrixOp:
     """Row-major CSV with a one-line header ``N=<n>``."""
-    with open(path) as fh:
-        lines = [(k, ln.strip()) for k, ln in enumerate(fh, start=1) if ln.strip()]
+    lines = _nonblank_lines(path)
     if not lines or not lines[0][1].startswith("N="):
         raise ParseError(f"{path}:1: expected header 'N=<n>'")
     k, header = lines[0]
@@ -197,24 +227,8 @@ def matrix_from_csv(path, domain: SeqSpaceSpec | None = None,
         raise ParseError(f"{path}:{k}: malformed size in header {header!r}") from None
     if len(lines) - 1 != n:
         raise ParseError(f"{path}: expected {n} rows, found {len(lines) - 1}")
-    rows = []
-    for k, ln in lines[1:]:
-        parts = ln.split(",")
-        if len(parts) != n:
-            raise ParseError(f"{path}:{k}: expected {n} values, found {len(parts)}")
-        try:
-            rows.append([float(v) for v in parts])
-        except ValueError as exc:
-            raise ParseError(f"{path}:{k}: {exc}") from None
-    entries = np.asarray(rows)
-    del rows  # free the parsed floats before the scans and the copy below
-    bad = ~np.isfinite(entries)
-    if bad.any():
-        i, j = np.unravel_index(int(bad.argmax()), bad.shape)
-        raise ParseError(f"{path}:{lines[i + 1][0]}: non-finite value "
-                         f"{float(entries[i, j])!r} in column {j + 1}")
     spec2 = lp_space(TWO)
-    return MatrixOp(entries, domain or spec2, codomain or spec2)
+    return MatrixOp(_read_csv(path, n, lines[1:]), domain or spec2, codomain or spec2)
 
 
 def matrix_from_json_file(path) -> MatrixOp:
@@ -233,36 +247,23 @@ def matrix_from_json_file(path) -> MatrixOp:
         raise ParseError(f"{path}: missing key {exc}") from None
     except (ValueError, TypeError) as exc:
         raise ParseError(f"{path}: {exc}") from None
+    if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
+        raise ParseError(f"{path}: entries must be a square list of rows, "
+                         f"got shape {entries.shape}")
     bad = ~np.isfinite(entries)  # a null, NaN or Infinity entry
-    if entries.ndim == 2 and bad.any():
+    if bad.any():
         i, j = np.unravel_index(int(bad.argmax()), bad.shape)
         raise ParseError(f"{path}: row {i + 1}, column {j + 1}: entry is null or not finite")
     return MatrixOp(entries, domain, codomain)
 
 
 def seq_to_csv(x: TruncatedSeq, path) -> None:
-    with open(path, "w") as fh:
-        for v in x.coeffs:
-            fh.write(repr(float(v)) + "\n")
+    _write_csv(path, x.coeffs[:, None])
 
 
 def seq_from_csv(path, index_domain: IndexDomain = IndexDomain.NAT1) -> TruncatedSeq:
     """Single-column CSV of coefficients."""
-    values, lines = [], []
-    with open(path) as fh:
-        for k, ln in enumerate(fh, start=1):
-            ln = ln.strip()
-            if not ln:
-                continue
-            try:
-                values.append(float(ln))
-            except ValueError:
-                raise ParseError(f"{path}:{k}: not a number: {ln!r}") from None
-            lines.append(k)
-    if not values:
+    coeffs = _read_csv(path, 1, _nonblank_lines(path))[:, 0]
+    if not coeffs.size:
         raise ParseError(f"{path}: empty sequence")
-    coeffs = np.asarray(values)
-    bad = np.flatnonzero(~np.isfinite(coeffs))
-    if bad.size:
-        raise ParseError(f"{path}:{lines[bad[0]]}: non-finite value {values[bad[0]]!r}")
     return TruncatedSeq(coeffs, index_domain)

@@ -1,7 +1,8 @@
 """Guards for the traced benchmark child, ``sfbench/shim.py``.
 
 The shim wraps ``strongfactor`` functions by name and its work counters read
-two private sweeps' arguments by position.  A rename in the package would
+arguments by position: two private sweeps' leading parameters, and the path
+that each reader takes first.  A rename in the package would
 otherwise break only the traced benchmark run.
 """
 
@@ -12,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from strongfactor import factorization
+from strongfactor import factorization, operators
 
 SHIM = Path(__file__).resolve().parents[1] / "sfbench" / "shim.py"
 
@@ -42,3 +43,8 @@ def test_every_target_resolves():
 def test_counted_sweeps_keep_leading_parameters(name, leading):
     params = list(inspect.signature(getattr(factorization, name)).parameters)
     assert params[:len(leading)] == leading
+
+
+@pytest.mark.parametrize("name", ["matrix_from_csv", "matrix_from_json_file", "seq_from_csv"])
+def test_counted_readers_take_path_first(name):
+    assert next(iter(inspect.signature(getattr(operators, name)).parameters)) == "path"

@@ -85,8 +85,14 @@ class TestCheckCesaro:
         ("m.json", '{"entries": [[1, NaN], [0, 1]], "domain": {"kind": "lp", "p": 2},'
                    ' "codomain": {"kind": "lp", "p": 2}}', ["--matrix", "{}", "--h", "ones"],
          "m.json: row 1, column 2"),
+        ("m.json", '{"entries": [1, null], "domain": {"kind": "lp", "p": 2},'
+                   ' "codomain": {"kind": "lp", "p": 2}}', ["--matrix", "{}", "--h", "ones"],
+         "m.json: entries must be a square list of rows, got shape (2,)"),
+        ("m.json", '{"entries": [[1, 0, 0], [0, 1, 0]], "domain": {"kind": "lp", "p": 2},'
+                   ' "codomain": {"kind": "lp", "p": 2}}', ["--matrix", "{}", "--h", "ones"],
+         "m.json: entries must be a square list of rows, got shape (2, 3)"),
     ], ids=["csv-nan", "h-csv-inf", "json-non-numeric", "json-unknown-kind", "json-null",
-            "json-nan"])
+            "json-nan", "json-1d", "json-rect"])
     def test_malformed_file_is_parse_error(self, tmp_path, capsys, name, text,
                                            inputs, location):
         path = tmp_path / name

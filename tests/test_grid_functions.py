@@ -214,6 +214,14 @@ class TestGridIO:
         with pytest.raises(ParseError):
             grid_from_csv(path, rule)
 
+    def test_csv_node_mismatch_names_file_line(self, tmp_path):
+        rule = composite_gauss_legendre(-1.0, 1.0, panels=1, order=2)
+        path = tmp_path / "grid.csv"
+        path.write_text(f"{float(rule.nodes[0])!r},1.0\n\n0.9,2.0\n")
+        with pytest.raises(ParseError) as info:
+            grid_from_csv(path, rule)
+        assert str(info.value).startswith(f"{path}:3: node 0.9 does not match")
+
     def test_random_poly_deterministic(self):
         f1, c1 = random_trig_poly(6, seed=42)
         f2, c2 = random_trig_poly(6, seed=42)

@@ -6,6 +6,7 @@ import pytest
 
 from strongfactor.errors import LengthMismatch, ParseError, SizeMismatch
 from strongfactor.exponents import Exponent, conjugate
+from strongfactor.grid_functions import composite_gauss_legendre, grid_from_csv
 from strongfactor.operators import (
     MatrixOp,
     apply,
@@ -172,6 +173,13 @@ class TestIO:
         with pytest.raises(ParseError, match="bad.csv:3"):
             matrix_from_csv(path)
 
+    def test_csv_fields_parse_as_float_does(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("N=2\n1_0, 2 \n-0.0,5e-324\n")
+        entries = matrix_from_csv(path).entries
+        assert entries.tolist() == [[10.0, 2.0], [-0.0, 5e-324]]
+        assert np.signbit(entries[1, 0])
+
     def test_json_round_trip(self, tmp_path):
         op = cesaro_matrix(3)
         path = tmp_path / "m.json"
@@ -186,12 +194,92 @@ class TestIO:
         seq_to_csv(x, path)
         assert np.array_equal(seq_from_csv(path).coeffs, x.coeffs)
 
-    def test_matrix_must_be_square(self):
+    def test_matrix_must_be_square(self, tmp_path):
         with pytest.raises(SizeMismatch):
             MatrixOp(np.ones((2, 3)), lp_space(2), lp_space(2))
+        with pytest.raises(SizeMismatch):
+            identity_matrix(0)
+        path = tmp_path / "empty.csv"
+        path.write_text("N=0\n")
+        with pytest.raises(SizeMismatch):
+            matrix_from_csv(path)
 
     def test_perturb_entry_bounds(self):
         op = cesaro_matrix(3)
         out = perturb_entry(op, 1, 3, 0.5)
         assert out.entries[0, 2] == 0.5
         assert op.entries[0, 2] == 0.0
+
+
+GRID_RULE = composite_gauss_legendre(-1.0, 1.0, panels=1, order=2)
+
+# reader, the lines ahead of the rows, and row k as a list of fields
+CSV_READERS = {
+    "matrix": (matrix_from_csv, ["N=2"], lambda k: [f"{k}.5", "0.25"]),
+    "seq": (seq_from_csv, [], lambda k: [f"{k}.5"]),
+    "grid": (lambda path: grid_from_csv(path, GRID_RULE), [],
+             lambda k: [repr(float(GRID_RULE.nodes[k])), "0.25"]),
+}
+
+
+def _with_first(fields, text):
+    return [text] + fields[1:]
+
+
+def _with_last(fields, text):
+    return fields[:-1] + [text]
+
+
+# each case turns the second row into its bad line and may put lines before it
+CSV_CASES = {
+    "bad-float": lambda row: ([], _with_last(row, "oops")),
+    "wrong-width": lambda row: ([], row + ["1.0"]),
+    "nan": lambda row: ([], _with_first(row, "nan")),
+    "inf": lambda row: ([], _with_last(row, "inf")),
+    "whitespace-line": lambda row: ([" \t "], _with_last(row, "1..0")),
+    "blank-line": lambda row: ([""], _with_first(row, "-inf")),
+}
+
+
+class TestCsvReaders:
+    """One text format behind the matrix, sequence and grid readers: every
+    rejected row is reported at its file line, blank lines included."""
+
+    @pytest.mark.parametrize("case", CSV_CASES)
+    @pytest.mark.parametrize("reader", CSV_READERS)
+    def test_bad_row_names_file_line(self, tmp_path, reader, case):
+        read, head, row = CSV_READERS[reader]
+        before, bad = CSV_CASES[case](row(1))
+        lines = head + [",".join(row(0))] + before + [",".join(bad)]
+        path = tmp_path / "in.csv"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError) as info:
+            read(path)
+        assert str(info.value).startswith(f"{path}:{len(lines)}: ")
+
+
+class TestCsvWriters:
+    """The writers' bytes match per-entry ``repr(float(v))`` formatting."""
+
+    @staticmethod
+    def values():
+        rng = np.random.default_rng(5)
+        special = [-0.0, 5e-324, 1.7976931348623157e308, 0.1]
+        scaled = rng.standard_normal(28) * 10.0 ** rng.integers(-300, 300, 28)
+        return np.concatenate([special, -np.array(special), rng.standard_normal(28), scaled])
+
+    def test_matrix_bytes(self, tmp_path):
+        entries = self.values().reshape(8, 8)
+        path = tmp_path / "m.csv"
+        matrix_to_csv(MatrixOp(entries, lp_space(2), lp_space(2)), path)
+        reference = "N=8\n" + "".join(",".join(repr(float(v)) for v in row) + "\n"
+                                       for row in entries)
+        assert path.read_text() == reference
+        assert np.array_equal(matrix_from_csv(path).entries, entries)
+
+    def test_seq_bytes(self, tmp_path):
+        coeffs = self.values()
+        path = tmp_path / "s.csv"
+        seq_to_csv(TruncatedSeq(coeffs), path)
+        assert path.read_text() == "".join(repr(float(v)) + "\n" for v in coeffs)
+        assert np.array_equal(seq_from_csv(path).coeffs, coeffs)
