@@ -350,7 +350,8 @@ def build_parser() -> _Parser:
     sub.add_argument("--form", choices=("cesaro", "fourier"), default="cesaro")
     sub.add_argument("--patterns", type=int, default=64,
                      help="sampled patterns when the rectangle is too large "
-                          "for exhaustive enumeration")
+                          "for exhaustive enumeration (--form cesaro; "
+                          "--form fourier validates it but does not sample)")
     for exp in ("q", "r"):
         sub.add_argument(f"--{exp}", help=f"exponent {exp}")
 

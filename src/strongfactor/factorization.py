@@ -415,13 +415,18 @@ class _CesaroForm:
         return lhs, rhs_pow ** (1.0 / self.sp), rows, rhs_pow
 
 
+def _refutes(lhs, rhs):
+    """Whether each (lhs, rhs) refutes: the RHS vanishes, the LHS does not."""
+    return (rhs <= REFUTE_RHS_TOL) & (lhs > REFUTE_LHS_TOL)
+
+
 def _select(stack, lhs: np.ndarray, rhs: np.ndarray):
     """The best vertex (ratio, pattern, lhs, rhs) over the patterns with
     RHS > REFUTE_RHS_TOL, earliest on ties, and the first refuting
     (pattern, lhs, rhs); either is None when the stack has none.  ``stack``
-    is an array or a list of patterns, scored by ``lhs`` and ``rhs``."""
+    is an array of patterns, scored by ``lhs`` and ``rhs``."""
     bounded = rhs > REFUTE_RHS_TOL
-    refutes = (rhs <= REFUTE_RHS_TOL) & (lhs > REFUTE_LHS_TOL)
+    refutes = _refutes(lhs, rhs)
     vertex = refute = None
     if bounded.any():
         ratios = np.where(bounded, lhs / np.where(bounded, rhs, 1.0), -math.inf)
@@ -446,73 +451,115 @@ def _exhaustive_vertex_max(form, n: int, m: int):
     return _select(stack, *form.evaluate(stack)[:2])
 
 
-def _ascend(form, r: np.ndarray) -> None:
-    """Single-entry sign flips on r, in place, while a flip raises the ratio;
-    stops after a flip that leaves the RHS vanishing with a positive LHS.
-    The row sums are updated incrementally: they steer the flips only.  The
-    current RHS, ratio and |row sum|^s' change only when a flip is accepted.
+def _ascend_lockstep(form, r: np.ndarray, lhs, rhs, rows, rhs_pow) -> None:
+    """Single-entry sign flips on every pattern of the stack r, in place and
+    in lockstep, while a flip raises that pattern's ratio.
+
+    (lhs, rhs, rows, rhs_pow) is the evaluator's score of r.  The ascent
+    updates it incrementally, one P-vector operation at a time, and it
+    steers the flips only.  Every power is ``np.power``, which gives an
+    element the same bits whatever the vector length, so each pattern takes
+    the flips it would take alone.  A pattern stops after a pass with no
+    accepted flip, or after a flip that refutes.  When the evaluator
+    confirms that pattern k's flip refutes, the sweep ends at k, so every
+    later pattern stops too.  Near REFUTE_RHS_TOL the incremental RHS and
+    the evaluator's can fall on either side of it, so an unconfirmed
+    refutation stops only its own pattern.
     """
     ent, w, sp, inv_pow = form.ent, form.w, form.sp, form.inv_pow
-    lhs, _, rows, rhs_pow = form.evaluate(r[None])
-    lhs, rows, rhs_pow = float(lhs[0]), rows[0], float(rhs_pow[0])
-    rhs = max(rhs_pow, 0.0) ** (1.0 / sp)
-    cur = lhs / rhs if rhs_pow > 0 else -math.inf
-    n = r.shape[0]
-    for _pass in range(_ASCENT_PASSES):
-        improved = False
-        for i in range(n):
-            row_pow = abs(rows[i]) ** sp
-            for j in range(n):
-                new_lhs = lhs - 2.0 * r[i, j] * ent[i, j]
-                if j <= i:
-                    new_si = rows[i] - 2.0 * r[i, j] * w[i, j]
-                    new_row_pow = abs(new_si) ** sp
-                    new_pow = rhs_pow + inv_pow[i] * (new_row_pow - row_pow)
-                    new_rhs = max(new_pow, 0.0) ** (1.0 / sp)
-                else:  # outside the triangle a flip leaves the RHS alone
-                    new_si, new_row_pow, new_pow, new_rhs = rows[i], row_pow, rhs_pow, rhs
-                if new_rhs <= REFUTE_RHS_TOL:
-                    if new_lhs > REFUTE_LHS_TOL:
-                        r[i, j] = -r[i, j]
-                        return
-                    continue
-                ratio = new_lhs / new_rhs
-                if ratio > cur:
-                    r[i, j] = -r[i, j]
-                    lhs, rhs_pow, rhs, cur = new_lhs, new_pow, new_rhs, ratio
-                    rows[i], row_pow = new_si, new_row_pow
-                    improved = True
-        if not improved:
-            return
+    inv_sp = 1.0 / sp
+    n = r.shape[1]
+    # r indexed (i, j, pattern), and d[i, j] the changes in LHS and in row
+    # sum i that flipping r_ij makes, negated with every accepted flip
+    rt = r.transpose(1, 2, 0)
+    d = -2.0 * rt[:, :, None] * np.stack((ent, w), axis=-1)[..., None]
+    rows = rows.T.copy()
+    lhs_row = np.stack((lhs, rows[0]))  # LHS and the row sum of the row visited
+    rhs, rhs_pow = rhs.copy(), rhs_pow.copy()
+    active = np.ones(len(r), dtype=bool)
+    # A flip at j > i with ent[i, j] == 0 changes neither LHS nor RHS, so it
+    # is never accepted, and it refutes only if the current state refutes.
+    # That state is a start that does not refute (the sweep ends at the
+    # first start that does) or an accepted one, whose RHS exceeds
+    # REFUTE_RHS_TOL.  So those flips are skipped.
+    cols = [[j for j in range(n) if j <= i or ent[i, j] != 0.0] for i in range(n)]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # each pattern's current ratio; +inf once it is inactive, so that
+        # no flip of it is accepted
+        cur = np.where(rhs_pow > 0.0, lhs / rhs, -math.inf)
+        for _pass in range(_ASCENT_PASSES):
+            improved = np.zeros_like(active)
+            for i in range(n):
+                if not active.any():
+                    return
+                lhs_row[1] = rows[i]
+                row_pow, inv_pow_i = np.power(np.abs(rows[i]), sp), inv_pow[i]
+                for j in cols[i]:
+                    new = lhs_row + d[i, j]
+                    if j <= i:
+                        new_row_pow = np.power(np.abs(new[1]), sp)
+                        new_pow = rhs_pow + inv_pow_i * (new_row_pow - row_pow)
+                        new_rhs = np.power(np.maximum(new_pow, 0.0), inv_sp)
+                    else:  # outside the triangle a flip leaves the RHS alone
+                        new_rhs = rhs
+                    vanish = new_rhs <= REFUTE_RHS_TOL
+                    any_vanish = np.count_nonzero(vanish)
+                    if any_vanish:
+                        refute = active & _refutes(new[0], new_rhs)
+                        np.negative(rt[i, j], out=rt[i, j], where=refute)
+                        active &= ~refute
+                        cur[refute] = math.inf
+                        for k in np.flatnonzero(refute):
+                            if _refutes(*form.evaluate(r[k:k + 1])[:2])[0]:
+                                active[k + 1:] = False
+                                cur[k + 1:] = math.inf
+                                break
+                    ratio = new[0] / new_rhs
+                    accept = ratio > cur
+                    if any_vanish:
+                        accept &= ~vanish
+                    if not np.count_nonzero(accept):
+                        continue
+                    improved |= accept
+                    np.negative(rt[i, j], out=rt[i, j], where=accept)
+                    np.negative(d[i, j], out=d[i, j], where=accept)
+                    np.copyto(lhs_row, new, where=accept)
+                    np.copyto(cur, ratio, where=accept)
+                    if j <= i:
+                        np.copyto(row_pow, new_row_pow, where=accept)
+                        np.copyto(rhs_pow, new_pow, where=accept)
+                        np.copyto(rhs, new_rhs, where=accept)
+                rows[i] = lhs_row[1]
+            active &= improved
+            cur[~active] = math.inf
 
 
 def _sampled_vertex_max(form, n: int, m: int, patterns: int, seed: int):
-    """Seeded sampling plus deterministic single-entry sign flips.
+    """Seeded sampling plus deterministic single-entry sign flips, run on
+    every sampled pattern at once.
 
-    Each sampled pattern, and the pattern its ascent ends at, is recorded in
-    visit order, and the sweep stops at the first record that refutes.  The
-    records are scored by the form's evaluator, so every reported (lhs, rhs)
-    is its value on the reported pattern.
+    The starting patterns come from one draw, the same stream as one draw
+    per pattern.  Each start, and the pattern its ascent ends at, is a
+    record; the records are taken in visit order (start_0, end_0, start_1,
+    ...) and cut at the first that refutes, so only the patterns before the
+    first refuting start are ascended.  The records are scored by the form's
+    evaluator, which scores a pattern the same inside any stack, so every
+    reported (lhs, rhs) is its value on the reported pattern.
     """
     rng = np.random.default_rng(seed)
-    records, lhs, rhs = [], [], []
-
-    def record(r):
-        """Append r and its score to the records; whether it refutes."""
-        rec_lhs, rec_rhs = form.evaluate(r[None])[:2]
-        records.append(r.copy())
-        lhs.append(rec_lhs[0])
-        rhs.append(rec_rhs[0])
-        return _select(r[None], rec_lhs, rec_rhs)[1] is not None
-
-    for _ in range(patterns):
-        r = np.where(rng.random((n, m)) < 0.5, -1.0, 1.0)
-        if record(r):
-            break
-        _ascend(form, r)
-        if record(r):
-            break
-    return _select(records, np.array(lhs), np.array(rhs))
+    starts = np.where(rng.random((patterns, n, m)) < 0.5, -1.0, 1.0)
+    lhs0, rhs0, rows, rhs_pow = form.evaluate(starts)
+    refuting = np.flatnonzero(_refutes(lhs0, rhs0))
+    k = int(refuting[0]) if refuting.size else patterns
+    ends = starts[:k].copy()
+    _ascend_lockstep(form, ends, lhs0[:k], rhs0[:k], rows[:k], rhs_pow[:k])
+    # start_0, end_0, start_1, ..., then the refuting start if any
+    records = np.concatenate((np.stack((starts[:k], ends), axis=1).reshape(-1, n, m),
+                              starts[k:k + 1]))
+    lhs, rhs = form.evaluate(records)[:2]
+    refuting = np.flatnonzero(_refutes(lhs, rhs))
+    cut = int(refuting[0]) + 1 if refuting.size else len(records)
+    return _select(records[:cut], lhs[:cut], rhs[:cut])
 
 
 def _certifier_result(vertex: tuple, refute: tuple | None, rows: int,
@@ -584,6 +631,7 @@ def certify_inequality_fourier(tphi: MatrixOp, s: Exponent,
     refutation whenever any off-diagonal mass is present.  For s = inf the
     entrywise row form applies: for each row n, LHS = sum_j r_j a_nj against
     RHS = |r_n| (rows beyond the pattern width refute on any nonzero entry).
+    Nothing is sampled, so ``patterns`` is validated but not used.
     """
     s = Exponent(s)
     if patterns < 1:

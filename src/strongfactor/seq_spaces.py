@@ -15,6 +15,7 @@ the blocks a partition, which the p = q collapse onto ``l^p`` requires.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -144,20 +145,35 @@ def _coeffs(x) -> np.ndarray:
     return np.asarray(x, dtype=float)
 
 
+def _scaled_lp(v: np.ndarray, pf: float, weight=1.0) -> tuple[float, float]:
+    """(m, t) with m = max v and t = (sum W_i (v_i/m)^p)^(1/p), for v >= 0.
+
+    The norm is m*t.  Every power is taken of a ratio at most 1, so no term
+    overflows and the largest does not underflow (Blue 1978; LAPACK dnrm2).
+    A zero or non-finite m is returned with t = 1.  At p = 1 no power is
+    taken, and the plain sum is returned as t with m = 1.
+    """
+    if pf == 1.0:
+        return 1.0, float((weight * v).sum())
+    m = float(v.max(initial=0.0))
+    if m == 0.0 or not math.isfinite(m):
+        return m, 1.0
+    return m, float((weight * (v / m) ** pf).sum() ** (1.0 / pf))
+
+
 def lp_norm(x, p: Exponent) -> float:
-    """(sum |x_i|^p)^(1/p); max |x_i| for p = inf."""
+    """(sum |x_i|^p)^(1/p), evaluated scaled by max |x_i|; max |x_i| for
+    p = inf."""
     v = np.abs(_coeffs(x))
     p = Exponent(p)
     if p.is_inf:
         return float(v.max(initial=0.0))
-    pf = float(p)
-    if pf == 1.0:
-        return float(v.sum())
-    return float((v ** pf).sum() ** (1.0 / pf))
+    m, t = _scaled_lp(v, float(p))
+    return m * t
 
 
 def weighted_lp_norm(x, p: Exponent, weight) -> float:
-    """(sum W_i |x_i|^p)^(1/p).
+    """(sum W_i |x_i|^p)^(1/p), evaluated scaled by max |x_i|.
 
     For p = inf the weight is ignored and the sup norm is returned; the
     weighted sup case never arises here and this convention keeps the
@@ -170,8 +186,8 @@ def weighted_lp_norm(x, p: Exponent, weight) -> float:
     p = Exponent(p)
     if p.is_inf:
         return float(v.max(initial=0.0))
-    pf = float(p)
-    return float((w * v ** pf).sum() ** (1.0 / pf))
+    m, t = _scaled_lp(v, float(p), w)
+    return m * t
 
 
 def dyadic_block_id(k: int) -> int:
@@ -228,6 +244,8 @@ def dual_norm(c, s: Exponent) -> tuple[float, TruncatedSeq]:
         return value, TruncatedSeq(f, seq.index_domain)
     if s.is_inf:
         return value, TruncatedSeq(np.sign(v), seq.index_domain)
+    # |f_i| = (|v_i|/m)^(s'-1) / t^(s'-1) with value = m*t: scaled, like the norm
     spf = float(sp)
-    f = np.sign(v) * np.abs(v) ** (spf - 1.0) / value ** (spf - 1.0)
+    m, t = _scaled_lp(np.abs(v), spf)
+    f = np.sign(v) * (np.abs(v) / m) ** (spf - 1.0) / t ** (spf - 1.0)
     return value, TruncatedSeq(f, seq.index_domain)

@@ -467,6 +467,202 @@ class TestCesaroForm:
         assert (res.lhs, res.rhs) == (lhs[0], rhs[0])
 
 
+def reference_ascent(form, r):
+    """The per-pattern flip loop that the lockstep ascent replaced, with
+    ``np.power`` for every power: single-entry flips on r, in place, while a
+    flip raises the ratio.  Returns the (pass, i, j) of a flip that leaves
+    the RHS vanishing with a positive LHS, where it stops, else None."""
+    ent, w, sp, inv_pow = form.ent, form.w, form.sp, form.inv_pow
+    lhs, rhs, rows, rhs_pow = (v[0] for v in form.evaluate(r[None]))
+    cur = lhs / rhs if rhs_pow > 0 else -math.inf
+    n = r.shape[0]
+    for pass_ in range(8):
+        improved = False
+        for i in range(n):
+            row_pow = np.power(abs(rows[i]), sp)
+            for j in range(n):
+                new_lhs = lhs - 2.0 * r[i, j] * ent[i, j]
+                if j <= i:
+                    new_si = rows[i] - 2.0 * r[i, j] * w[i, j]
+                    new_row_pow = np.power(abs(new_si), sp)
+                    new_pow = rhs_pow + inv_pow[i] * (new_row_pow - row_pow)
+                    new_rhs = np.power(max(new_pow, 0.0), 1.0 / sp)
+                else:
+                    new_si, new_row_pow, new_pow, new_rhs = rows[i], row_pow, rhs_pow, rhs
+                if new_rhs <= 1e-12:
+                    if new_lhs > 1e-9:
+                        r[i, j] = -r[i, j]
+                        return pass_, i, j
+                    continue
+                ratio = new_lhs / new_rhs
+                if ratio > cur:
+                    r[i, j] = -r[i, j]
+                    lhs, rhs_pow, rhs, cur = new_lhs, new_pow, new_rhs, ratio
+                    rows[i], row_pow = new_si, new_row_pow
+                    improved = True
+        if not improved:
+            return None
+    return None
+
+
+def reference_sweep(form, n, patterns, seed):
+    """One draw, one ascent and one scored record at a time, in visit
+    order, up to the first refuting record: (best vertex, refutation) as
+    (ratio, pattern, lhs, rhs) and (pattern, lhs, rhs), and the (pass, i, j)
+    of each pattern's refuting flip."""
+    rng = np.random.default_rng(seed)
+    best, flips = None, []
+    for _ in range(patterns):
+        r = np.where(rng.random((n, n)) < 0.5, -1.0, 1.0)
+        for stage in ("start", "end"):
+            if stage == "end":
+                flips.append(reference_ascent(form, r))
+            lhs, rhs = (float(v[0]) for v in form.evaluate(r[None])[:2])
+            if rhs <= 1e-12 and lhs > 1e-9:
+                return best, (r.copy(), lhs, rhs), flips
+            if rhs > 1e-12 and (best is None or lhs / rhs > best[0]):
+                best = (lhs / rhs, r.copy(), lhs, rhs)
+    return best, None, flips
+
+
+def assert_same_sweep(got, expected):
+    for a, b in zip(got, expected):
+        assert (a is None) == (b is None)
+        if a is not None:
+            assert len(a) == len(b)
+            for x, y in zip(a, b):
+                if isinstance(x, np.ndarray):
+                    assert np.array_equal(x, y)
+                else:
+                    assert x == y
+
+
+class TestLockstepAscent:
+    """The sampled sweep ascends every pattern at once, bit for bit as the
+    per-pattern loop did."""
+
+    @staticmethod
+    def form(ent, hv, s):
+        from strongfactor.factorization import _CesaroForm
+
+        return _CesaroForm(np.asarray(ent, dtype=float), np.asarray(hv, dtype=float),
+                           float(conjugate(s)))
+
+    @staticmethod
+    def tiny_h_case():
+        # h = 6e-13: the RHS sits near REFUTE_RHS_TOL, so flips can refute
+        ent = np.tril(np.random.default_rng(0).standard_normal((5, 5)))
+        return ent, np.full(5, 6e-13)
+
+    @pytest.mark.parametrize("s", [Exponent(2), Exponent(4), Exponent("4/3"), INF])
+    def test_bounded_matches_reference(self, s):
+        from strongfactor.factorization import _sampled_vertex_max
+
+        n = 12
+        a = diagonal_sandwich(harmonic(n), cesaro_matrix(n), ones(n))
+        form = self.form(a.entries, np.ones(n), s)
+        for seed in range(3):
+            got = _sampled_vertex_max(form, n, n, 16, seed)
+            best, refute, _ = reference_sweep(form, n, 16, seed)
+            assert refute is None
+            assert_same_sweep(got, (best, refute))
+
+    def test_refuting_matches_reference(self):
+        from strongfactor.factorization import _sampled_vertex_max
+
+        form = self.form(*self.tiny_h_case(), INF)
+        flip_refutations = 0
+        for seed in range(10):
+            got = _sampled_vertex_max(form, 5, 5, 4, seed)
+            best, refute, flips = reference_sweep(form, 5, 4, seed)
+            assert refute is not None
+            flip_refutations += sum(f is not None for f in flips)
+            assert_same_sweep(got, (best, refute))
+        assert flip_refutations > 0  # the ascent itself refuted, not only starts
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_full_matrix_matches_reference(self, seed):
+        # entries above the diagonal move only the LHS, and zero entries on
+        # or below it still move the RHS
+        from strongfactor.factorization import _sampled_vertex_max
+
+        rng = np.random.default_rng(70 + seed)
+        n = 7
+        ent = rng.standard_normal((n, n))
+        ent[1, 4] = ent[5, 1] = ent[5, 2] = ent[6, 6] = 0.0
+        hv = np.r_[0.0, rng.uniform(0.5, 1.5, n - 1)]  # a leading zero in h
+        form = self.form(ent, hv, Exponent(3))
+        got = _sampled_vertex_max(form, n, n, 16, seed)
+        assert_same_sweep(got, reference_sweep(form, n, 16, seed)[:2])
+
+    def test_earlier_refutation_wins(self):
+        # pattern 1's ascent refutes in pass 0, before pattern 0's refutes in
+        # pass 1; visit order puts pattern 0's end first, so it is reported
+        from strongfactor.factorization import _sampled_vertex_max
+
+        ent, hv = self.tiny_h_case()
+        form = self.form(ent, hv, INF)
+        rng = np.random.default_rng(3)
+        starts = np.where(rng.random((2, 5, 5)) < 0.5, -1.0, 1.0)
+        ends, flips = starts.copy(), []
+        for r in ends:
+            flips.append(reference_ascent(form, r))
+        lhs, rhs = form.evaluate(ends)[:2]
+        assert flips[1][0] < flips[0][0]
+        assert np.all((rhs <= 1e-12) & (lhs > 1e-9))
+        refute = _sampled_vertex_max(form, 5, 5, 4, 3)[1]
+        assert np.array_equal(refute[0], ends[0])
+        res = certify_inequality_cesaro(MatrixOp(ent, lp_space(2), lp_space(2)),
+                                        TruncatedSeq(hv), INF, patterns=4, seed=3)
+        assert res.refuted and np.array_equal(np.asarray(res.pattern.r), ends[0])
+        assert (res.lhs, res.rhs) == (lhs[0], rhs[0])
+
+    def test_refuting_flip_the_evaluator_rejects(self):
+        # h is scaled so that the least RHS of a +-1 pattern at s = inf,
+        # 1 + 1/3 + 1/5 times h, sits at REFUTE_RHS_TOL: a flip the ascent
+        # counts as refuting can end in a record that does not refute, and
+        # the sweep must then go on to the later patterns
+        from strongfactor.factorization import REFUTE_RHS_TOL, _sampled_vertex_max
+
+        ent = self.tiny_h_case()[0]
+        form = self.form(ent, np.full(5, REFUTE_RHS_TOL / (1 + 1 / 3 + 1 / 5)), INF)
+        best, refute, flips = reference_sweep(form, 5, 3, 11)
+        rng = np.random.default_rng(11)
+        ends = np.where(rng.random((len(flips), 5, 5)) < 0.5, -1.0, 1.0)
+        for r in ends:
+            reference_ascent(form, r)
+        lhs, rhs = form.evaluate(ends)[:2]
+        rejected = [f is not None and not (rhs[k] <= 1e-12 and lhs[k] > 1e-9)
+                    for k, f in enumerate(flips)]
+        assert any(rejected[:-1])
+        assert_same_sweep(_sampled_vertex_max(form, 5, 5, 3, 11), (best, refute))
+
+    @pytest.mark.parametrize("s, c_hat", [(Exponent(2), 1.1690837955055293),
+                                          (Exponent(4), 0.8992915448862009),
+                                          (INF, 0.6989177489177489)])
+    def test_one_pattern(self, s, c_hat):
+        # values from the per-pattern loop this ascent replaced
+        n = 8
+        a = diagonal_sandwich(harmonic(n), cesaro_matrix(n), ones(n))
+        res = certify_inequality_cesaro(a, ones(n), s, patterns=1, seed=5)
+        assert not res.refuted
+        assert res.c_hat == pytest.approx(c_hat, rel=1e-15)
+        best = reference_sweep(self.form(a.entries, np.ones(n), s), n, 1, 5)[0]
+        assert res.c_hat == best[0] and np.array_equal(np.asarray(res.pattern.r), best[1])
+
+    @pytest.mark.parametrize("patterns", [1, 8])
+    def test_refuting_start_ends_the_sweep(self, patterns):
+        # with h = 0 every RHS vanishes: the first draw refutes unascended
+        n = 8
+        a = diagonal_sandwich(harmonic(n), cesaro_matrix(n), ones(n))
+        res = certify_inequality_cesaro(a, TruncatedSeq(np.zeros(n)), Exponent(4),
+                                        patterns=patterns, seed=5)
+        first = np.where(np.random.default_rng(5).random((n, n)) < 0.5, -1.0, 1.0)
+        assert res.refuted and math.isinf(res.c_hat) and res.c_hat_vertex == 0.0
+        assert np.array_equal(np.asarray(res.pattern.r), first)
+        assert res.rhs == 0.0 and res.lhs == float(np.sum(first * a.entries))
+
+
 class TestCertifyCesaro:
     def test_continuous_patterns_respect_the_bound(self):
         # the inequality quantifies over the whole unit ball, not only

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -82,6 +82,26 @@ class TestLpNorm:
         smaller[0] *= 0.5
         assert lp_norm(smaller, e) <= base + 1e-12
 
+    @settings(deadline=None)
+    @given(finite_vectors, st.integers(-150, 150),
+           st.sampled_from([Fraction(4, 3), 2, 3, 100, 1000]))
+    def test_homogeneous_at_every_scale(self, v, k, p):
+        # entries that decide the norm stay normal floats after scaling
+        assume(np.abs(v).max() >= 1e-100)
+        e, c = Exponent(p), 10.0 ** k
+        assert lp_norm(c * v, e) == pytest.approx(c * lp_norm(v, e), rel=1e-12)
+
+    def test_tiny_entries_at_high_power(self):
+        # |x_i|^100 underflows to 0 unless the sum is scaled by max |x_i|
+        assert lp_norm(np.full(4, 1e-5), Exponent(100)) == pytest.approx(
+            4.0 ** 0.01 * 1e-5, rel=1e-14)
+
+    def test_large_entries_at_high_power(self):
+        # 10^1000 overflows unless the sum is scaled by max |x_i|
+        with np.errstate(over="raise"):
+            assert lp_norm(np.full(3, 10.0), Exponent(1000)) == pytest.approx(
+                3.0 ** 0.001 * 10.0, rel=1e-14)
+
 
 class TestWeightedNorm:
     def test_unit_vector_power_weight(self):
@@ -114,6 +134,14 @@ class TestWeightedNorm:
 
     def test_sup_ignores_weight(self):
         assert weighted_lp_norm([1.0, -4.0], INF, [100.0, 0.5]) == 4.0
+
+    def test_extreme_scales(self):
+        w = [1.0, 2.0, 0.5, 1.0]
+        assert weighted_lp_norm(np.full(4, 1e-5), Exponent(100), w) == pytest.approx(
+            4.5 ** 0.01 * 1e-5, rel=1e-14)
+        with np.errstate(over="raise"):
+            assert weighted_lp_norm(np.full(4, 10.0), Exponent(1000), w) == pytest.approx(
+                4.5 ** 0.001 * 10.0, rel=1e-14)
 
 
 def oracle_block_assignment(k: int) -> int:
@@ -229,6 +257,7 @@ class TestDualNorm:
 
     @settings(deadline=None)
     @given(finite_vectors, st.sampled_from([1, Fraction(4, 3), 2, 3, "inf"]))
+    @example(v=np.array([1.42784668e-81]), s=Fraction(4, 3))  # |v|^4 underflows unscaled
     def test_extremizer_invariants(self, v, s):
         e = Exponent(s)
         value, f = dual_norm(TruncatedSeq(v), e)
