@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 from datetime import datetime, timezone
@@ -306,9 +307,24 @@ def _cmd_suite(args) -> int:
     return 0 if all_ok else 1
 
 
+def _checked(convert, ok, rule: str):
+    """An argparse type that converts, then rejects a value failing ``ok``."""
+    def parse(text: str):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text}")
+        return value
+
+    parse.__name__ = convert.__name__  # argparse's "invalid int value" names it
+    return parse
+
+
 def _add_common(sub, with_matrix=True):
-    sub.add_argument("--N", type=int, default=64, help="truncation size")
-    sub.add_argument("--tol", type=float, default=1e-9, help="decision tolerance")
+    sub.add_argument("--N", type=_checked(int, lambda n: n >= 1, "at least 1"),
+                     default=64, help="truncation size")
+    sub.add_argument("--tol", type=_checked(float, lambda t: 0.0 <= t < math.inf,
+                                            "finite and >= 0"),
+                     default=1e-9, help="decision tolerance")
     sub.add_argument("--seed", type=int, default=0, help="seed recorded in output")
     sub.add_argument("--out", help="certificate path (default: print to stdout)")
     sub.add_argument("--no-timestamp", action="store_true",

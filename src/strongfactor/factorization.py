@@ -415,6 +415,31 @@ class _CesaroForm:
         return lhs, rhs_pow ** (1.0 / self.sp), rows, rhs_pow
 
 
+class _FourierForm:
+    """LHS/RHS of the coefficient-operator inequality at multiplier exponent
+    s.  At finite s a pattern is n x n, with LHS = sum_ij r_ij a_ij against
+    the l^(s') norm of its diagonal.  At s = inf the entrywise row form
+    applies (``rowform``): row k of an n x n stack is a vector pattern on
+    row k of A, with LHS = sum_j r_kj a_kj against RHS = |r_kk|."""
+
+    def __init__(self, ent: np.ndarray, s: Exponent):
+        self.ent = ent
+        self.rowform = s.is_inf
+        self.sp = None if self.rowform else float(conjugate(s))
+
+    def evaluate(self, r: np.ndarray):
+        """LHS and RHS of each pattern in the stack r.  The batched matmul
+        rounds each row's LHS as np.dot does (a lone -0.0 product sums to
+        +0.0), and the final power is the scalar ``**``, which is correctly
+        rounded more often than np.power."""
+        if self.rowform:
+            lhs = (r[:, None, :] @ self.ent[:, :, None])[:, 0, 0]
+            return lhs, np.abs(np.diagonal(r))
+        lhs = (r * self.ent).sum(axis=(1, 2))
+        rhs_pow = (np.abs(np.diagonal(r, axis1=1, axis2=2)) ** self.sp).sum(axis=1)
+        return lhs, np.array([float(x) ** (1.0 / self.sp) for x in rhs_pow])
+
+
 def _refutes(lhs, rhs):
     """Whether each (lhs, rhs) refutes: the RHS vanishes, the LHS does not."""
     return (rhs <= REFUTE_RHS_TOL) & (lhs > REFUTE_LHS_TOL)
@@ -622,67 +647,35 @@ def certify_inequality_cesaro(a: MatrixOp, h: TruncatedSeq, s_rq: Exponent,
 
 def certify_inequality_fourier(tphi: MatrixOp, s: Exponent,
                                patterns: int = 64, seed: int = 0) -> CertifierResult:
-    """Sweep sign patterns through the coefficient-operator inequality.
-
-    For finite s the RHS is the l^(s') norm of the diagonal pattern entries,
-    which is constant across +-1 vertices, so the vertex optimum is attained
-    by the sign-matched pattern and is computed directly; exhaustive
-    enumeration would reproduce it.  Zeroing the diagonal exposes a
-    refutation whenever any off-diagonal mass is present.  For s = inf the
-    entrywise row form applies: for each row n, LHS = sum_j r_j a_nj against
-    RHS = |r_n| (rows beyond the pattern width refute on any nonzero entry).
-    Nothing is sampled, so ``patterns`` is validated but not used.
+    """Sweep sign patterns through the coefficient-operator inequality that
+    ``_FourierForm`` scores.  The sign-matched vertex attains the vertex
+    optimum, as every +-1 vertex has the same RHS; zeroing its diagonal
+    refutes whenever any off-diagonal mass is present.  Nothing is sampled,
+    so ``patterns`` is validated but not used.
     """
     s = Exponent(s)
     if patterns < 1:
         raise SpecError("patterns must be >= 1")
-    if s.is_inf:
-        return _certify_fourier_rowform(tphi, seed)
     if s == Exponent(1):
         raise DegenerateExponent("multiplier exponent 1 has infinite conjugate")
-    sp = float(conjugate(s))
-    ent = tphi.entries
-
-    def evaluate(r):
-        lhs = float(np.sum(r * ent))
-        rhs = float((np.abs(np.diagonal(r)) ** sp).sum() ** (1.0 / sp))
-        return lhs, rhs
-
-    r_best = np.sign(ent)
-    r_best[r_best == 0.0] = 1.0
-    lhs, rhs = evaluate(r_best)
-    r_zero = np.sign(ent)
-    np.fill_diagonal(r_zero, 0.0)
-    lhs0, rhs0 = evaluate(r_zero)
-    refute = None
-    if rhs0 <= REFUTE_RHS_TOL and lhs0 > REFUTE_LHS_TOL:
-        refute = (r_zero, lhs0, rhs0)
-    return _certifier_result((lhs / rhs, r_best, lhs, rhs), refute, tphi.n, seed)
-
-
-def _certify_fourier_rowform(tphi: MatrixOp, seed: int) -> CertifierResult:
-    """Entrywise form for s = inf: per-row vector patterns."""
-    ent = tphi.entries
-    best = (-math.inf, None, 0.0, 0.0, 0)
-    refutation = None
-    for row in range(1, tphi.n + 1):
-        arow = ent[row - 1]
-        r = np.sign(arow)
-        r[r == 0.0] = 1.0
-        lhs = float(np.dot(r, arow))
-        rhs = 1.0  # |r_row| at a vertex
-        if lhs / rhs > best[0]:
-            best = (lhs / rhs, r.copy(), lhs, rhs, row)
-        r_zero = r.copy()
-        r_zero[row - 1] = 0.0
-        lhs0 = float(np.dot(r_zero, arow))
-        if refutation is None and lhs0 > REFUTE_LHS_TOL:
-            refutation = (r_zero, lhs0, 0.0, row)
-    *vertex, row = best
-    refute = None
-    if refutation is not None:
-        *refute, row = refutation
-    return _certifier_result(vertex, refute, row, seed)
+    form = _FourierForm(tphi.entries, s)
+    sign = np.sign(tphi.entries)
+    vert = np.where(sign == 0.0, 1.0, sign)
+    zeroed = (vert if form.rowform else sign).copy()
+    np.fill_diagonal(zeroed, 0.0)
+    if not form.rowform:
+        vert, zeroed = vert[None], zeroed[None]
+    vert_lhs, vert_rhs = form.evaluate(vert)
+    zero_lhs, zero_rhs = form.evaluate(zeroed)
+    vertex = _select(vert, vert_lhs, vert_rhs)[0]
+    refute = _select(zeroed, zero_lhs, zero_rhs)[1]
+    rows = tphi.n
+    if form.rowform:
+        # _select takes the earliest best ratio (each vertex RHS is 1) or the
+        # first refutation, so every earlier row has a smaller LHS
+        lhs, reported = (zero_lhs, refute[1]) if refute else (vert_lhs, vertex[2])
+        rows = 1 + int(np.argmax(lhs == reported))
+    return _certifier_result(vertex, refute, rows, seed)
 
 
 # ---------------------------------------------------------------------------

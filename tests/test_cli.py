@@ -63,12 +63,22 @@ class TestCheckCesaro:
     @pytest.mark.parametrize("extra", [["--perturb", "1,x,1e-3"],
                                        ["--perturb", "1,2,abc"],
                                        ["--r", "abc"],
-                                       ["--r", "1/0"]])
+                                       ["--r", "1/0"],
+                                       ["--tol", "nan"],
+                                       ["--tol", "-1"]])
     def test_bad_value_is_usage_error(self, extra, capsys):
         args = ["check-cesaro", "--gen", "cesaro", "--h", "ones", "--N", "4",
                 "--p", "2", "--q", "2", "--r", "2"]
         assert run(args + extra) == 64
         assert extra[1] in capsys.readouterr().err
+
+    @pytest.mark.parametrize("gen", ["identity", "cesaro", "random-lower", "rank-one", "diag"])
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    def test_size_below_one_is_usage_error(self, gen, n, capsys):
+        code = run(["check-cesaro", "--gen", gen, "--g", "harmonic", "--h", "ones",
+                    "--N", n, "--p", "2", "--q", "2", "--r", "2"])
+        assert code == 64
+        assert f"--N: must be at least 1, got {n}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("name, text, inputs, location", [
         ("m.csv", "N=2\n1.0,0.0\n\n0.0,nan\n", ["--matrix", "{}", "--h", "ones"], "m.csv:4"),

@@ -741,7 +741,91 @@ class TestCertifyCesaro:
         assert res.c_hat <= lp_norm(g, INF) + 1e-9
 
 
+def reference_fourier(ent, s):
+    """The Fourier certifier that ``_FourierForm`` replaced: a closure
+    evaluator at finite s and a loop over rows at s = inf.  Returns
+    (c_hat, pattern, lhs, rhs, refuted, c_hat_vertex, rows)."""
+    n = ent.shape[0]
+    if s.is_inf:
+        best, refutation = (-math.inf, None, 0.0, 0.0, 0), None
+        for row in range(1, n + 1):
+            arow = ent[row - 1]
+            r = np.sign(arow)
+            r[r == 0.0] = 1.0
+            lhs = float(np.dot(r, arow))
+            if lhs / 1.0 > best[0]:
+                best = (lhs / 1.0, r.copy(), lhs, 1.0, row)
+            r_zero = r.copy()
+            r_zero[row - 1] = 0.0
+            lhs0 = float(np.dot(r_zero, arow))
+            if refutation is None and lhs0 > 1e-9:
+                refutation = (r_zero, lhs0, 0.0, row)
+    else:
+        sp = float(conjugate(s))
+
+        def evaluate(r):
+            lhs = float(np.sum(r * ent))
+            return lhs, float((np.abs(np.diagonal(r)) ** sp).sum() ** (1.0 / sp))
+
+        r_best = np.sign(ent)
+        r_best[r_best == 0.0] = 1.0
+        lhs, rhs = evaluate(r_best)
+        best = (lhs / rhs, r_best, lhs, rhs, n)
+        r_zero = np.sign(ent)
+        np.fill_diagonal(r_zero, 0.0)
+        lhs0, rhs0 = evaluate(r_zero)
+        refutation = (r_zero, lhs0, rhs0, n) if rhs0 <= 1e-12 and lhs0 > 1e-9 else None
+    ratio, *found = best
+    c_vertex = max(ratio, 0.0)
+    if refutation is None:
+        return (c_vertex, *found[:3], False, c_vertex, found[3])
+    return (math.inf, *refutation[:3], True, c_vertex, refutation[3])
+
+
+def fourier_cases():
+    """Seeded diagonal, perturbed-diagonal and full matrices, some with zero
+    entries on and off the diagonal, plus the zero matrix and n = 1.  At
+    n = 10, 15, 27 and 37, n^(1/s') at s = 4, 6, 3/2 and 4/3 rounds
+    differently through np.power than through the scalar ``**``."""
+    rng = np.random.default_rng(31)
+    cases = [np.zeros((3, 3)), np.zeros((1, 1)), np.array([[2.5]]), np.array([[-1e-7]])]
+    for n in (2, 3, 5, 8, 10, 13, 15, 27, 37):
+        cases.append(np.diag(rng.standard_normal(n) * 10.0 ** rng.uniform(-4, 4, n)))
+        cases.append(np.diag(rng.uniform(0.5, 2.0, n)) + 1e-12 * rng.standard_normal((n, n)))
+        cases.append(rng.standard_normal((n, n)) * 10.0 ** rng.uniform(-6, 6, (n, n)))
+        holes = rng.standard_normal((n, n))
+        holes[rng.random((n, n)) < 0.4] = 0.0
+        holes[0, 0] = 0.0
+        cases.append(holes)
+    return cases
+
+
 class TestCertifyFourier:
+    @pytest.mark.parametrize("s", [Exponent(2), Exponent(4), Exponent("4/3"),
+                                   Exponent("3/2"), Exponent(6), INF])
+    def test_matches_reference(self, s):
+        # bit for bit, -0.0 and rows included
+        def bits(values):
+            return [v.tobytes() if isinstance(v, np.ndarray) else repr(v) for v in values]
+
+        for ent in fourier_cases():
+            res = certify_inequality_fourier(MatrixOp(ent, lp_space(2), lp_space(2)), s,
+                                             patterns=4, seed=0)
+            got = (res.c_hat, np.asarray(res.pattern.r), res.lhs, res.rhs, res.refuted,
+                   res.c_hat_vertex, res.rows)
+            expected = reference_fourier(ent, s)
+            assert got[1].shape == expected[1].shape
+            assert bits(got) == bits(expected)
+
+    @pytest.mark.parametrize("s", [Exponent(2), INF])
+    def test_negative_zero_operator_gives_zero(self, s):
+        # a lone -0.0 entry scores LHS +0.0 in both forms; the row loop that
+        # the row form replaced gave -0.0, as np.dot multiplies length-1
+        # vectors as scalars
+        res = certify_inequality_fourier(MatrixOp(np.array([[-0.0]]), lp_space(2),
+                                                  lp_space(2)), s, patterns=4, seed=0)
+        assert repr((res.c_hat, res.c_hat_vertex, res.lhs)) == "(0.0, 0.0, 0.0)"
+
     def test_diagonal_attains_norm_with_constant_magnitude(self):
         for n in (2, 3, 4):
             g = TruncatedSeq(0.9 * np.where(np.arange(n) % 2 == 0, 1.0, -1.0))
