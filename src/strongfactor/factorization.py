@@ -153,26 +153,27 @@ def _require_range(name: str, value: Exponent, low, high,
         raise ExponentRange(f"{name}={value} outside {lo_b}{lo}, {hi}{hi_b}")
 
 
-def _first_violation(dev: np.ndarray, tol: float) -> tuple[int, int]:
-    """First entry (row-major, 0-based) whose deviation exceeds tol; the
-    caller has checked that one does."""
-    i, j = np.unravel_index(int(np.argmax(dev > tol)), dev.shape)
-    return int(i), int(j)
-
-
 # ---------------------------------------------------------------------------
 # shape checkers
 
-def _sandwich_check(ent: np.ndarray, w: np.ndarray, tol: float,
+#: entries of A per row block of the shape check: 256 KB per float temporary
+_BLOCK_ENTRIES = 1 << 15
+
+
+def _sandwich_check(ent: np.ndarray, w_rows, tol: float,
                     g_exp: Exponent | None, notes: tuple[str, ...] = (),
                     pivot_tol: float = 0.0, **meta) -> Certificate:
     """Decide a_ij = g_i * w_ij for some g, where w_ij = b_ij * h_j and every
     forced zero of w is stored as an exact 0.
 
-    g_i is read at the first entry of row i of w with |w_ij| > pivot_tol; a
-    row with no such entry gets g_i = 0.  The witness is the first row-major
-    entry whose deviation |a_ij - g_i w_ij| exceeds tol.  ``notes`` are added
-    to a FACTORS certificate; ``meta`` holds the remaining certificate fields.
+    A stays dense; w is never held whole: ``w_rows(lo, hi)`` returns a fresh
+    array of rows lo..hi-1 of w, and A is walked in blocks of rows of about
+    ``_BLOCK_ENTRIES`` entries.  g_i is read at the first entry of row i of w
+    with |w_ij| > pivot_tol; a row with no such entry gets g_i = 0.  The
+    witness is the first row-major entry whose deviation |a_ij - g_i w_ij|
+    exceeds tol, so the walk stops at the first block that holds one.
+    ``notes`` are added to a FACTORS certificate; ``meta`` holds the remaining
+    certificate fields.
     """
     n = ent.shape[0]
     meta.update(tol=tol, truncation=n)
@@ -181,27 +182,35 @@ def _sandwich_check(ent: np.ndarray, w: np.ndarray, tol: float,
                            notes=("zero operator: nontrivial operator required",
                                   EVIDENCE_NOTE), **meta)
 
-    rows = np.arange(n)
-    dev = np.abs(w)  # the buffer is reused for the deviation below
-    first = (dev > pivot_tol).argmax(axis=1)
-    pivot = w[rows, first]
-    live = np.abs(pivot) > pivot_tol
+    step = max(1, _BLOCK_ENTRIES // n)
     g_vals = np.zeros(n)
-    np.divide(ent[rows, first], pivot, out=g_vals, where=live)
+    live = np.zeros(n, dtype=bool)
+    residual = np.float64(0.0)
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        w, a = w_rows(lo, hi), ent[lo:hi]
+        rows = np.arange(hi - lo)
+        dev = np.abs(w)  # the buffer is reused for the deviation below
+        first = (dev > pivot_tol).argmax(axis=1)
+        pivot = w[rows, first]
+        live[lo:hi] = np.abs(pivot) > pivot_tol
+        g = g_vals[lo:hi]
+        np.divide(a[rows, first], pivot, out=g, where=live[lo:hi])
 
-    np.multiply(g_vals[:, None], w, out=dev)
-    np.subtract(ent, dev, out=dev)
-    np.abs(dev, out=dev)
-    residual = float(dev.max())
-    if residual > tol:
-        i, j = _first_violation(dev, tol)
-        return Certificate(
-            verdict=Verdict.DOES_NOT_FACTOR, residual=float(dev[i, j]),
-            # + 0.0 turns a -0.0 product into 0.0
-            witness={"i": i + 1, "j": j + 1,
-                     "expected": float(g_vals[i] * w[i, j]) + 0.0,
-                     "actual": float(ent[i, j])},
-            notes=(EVIDENCE_NOTE,), **meta)
+        np.multiply(g[:, None], w, out=dev)
+        np.subtract(a, dev, out=dev)
+        np.abs(dev, out=dev)
+        # np.maximum keeps a NaN, as one max over the whole matrix would
+        residual = np.maximum(residual, dev.max())
+        if residual > tol:
+            i, j = np.unravel_index(int(np.argmax(dev > tol)), dev.shape)
+            return Certificate(
+                verdict=Verdict.DOES_NOT_FACTOR, residual=float(dev[i, j]),
+                # + 0.0 turns a -0.0 product into 0.0
+                witness={"i": lo + int(i) + 1, "j": int(j) + 1,
+                         "expected": float(g[i] * w[i, j]) + 0.0,
+                         "actual": float(a[i, j])},
+                notes=(EVIDENCE_NOTE,), **meta)
 
     notes = (EVIDENCE_NOTE, *notes)
     dead = np.flatnonzero(~live)
@@ -211,7 +220,7 @@ def _sandwich_check(ent: np.ndarray, w: np.ndarray, tol: float,
     g_norm = None if g_exp is None else (lp_norm(g_vals, g_exp), g_exp)
     return Certificate(verdict=Verdict.FACTORS,
                        g=TruncatedSeq(g_vals, IndexDomain.NAT1), g_norm=g_norm,
-                       residual=residual, notes=notes, **meta)
+                       residual=float(residual), notes=notes, **meta)
 
 
 def cesaro_factor_check(a: MatrixOp, h: TruncatedSeq, p: Exponent, q: Exponent,
@@ -250,13 +259,17 @@ def cesaro_factor_check_j0(a: MatrixOp, h: TruncatedSeq, p: Exponent, q: Exponen
     j0 = int(nonzero[0]) + 1
     s_rq = multiplier_exponent(r, q)
     s_pr = multiplier_exponent(p, r)
-    # row i of the running-averages matrix is 1/i on j <= i
-    w = np.tri(a.n)
-    w *= hv
-    w *= (1.0 / np.arange(1, a.n + 1))[:, None]
+    inv_i = 1.0 / np.arange(1, a.n + 1)
+
+    def w_rows(lo, hi):  # row i of the running-averages matrix is 1/i on j <= i
+        w = np.tri(hi - lo, a.n, lo)
+        w *= hv
+        w *= inv_i[lo:hi, None]
+        return w
+
     # the default pivot_tol = 0 reads every row i >= j0 at column j0
     cert = _sandwich_check(
-        a.entries, w, tol, s_rq,
+        a.entries, w_rows, tol, s_rq,
         notes=(f"shifted shape with j0={j0}",) if j0 > 1 else (),
         h=h, h_norm=(lp_norm(hv, s_pr), s_pr), seed=seed,
         exponents={"p": p, "q": q, "r": r, "s_rq": s_rq, "s_pr": s_pr})
@@ -281,7 +294,8 @@ def fourier_factor_check(tphi: MatrixOp, r: Exponent, p: Exponent, q: Exponent,
     if not (r <= p and p < INF):
         raise ExponentRange(f"p={p} outside [r, inf) with r={r}")
     s = multiplier_exponent(conjugate(r), q)
-    return _sandwich_check(tphi.entries, np.eye(tphi.n), tol, s, seed=seed,
+    return _sandwich_check(tphi.entries, lambda lo, hi: np.eye(hi - lo, tphi.n, lo),
+                           tol, s, seed=seed,
                            exponents={"r": r, "p": p, "q": q, "s_rprime_q": s})
 
 
@@ -304,13 +318,16 @@ def matrix_factor_check(a: MatrixOp, b: MatrixOp, h: TruncatedSeq,
     g_exp = None
     if b.codomain.kind is SpaceKind.LP and a.codomain.kind is SpaceKind.LP:
         g_exp = multiplier_exponent(b.codomain.p, a.codomain.p)
-    w = np.abs(b.entries)
-    b_zero = w <= tol
-    np.multiply(b.entries, h.coeffs, out=w)
-    w[b_zero] = 0.0
+
+    def w_rows(lo, hi):
+        b_rows = b.entries[lo:hi]
+        w = b_rows * h.coeffs
+        w[np.abs(b_rows) <= tol] = 0.0
+        return w
+
     # reading g_i at |b_ij h_j| > tol keeps a difference below tol from being
     # divided by a tiny b_ij h_j
-    return _sandwich_check(a.entries, w, tol, g_exp, pivot_tol=tol, h=h,
+    return _sandwich_check(a.entries, w_rows, tol, g_exp, pivot_tol=tol, h=h,
                            seed=seed,
                            exponents={} if g_exp is None else {"s": g_exp})
 

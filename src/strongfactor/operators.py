@@ -1,7 +1,10 @@
 """Dense truncations of infinite-matrix operators between sequence spaces.
 
-Dense N x N storage throughout: the factorization checks are O(N^2) scans and
-the workloads stay at desk scale, so sparsity machinery would buy nothing.
+Every operator is stored as a dense N x N array: the factorization checks are
+O(N^2) scans and the workloads stay at desk scale, so sparsity machinery would
+buy nothing.  The checks read A and B dense and build the product w = B M_h
+by blocks of rows, never whole.  The constructors here hand their freshly
+built arrays to ``MatrixOp`` read-only, so it keeps them without a copy.
 """
 
 from __future__ import annotations
@@ -29,6 +32,11 @@ class MatrixOp:
 
     Column j holds the image of the j-th unit vector, so ``entries[i, j]``
     is the i-th coordinate of T(e^j).
+
+    ``entries`` is stored read-only and in C order.  A C-ordered float array
+    that is already read-only and owns its memory is kept as it is, since
+    nothing can write to it; any other input, such as a caller's writable
+    array or a view, is copied.  Shape and finiteness are checked either way.
     """
 
     entries: np.ndarray
@@ -41,8 +49,10 @@ class MatrixOp:
             raise SizeMismatch(f"matrix must be square and nonempty, got shape {arr.shape}")
         if not np.all(np.isfinite(arr)):
             raise SpecError("matrix entries must be finite")
-        arr = arr.copy()
-        arr.flags.writeable = False
+        flags = arr.flags
+        if flags.writeable or not (flags.owndata and flags.c_contiguous):
+            arr = arr.copy()
+            arr.flags.writeable = False
         object.__setattr__(self, "entries", arr)
 
     @property
@@ -52,10 +62,17 @@ class MatrixOp:
     def to_json(self) -> dict:
         return {
             "n": self.n,
-            "entries": [[float(v) for v in row] for row in self.entries],
+            "entries": self.entries.tolist(),
             "domain": self.domain.to_json(),
             "codomain": self.codomain.to_json(),
         }
+
+
+def _fresh(entries: np.ndarray, domain: SeqSpaceSpec,
+           codomain: SeqSpaceSpec) -> MatrixOp:
+    """MatrixOp that takes over an array built here and held nowhere else."""
+    entries.flags.writeable = False
+    return MatrixOp(entries, domain, codomain)
 
 
 def cesaro_matrix(n: int, r: Exponent = TWO) -> MatrixOp:
@@ -66,18 +83,19 @@ def cesaro_matrix(n: int, r: Exponent = TWO) -> MatrixOp:
     j = np.arange(1, n + 1, dtype=float)[None, :]
     entries = np.where(j <= i, 1.0 / i, 0.0)
     spec = lp_space(r)
-    return MatrixOp(entries, spec, spec)
+    return _fresh(entries, spec, spec)
 
 
 def identity_matrix(n: int, p: Exponent = TWO, q: Exponent | None = None) -> MatrixOp:
-    return MatrixOp(np.eye(n), lp_space(p), lp_space(q if q is not None else p))
+    return _fresh(np.eye(n), lp_space(p), lp_space(q if q is not None else p))
 
 
 def random_lower_triangular(n: int, seed: int, p: Exponent = TWO) -> MatrixOp:
     rng = np.random.default_rng(seed)
-    entries = np.tril(rng.standard_normal((n, n)))
+    entries = rng.standard_normal((n, n))
+    np.copyto(entries, 0.0, where=~np.tri(n, dtype=bool))  # np.tril, in place
     spec = lp_space(p)
-    return MatrixOp(entries, spec, spec)
+    return _fresh(entries, spec, spec)
 
 
 def factorable_matrix(alpha: TruncatedSeq, h: TruncatedSeq, j0: int = 1,
@@ -94,7 +112,7 @@ def factorable_matrix(alpha: TruncatedSeq, h: TruncatedSeq, j0: int = 1,
     entries = np.zeros((n, n))
     for i in range(j0, n + 1):
         entries[i - 1, j0 - 1:i] = hv[j0 - 1:i] * a[i - j0]
-    return MatrixOp(entries, domain or lp_space(TWO), codomain or lp_space(TWO))
+    return _fresh(entries, domain or lp_space(TWO), codomain or lp_space(TWO))
 
 
 def perturb_entry(op: MatrixOp, i: int, j: int, eps: float) -> MatrixOp:
@@ -103,7 +121,7 @@ def perturb_entry(op: MatrixOp, i: int, j: int, eps: float) -> MatrixOp:
         raise SpecError(f"entry ({i}, {j}) outside 1..{op.n}")
     entries = op.entries.copy()
     entries[i - 1, j - 1] += eps
-    return MatrixOp(entries, op.domain, op.codomain)
+    return _fresh(entries, op.domain, op.codomain)
 
 
 def apply(op: MatrixOp, x: TruncatedSeq) -> TruncatedSeq:
@@ -119,7 +137,7 @@ def diagonal_sandwich(g: TruncatedSeq, op: MatrixOp, h: TruncatedSeq) -> MatrixO
         raise LengthMismatch("multiplier lengths must equal the matrix size")
     entries = g.coeffs[:, None] * op.entries
     entries *= h.coeffs
-    return MatrixOp(entries, op.domain, op.codomain)
+    return _fresh(entries, op.domain, op.codomain)
 
 
 def operator_norm_estimate(op: MatrixOp, trials: int = 64, seed: int = 0) -> float:
@@ -228,7 +246,7 @@ def matrix_from_csv(path, domain: SeqSpaceSpec | None = None,
     if len(lines) - 1 != n:
         raise ParseError(f"{path}: expected {n} rows, found {len(lines) - 1}")
     spec2 = lp_space(TWO)
-    return MatrixOp(_read_csv(path, n, lines[1:]), domain or spec2, codomain or spec2)
+    return _fresh(_read_csv(path, n, lines[1:]), domain or spec2, codomain or spec2)
 
 
 def matrix_from_json_file(path) -> MatrixOp:
@@ -254,7 +272,7 @@ def matrix_from_json_file(path) -> MatrixOp:
     if bad.any():
         i, j = np.unravel_index(int(bad.argmax()), bad.shape)
         raise ParseError(f"{path}: row {i + 1}, column {j + 1}: entry is null or not finite")
-    return MatrixOp(entries, domain, codomain)
+    return _fresh(entries, domain, codomain)
 
 
 def seq_to_csv(x: TruncatedSeq, path) -> None:

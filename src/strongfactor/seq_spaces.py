@@ -80,7 +80,7 @@ class TruncatedSeq:
     def to_json(self) -> dict:
         return {
             "index_domain": self.index_domain.value,
-            "coeffs": [float(v) for v in self.coeffs],
+            "coeffs": self.coeffs.tolist(),
         }
 
     @classmethod

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import numpy as np
@@ -10,11 +11,16 @@ from strongfactor.errors import (
     ExponentRange,
     SizeMismatch,
     SpecError,
+    StrongFactorError,
     ZeroDiagonal,
     ZeroPivot,
 )
 from strongfactor.exponents import Exponent, INF, conjugate, multiplier_exponent
+from strongfactor import factorization
 from strongfactor.factorization import (
+    _BLOCK_ENTRIES,
+    EVIDENCE_NOTE,
+    EXACT_TOL,
     Certificate,
     Verdict,
     certify_inequality_cesaro,
@@ -39,7 +45,7 @@ from strongfactor.operators import (
     identity_matrix,
     perturb_entry,
 )
-from strongfactor.seq_spaces import TruncatedSeq, lp_norm, lp_space
+from strongfactor.seq_spaces import IndexDomain, TruncatedSeq, lp_norm, lp_space
 
 P2 = Exponent(2)
 
@@ -333,6 +339,176 @@ class TestMatrixCheck:
         cert = matrix_factor_check(a, b, h)
         assert cert.verdict is Verdict.FACTORS
         assert np.allclose(cert.g.coeffs, [2.0, 3.0, 4.0])
+
+
+def reference_sandwich_check(ent, w, tol, g_exp, notes=(), pivot_tol=0.0, **meta):
+    """The shape kernel before it took w by blocks of rows: w whole, and one
+    N x N deviation matrix."""
+    n = ent.shape[0]
+    meta.update(tol=tol, truncation=n)
+    if ent.max() <= tol and ent.min() >= -tol:
+        return Certificate(verdict=Verdict.INCONCLUSIVE, residual=0.0,
+                           notes=("zero operator: nontrivial operator required",
+                                  EVIDENCE_NOTE), **meta)
+    rows = np.arange(n)
+    dev = np.abs(w)
+    first = (dev > pivot_tol).argmax(axis=1)
+    pivot = w[rows, first]
+    live = np.abs(pivot) > pivot_tol
+    g_vals = np.zeros(n)
+    np.divide(ent[rows, first], pivot, out=g_vals, where=live)
+    np.multiply(g_vals[:, None], w, out=dev)
+    np.subtract(ent, dev, out=dev)
+    np.abs(dev, out=dev)
+    residual = float(dev.max())
+    if residual > tol:
+        i, j = np.unravel_index(int(np.argmax(dev > tol)), dev.shape)
+        return Certificate(
+            verdict=Verdict.DOES_NOT_FACTOR, residual=float(dev[i, j]),
+            witness={"i": int(i) + 1, "j": int(j) + 1,
+                     "expected": float(g_vals[i] * w[i, j]) + 0.0,
+                     "actual": float(ent[i, j])},
+            notes=(EVIDENCE_NOTE,), **meta)
+    notes = (EVIDENCE_NOTE, *notes)
+    dead = np.flatnonzero(~live)
+    if dead.size:
+        notes += (f"{dead.size} row(s) of B M_h vanish, first i={dead[0] + 1}; "
+                  "g_i = 0 recorded for them",)
+    g_norm = None if g_exp is None else (lp_norm(g_vals, g_exp), g_exp)
+    return Certificate(verdict=Verdict.FACTORS,
+                       g=TruncatedSeq(g_vals, IndexDomain.NAT1), g_norm=g_norm,
+                       residual=residual, notes=notes, **meta)
+
+
+def block_rows(n):
+    return max(1, _BLOCK_ENTRIES // n)
+
+
+def block_sizes():
+    """n with one block, with an exact multiple of blocks, and with a ragged
+    last block, from the kernel's block size."""
+    start = math.isqrt(_BLOCK_ENTRIES) + 1  # from here on a block is shorter than n
+    exact = next(n for n in itertools.count(start) if n % block_rows(n) == 0)
+    ragged = next(n for n in itertools.count(exact)
+                  if n % block_rows(n) and n // block_rows(n) >= 2)
+    return [7, exact, ragged]
+
+
+def block_cases(n):
+    """(label, A, h, B) around the block boundaries of size n."""
+    rng = np.random.default_rng(n)
+    step = block_rows(n)
+    last = (n - 1) // step * step  # first row of the last block
+    near = last if last + 2 < n else max(0, last - step)  # a block with two rows to spare
+    cesaro, eye = cesaro_matrix(n), identity_matrix(n)
+    lower = np.tril(rng.standard_normal((n, n)))
+    lower[step - 1:step + 2] *= 1e-12  # rows below pivot_tol = tol across a boundary
+    lower = MatrixOp(lower, lp_space(2), lp_space(2))
+    g = rng.uniform(-2.0, 2.0, n)
+    g[::5] = -0.0
+    h = rng.uniform(0.5, 1.5, n)
+    lead = h.copy()
+    lead[:min(n - 2, step + 3)] = 0.0  # leading zeros past the first block
+    lead[0] = -0.0
+
+    def sandwich(b, hv):
+        return diagonal_sandwich(TruncatedSeq(g), b, TruncatedSeq(hv)).entries
+
+    def bumped(ent, *cells):
+        ent = ent.copy()
+        for i, j, eps in cells:
+            ent[i, j] += eps
+        return ent
+
+    cases = []
+    for label, b, hv in (("cesaro", cesaro, h), ("shifted", cesaro, lead),
+                         ("diagonal", eye, np.ones(n)), ("lower", lower, h),
+                         ("lower-shifted", lower, lead)):
+        ent = sandwich(b, hv)
+        cases += [
+            (label, ent, hv, b),
+            (f"{label}/block-end", bumped(ent, (max(0, last - 1), 0, 1e-3)), hv, b),
+            (f"{label}/block-start", bumped(ent, (last, n - 1, 1e-3)), hv, b),
+            (f"{label}/larger-later", bumped(ent, (near, n - 1, 1e-6),
+                                             (near + 1, n - 1, 1.0)), hv, b),
+        ]
+    ent = sandwich(cesaro, lead)
+    cases.append(("dead-row-entry", bumped(ent, (min(n - 3, step + 1), 0, 1e-3)), lead, cesaro))
+    cases.append(("zero", np.zeros((n, n)), h, cesaro))
+    cases.append(("negative-zero", np.full((n, n), -0.0), h, cesaro))
+    return cases
+
+
+P32 = Exponent("3/2")
+
+
+class TestBlockKernel:
+    """Every wrapper gives the dense reference kernel's certificate, byte for
+    byte, at sizes with one block, whole blocks and a ragged last block."""
+
+    @staticmethod
+    def wrappers(ent, hv, b):
+        a, h = MatrixOp(ent, lp_space(2), lp_space(2)), TruncatedSeq(hv)
+        n = a.n
+        tri = np.tri(n)
+        tri *= hv
+        tri *= (1.0 / np.arange(1, n + 1))[:, None]
+        bh = np.abs(b.entries)
+        b_zero = bh <= EXACT_TOL
+        np.multiply(b.entries, hv, out=bh)
+        bh[b_zero] = 0.0
+        # (the call, the dense w that the parent wrapper built)
+        return {
+            "cesaro": (lambda: cesaro_factor_check(a, h, P2, P2, P2), tri),
+            "cesaro-j0": (lambda: cesaro_factor_check_j0(a, h, P2, P2, P2), tri),
+            "fourier": (lambda: fourier_factor_check(a, P32, P2, P2), np.eye(n)),
+            "matrix": (lambda: matrix_factor_check(a, b, h), bh),
+        }
+
+    @staticmethod
+    def outcome(call):
+        try:
+            return json.dumps(call().to_json())
+        except StrongFactorError as exc:
+            return repr(exc)
+
+    @pytest.mark.parametrize("n", block_sizes())
+    def test_matches_dense_reference(self, n, monkeypatch):
+        seen = set()
+        for label, ent, hv, b in block_cases(n):
+            for name, (call, w) in self.wrappers(ent, hv, b).items():
+                got = self.outcome(call)
+                with monkeypatch.context() as m:
+                    m.setattr(factorization, "_sandwich_check",
+                              lambda ent, _rows, *args, w=w, **meta:
+                              reference_sandwich_check(ent, w, *args, **meta))
+                    expected = self.outcome(call)
+                assert got == expected, (label, name)
+                seen.add(json.loads(got)["verdict"] if got.startswith("{") else "error")
+        assert seen == {"FACTORS", "DOES_NOT_FACTOR", "INCONCLUSIVE", "error"}
+
+
+class TestCheckMemory:
+    """A check holds a few row blocks beside A and B, never an N x N
+    temporary."""
+
+    N = 1024
+
+    @pytest.mark.parametrize("name", ["cesaro", "cesaro-j0", "fourier", "matrix"])
+    def test_peak_below_a_quarter_matrix(self, name, traced_peak):
+        n = self.N
+        h = harmonic(n)
+        c = cesaro_matrix(n)
+        a = diagonal_sandwich(TruncatedSeq(np.cos(np.arange(n))), c, h)
+        d = diagonal_sandwich(TruncatedSeq(np.cos(np.arange(n))), identity_matrix(n), ones(n))
+        check = {
+            "cesaro": lambda: cesaro_factor_check(a, h, P2, P2, P2),
+            "cesaro-j0": lambda: cesaro_factor_check_j0(a, h, P2, P2, P2),
+            "fourier": lambda: fourier_factor_check(d, P32, P2, P2),
+            "matrix": lambda: matrix_factor_check(a, c, h),
+        }[name]
+        assert check().verdict is Verdict.FACTORS
+        assert traced_peak(check) < 0.25 * 8 * n * n
 
 
 # ---------------------------------------------------------------------------

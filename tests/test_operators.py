@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from strongfactor.errors import LengthMismatch, ParseError, SizeMismatch
+from strongfactor.errors import LengthMismatch, ParseError, SizeMismatch, SpecError
 from strongfactor.exponents import Exponent, conjugate
 from strongfactor.grid_functions import composite_gauss_legendre, grid_from_csv
 from strongfactor.operators import (
@@ -283,3 +283,114 @@ class TestCsvWriters:
         seq_to_csv(TruncatedSeq(coeffs), path)
         assert path.read_text() == "".join(repr(float(v)) + "\n" for v in coeffs)
         assert np.array_equal(seq_from_csv(path).coeffs, coeffs)
+
+
+class TestJson:
+    """``to_json`` lists the same Python floats as per-entry ``float(v)``."""
+
+    values = staticmethod(TestCsvWriters.values)
+
+    def test_matrix_entries(self):
+        op = MatrixOp(self.values().reshape(8, 8), lp_space(2), lp_space(2))
+        reference = [[float(v) for v in row] for row in op.entries]
+        assert json.dumps(op.to_json()["entries"]) == json.dumps(reference)
+
+    def test_seq_coeffs(self):
+        x = TruncatedSeq(self.values())
+        reference = [float(v) for v in x.coeffs]
+        assert json.dumps(x.to_json()["coeffs"]) == json.dumps(reference)
+
+
+def built_ops(tmp_path):
+    """One MatrixOp from every constructor in the module."""
+    a = cesaro_matrix(4)
+    csv_path, json_path = tmp_path / "m.csv", tmp_path / "m.json"
+    matrix_to_csv(a, csv_path)
+    json_path.write_text(json.dumps(a.to_json()))
+    return {
+        "cesaro_matrix": a,
+        "identity_matrix": identity_matrix(4),
+        "random_lower_triangular": random_lower_triangular(4, seed=1),
+        "factorable_matrix": factorable_matrix(ones(4), ones(4), j0=2),
+        "perturb_entry": perturb_entry(a, 1, 2, 0.5),
+        "diagonal_sandwich": diagonal_sandwich(ones(4), a, ones(4)),
+        "matrix_from_csv": matrix_from_csv(csv_path),
+        "matrix_from_json_file": matrix_from_json_file(json_path),
+        "MatrixOp(list)": MatrixOp([[1.0, 2.0], [3.0, 4.0]], lp_space(2), lp_space(2)),
+    }
+
+
+class TestOwnership:
+    """A ``MatrixOp`` keeps a read-only array that owns its memory and copies
+    every other input."""
+
+    def test_caller_array_is_copied(self):
+        arr = np.eye(3)
+        op = MatrixOp(arr, lp_space(2), lp_space(2))
+        arr[0, 1] = 7.0
+        assert op.entries is not arr
+        assert op.entries[0, 1] == 0.0
+
+    def test_read_only_view_is_copied(self):
+        base = np.eye(4)
+        view = base[:3, :3]
+        view.flags.writeable = False
+        op = MatrixOp(view, lp_space(2), lp_space(2))
+        base[0, 1] = 7.0
+        assert op.entries[0, 1] == 0.0
+
+    def test_read_only_owner_is_kept(self):
+        arr = np.eye(3)
+        arr.flags.writeable = False
+        assert MatrixOp(arr, lp_space(2), lp_space(2)).entries is arr
+        fortran = np.asfortranarray(np.arange(4.0).reshape(2, 2))
+        fortran.flags.writeable = False
+        kept = MatrixOp(fortran, lp_space(2), lp_space(2)).entries
+        assert kept.flags.c_contiguous and np.array_equal(kept, fortran)
+
+    def test_read_only_owner_is_still_validated(self):
+        arr = np.array([[1.0, np.inf], [0.0, 1.0]])
+        arr.flags.writeable = False
+        with pytest.raises(SpecError):
+            MatrixOp(arr, lp_space(2), lp_space(2))
+        arr = np.ones((2, 3))
+        arr.flags.writeable = False
+        with pytest.raises(SizeMismatch):
+            MatrixOp(arr, lp_space(2), lp_space(2))
+
+    def test_every_constructor_returns_read_only_entries(self, tmp_path):
+        writable = [name for name, op in built_ops(tmp_path).items()
+                    if op.entries.flags.writeable]
+        assert writable == []
+
+    def test_perturb_entry_leaves_source(self):
+        a = cesaro_matrix(5)
+        before = a.entries.copy()
+        out = perturb_entry(a, 1, 5, 0.5)
+        assert np.array_equal(a.entries, before)
+        assert out.entries[0, 4] == 0.5 and not np.shares_memory(out.entries, a.entries)
+
+    def test_sandwich_overflow_is_spec_error(self):
+        big = TruncatedSeq(np.full(3, 1e200))
+        with np.errstate(over="ignore"), pytest.raises(SpecError, match="finite"):
+            diagonal_sandwich(big, identity_matrix(3), big)
+
+
+class TestConstructorMemory:
+    """A constructor holds its fresh N x N array and a boolean scan of it,
+    never a second float copy."""
+
+    N = 1024
+
+    @pytest.mark.parametrize("name", ["cesaro_matrix", "identity_matrix",
+                                      "diagonal_sandwich", "perturb_entry"])
+    def test_peak_below_one_and_a_quarter_matrices(self, name, traced_peak):
+        n = self.N
+        a, h = cesaro_matrix(n), TruncatedSeq(1.0 / np.arange(1, n + 1))
+        build = {
+            "cesaro_matrix": lambda: cesaro_matrix(n),
+            "identity_matrix": lambda: identity_matrix(n),
+            "diagonal_sandwich": lambda: diagonal_sandwich(h, a, h),
+            "perturb_entry": lambda: perturb_entry(a, n, 1, 1e-3),
+        }[name]
+        assert traced_peak(build) < 1.25 * 8 * n * n
