@@ -105,18 +105,18 @@ def _read_matrix_file(path: str) -> MatrixOp:
 
 
 def _load_matrix(args, n: int) -> MatrixOp:
-    if getattr(args, "matrix", None) and getattr(args, "gen", None):
+    if args.matrix and args.gen:
         raise SpecError("give either --matrix or --gen, not both")
-    if getattr(args, "matrix", None):
+    if args.matrix:
         path = args.matrix
         if not Path(path).exists():
             raise ParseError(f"{path}: no such file")
         op = _read_matrix_file(path)
-    elif getattr(args, "gen", None):
+    elif args.gen:
         op = _generate_matrix(args, n)
     else:
         raise SpecError("an input matrix is required (--matrix or --gen)")
-    if getattr(args, "perturb", None):
+    if args.perturb:
         try:
             i, j, eps = args.perturb.split(",")
             i, j, eps = int(i), int(j), float(eps)
@@ -124,6 +124,12 @@ def _load_matrix(args, n: int) -> MatrixOp:
             raise SpecError(f"--perturb expects i,j,eps; got {args.perturb!r}") from None
         op = perturb_entry(op, i, j, eps)
     return op
+
+
+def _load_h(args, n: int) -> TruncatedSeq:
+    if not args.h:
+        raise SpecError("missing multiplier --h")
+    return _load_sequence(args.h, n)
 
 
 def _generate_matrix(args, n: int) -> MatrixOp:
@@ -135,13 +141,13 @@ def _generate_matrix(args, n: int) -> MatrixOp:
     if gen == "random-lower":
         return random_lower_triangular(n, seed=args.seed)
     if gen == "rank-one":
-        if not getattr(args, "g", None) or not getattr(args, "h", None):
+        if not args.g or not args.h:
             raise SpecError("--gen rank-one needs --g and --h")
         g = _load_sequence(args.g, n)
         h = _load_sequence(args.h, n)
         return diagonal_sandwich(g, cesaro_matrix(n), h)
     if gen == "diag":
-        if not getattr(args, "g", None):
+        if not args.g:
             raise SpecError("--gen diag needs --g")
         g = _load_sequence(args.g, n)
         return diagonal_sandwich(g, identity_matrix(n), TruncatedSeq(np.ones(n)))
@@ -149,68 +155,49 @@ def _generate_matrix(args, n: int) -> MatrixOp:
                     "(available: identity, cesaro, random-lower, rank-one, diag)")
 
 
-def _require_exponent(args, name: str) -> Exponent:
-    value = getattr(args, name, None)
-    if value is None:
-        raise SpecError(f"missing exponent --{name}")
-    return Exponent(value)
-
-
-def _job_echo(args, command: str) -> dict:
+def _job_echo(args) -> dict:
     keys = ("matrix", "gen", "g", "h", "through", "p", "q", "r", "N", "tol",
             "seed", "patterns", "perturb", "family", "samples", "permute")
-    job = {"command": command}
+    job = {"command": args.command}
     for key in keys:
         if hasattr(args, key):
             job[key] = getattr(args, key)
     return job
 
 
-def _emit(doc: dict, args, summary: str) -> None:
-    if not getattr(args, "no_timestamp", False):
-        doc["timestamp"] = datetime.now(timezone.utc).isoformat()
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    print(summary)
-    if getattr(args, "out", None):
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _finish_certificate(cert: Certificate, args, command: str, extra: dict | None = None) -> int:
+def _finish_certificate(cert: Certificate, args, extra: dict | None = None) -> int:
     doc = cert.to_json()
-    doc["job"] = _job_echo(args, command)
+    doc["job"] = _job_echo(args)
     if extra:
         doc.update(extra)
+    if not args.no_timestamp:
+        doc["timestamp"] = datetime.now(timezone.utc).isoformat()
     summary = f"{cert.verdict.value} residual={cert.residual:.3e} N={cert.truncation}"
     if cert.g_norm is not None:
         summary += f" g_norm={cert.g_norm[0]:.6g}@s={cert.g_norm[1]}"
     if cert.witness is not None:
         summary += f" witness={cert.witness}"
-    _emit(doc, args, summary)
+    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    print(summary)
+    if args.out:
+        Path(args.out).write_text(text)
+    else:
+        sys.stdout.write(text)
     return _EXIT_BY_VERDICT[cert.verdict]
 
 
-def _cmd_check_cesaro(args, shifted: bool) -> int:
-    p = _require_exponent(args, "p")
-    q = _require_exponent(args, "q")
-    r = _require_exponent(args, "r")
+def _cmd_check_cesaro(args) -> int:
+    p, q, r = Exponent(args.p), Exponent(args.q), Exponent(args.r)
     op = _load_matrix(args, args.N)
-    if not getattr(args, "h", None):
-        raise SpecError("missing multiplier --h")
-    h = _load_sequence(args.h, op.n)
-    check = cesaro_factor_check_j0 if shifted else cesaro_factor_check
-    cert = check(op, h, p, q, r, tol=args.tol, seed=args.seed)
-    return _finish_certificate(cert, args, "check-cesaro-j0" if shifted else "check-cesaro")
+    cert = args.check(op, _load_h(args, op.n), p, q, r, tol=args.tol, seed=args.seed)
+    return _finish_certificate(cert, args)
 
 
 def _cmd_check_fourier(args) -> int:
-    r = _require_exponent(args, "r")
-    p = _require_exponent(args, "p")
-    q = _require_exponent(args, "q")
+    r, p, q = Exponent(args.r), Exponent(args.p), Exponent(args.q)
     op = _load_matrix(args, args.N)
     cert = fourier_factor_check(op, r, p, q, tol=args.tol, seed=args.seed)
-    return _finish_certificate(cert, args, "check-fourier")
+    return _finish_certificate(cert, args)
 
 
 def _cmd_check_matrix(args) -> int:
@@ -224,32 +211,27 @@ def _cmd_check_matrix(args) -> int:
         b = _read_matrix_file(through)
     else:
         raise SpecError(f"--through must be cesaro, identity, or a file path; got {through!r}")
-    if not getattr(args, "h", None):
-        raise SpecError("missing multiplier --h")
-    h = _load_sequence(args.h, op.n)
-    cert = matrix_factor_check(op, b, h, tol=args.tol, seed=args.seed)
-    return _finish_certificate(cert, args, "check-matrix")
+    cert = matrix_factor_check(op, b, _load_h(args, op.n), tol=args.tol, seed=args.seed)
+    return _finish_certificate(cert, args)
 
 
 def _cmd_certify(args) -> int:
-    r = _require_exponent(args, "r")
-    q = _require_exponent(args, "q")
+    r, q = Exponent(args.r), Exponent(args.q)
     op = _load_matrix(args, args.N)
     if args.form == "cesaro":
-        if not getattr(args, "h", None):
-            raise SpecError("missing multiplier --h")
-        h = _load_sequence(args.h, op.n)
+        held = _load_h(args, op.n)
         s = multiplier_exponent(r, q)
-        result = certify_inequality_cesaro(op, h, s, patterns=args.patterns,
+        result = certify_inequality_cesaro(op, held, s, patterns=args.patterns,
                                            seed=args.seed)
         exps = {"r": r, "q": q, "s_rq": s}
-        held = h
     else:
-        s = multiplier_exponent(conjugate(r), q)
-        result = certify_inequality_fourier(op, s, patterns=args.patterns,
-                                            seed=args.seed)
-        exps = {"r": r, "q": q, "s_rprime_q": s}
+        # the Fourier sweep does not sample, but the option is checked alike
+        if args.patterns < 1:
+            raise SpecError("patterns must be >= 1")
         held = None
+        s = multiplier_exponent(conjugate(r), q)
+        result = certify_inequality_fourier(op, s, seed=args.seed)
+        exps = {"r": r, "q": q, "s_rprime_q": s}
     if result.refuted:
         cert = Certificate(
             verdict=Verdict.DOES_NOT_FACTOR, h=held,
@@ -264,8 +246,7 @@ def _cmd_certify(args) -> int:
             seed=args.seed, truncation=op.n,
             notes=(f"finite evidence only: largest vertex ratio "
                    f"c_hat={result.c_hat:.12g}",))
-    return _finish_certificate(cert, args, "certify",
-                               extra={"certifier": result.to_json()})
+    return _finish_certificate(cert, args, extra={"certifier": result.to_json()})
 
 
 def _cmd_verify_representing(args) -> int:
@@ -276,10 +257,7 @@ def _cmd_verify_representing(args) -> int:
     spec = BasisSpec(family, args.N)
     _, h = representing_setup(spec)
     count = args.N
-    if getattr(args, "g", None):
-        g = _load_sequence(args.g, count)
-    else:
-        g = TruncatedSeq(np.ones(count))
+    g = _load_sequence(args.g, count) if args.g else TruncatedSeq(np.ones(count))
 
     def t_impl(x):
         coeffs = fourier_coeffs(x.multiplied(h), spec, count).coeffs * g.coeffs
@@ -290,7 +268,7 @@ def _cmd_verify_representing(args) -> int:
 
     cert = verify_representing(t_impl, spec, h, g, samples=args.samples,
                                count=count, tol=args.tol, seed=args.seed)
-    return _finish_certificate(cert, args, "verify-representing")
+    return _finish_certificate(cert, args)
 
 
 def _cmd_suite(args) -> int:
@@ -319,7 +297,7 @@ def _checked(convert, ok, rule: str):
     return parse
 
 
-def _add_common(sub, with_matrix=True):
+def _add_common(sub, exponents: str = "", with_matrix=True):
     sub.add_argument("--N", type=_checked(int, lambda n: n >= 1, "at least 1"),
                      default=64, help="truncation size")
     sub.add_argument("--tol", type=_checked(float, lambda t: 0.0 <= t < math.inf,
@@ -329,6 +307,10 @@ def _add_common(sub, with_matrix=True):
     sub.add_argument("--out", help="certificate path (default: print to stdout)")
     sub.add_argument("--no-timestamp", action="store_true",
                      help="omit the timestamp for byte-reproducible output")
+    # kept as text: the job echo records each exponent as given
+    for exp in exponents:
+        sub.add_argument(f"--{exp}", required=True,
+                         help=f"exponent {exp} (number, ratio, or inf)")
     if with_matrix:
         sub.add_argument("--matrix", help="matrix file (.csv with N=<n> header, or .json)")
         sub.add_argument("--gen", help="built-in generator: identity, cesaro, "
@@ -339,37 +321,38 @@ def _add_common(sub, with_matrix=True):
 
 
 def build_parser() -> _Parser:
+    """The parser; each subcommand names its handler as ``run``.  Handlers
+    are read from the module here, when the parser is built, not at import."""
     parser = _Parser(prog="strongfactor",
                      description="strong-factorization checkers and certifiers")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    for name in ("check-cesaro", "check-cesaro-j0"):
+    for name, check in (("check-cesaro", cesaro_factor_check),
+                        ("check-cesaro-j0", cesaro_factor_check_j0)):
         sub = subs.add_parser(name, help="triangular shape check through the "
                                          "running-averages operator")
-        _add_common(sub)
-        for exp in ("p", "q", "r"):
-            sub.add_argument(f"--{exp}", help=f"exponent {exp} (number, ratio, or inf)")
+        _add_common(sub, "pqr")
+        sub.set_defaults(run=_cmd_check_cesaro, check=check)
 
     sub = subs.add_parser("check-fourier", help="diagonal shape check through "
                                                 "the coefficient operator")
-    _add_common(sub)
-    for exp in ("p", "q", "r"):
-        sub.add_argument(f"--{exp}", help=f"exponent {exp}")
+    _add_common(sub, "pqr")
+    sub.set_defaults(run=_cmd_check_fourier)
 
     sub = subs.add_parser("check-matrix", help="general matrix factorization check")
     _add_common(sub)
     sub.add_argument("--through", default="cesaro",
                      help="the factoring operator B: cesaro, identity, or a file")
+    sub.set_defaults(run=_cmd_check_matrix)
 
     sub = subs.add_parser("certify", help="sign-pattern inequality sweep")
-    _add_common(sub)
+    _add_common(sub, "qr")
     sub.add_argument("--form", choices=("cesaro", "fourier"), default="cesaro")
     sub.add_argument("--patterns", type=int, default=64,
                      help="sampled patterns when the rectangle is too large "
-                          "for exhaustive enumeration (--form cesaro; "
-                          "--form fourier validates it but does not sample)")
-    for exp in ("q", "r"):
-        sub.add_argument(f"--{exp}", help=f"exponent {exp}")
+                          "for exhaustive enumeration (--form fourier does "
+                          "not sample)")
+    sub.set_defaults(run=_cmd_certify)
 
     sub = subs.add_parser("verify-representing",
                           help="verify the two-sides-diagonal identity on "
@@ -381,29 +364,19 @@ def build_parser() -> _Parser:
     sub.add_argument("--g", help="diagonal sequence (default: ones)")
     sub.add_argument("--permute", action="store_true",
                      help="swap the first two coefficients (demonstrates failure)")
-    sub.set_defaults(tol=1e-6)
+    sub.set_defaults(tol=1e-6, run=_cmd_verify_representing)
 
     sub = subs.add_parser("suite", help="run a built-in verification sweep")
     sub.add_argument("--name", default="all")
     sub.add_argument("--seed", type=int, default=0)
+    sub.set_defaults(run=_cmd_suite)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        if args.command in ("check-cesaro", "check-cesaro-j0"):
-            return _cmd_check_cesaro(args, shifted=args.command.endswith("j0"))
-        if args.command == "check-fourier":
-            return _cmd_check_fourier(args)
-        if args.command == "check-matrix":
-            return _cmd_check_matrix(args)
-        if args.command == "certify":
-            return _cmd_certify(args)
-        if args.command == "verify-representing":
-            return _cmd_verify_representing(args)
-        return _cmd_suite(args)
+        args = build_parser().parse_args(argv)
+        return args.run(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 65

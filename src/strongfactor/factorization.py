@@ -171,7 +171,9 @@ def _sandwich_check(ent: np.ndarray, w_rows, tol: float,
     ``_BLOCK_ENTRIES`` entries.  g_i is read at the first entry of row i of w
     with |w_ij| > pivot_tol; a row with no such entry gets g_i = 0.  The
     witness is the first row-major entry whose deviation |a_ij - g_i w_ij|
-    exceeds tol, so the walk stops at the first block that holds one.
+    exceeds tol, so the walk stops at the first block that holds one.  It
+    also stops at the first row whose g_i overflows: a violation in an earlier
+    row is then the witness, and otherwise a ``SpecError`` names the row.
     ``notes`` are added to a FACTORS certificate; ``meta`` holds the remaining
     certificate fields.
     """
@@ -196,12 +198,18 @@ def _sandwich_check(ent: np.ndarray, w_rows, tol: float,
         live[lo:hi] = np.abs(pivot) > pivot_tol
         g = g_vals[lo:hi]
         np.divide(a[rows, first], pivot, out=g, where=live[lo:hi])
+        # the walk ends before the first row whose g_i overflows, if any
+        end = int(np.argmin(np.append(np.isfinite(g), False)))
 
         np.multiply(g[:, None], w, out=dev)
         np.subtract(a, dev, out=dev)
         np.abs(dev, out=dev)
+        dev = dev[:end]
         # np.maximum keeps a NaN, as one max over the whole matrix would
-        residual = np.maximum(residual, dev.max())
+        residual = np.maximum(residual, dev.max(initial=0.0))
+        if end < hi - lo and not residual > tol:
+            raise SpecError(f"recovered g_{lo + end + 1} = a_ij / (b_ij h_j) "
+                            "overflows the float range")
         if residual > tol:
             i, j = np.unravel_index(int(np.argmax(dev > tol)), dev.shape)
             return Certificate(
@@ -663,16 +671,13 @@ def certify_inequality_cesaro(a: MatrixOp, h: TruncatedSeq, s_rq: Exponent,
 
 
 def certify_inequality_fourier(tphi: MatrixOp, s: Exponent,
-                               patterns: int = 64, seed: int = 0) -> CertifierResult:
+                               seed: int = 0) -> CertifierResult:
     """Sweep sign patterns through the coefficient-operator inequality that
     ``_FourierForm`` scores.  The sign-matched vertex attains the vertex
     optimum, as every +-1 vertex has the same RHS; zeroing its diagonal
-    refutes whenever any off-diagonal mass is present.  Nothing is sampled,
-    so ``patterns`` is validated but not used.
+    refutes whenever any off-diagonal mass is present.  Nothing is sampled.
     """
     s = Exponent(s)
-    if patterns < 1:
-        raise SpecError("patterns must be >= 1")
     if s == Exponent(1):
         raise DegenerateExponent("multiplier exponent 1 has infinite conjugate")
     form = _FourierForm(tphi.entries, s)

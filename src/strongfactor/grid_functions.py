@@ -214,50 +214,28 @@ def grid_from_csv(path, rule: QuadRule, node_tol: float = 1e-9) -> GridFunction:
 def _poly_rows(family: BasisFamily, count: int, x: np.ndarray) -> np.ndarray:
     """Rows 1..count of the orthonormal polynomial family at points x.
 
-    Three-term recurrences on the classical polynomials, normalized once per
-    family so that the Gram matrix against the family weight is the identity.
+    One three-term recurrence on the classical polynomials,
+    p_(n+1) = (a_n p_n - b_n p_(n-1)) / c_n from p_0 = 1 and the family's p_1,
+    with row n scaled so that the Gram matrix against the family weight is
+    the identity.  A factor or divisor of exactly 1 leaves the bits alone.
     """
-    out = np.empty((count, x.size))
-    prev2 = np.ones_like(x)
     if family is BasisFamily.LEGENDRE:
-        out[0] = prev2 * math.sqrt(0.5)
-        if count == 1:
-            return out
-        prev1 = x.copy()
-        out[1] = prev1 * math.sqrt(1.5)
-        for n in range(1, count - 1):
-            cur = ((2 * n + 1) * x * prev1 - n * prev2) / (n + 1)
-            out[n + 1] = cur * math.sqrt((2 * n + 3) / 2.0)
-            prev2, prev1 = prev1, cur
-        return out
-    if family in (BasisFamily.CHEBYSHEV1, BasisFamily.CHEBYSHEV2):
-        c = math.sqrt(2.0 / math.pi)
-        if family is BasisFamily.CHEBYSHEV1:
-            out[0] = prev2 / SQRT_PI
-            prev1 = x.copy()
-        else:
-            out[0] = prev2 * c
-            prev1 = 2.0 * x
-        if count == 1:
-            return out
-        out[1] = prev1 * c
-        for n in range(1, count - 1):
-            cur = 2.0 * x * prev1 - prev2
-            out[n + 1] = cur * c
-            prev2, prev1 = prev1, cur
-        return out
-    if family is BasisFamily.LAGUERRE:
-        out[0] = prev2
-        if count == 1:
-            return out
-        prev1 = 1.0 - x
-        out[1] = prev1
-        for n in range(1, count - 1):
-            cur = ((2 * n + 1 - x) * prev1 - n * prev2) / (n + 1)
-            out[n + 1] = cur
-            prev2, prev1 = prev1, cur
-        return out
-    raise SpecError(f"not a polynomial family: {family}")
+        p1, coef = x, lambda n: ((2 * n + 1) * x, n, n + 1)
+        scale = lambda n: math.sqrt((2 * n + 1) / 2.0)
+    elif family is BasisFamily.LAGUERRE:
+        p1, coef, scale = 1.0 - x, lambda n: (2 * n + 1 - x, n, n + 1), lambda n: 1.0
+    elif family in (BasisFamily.CHEBYSHEV1, BasisFamily.CHEBYSHEV2):
+        first = family is BasisFamily.CHEBYSHEV1
+        norm = math.sqrt(2.0 / math.pi)
+        p1, coef = (x if first else 2.0 * x), lambda n: (2.0 * x, 1, 1)
+        scale = lambda n: 1.0 / SQRT_PI if first and n == 0 else norm
+    else:
+        raise SpecError(f"not a polynomial family: {family}")
+    polys = [np.ones_like(x), p1]
+    for n in range(1, count - 1):
+        a, b, c = coef(n)
+        polys.append((a * polys[n] - b * polys[n - 1]) / c)
+    return np.stack([p * scale(n) for n, p in enumerate(polys[:count])])
 
 
 def _trig_rows(count: int, x: np.ndarray) -> np.ndarray:

@@ -5,6 +5,7 @@ details alongside the overall pass/fail flag.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import time
@@ -46,23 +47,41 @@ from .seq_spaces import IndexDomain, TruncatedSeq, kellogg_norm, lp_norm, weight
 @dataclass
 class SuiteResult:
     name: str
-    passed: bool
+    passed: bool = True
     details: list[str] = field(default_factory=list)
     runtime_s: float = 0.0
+
+    def fail(self, detail: str | None = None) -> None:
+        self.passed = False
+        if detail is not None:
+            self.details.append(detail)
 
     def summary(self) -> str:
         status = "PASS" if self.passed else "FAIL"
         return f"{status} {self.name} ({self.runtime_s:.2f}s)"
 
 
-def _timed(fn):
-    def wrapper(*args, **kwargs) -> SuiteResult:
-        start = time.perf_counter()
-        result = fn(*args, **kwargs)
-        result.runtime_s = time.perf_counter() - start
-        return result
+#: every sweep by name, in definition order
+SUITES = {}
 
-    return wrapper
+
+def _suite(name: str):
+    """Register a sweep under ``name``.  The registered function takes the
+    sweep's own arguments, hands the sweep a fresh ``SuiteResult(name)`` to
+    fill in and returns it timed."""
+    def register(sweep):
+        @functools.wraps(sweep)
+        def timed(*args, **kwargs) -> SuiteResult:
+            res = SuiteResult(name)
+            start = time.perf_counter()
+            sweep(res, *args, **kwargs)
+            res.runtime_s = time.perf_counter() - start
+            return res
+
+        SUITES[name] = timed
+        return timed
+
+    return register
 
 
 def _random_exponent(rng) -> Exponent:
@@ -71,13 +90,12 @@ def _random_exponent(rng) -> Exponent:
     return Exponent(Fraction(num, den))
 
 
-@_timed
-def exponent_calculus(seed: int = 0) -> SuiteResult:
+@_suite("exponents")
+def exponent_calculus(res: SuiteResult, seed: int = 0) -> None:
     """200 random rational pairs: the three-case multiplier formula, the
     conjugate consistency at q = 1, and the Hoelder product bound on random
     vectors of length 64 within 1e-12 relative."""
     rng = np.random.default_rng(seed)
-    details, ok = [], True
     worst_rel = 0.0
     for _ in range(200):
         p, q = _random_exponent(rng), _random_exponent(rng)
@@ -88,48 +106,41 @@ def exponent_calculus(seed: int = 0) -> SuiteResult:
         else:
             expected = INF
         if s != expected:
-            ok = False
-            details.append(f"case mismatch at p={p}, q={q}: {s} != {expected}")
+            res.fail(f"case mismatch at p={p}, q={q}: {s} != {expected}")
         if multiplier_exponent(p, Exponent(1)) != conjugate(p):
-            ok = False
-            details.append(f"s(p,1) != p' at p={p}")
+            res.fail(f"s(p,1) != p' at p={p}")
         h = rng.standard_normal(64)
         f = rng.standard_normal(64)
         lhs = lp_norm(h * f, q)
         rhs = lp_norm(h, s) * lp_norm(f, p)
         worst_rel = max(worst_rel, (lhs - rhs) / max(rhs, 1e-300))
         if lhs > rhs * (1.0 + 1e-12):
-            ok = False
-            details.append(f"Hoelder bound violated at p={p}, q={q}")
-    details.append(f"200 pairs checked; worst relative Hoelder excess {worst_rel:.3e}")
-    return SuiteResult("exponents", ok, details)
+            res.fail(f"Hoelder bound violated at p={p}, q={q}")
+    res.details.append(f"200 pairs checked; worst relative Hoelder excess {worst_rel:.3e}")
 
 
-@_timed
-def orthonormality(seed: int = 0) -> SuiteResult:
+@_suite("orthonormality")
+def orthonormality(res: SuiteResult, seed: int = 0) -> None:
     """Gram matrices of the first 8 basis functions equal identity within
     1e-8 for every family."""
-    details, ok = [], True
     for family in BasisFamily:
         spec = BasisSpec(family, 8)
         rule = default_rule(family)
         mat = _basis_matrix(spec, 8, rule)
         gram = (mat * rule.weights) @ mat.T
         err = float(np.abs(gram - np.eye(8)).max())
-        details.append(f"{family.value}: max |G - I| = {err:.3e}")
+        res.details.append(f"{family.value}: max |G - I| = {err:.3e}")
         if err > 1e-8:
-            ok = False
-    return SuiteResult("orthonormality", ok, details)
+            res.fail()
 
 
-@_timed
-def parseval_hausdorff_young(seed: int = 0) -> SuiteResult:
+@_suite("fourier")
+def parseval_hausdorff_young(res: SuiteResult, seed: int = 0) -> None:
     """100 seeded trigonometric polynomials of degree <= 32: coefficient
     l^2 norm equals the function L^2 norm within 1e-9, and the coefficient
     l^{r'} norm stays below the function L^r norm for r in {4/3, 3/2}."""
     rng = np.random.default_rng(seed)
     spec = BasisSpec(BasisFamily.TRIG_REAL, 65)
-    details, ok = [], True
     worst_parseval = 0.0
     worst_slack = math.inf
     for k in range(100):
@@ -139,29 +150,25 @@ def parseval_hausdorff_young(seed: int = 0) -> SuiteResult:
         parseval = abs(lp_norm(coeffs, Exponent(2)) - lp_function_norm(f, Exponent(2)))
         worst_parseval = max(worst_parseval, parseval)
         if parseval > 1e-9:
-            ok = False
-            details.append(f"sample {k}: Parseval deviation {parseval:.3e}")
+            res.fail(f"sample {k}: Parseval deviation {parseval:.3e}")
         for r in (Fraction(4, 3), Fraction(3, 2)):
             rr = Exponent(r)
             lhs = lp_norm(coeffs, conjugate(rr))
             rhs = lp_function_norm(f, rr)
             worst_slack = min(worst_slack, rhs - lhs)
             if lhs > rhs + 1e-9:
-                ok = False
-                details.append(f"sample {k}: coefficient bound violated at r={r}")
-    details.append(f"worst Parseval deviation {worst_parseval:.3e}; "
-                   f"smallest coefficient-bound slack {worst_slack:.3e}")
-    return SuiteResult("fourier", ok, details)
+                res.fail(f"sample {k}: coefficient bound violated at r={r}")
+    res.details.append(f"worst Parseval deviation {worst_parseval:.3e}; "
+                       f"smallest coefficient-bound slack {worst_slack:.3e}")
 
 
-@_timed
-def hardy_inequality(seed: int = 0) -> SuiteResult:
+@_suite("hardy")
+def hardy_inequality(res: SuiteResult, seed: int = 0) -> None:
     """100 random nonnegative sequences at N = 256: averaged sequence norm
     bounded by p' times the input norm for p in {4/3, 2, 3}, zero
     violations."""
     rng = np.random.default_rng(seed)
     op = cesaro_matrix(256)
-    details, ok = [], True
     violations = 0
     worst = 0.0
     for _ in range(100):
@@ -175,14 +182,12 @@ def hardy_inequality(seed: int = 0) -> SuiteResult:
             if lhs > rhs * (1.0 + 1e-12):
                 violations += 1
     if violations:
-        ok = False
-        details.append(f"{violations} violations")
-    details.append(f"300 inequalities checked; worst ratio lhs/rhs = {worst:.6f}")
-    return SuiteResult("hardy", ok, details)
+        res.fail(f"{violations} violations")
+    res.details.append(f"300 inequalities checked; worst ratio lhs/rhs = {worst:.6f}")
 
 
-@_timed
-def cesaro_norm_window(seed: int = 0) -> SuiteResult:
+@_suite("cesaro-norm")
+def cesaro_norm_window(res: SuiteResult, seed: int = 0) -> None:
     """Norm estimate of the N = 256 truncation against the window [1.9, 2].
 
     The estimate itself is validated against a direct SVD; the window check
@@ -192,17 +197,13 @@ def cesaro_norm_window(seed: int = 0) -> SuiteResult:
     op = cesaro_matrix(256)
     est = operator_norm_estimate(op, trials=16, seed=seed)
     svd = float(np.linalg.svd(np.asarray(op.entries), compute_uv=False)[0])
-    details = [f"estimate {est:.9f}; direct SVD {svd:.9f}"]
-    ok = True
+    res.details.append(f"estimate {est:.9f}; direct SVD {svd:.9f}")
     if abs(est - svd) > 1e-6:
-        ok = False
-        details.append("estimate does not match the direct SVD")
+        res.fail("estimate does not match the direct SVD")
     if not (1.9 <= est <= 2.0):
-        ok = False
-        details.append(f"estimate {est:.6f} outside [1.9, 2.0]: the truncation "
-                       "norm passes 1.9 only near N = 2e6 (Lanczos: 1.8933 at 2^20, "
-                       "1.9004 at 2^21)")
-    return SuiteResult("cesaro-norm", ok, details)
+        res.fail(f"estimate {est:.6f} outside [1.9, 2.0]: the truncation "
+                 "norm passes 1.9 only near N = 2e6 (Lanczos: 1.8933 at 2^20, "
+                 "1.9004 at 2^21)")
 
 
 def _random_multiplier(rng, n: int) -> np.ndarray:
@@ -210,8 +211,8 @@ def _random_multiplier(rng, n: int) -> np.ndarray:
     return signs * rng.uniform(0.5, 1.5, n)
 
 
-@_timed
-def cesaro_roundtrip(seed: int = 0) -> SuiteResult:
+@_suite("roundtrip")
+def cesaro_roundtrip(res: SuiteResult, seed: int = 0) -> None:
     """50 seeded (g, h) pairs at N = 128: sandwich matrices certify FACTORS
     with g recovered within 1e-12; 1e-3 single-entry perturbations above the
     diagonal flip the verdict at tol 1e-6; shifted variants (j0 = 2, 3)
@@ -220,7 +221,6 @@ def cesaro_roundtrip(seed: int = 0) -> SuiteResult:
     n = 128
     op = cesaro_matrix(n)
     p, q, r = Exponent(2), Exponent(2), Exponent(2)
-    details, ok = [], True
     worst_rec = 0.0
     flips = 0
     flips_expected = 0
@@ -230,14 +230,12 @@ def cesaro_roundtrip(seed: int = 0) -> SuiteResult:
         a = diagonal_sandwich(g, op, h)
         cert = cesaro_factor_check(a, h, p, q, r, tol=1e-9)
         if cert.verdict is not Verdict.FACTORS:
-            ok = False
-            details.append(f"trial {trial}: expected FACTORS, got {cert.verdict.value}")
+            res.fail(f"trial {trial}: expected FACTORS, got {cert.verdict.value}")
             continue
         rec = float(np.abs(cert.g.coeffs - g.coeffs).max())
         worst_rec = max(worst_rec, rec)
         if rec > 1e-12:
-            ok = False
-            details.append(f"trial {trial}: recovery error {rec:.3e}")
+            res.fail(f"trial {trial}: recovery error {rec:.3e}")
         for _ in range(3):
             i = int(rng.integers(1, n))
             j = int(rng.integers(i + 1, n + 1))
@@ -254,24 +252,20 @@ def cesaro_roundtrip(seed: int = 0) -> SuiteResult:
             a = diagonal_sandwich(g, op, h)
             cert = cesaro_factor_check_j0(a, h, p, q, r, tol=1e-9)
             if cert.verdict is not Verdict.FACTORS:
-                ok = False
-                details.append(f"j0={j0} trial {trial}: got {cert.verdict.value}")
+                res.fail(f"j0={j0} trial {trial}: got {cert.verdict.value}")
                 continue
             rec = float(np.abs(cert.g.coeffs[j0 - 1:] - g.coeffs[j0 - 1:]).max())
             worst_rec = max(worst_rec, rec)
             if rec > 1e-12:
-                ok = False
-                details.append(f"j0={j0} trial {trial}: recovery error {rec:.3e}")
+                res.fail(f"j0={j0} trial {trial}: recovery error {rec:.3e}")
             flips_expected += 1
             bad = perturb_entry(a, 1, 1, 1e-3)
             if cesaro_factor_check_j0(bad, h, p, q, r, tol=1e-6).verdict is Verdict.DOES_NOT_FACTOR:
                 flips += 1
     if flips != flips_expected:
-        ok = False
-        details.append(f"only {flips}/{flips_expected} perturbations flipped the verdict")
-    details.append(f"worst recovery error {worst_rec:.3e}; "
-                   f"{flips}/{flips_expected} perturbations flipped")
-    return SuiteResult("roundtrip", ok, details)
+        res.fail(f"only {flips}/{flips_expected} perturbations flipped the verdict")
+    res.details.append(f"worst recovery error {worst_rec:.3e}; "
+                       f"{flips}/{flips_expected} perturbations flipped")
 
 
 def _oracle_cesaro_vertex_max(ent: np.ndarray, hv: np.ndarray, sp: float) -> float:
@@ -314,79 +308,71 @@ def _oracle_fourier_vertex_max(ent: np.ndarray, sp: float) -> float:
     return best
 
 
-@_timed
-def certifier_brute_force(seed: int = 0) -> SuiteResult:
+@_suite("certifier")
+def certifier_brute_force(res: SuiteResult, seed: int = 0) -> None:
     """Exhaustive sign-pattern enumeration reproduces the certifier's vertex
     ratio on every instance with n = m <= 4; bounded ratios respect the
     Hoelder bound from the recovered multiplier; the identity instance is
     refuted with a vanishing right-hand side."""
     rng = np.random.default_rng(seed)
-    details, ok = [], True
     # factoring instances, one with finite multiplier exponent and one infinite
     for n, (r, q) in itertools.product((2, 3, 4), [(2, Fraction(4, 3)), (2, 2)]):
         s_rq = multiplier_exponent(Exponent(r), Exponent(q))
         g = TruncatedSeq(_random_multiplier(rng, n))
         h = TruncatedSeq(_random_multiplier(rng, n))
         a = diagonal_sandwich(g, cesaro_matrix(n), h)
-        res = certify_inequality_cesaro(a, h, s_rq, patterns=8, seed=seed)
+        sweep = certify_inequality_cesaro(a, h, s_rq, patterns=8, seed=seed)
         sp = float(conjugate(s_rq))
         oracle = _oracle_cesaro_vertex_max(np.asarray(a.entries), h.coeffs, sp)
-        if abs(oracle - res.c_hat_vertex) > 1e-12:
-            ok = False
-            details.append(f"n={n}, s={s_rq}: oracle {oracle} != certifier {res.c_hat_vertex}")
+        if abs(oracle - sweep.c_hat_vertex) > 1e-12:
+            res.fail(f"n={n}, s={s_rq}: oracle {oracle} != certifier {sweep.c_hat_vertex}")
         bound = lp_norm(g, s_rq)
-        if res.refuted or res.c_hat > bound + 1e-9:
-            ok = False
-            details.append(f"n={n}, s={s_rq}: c_hat {res.c_hat} exceeds |g| bound {bound}")
-        details.append(f"cesaro n={n}, s_rq={s_rq}: c_hat={res.c_hat_vertex:.9f} "
-                       f"(oracle agrees), |g|_s={lp_norm(g, s_rq):.9f}")
+        if sweep.refuted or sweep.c_hat > bound + 1e-9:
+            res.fail(f"n={n}, s={s_rq}: c_hat {sweep.c_hat} exceeds |g| bound {bound}")
+        res.details.append(f"cesaro n={n}, s_rq={s_rq}: c_hat={sweep.c_hat_vertex:.9f} "
+                           f"(oracle agrees), |g|_s={lp_norm(g, s_rq):.9f}")
     # constant-magnitude diagonal instances attain the norm exactly
     for n in (2, 3, 4):
         sign = np.where(rng.random(n) < 0.5, -1.0, 1.0)
         g = TruncatedSeq(0.7 * sign)
         tphi = diagonal_sandwich(g, identity_matrix(n), TruncatedSeq(np.ones(n)))
         s = multiplier_exponent(Exponent(4), Exponent(2))  # r = 4/3, r' = 4
-        res = certify_inequality_fourier(tphi, s, patterns=8, seed=seed)
+        sweep = certify_inequality_fourier(tphi, s, seed=seed)
         oracle = _oracle_fourier_vertex_max(np.asarray(tphi.entries), float(conjugate(s)))
-        if abs(oracle - res.c_hat_vertex) > 1e-12:
-            ok = False
-            details.append(f"fourier n={n}: oracle {oracle} != certifier {res.c_hat_vertex}")
-        if abs(res.c_hat - lp_norm(g, s)) > 1e-12:
-            ok = False
-            details.append(f"fourier n={n}: c_hat {res.c_hat} != |g|_s {lp_norm(g, s)}")
-        details.append(f"fourier diag n={n}: c_hat={res.c_hat:.9f} = |g|_s")
+        if abs(oracle - sweep.c_hat_vertex) > 1e-12:
+            res.fail(f"fourier n={n}: oracle {oracle} != certifier {sweep.c_hat_vertex}")
+        if abs(sweep.c_hat - lp_norm(g, s)) > 1e-12:
+            res.fail(f"fourier n={n}: c_hat {sweep.c_hat} != |g|_s {lp_norm(g, s)}")
+        res.details.append(f"fourier diag n={n}: c_hat={sweep.c_hat:.9f} = |g|_s")
     # the identity matrix does not factor: a refuting pattern must exist
     for n in (2, 3, 4):
         ident = identity_matrix(n)
         h = TruncatedSeq(np.ones(n))
-        res = certify_inequality_cesaro(ident, h, INF, patterns=8, seed=seed)
-        if not (res.refuted and math.isinf(res.c_hat) and res.lhs > 0 and res.rhs <= 1e-12):
-            ok = False
-            details.append(f"identity n={n}: refutation not found")
+        sweep = certify_inequality_cesaro(ident, h, INF, patterns=8, seed=seed)
+        if not (sweep.refuted and math.isinf(sweep.c_hat) and sweep.lhs > 0
+                and sweep.rhs <= 1e-12):
+            res.fail(f"identity n={n}: refutation not found")
+            continue
+        # recompute the refutation from the returned pattern, independently
+        rpat = np.asarray(sweep.pattern.r)
+        lhs = sum(rpat[i, j] * float(ident.entries[i, j])
+                  for i in range(n) for j in range(n))
+        srows = [sum(float(h.coeffs[j]) * rpat[i, j] for j in range(min(i + 1, n)))
+                 for i in range(n)]
+        if abs(lhs - sweep.lhs) > 1e-12 or max(abs(s) for s in srows) > 1e-12:
+            res.fail(f"identity n={n}: returned pattern does not refute")
         else:
-            # recompute the refutation from the returned pattern, independently
-            rpat = np.asarray(res.pattern.r)
-            lhs = sum(rpat[i, j] * float(ident.entries[i, j])
-                      for i in range(n) for j in range(n))
-            srows = [sum(float(h.coeffs[j]) * rpat[i, j] for j in range(min(i + 1, n)))
-                     for i in range(n)]
-            if abs(lhs - res.lhs) > 1e-12 or max(abs(s) for s in srows) > 1e-12:
-                ok = False
-                details.append(f"identity n={n}: returned pattern does not refute")
-            else:
-                details.append(f"identity n={n}: refuted (lhs={lhs:.3f}, rhs=0)")
-    return SuiteResult("certifier", ok, details)
+            res.details.append(f"identity n={n}: refuted (lhs={lhs:.3f}, rhs=0)")
 
 
-@_timed
-def hardy_littlewood_isometry(seed: int = 0) -> SuiteResult:
+@_suite("hardy-littlewood")
+def hardy_littlewood_isometry(res: SuiteResult, seed: int = 0) -> None:
     """The diagonal map with entries (n+1)^((p-2)/p) carries the weighted
     space with weight (n+1)^(p-2) isometrically onto plain l^p; checked on
     100 random vectors for p in {4/3, 3/2} within 1e-12."""
     rng = np.random.default_rng(seed)
     n = 64
     idx = np.arange(1, n + 1, dtype=float)
-    details, ok = [], True
     worst = 0.0
     for p in (Fraction(4, 3), Fraction(3, 2)):
         pe = Exponent(p)
@@ -400,20 +386,17 @@ def hardy_littlewood_isometry(seed: int = 0) -> SuiteResult:
             dev = abs(lhs - rhs) / max(1.0, rhs)
             worst = max(worst, dev)
             if dev > 1e-12:
-                ok = False
-                details.append(f"p={p}: isometry broken by {dev:.3e}")
-    details.append(f"200 vectors checked; worst relative deviation {worst:.3e}")
-    return SuiteResult("hardy-littlewood", ok, details)
+                res.fail(f"p={p}: isometry broken by {dev:.3e}")
+    res.details.append(f"200 vectors checked; worst relative deviation {worst:.3e}")
 
 
-@_timed
-def kellogg_embedding(seed: int = 0) -> SuiteResult:
+@_suite("kellogg")
+def kellogg_embedding(res: SuiteResult, seed: int = 0) -> None:
     """100 random bilateral sequences with window 2^8: the mixed norm with
     inner exponent p' and outer exponent 2 dominates the plain l^{p'} norm,
     zero violations."""
     rng = np.random.default_rng(seed)
     m = 256
-    details, ok = [], True
     smallest = math.inf
     for k in range(100):
         lam = TruncatedSeq(rng.standard_normal(2 * m + 1), IndexDomain.ZSYM)
@@ -426,48 +409,39 @@ def kellogg_embedding(seed: int = 0) -> SuiteResult:
         rhs = kellogg_norm(lam, pp, Exponent(2))
         smallest = min(smallest, rhs - lhs)
         if lhs > rhs + 1e-12:
-            ok = False
-            details.append(f"sample {k}: embedding violated at p={p}")
-    details.append(f"100 sequences checked; smallest slack {smallest:.3e}")
-    return SuiteResult("kellogg", ok, details)
+            res.fail(f"sample {k}: embedding violated at p={p}")
+    res.details.append(f"100 sequences checked; smallest slack {smallest:.3e}")
 
 
-@_timed
-def representing_chebyshev(seed: int = 0) -> SuiteResult:
+@_suite("representing")
+def representing_chebyshev(res: SuiteResult, seed: int = 0) -> None:
     """The first-kind Chebyshev construction (coefficient map after the
     square-root-weight multiplier) verifies as a representing operator with
     unit diagonal at tol 1e-6; permuting two coefficients breaks it."""
     spec = BasisSpec(BasisFamily.CHEBYSHEV1, 16)
     _, h = representing_setup(spec)
     g = TruncatedSeq(np.ones(16))
-    details, ok = [], True
 
     def t_impl(x):
         return fourier_coeffs(x.multiplied(h), spec, 16).coeffs
-
-    cert = verify_representing(t_impl, spec, h, g, samples=20, count=16,
-                               tol=1e-6, seed=seed)
-    details.append(f"direct construction: {cert.verdict.value} "
-                   f"(residual {cert.residual:.3e})")
-    if cert.verdict is not Verdict.FACTORS:
-        ok = False
 
     def t_permuted(x):
         coeffs = t_impl(x).copy()
         coeffs[[0, 1]] = coeffs[[1, 0]]
         return coeffs
 
-    cert2 = verify_representing(t_permuted, spec, h, g, samples=20, count=16,
-                                tol=1e-6, seed=seed)
-    details.append(f"permuted variant: {cert2.verdict.value} "
-                   f"(residual {cert2.residual:.3e})")
-    if cert2.verdict is not Verdict.DOES_NOT_FACTOR:
-        ok = False
-    return SuiteResult("representing", ok, details)
+    for label, t, expected in (("direct construction", t_impl, Verdict.FACTORS),
+                               ("permuted variant", t_permuted, Verdict.DOES_NOT_FACTOR)):
+        cert = verify_representing(t, spec, h, g, samples=20, count=16,
+                                   tol=1e-6, seed=seed)
+        res.details.append(f"{label}: {cert.verdict.value} "
+                           f"(residual {cert.residual:.3e})")
+        if cert.verdict is not expected:
+            res.fail()
 
 
-@_timed
-def cli_determinism(seed: int = 7) -> SuiteResult:
+@_suite("determinism")
+def cli_determinism(res: SuiteResult, seed: int = 7) -> None:
     """The same job run twice with --no-timestamp produces byte-identical
     certificates."""
     import contextlib
@@ -477,7 +451,6 @@ def cli_determinism(seed: int = 7) -> SuiteResult:
 
     from . import cli
 
-    details, ok = [], True
     with tempfile.TemporaryDirectory() as tmp:
         args = ["check-cesaro", "--gen", "rank-one", "--g", "harmonic",
                 "--h", "ones", "--N", "16", "--p", "2", "--q", "2", "--r", "2",
@@ -488,30 +461,12 @@ def cli_determinism(seed: int = 7) -> SuiteResult:
             with contextlib.redirect_stdout(io.StringIO()):
                 code = cli.main(args + ["--out", str(path)])
             if code != 0:
-                ok = False
-                details.append(f"job exited with {code}")
+                res.fail(f"job exited with {code}")
             outs.append(path.read_bytes())
         if outs[0] != outs[1]:
-            ok = False
-            details.append("certificates differ between identical runs")
+            res.fail("certificates differ between identical runs")
         else:
-            details.append(f"byte-identical certificates ({len(outs[0])} bytes)")
-    return SuiteResult("determinism", ok, details)
-
-
-SUITES = {
-    "exponents": exponent_calculus,
-    "orthonormality": orthonormality,
-    "fourier": parseval_hausdorff_young,
-    "hardy": hardy_inequality,
-    "cesaro-norm": cesaro_norm_window,
-    "roundtrip": cesaro_roundtrip,
-    "certifier": certifier_brute_force,
-    "hardy-littlewood": hardy_littlewood_isometry,
-    "kellogg": kellogg_embedding,
-    "representing": representing_chebyshev,
-    "determinism": cli_determinism,
-}
+            res.details.append(f"byte-identical certificates ({len(outs[0])} bytes)")
 
 
 def run_suite(name: str, seed: int = 0) -> list[SuiteResult]:

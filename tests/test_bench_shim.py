@@ -9,13 +9,19 @@ otherwise break only the traced benchmark run.
 import importlib
 import importlib.util
 import inspect
+import json
+import os
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from strongfactor import factorization, operators
 
-SHIM = Path(__file__).resolve().parents[1] / "sfbench" / "shim.py"
+ROOT = Path(__file__).resolve().parents[1]
+SHIM = ROOT / "sfbench" / "shim.py"
 
 
 def load_shim():
@@ -48,3 +54,26 @@ def test_counted_sweeps_keep_leading_parameters(name, leading):
 @pytest.mark.parametrize("name", ["matrix_from_csv", "matrix_from_json_file", "seq_from_csv"])
 def test_counted_readers_take_path_first(name):
     assert next(iter(inspect.signature(getattr(operators, name)).parameters)) == "path"
+
+
+CHECK = ["--gen", "rank-one", "--g", "harmonic", "--h", "ones", "--N", "8",
+         "--p", "2", "--q", "2", "--r", "2", "--no-timestamp"]
+
+
+@pytest.mark.parametrize("argv, span, count", [
+    (["suite", "--name", "exponents"], "suites", 1),
+    # check-cesaro is a guard around the shifted check, and both are traced
+    (["check-cesaro", *CHECK], "factorization.check", 2),
+    (["check-cesaro-j0", *CHECK], "factorization.check", 1),
+])
+def test_traced_run_records_the_handler_span(tmp_path, argv, span, count):
+    # the CLI looks its handlers up when it builds the parser, after the
+    # shim has replaced them; a table bound at import would lose these spans
+    spans_out = tmp_path / "spans.json"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    done = subprocess.run([sys.executable, str(SHIM), str(spans_out), repr(time.monotonic()),
+                           *argv], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    names = [rec[0] for rec in json.loads(spans_out.read_text())["spans"]]
+    assert names.count(span) == count

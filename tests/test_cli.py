@@ -60,6 +60,18 @@ class TestCheckCesaro:
                     "--N", "4", "--p", "2", "--q", "2"])
         assert code == 64
 
+    def test_missing_exponent_is_named_before_the_matrix_is_read(self, tmp_path, capsys):
+        code = run(["check-cesaro", "--matrix", str(tmp_path / "none.csv"), "--h", "ones",
+                    "--p", "2"])
+        assert code == 64
+        assert "the following arguments are required: --q, --r" in capsys.readouterr().err
+
+    def test_bad_exponent_is_reported_before_a_missing_file(self, tmp_path, capsys):
+        code = run(["check-cesaro", "--matrix", str(tmp_path / "none.csv"), "--h", "ones",
+                    "--p", "2", "--q", "2", "--r", "abc"])
+        assert code == 64
+        assert "abc" in capsys.readouterr().err
+
     @pytest.mark.parametrize("extra", [["--perturb", "1,x,1e-3"],
                                        ["--perturb", "1,2,abc"],
                                        ["--r", "abc"],
@@ -186,6 +198,15 @@ class TestCertify:
         assert doc["certifier"]["refuted"] is True
         assert doc["certifier"]["c_hat"] == "inf"
 
+    @pytest.mark.parametrize("form", ["cesaro", "fourier"])
+    @pytest.mark.parametrize("patterns", ["0", "-2"])
+    def test_patterns_below_one_is_usage_error(self, form, patterns, capsys):
+        code = run(["certify", "--form", form, "--gen", "diag", "--g", "invsq",
+                    "--h", "ones", "--N", "4", "--r", "4/3", "--q", "2",
+                    "--patterns", patterns])
+        assert code == 64
+        assert "patterns must be >= 1" in capsys.readouterr().err
+
     def test_fourier_form(self, tmp_path):
         out = tmp_path / "cert.json"
         code = run(["certify", "--form", "fourier", "--gen", "diag",
@@ -222,6 +243,15 @@ class TestDeterminism:
         assert run(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("command", ["check-cesaro", "check-cesaro-j0"])
+    def test_job_echo_names_the_command(self, tmp_path, command):
+        out = tmp_path / "c.json"
+        run([command, "--gen", "cesaro", "--h", "ones", "--N", "4", "--p", "2",
+             "--q", "2", "--r", "2", "--out", str(out)])
+        job = read_cert(out)["job"]
+        assert job["command"] == command
+        assert (job["p"], job["q"], job["r"]) == ("2", "2", "2")
+
     def test_timestamp_present_by_default(self, tmp_path):
         out = tmp_path / "c.json"
         run(["check-cesaro", "--gen", "cesaro", "--h", "ones", "--N", "4",
@@ -242,6 +272,16 @@ class TestSuiteCommand:
     def test_hardy_suite_passes(self, capsys):
         assert run(["suite", "--name", "hardy"]) == 0
         assert "PASS hardy" in capsys.readouterr().out
+
+    def test_suites_registered_once_in_definition_order(self):
+        from strongfactor import suites
+
+        assert list(suites.SUITES) == [
+            "exponents", "orthonormality", "fourier", "hardy", "cesaro-norm", "roundtrip",
+            "certifier", "hardy-littlewood", "kellogg", "representing", "determinism"]
+        res = suites.SUITES["determinism"]()
+        assert res.name == "determinism" and res.passed and res.runtime_s > 0.0
+        assert suites.kellogg_embedding(seed=3).name == "kellogg"
 
     def test_unknown_suite(self):
         assert run(["suite", "--name", "nope"]) == 64

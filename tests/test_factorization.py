@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -44,6 +45,7 @@ from strongfactor.operators import (
     factorable_matrix,
     identity_matrix,
     perturb_entry,
+    random_lower_triangular,
 )
 from strongfactor.seq_spaces import IndexDomain, TruncatedSeq, lp_norm, lp_space
 
@@ -488,6 +490,35 @@ class TestBlockKernel:
         assert seen == {"FACTORS", "DOES_NOT_FACTOR", "INCONCLUSIVE", "error"}
 
 
+class TestOverflowingMultiplier:
+    """A recovered g_i beyond the float range ends the walk at row i."""
+
+    @staticmethod
+    def case(bump):
+        n = 300  # 109 rows per block: rows 250 and 251 share the third
+        hv = np.ones(n)
+        hv[0] = 1e-300
+        a = diagonal_sandwich(ones(n), cesaro_matrix(n), TruncatedSeq(hv))
+        if bump:
+            a = perturb_entry(a, 250, 2, 1e-3)
+        return perturb_entry(a, 251, 1, 1e10 - float(a.entries[250, 0])), TruncatedSeq(hv)
+
+    def test_overflow_without_earlier_violation_names_the_row(self):
+        a, h = self.case(bump=False)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(SpecError, match="g_251"):
+                cesaro_factor_check(a, h, P2, P2, P2)
+
+    def test_earlier_violation_in_the_same_block_is_the_witness(self):
+        assert 249 // (_BLOCK_ENTRIES // 300) == 250 // (_BLOCK_ENTRIES // 300)
+        a, h = self.case(bump=True)
+        with np.errstate(over="ignore", invalid="ignore"):
+            cert = cesaro_factor_check(a, h, P2, P2, P2)
+        assert cert.verdict is Verdict.DOES_NOT_FACTOR
+        assert (cert.witness["i"], cert.witness["j"]) == (250, 2)
+        json.dumps(cert.to_json(), allow_nan=False)  # every number is finite
+
+
 class TestCheckMemory:
     """A check holds a few row blocks beside A and B, never an N x N
     temporary."""
@@ -917,6 +948,51 @@ class TestCertifyCesaro:
         assert res.c_hat <= lp_norm(g, INF) + 1e-9
 
 
+def certifier_corpus():
+    """(n, label, A, h) cases: exact sandwiches, sandwiches perturbed off
+    column 1, the identity and random lower-triangular matrices."""
+    rng = np.random.default_rng(42)
+
+    def multiplier(n):
+        return np.where(rng.random(n) < 0.5, -1.0, 1.0) * rng.uniform(0.5, 1.5, n)
+
+    for n in (2, 3, 4, 5, 8, 12):
+        for k in range(5):
+            h = TruncatedSeq(multiplier(n))
+            yield n, f"sandwich {k}", diagonal_sandwich(TruncatedSeq(multiplier(n)),
+                                                        cesaro_matrix(n), h), h
+        for k in range(10):
+            h = TruncatedSeq(multiplier(n))
+            a = diagonal_sandwich(TruncatedSeq(multiplier(n)), cesaro_matrix(n), h)
+            i, j = int(rng.integers(1, n + 1)), int(rng.integers(2, n + 1))
+            eps = float(10.0 ** rng.uniform(-3, -1))
+            yield n, f"perturbed ({i}, {j}) by {eps:.1e}", perturb_entry(a, i, j, eps), h
+        yield n, "identity", identity_matrix(n), ones(n)
+        for k in range(4):
+            yield (n, f"random lower {k}", random_lower_triangular(n, seed=k),
+                   TruncatedSeq(multiplier(n)))
+
+
+class TestCertifierAgreesWithShapeCheck:
+    """The Cesàro certifier refutes exactly when the shape check gives
+    DOES_NOT_FACTOR, and on FACTORS its vertex ratio stays below the
+    recovered multiplier's norm (Hoelder).  The two routes share no code."""
+
+    @pytest.mark.parametrize("r, q", [(2, 2), (4, 2), (3, Fraction(3, 2))])
+    def test_refuted_iff_does_not_factor(self, r, q):
+        r, q = Exponent(r), Exponent(q)
+        s = multiplier_exponent(r, q)
+        verdicts = set()
+        for seed, (n, label, a, h) in enumerate(certifier_corpus()):
+            cert = cesaro_factor_check(a, h, P2, q, r)
+            res = certify_inequality_cesaro(a, h, s, patterns=16, seed=seed)
+            verdicts.add(cert.verdict)
+            assert res.refuted == (cert.verdict is Verdict.DOES_NOT_FACTOR), (n, label)
+            if cert.verdict is Verdict.FACTORS:
+                assert res.c_hat_vertex <= cert.g_norm[0] * (1.0 + 1e-9), (n, label)
+        assert verdicts == {Verdict.FACTORS, Verdict.DOES_NOT_FACTOR}
+
+
 def reference_fourier(ent, s):
     """The Fourier certifier that ``_FourierForm`` replaced: a closure
     evaluator at finite s and a loop over rows at s = inf.  Returns
@@ -986,7 +1062,7 @@ class TestCertifyFourier:
 
         for ent in fourier_cases():
             res = certify_inequality_fourier(MatrixOp(ent, lp_space(2), lp_space(2)), s,
-                                             patterns=4, seed=0)
+                                             seed=0)
             got = (res.c_hat, np.asarray(res.pattern.r), res.lhs, res.rhs, res.refuted,
                    res.c_hat_vertex, res.rows)
             expected = reference_fourier(ent, s)
@@ -999,7 +1075,7 @@ class TestCertifyFourier:
         # the row form replaced gave -0.0, as np.dot multiplies length-1
         # vectors as scalars
         res = certify_inequality_fourier(MatrixOp(np.array([[-0.0]]), lp_space(2),
-                                                  lp_space(2)), s, patterns=4, seed=0)
+                                                  lp_space(2)), s, seed=0)
         assert repr((res.c_hat, res.c_hat_vertex, res.lhs)) == "(0.0, 0.0, 0.0)"
 
     def test_diagonal_attains_norm_with_constant_magnitude(self):
@@ -1007,7 +1083,7 @@ class TestCertifyFourier:
             g = TruncatedSeq(0.9 * np.where(np.arange(n) % 2 == 0, 1.0, -1.0))
             tphi = diagonal_sandwich(g, identity_matrix(n), ones(n))
             s = Exponent(4)
-            res = certify_inequality_fourier(tphi, s, patterns=4, seed=0)
+            res = certify_inequality_fourier(tphi, s, seed=0)
             assert res.c_hat == pytest.approx(lp_norm(g, s), rel=1e-12)
             oracle = oracle_fourier(np.asarray(tphi.entries), float(conjugate(s)))
             assert res.c_hat_vertex == pytest.approx(oracle, abs=1e-12)
@@ -1018,7 +1094,7 @@ class TestCertifyFourier:
         g = TruncatedSeq(rng.uniform(0.2, 1.5, n))
         tphi = diagonal_sandwich(g, identity_matrix(n), ones(n))
         s = Exponent(2)
-        res = certify_inequality_fourier(tphi, s, patterns=4, seed=0)
+        res = certify_inequality_fourier(tphi, s, seed=0)
         oracle = oracle_fourier(np.asarray(tphi.entries), float(conjugate(s)))
         assert res.c_hat_vertex == pytest.approx(oracle, abs=1e-12)
         assert res.c_hat <= lp_norm(g, s) + 1e-9
@@ -1027,19 +1103,19 @@ class TestCertifyFourier:
         ent = np.eye(2)
         ent[0, 1] = 0.3
         tphi = MatrixOp(ent, lp_space(2), lp_space(2))
-        res = certify_inequality_fourier(tphi, Exponent(4), patterns=4, seed=0)
+        res = certify_inequality_fourier(tphi, Exponent(4), seed=0)
         assert res.refuted and math.isinf(res.c_hat)
         assert res.lhs == pytest.approx(0.3)
 
     def test_zero_matrix(self):
         zero = MatrixOp(np.zeros((2, 2)), lp_space(2), lp_space(2))
-        res = certify_inequality_fourier(zero, Exponent(4), patterns=4, seed=0)
+        res = certify_inequality_fourier(zero, Exponent(4), seed=0)
         assert res.c_hat == 0.0
 
     def test_sup_case_uses_row_form(self):
         g = TruncatedSeq([0.25, -2.0, 1.0])
         tphi = diagonal_sandwich(g, identity_matrix(3), ones(3))
-        res = certify_inequality_fourier(tphi, INF, patterns=4, seed=0)
+        res = certify_inequality_fourier(tphi, INF, seed=0)
         assert res.c_hat == pytest.approx(2.0)  # sup |g|
         assert not res.refuted
 
@@ -1047,7 +1123,7 @@ class TestCertifyFourier:
         ent = np.diag([1.0, 1.0, 1.0])
         ent[2, 0] = 0.4
         tphi = MatrixOp(ent, lp_space(2), lp_space(2))
-        res = certify_inequality_fourier(tphi, INF, patterns=4, seed=0)
+        res = certify_inequality_fourier(tphi, INF, seed=0)
         assert res.refuted
 
 

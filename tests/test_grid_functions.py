@@ -70,6 +70,62 @@ class TestEvalBasis:
         assert vals.shape == x.shape
 
 
+def reference_poly_rows(family, count, x):
+    """The three-branch recurrence that ``basis_rows`` replaced, kept as the
+    bit-for-bit reference for the polynomial families."""
+    out = np.empty((count, x.size))
+    prev2 = np.ones_like(x)
+    if family is BasisFamily.LEGENDRE:
+        out[0] = prev2 * math.sqrt(0.5)
+        if count == 1:
+            return out
+        prev1 = x.copy()
+        out[1] = prev1 * math.sqrt(1.5)
+        for n in range(1, count - 1):
+            cur = ((2 * n + 1) * x * prev1 - n * prev2) / (n + 1)
+            out[n + 1] = cur * math.sqrt((2 * n + 3) / 2.0)
+            prev2, prev1 = prev1, cur
+        return out
+    if family in (BasisFamily.CHEBYSHEV1, BasisFamily.CHEBYSHEV2):
+        c = math.sqrt(2.0 / math.pi)
+        if family is BasisFamily.CHEBYSHEV1:
+            out[0] = prev2 / math.sqrt(math.pi)
+            prev1 = x.copy()
+        else:
+            out[0] = prev2 * c
+            prev1 = 2.0 * x
+        if count == 1:
+            return out
+        out[1] = prev1 * c
+        for n in range(1, count - 1):
+            cur = 2.0 * x * prev1 - prev2
+            out[n + 1] = cur * c
+            prev2, prev1 = prev1, cur
+        return out
+    out[0] = prev2
+    if count == 1:
+        return out
+    prev1 = 1.0 - x
+    out[1] = prev1
+    for n in range(1, count - 1):
+        cur = ((2 * n + 1 - x) * prev1 - n * prev2) / (n + 1)
+        out[n + 1] = cur
+        prev2, prev1 = prev1, cur
+    return out
+
+
+class TestPolynomialRecurrence:
+    @pytest.mark.parametrize("family", [f for f in BasisFamily if f is not BasisFamily.TRIG_REAL])
+    @pytest.mark.parametrize("count", [1, 2, 3, 17, 64])
+    def test_matches_three_branch_reference(self, family, count):
+        rng = np.random.default_rng(count)
+        lo, hi = (0.0, 60.0) if family is BasisFamily.LAGUERRE else (-1.0, 1.0)
+        x = np.concatenate((default_rule(family).nodes, rng.uniform(lo, hi, 50),
+                            [lo, hi, -0.0, 0.0]))
+        got = basis_rows(BasisSpec(family, count), count, x)
+        assert got.tobytes() == reference_poly_rows(family, count, x).tobytes()
+
+
 class TestQuadrature:
     def test_constant_integral(self):
         assert quad_integral(constant(1.0, TRIG8)) == pytest.approx(2 * math.pi, abs=1e-12)
