@@ -51,6 +51,7 @@ from .grid_functions import (
     representing_setup,
 )
 from .operators import (
+    CesaroOp,
     MatrixOp,
     apply,
     cesaro_matrix,

@@ -35,6 +35,7 @@ from .factorization import (
 )
 from .grid_functions import BasisFamily, BasisSpec, fourier_coeffs, representing_setup
 from .operators import (
+    CesaroOp,
     MatrixOp,
     cesaro_matrix,
     diagonal_sandwich,
@@ -145,7 +146,7 @@ def _generate_matrix(args, n: int) -> MatrixOp:
             raise SpecError("--gen rank-one needs --g and --h")
         g = _load_sequence(args.g, n)
         h = _load_sequence(args.h, n)
-        return diagonal_sandwich(g, cesaro_matrix(n), h)
+        return diagonal_sandwich(g, CesaroOp(n), h)
     if gen == "diag":
         if not args.g:
             raise SpecError("--gen diag needs --g")
@@ -204,7 +205,7 @@ def _cmd_check_matrix(args) -> int:
     op = _load_matrix(args, args.N)
     through = args.through
     if through == "cesaro":
-        b = cesaro_matrix(op.n)
+        b = CesaroOp(op.n)
     elif through == "identity":
         b = identity_matrix(op.n)
     elif Path(through).exists():

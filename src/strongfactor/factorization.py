@@ -57,7 +57,7 @@ from .grid_functions import (
     fourier_coeffs,
     random_trig_poly,
 )
-from .operators import MatrixOp
+from .operators import CesaroOp, MatrixOp, _block_bounds
 from .seq_spaces import IndexDomain, SpaceKind, TruncatedSeq, lp_norm
 
 EXACT_TOL = 1e-9       # identities exact in exact arithmetic
@@ -156,10 +156,6 @@ def _require_range(name: str, value: Exponent, low, high,
 # ---------------------------------------------------------------------------
 # shape checkers
 
-#: entries of A per row block of the shape check: 256 KB per float temporary
-_BLOCK_ENTRIES = 1 << 15
-
-
 def _sandwich_check(ent: np.ndarray, w_rows, tol: float,
                     g_exp: Exponent | None, notes: tuple[str, ...] = (),
                     pivot_tol: float = 0.0, **meta) -> Certificate:
@@ -167,15 +163,15 @@ def _sandwich_check(ent: np.ndarray, w_rows, tol: float,
     forced zero of w is stored as an exact 0.
 
     A stays dense; w is never held whole: ``w_rows(lo, hi)`` returns a fresh
-    array of rows lo..hi-1 of w, and A is walked in blocks of rows of about
-    ``_BLOCK_ENTRIES`` entries.  g_i is read at the first entry of row i of w
+    array of rows lo..hi-1 of w, and A is walked in the row blocks of
+    ``operators._block_bounds``.  g_i is read at the first entry of row i of w
     with |w_ij| > pivot_tol; a row with no such entry gets g_i = 0.  The
     witness is the first row-major entry whose deviation |a_ij - g_i w_ij|
     exceeds tol, so the walk stops at the first block that holds one.  It
-    also stops at the first row whose g_i overflows: a violation in an earlier
-    row is then the witness, and otherwise a ``SpecError`` names the row.
-    ``notes`` are added to a FACTORS certificate; ``meta`` holds the remaining
-    certificate fields.
+    also stops at the first row where g_i or some g_i w_ij overflows: a
+    violation in an earlier row is then the witness, and otherwise a
+    ``SpecError`` names the row.  ``notes`` are added to a FACTORS
+    certificate; ``meta`` holds the remaining certificate fields.
     """
     n = ent.shape[0]
     meta.update(tol=tol, truncation=n)
@@ -184,41 +180,46 @@ def _sandwich_check(ent: np.ndarray, w_rows, tol: float,
                            notes=("zero operator: nontrivial operator required",
                                   EVIDENCE_NOTE), **meta)
 
-    step = max(1, _BLOCK_ENTRIES // n)
     g_vals = np.zeros(n)
     live = np.zeros(n, dtype=bool)
-    residual = np.float64(0.0)
-    for lo in range(0, n, step):
-        hi = min(lo + step, n)
-        w, a = w_rows(lo, hi), ent[lo:hi]
-        rows = np.arange(hi - lo)
-        dev = np.abs(w)  # the buffer is reused for the deviation below
-        first = (dev > pivot_tol).argmax(axis=1)
-        pivot = w[rows, first]
-        live[lo:hi] = np.abs(pivot) > pivot_tol
-        g = g_vals[lo:hi]
-        np.divide(a[rows, first], pivot, out=g, where=live[lo:hi])
-        # the walk ends before the first row whose g_i overflows, if any
-        end = int(np.argmin(np.append(np.isfinite(g), False)))
-
-        np.multiply(g[:, None], w, out=dev)
-        np.subtract(a, dev, out=dev)
-        np.abs(dev, out=dev)
-        dev = dev[:end]
-        # np.maximum keeps a NaN, as one max over the whole matrix would
-        residual = np.maximum(residual, dev.max(initial=0.0))
-        if end < hi - lo and not residual > tol:
-            raise SpecError(f"recovered g_{lo + end + 1} = a_ij / (b_ij h_j) "
-                            "overflows the float range")
-        if residual > tol:
-            i, j = np.unravel_index(int(np.argmax(dev > tol)), dev.shape)
-            return Certificate(
-                verdict=Verdict.DOES_NOT_FACTOR, residual=float(dev[i, j]),
-                # + 0.0 turns a -0.0 product into 0.0
-                witness={"i": lo + int(i) + 1, "j": int(j) + 1,
-                         "expected": float(g[i] * w[i, j]) + 0.0,
-                         "actual": float(a[i, j])},
-                notes=(EVIDENCE_NOTE,), **meta)
+    residual = 0.0
+    # an overflow shows as a non-finite deviation, which ends the walk below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo, hi in _block_bounds(n):
+            w, a = w_rows(lo, hi), ent[lo:hi]
+            rows = np.arange(hi - lo)
+            dev = np.abs(w)  # the buffer is reused for the deviation below
+            first = (dev > pivot_tol).argmax(axis=1)
+            pivot = w[rows, first]
+            live[lo:hi] = np.abs(pivot) > pivot_tol
+            g = g_vals[lo:hi]
+            np.divide(a[rows, first], pivot, out=g, where=live[lo:hi])
+            np.multiply(g[:, None], w, out=dev)
+            np.subtract(a, dev, out=dev)
+            np.abs(dev, out=dev)
+            top, end = dev.max(initial=0.0), hi - lo
+            if not np.isfinite(top):  # the first row where some g_i w_ij overflows
+                fits = np.isfinite(g[:, None] * w).all(axis=1)
+                end = int(np.argmin(np.append(fits, False)))
+                dev = dev[:end]
+                top = dev.max(initial=0.0)
+            residual = max(residual, top)
+            if residual > tol:
+                i, j = np.unravel_index(int(np.argmax(dev > tol)), dev.shape)
+                return Certificate(
+                    verdict=Verdict.DOES_NOT_FACTOR, residual=float(dev[i, j]),
+                    # + 0.0 turns a -0.0 product into 0.0
+                    witness={"i": lo + int(i) + 1, "j": int(j) + 1,
+                             "expected": float(g[i] * w[i, j]) + 0.0,
+                             "actual": float(a[i, j])},
+                    notes=(EVIDENCE_NOTE,), **meta)
+            if end < hi - lo:
+                k = lo + end + 1
+                raise SpecError(
+                    f"recovered g_{k} = a_ij / (b_ij h_j) overflows the float range"
+                    if not np.isfinite(g[end]) else
+                    f"recovered g_{k} = {float(g[end])!r} times b_ij h_j overflows "
+                    "the float range")
 
     notes = (EVIDENCE_NOTE, *notes)
     dead = np.flatnonzero(~live)
@@ -267,12 +268,11 @@ def cesaro_factor_check_j0(a: MatrixOp, h: TruncatedSeq, p: Exponent, q: Exponen
     j0 = int(nonzero[0]) + 1
     s_rq = multiplier_exponent(r, q)
     s_pr = multiplier_exponent(p, r)
-    inv_i = 1.0 / np.arange(1, a.n + 1)
+    c = CesaroOp(a.n)
 
-    def w_rows(lo, hi):  # row i of the running-averages matrix is 1/i on j <= i
-        w = np.tri(hi - lo, a.n, lo)
+    def w_rows(lo, hi):
+        w = c.rows(lo, hi)
         w *= hv
-        w *= inv_i[lo:hi, None]
         return w
 
     # the default pivot_tol = 0 reads every row i >= j0 at column j0
@@ -307,7 +307,7 @@ def fourier_factor_check(tphi: MatrixOp, r: Exponent, p: Exponent, q: Exponent,
                            exponents={"r": r, "p": p, "q": q, "s_rprime_q": s})
 
 
-def matrix_factor_check(a: MatrixOp, b: MatrixOp, h: TruncatedSeq,
+def matrix_factor_check(a: MatrixOp, b: MatrixOp | CesaroOp, h: TruncatedSeq,
                         tol: float = EXACT_TOL,
                         seed: int | None = None) -> Certificate:
     """Decide factorization of A through a general matrix operator B and the
@@ -328,7 +328,7 @@ def matrix_factor_check(a: MatrixOp, b: MatrixOp, h: TruncatedSeq,
         g_exp = multiplier_exponent(b.codomain.p, a.codomain.p)
 
     def w_rows(lo, hi):
-        b_rows = b.entries[lo:hi]
+        b_rows = b.rows(lo, hi)
         w = b_rows * h.coeffs
         w[np.abs(b_rows) <= tol] = 0.0
         return w

@@ -1,10 +1,12 @@
-"""Dense truncations of infinite-matrix operators between sequence spaces.
+"""N x N truncations of infinite-matrix operators between sequence spaces.
 
-Every operator is stored as a dense N x N array: the factorization checks are
-O(N^2) scans and the workloads stay at desk scale, so sparsity machinery would
-buy nothing.  The checks read A and B dense and build the product w = B M_h
-by blocks of rows, never whole.  The constructors here hand their freshly
-built arrays to ``MatrixOp`` read-only, so it keeps them without a copy.
+An operator is either a ``MatrixOp``, which stores its entries as a dense
+array, or the running-averages operator ``CesaroOp``, which stores only its
+size and makes its entries on demand.  Both give their rows through
+``rows(lo, hi)``, and the factorization checks and ``diagonal_sandwich`` read
+them that way, by blocks of about ``_BLOCK_ENTRIES`` entries, so that neither
+builds a second N x N array.  The constructors here hand their freshly built
+arrays to ``MatrixOp`` read-only, so it keeps them without a copy.
 """
 
 from __future__ import annotations
@@ -59,6 +61,10 @@ class MatrixOp:
     def n(self) -> int:
         return self.entries.shape[0]
 
+    def rows(self, lo: int, hi: int) -> np.ndarray:
+        """Rows lo..hi-1 (0-based), as a read-only view."""
+        return self.entries[lo:hi]
+
     def to_json(self) -> dict:
         return {
             "n": self.n,
@@ -75,15 +81,37 @@ def _fresh(entries: np.ndarray, domain: SeqSpaceSpec,
     return MatrixOp(entries, domain, codomain)
 
 
+#: entries per row block when an operator is read by rows: 256 KB per float array
+_BLOCK_ENTRIES = 1 << 15
+
+
+def _block_bounds(n: int):
+    """(lo, hi) of the row blocks of an N x N operator."""
+    step = max(1, _BLOCK_ENTRIES // n)
+    return ((lo, min(lo + step, n)) for lo in range(0, n, step))
+
+
+class CesaroOp:
+    """Running-averages operator C_N on l^r, held implicitly: entry (i, j) is
+    1/i for j <= i, else 0.  Only ``rows`` builds entries."""
+
+    def __init__(self, n: int, r: Exponent = TWO):
+        if n < 1:
+            raise SpecError("matrix size must be >= 1")
+        self.n = n
+        self.domain = self.codomain = lp_space(r)
+
+    def rows(self, lo: int, hi: int) -> np.ndarray:
+        """Rows lo..hi-1 (0-based), as a fresh array."""
+        out = np.tri(hi - lo, self.n, lo)
+        out *= (1.0 / np.arange(lo + 1, hi + 1))[:, None]
+        return out
+
+
 def cesaro_matrix(n: int, r: Exponent = TWO) -> MatrixOp:
-    """Running-averages operator: entry (i, j) is 1/i for j <= i, else 0."""
-    if n < 1:
-        raise SpecError("matrix size must be >= 1")
-    i = np.arange(1, n + 1, dtype=float)[:, None]
-    j = np.arange(1, n + 1, dtype=float)[None, :]
-    entries = np.where(j <= i, 1.0 / i, 0.0)
-    spec = lp_space(r)
-    return _fresh(entries, spec, spec)
+    """Running-averages operator as a dense ``MatrixOp``."""
+    op = CesaroOp(n, r)
+    return _fresh(op.rows(0, n), op.domain, op.codomain)
 
 
 def identity_matrix(n: int, p: Exponent = TWO, q: Exponent | None = None) -> MatrixOp:
@@ -131,12 +159,18 @@ def apply(op: MatrixOp, x: TruncatedSeq) -> TruncatedSeq:
     return TruncatedSeq(op.entries @ x.coeffs, IndexDomain.NAT1)
 
 
-def diagonal_sandwich(g: TruncatedSeq, op: MatrixOp, h: TruncatedSeq) -> MatrixOp:
-    """Matrix of M_g . S . M_h: entries g_i * s_ij * h_j."""
+def diagonal_sandwich(g: TruncatedSeq, op: MatrixOp | CesaroOp,
+                      h: TruncatedSeq) -> MatrixOp:
+    """Matrix of M_g . S . M_h: entries (g_i * s_ij) * h_j, filled by row
+    blocks of S."""
     if len(g) != op.n or len(h) != op.n:
         raise LengthMismatch("multiplier lengths must equal the matrix size")
-    entries = g.coeffs[:, None] * op.entries
-    entries *= h.coeffs
+    entries = np.empty((op.n, op.n))
+    gv = g.coeffs[:, None]
+    for lo, hi in _block_bounds(op.n):
+        block = entries[lo:hi]
+        np.multiply(gv[lo:hi], op.rows(lo, hi), out=block)
+        block *= h.coeffs
     return _fresh(entries, op.domain, op.codomain)
 
 

@@ -60,13 +60,16 @@ CHECK = ["--gen", "rank-one", "--g", "harmonic", "--h", "ones", "--N", "8",
          "--p", "2", "--q", "2", "--r", "2", "--no-timestamp"]
 
 
-@pytest.mark.parametrize("argv, span, count", [
-    (["suite", "--name", "exponents"], "suites", 1),
+@pytest.mark.parametrize("argv, counts", [
+    (["suite", "--name", "exponents"], {"suites": 1}),
     # check-cesaro is a guard around the shifted check, and both are traced
-    (["check-cesaro", *CHECK], "factorization.check", 2),
-    (["check-cesaro-j0", *CHECK], "factorization.check", 1),
+    (["check-cesaro", *CHECK], {"factorization.check": 2}),
+    (["check-cesaro-j0", *CHECK], {"factorization.check": 1}),
+    # the Cesàro operator is implicit: only the sandwich builds a matrix
+    (["check-matrix", *CHECK[:8], "--through", "cesaro"],
+     {"operators.build": 1, "factorization.check": 1}),
 ])
-def test_traced_run_records_the_handler_span(tmp_path, argv, span, count):
+def test_traced_run_records_the_handler_span(tmp_path, argv, counts):
     # the CLI looks its handlers up when it builds the parser, after the
     # shim has replaced them; a table bound at import would lose these spans
     spans_out = tmp_path / "spans.json"
@@ -76,4 +79,4 @@ def test_traced_run_records_the_handler_span(tmp_path, argv, span, count):
                            *argv], env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     names = [rec[0] for rec in json.loads(spans_out.read_text())["spans"]]
-    assert names.count(span) == count
+    assert {span: names.count(span) for span in counts} == counts

@@ -1,10 +1,17 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from strongfactor import cli
-from strongfactor.operators import cesaro_matrix, matrix_to_csv
+from strongfactor.operators import MatrixOp, cesaro_matrix, matrix_to_csv, seq_to_csv
+from strongfactor.seq_spaces import TruncatedSeq, lp_space
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(args, capsys=None):
@@ -173,6 +180,82 @@ class TestCheckMatrix:
                     "--h", "ones", "--N", "6", "--through", str(bpath),
                     "--out", str(tmp_path / "c.json")])
         assert code == 0
+
+
+    def test_through_cesaro_holds_one_matrix(self, tmp_path, capsys, traced_peak):
+        # A and a boolean finiteness scan of it; B is never built
+        n = 1024
+        argv = ["check-matrix", "--N", str(n), "--gen", "rank-one", "--g", "harmonic",
+                "--h", "alt", "--through", "cesaro", "--no-timestamp",
+                "--out", str(tmp_path / "c.json")]
+        codes = []
+        assert traced_peak(lambda: codes.append(run(argv))) < 1.5 * 8 * n * n
+        assert codes == [0]
+
+
+def run_process(args):
+    """The CLI in a fresh interpreter, so that whatever it writes to stderr,
+    warnings included, is seen as a user sees it."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    return subprocess.run([sys.executable, "-m", "strongfactor", *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def strict_json(text):
+    def reject(constant):
+        raise ValueError(f"not JSON: {constant}")
+    return json.loads(text, parse_constant=reject)
+
+
+class TestOverflowingMultiplier:
+    """An overflowing g_i or g_i b_ij h_j gives valid JSON or one error line,
+    and no numpy warning."""
+
+    EXPONENTS = ["--p", "2", "--q", "2", "--r", "2", "--no-timestamp"]
+
+    @staticmethod
+    def product_case(tmp_path, bump):
+        """g_2 = 1e-3 / (h_1 / 2) = 2e297, and g_2 h_2 / 2 overflows."""
+        ent = np.zeros((3, 3))
+        ent[1, :2] = 1e-3, 1.0
+        if bump:
+            ent[0, 1] = 1.0  # a forced zero broken in row 1
+        matrix, h = tmp_path / "a.csv", tmp_path / "h.csv"
+        matrix_to_csv(MatrixOp(ent, lp_space(2), lp_space(2)), matrix)
+        seq_to_csv(TruncatedSeq([1e-300, 1e20, 1.0]), h)
+        return ["--matrix", str(matrix), "--h", str(h)]
+
+    def test_product_overflow_is_one_error_line(self, tmp_path):
+        done = run_process(["check-cesaro", *self.product_case(tmp_path, bump=False),
+                            *self.EXPONENTS])
+        assert done.returncode == 64
+        assert done.stdout == ""
+        assert done.stderr == ("error: recovered g_2 = 2e+297 times b_ij h_j "
+                               "overflows the float range\n")
+
+    def test_earlier_violation_gives_a_valid_certificate(self, tmp_path):
+        done = run_process(["check-cesaro", *self.product_case(tmp_path, bump=True),
+                            *self.EXPONENTS])
+        assert done.returncode == 1
+        assert done.stderr == ""
+        summary, text = done.stdout.split("\n", 1)
+        assert summary.startswith("DOES_NOT_FACTOR residual=1.000e+00 N=3")
+        doc = strict_json(text)
+        assert doc["witness"] == {"i": 1, "j": 2, "expected": 0.0, "actual": 1.0}
+        assert doc["residual"] == 1.0
+
+    def test_multiplier_overflow_is_one_error_line(self, tmp_path):
+        h = tmp_path / "h.csv"
+        hv = np.ones(300)
+        hv[0] = 1e-300
+        seq_to_csv(TruncatedSeq(hv), h)
+        done = run_process(["check-cesaro", "--gen", "rank-one", "--g", "ones",
+                            "--h", str(h), "--N", "300", "--perturb", "251,1,1e10",
+                            *self.EXPONENTS])
+        assert done.returncode == 64
+        assert done.stderr == ("error: recovered g_251 = a_ij / (b_ij h_j) "
+                               "overflows the float range\n")
 
 
 class TestCertify:

@@ -19,7 +19,6 @@ from strongfactor.errors import (
 from strongfactor.exponents import Exponent, INF, conjugate, multiplier_exponent
 from strongfactor import factorization
 from strongfactor.factorization import (
-    _BLOCK_ENTRIES,
     EVIDENCE_NOTE,
     EXACT_TOL,
     Certificate,
@@ -39,6 +38,8 @@ from strongfactor.grid_functions import (
     representing_setup,
 )
 from strongfactor.operators import (
+    _BLOCK_ENTRIES,
+    CesaroOp,
     MatrixOp,
     cesaro_matrix,
     diagonal_sandwich,
@@ -490,8 +491,10 @@ class TestBlockKernel:
         assert seen == {"FACTORS", "DOES_NOT_FACTOR", "INCONCLUSIVE", "error"}
 
 
+@pytest.mark.filterwarnings("error")
 class TestOverflowingMultiplier:
-    """A recovered g_i beyond the float range ends the walk at row i."""
+    """A recovered g_i, or a product g_i b_ij h_j, beyond the float range
+    ends the walk at row i, and no numpy warning reaches the caller."""
 
     @staticmethod
     def case(bump):
@@ -503,20 +506,105 @@ class TestOverflowingMultiplier:
             a = perturb_entry(a, 250, 2, 1e-3)
         return perturb_entry(a, 251, 1, 1e10 - float(a.entries[250, 0])), TruncatedSeq(hv)
 
+    @staticmethod
+    def product_case(bump):
+        """g_2 = 1e-3 / (h_1 / 2) = 2e297 is finite; g_2 h_2 / 2 is not."""
+        ent = np.zeros((3, 3))
+        ent[1, :2] = 1e-3, 1.0
+        if bump:
+            ent[0, 1] = 1.0  # a forced zero broken in row 1
+        return (MatrixOp(ent, lp_space(2), lp_space(2)),
+                TruncatedSeq([1e-300, 1e20, 1.0]))
+
     def test_overflow_without_earlier_violation_names_the_row(self):
         a, h = self.case(bump=False)
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(SpecError, match="g_251"):
-                cesaro_factor_check(a, h, P2, P2, P2)
+        with pytest.raises(SpecError, match="g_251"):
+            cesaro_factor_check(a, h, P2, P2, P2)
 
     def test_earlier_violation_in_the_same_block_is_the_witness(self):
         assert 249 // (_BLOCK_ENTRIES // 300) == 250 // (_BLOCK_ENTRIES // 300)
         a, h = self.case(bump=True)
-        with np.errstate(over="ignore", invalid="ignore"):
-            cert = cesaro_factor_check(a, h, P2, P2, P2)
+        cert = cesaro_factor_check(a, h, P2, P2, P2)
         assert cert.verdict is Verdict.DOES_NOT_FACTOR
         assert (cert.witness["i"], cert.witness["j"]) == (250, 2)
         json.dumps(cert.to_json(), allow_nan=False)  # every number is finite
+
+    def test_product_overflow_names_the_row(self):
+        a, h = self.product_case(bump=False)
+        with pytest.raises(SpecError, match=r"g_2 = 2e\+297 times b_ij h_j overflows"):
+            cesaro_factor_check(a, h, P2, P2, P2)
+
+    def test_overflowing_b_h_is_not_a_factorization(self):
+        # w_11 = b_11 h_1 = inf gives g_1 = 0 and 0 * inf = NaN, which no
+        # residual test rejects
+        a = MatrixOp([[1.0, 0.0], [1.0, 1.0]], lp_space(2), lp_space(2))
+        b = MatrixOp([[1e200, 0.0], [1.0, 1.0]], lp_space(2), lp_space(2))
+        with pytest.raises(SpecError, match="g_1 = 0.0 times b_ij h_j overflows"):
+            matrix_factor_check(a, b, TruncatedSeq([1e200, 1.0]))
+
+    def test_earlier_violation_is_the_witness_before_a_product_overflow(self):
+        a, h = self.product_case(bump=True)
+        cert = cesaro_factor_check(a, h, P2, P2, P2)
+        assert cert.verdict is Verdict.DOES_NOT_FACTOR
+        assert cert.witness == {"i": 1, "j": 2, "expected": 0.0, "actual": 1.0}
+        assert cert.residual == 1.0
+        json.dumps(cert.to_json(), allow_nan=False)
+
+
+class TestImplicitCesaroThrough:
+    """``matrix_factor_check`` through ``CesaroOp`` writes the certificate
+    that it writes through the dense ``cesaro_matrix``, byte for byte."""
+
+    @staticmethod
+    def certificates(ent, hv, tol=EXACT_TOL):
+        a, h, n = MatrixOp(ent, lp_space(2), lp_space(2)), TruncatedSeq(hv), len(hv)
+        return [json.dumps(matrix_factor_check(a, b, h, tol=tol).to_json())
+                for b in (CesaroOp(n), cesaro_matrix(n))]
+
+    @staticmethod
+    def sandwich(n, hv):
+        g = TruncatedSeq(np.cos(np.arange(n)) + 0.5)
+        return diagonal_sandwich(g, CesaroOp(n), TruncatedSeq(hv)).entries.copy()
+
+    def test_exact_sandwich(self):
+        n = 300
+        hv = 1.0 / np.arange(1, n + 1)
+        implicit, dense = self.certificates(self.sandwich(n, hv), hv)
+        assert implicit == dense
+        assert json.loads(implicit)["verdict"] == "FACTORS"
+
+    def test_violation_in_the_first_row_of_the_second_block(self):
+        n = 300
+        step = block_rows(n)
+        hv = np.linspace(1.0, 2.0, n)
+        ent = self.sandwich(n, hv)
+        ent[step, 1] += 1e-3  # row step + 1, off its pivot column
+        implicit, dense = self.certificates(ent, hv)
+        assert implicit == dense
+        witness = json.loads(implicit)["witness"]
+        assert (witness["i"], witness["j"]) == (step + 1, 2)
+
+    def test_leading_zeros_in_h(self):
+        n = 257
+        hv = np.linspace(1.0, 2.0, n)
+        hv[:block_rows(n) + 3] = 0.0
+        implicit, dense = self.certificates(self.sandwich(n, hv), hv)
+        assert implicit == dense
+        doc = json.loads(implicit)
+        assert doc["verdict"] == "FACTORS"
+        assert any(note.startswith(f"{block_rows(n) + 3} row(s) of B M_h vanish")
+                   for note in doc["notes"])
+
+    def test_rows_within_tol_give_the_dead_row_note(self):
+        n = 1024  # b_ij = 1/i <= 1e-3 from row 1000 on
+        hv = np.ones(n)
+        ent = self.sandwich(n, hv) * 1e-1
+        implicit, dense = self.certificates(ent, hv, tol=1e-3)
+        assert implicit == dense
+        doc = json.loads(implicit)
+        assert doc["verdict"] == "FACTORS"
+        assert "25 row(s) of B M_h vanish, first i=1000; g_i = 0 recorded for them" \
+            in doc["notes"]
 
 
 class TestCheckMemory:
@@ -525,7 +613,8 @@ class TestCheckMemory:
 
     N = 1024
 
-    @pytest.mark.parametrize("name", ["cesaro", "cesaro-j0", "fourier", "matrix"])
+    @pytest.mark.parametrize("name", ["cesaro", "cesaro-j0", "fourier", "matrix",
+                                      "matrix-implicit"])
     def test_peak_below_a_quarter_matrix(self, name, traced_peak):
         n = self.N
         h = harmonic(n)
@@ -537,6 +626,7 @@ class TestCheckMemory:
             "cesaro-j0": lambda: cesaro_factor_check_j0(a, h, P2, P2, P2),
             "fourier": lambda: fourier_factor_check(d, P32, P2, P2),
             "matrix": lambda: matrix_factor_check(a, c, h),
+            "matrix-implicit": lambda: matrix_factor_check(a, CesaroOp(n), h),
         }[name]
         assert check().verdict is Verdict.FACTORS
         assert traced_peak(check) < 0.25 * 8 * n * n

@@ -1,4 +1,6 @@
+import itertools
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +10,8 @@ from strongfactor.errors import LengthMismatch, ParseError, SizeMismatch, SpecEr
 from strongfactor.exponents import Exponent, conjugate
 from strongfactor.grid_functions import composite_gauss_legendre, grid_from_csv
 from strongfactor.operators import (
+    _BLOCK_ENTRIES,
+    CesaroOp,
     MatrixOp,
     apply,
     cesaro_matrix,
@@ -47,6 +51,84 @@ class TestCesaroMatrix:
     def test_strictly_upper_is_zero(self):
         ent = cesaro_matrix(6).entries
         assert np.all(ent[np.triu_indices(6, k=1)] == 0.0)
+
+
+def block_sizes():
+    """n = 1 and 7 (one block), then the first n made of whole blocks and the
+    first with a ragged last block, from the operators' block size."""
+    def rows(n):
+        return max(1, _BLOCK_ENTRIES // n)
+    start = math.isqrt(_BLOCK_ENTRIES) + 1  # from here on a block is shorter than n
+    exact = next(n for n in itertools.count(start) if n % rows(n) == 0)
+    ragged = next(n for n in itertools.count(exact) if n % rows(n) and n // rows(n) >= 2)
+    return [1, 7, exact, ragged]
+
+
+def reference_cesaro(n):
+    """The dense formula that ``cesaro_matrix`` used before it read rows."""
+    i = np.arange(1, n + 1, dtype=float)[:, None]
+    j = np.arange(1, n + 1, dtype=float)[None, :]
+    return np.where(j <= i, 1.0 / i, 0.0)
+
+
+def reference_sandwich(g, s, h):
+    """The dense ``diagonal_sandwich``: (g_i * s_ij) first, then * h_j."""
+    out = g[:, None] * s
+    out *= h
+    return out
+
+
+def signed_multipliers(n, seed):
+    """g and h with -0.0 and negative entries, g at scales 1e-200 to 1e200
+    and h at 1e-100 to 1e100, so every g_i s_ij h_j stays a normal float."""
+    rng = np.random.default_rng(seed)
+    g = rng.uniform(-2.0, 2.0, n) * 10.0 ** rng.choice([-200, -100, 0, 100, 200], n)
+    h = rng.uniform(-2.0, 2.0, n) * 10.0 ** rng.choice([-100, -5, 0, 5, 100], n)
+    g[::5], h[1::4] = -0.0, -0.0
+    return g, h
+
+
+class TestCesaroOp:
+    """``CesaroOp`` builds its rows on demand, with the bits of the dense
+    formula, and every matrix made from it keeps those bits."""
+
+    @pytest.mark.parametrize("n", block_sizes())
+    def test_cesaro_matrix_bytes(self, n):
+        assert cesaro_matrix(n).entries.tobytes() == reference_cesaro(n).tobytes()
+
+    @pytest.mark.parametrize("n", block_sizes())
+    def test_rows_are_fresh_blocks_of_the_matrix(self, n):
+        op, ref = CesaroOp(n), reference_cesaro(n)
+        for lo, hi in [(0, n), (0, 1), (n - 1, n), (n // 3, n // 2 + 1)]:
+            rows = op.rows(lo, hi)
+            assert rows.flags.writeable and rows.flags.owndata
+            assert rows.tobytes() == ref[lo:hi].tobytes()
+
+    @pytest.mark.parametrize("n", block_sizes())
+    @pytest.mark.parametrize("through", ["implicit", "dense", "dense-lower"])
+    def test_sandwich_bytes(self, n, through):
+        g, h = signed_multipliers(n, seed=n)
+        s = reference_cesaro(n)
+        op = {"implicit": lambda: CesaroOp(n), "dense": lambda: cesaro_matrix(n),
+              "dense-lower": lambda: random_lower_triangular(n, seed=n)}[through]()
+        if through == "dense-lower":
+            s = op.entries
+        got = diagonal_sandwich(TruncatedSeq(g), op, TruncatedSeq(h)).entries
+        assert got.tobytes() == reference_sandwich(g, s, h).tobytes()
+        assert not got.flags.writeable
+
+    def test_spaces_and_size(self):
+        op = CesaroOp(5, Exponent(3))
+        assert op.n == 5 and op.domain == op.codomain == lp_space(3)
+        assert cesaro_matrix(5, Exponent(3)).domain == op.domain
+        with pytest.raises(SpecError, match="matrix size must be >= 1"):
+            CesaroOp(0)
+
+    def test_matrix_rows_are_a_read_only_view(self):
+        a = cesaro_matrix(6)
+        rows = a.rows(2, 4)
+        assert np.shares_memory(rows, a.entries) and not rows.flags.writeable
+        assert rows.tobytes() == a.entries[2:4].tobytes()
 
 
 class TestApply:
@@ -383,7 +465,8 @@ class TestConstructorMemory:
     N = 1024
 
     @pytest.mark.parametrize("name", ["cesaro_matrix", "identity_matrix",
-                                      "diagonal_sandwich", "perturb_entry"])
+                                      "diagonal_sandwich", "diagonal_sandwich(CesaroOp)",
+                                      "perturb_entry"])
     def test_peak_below_one_and_a_quarter_matrices(self, name, traced_peak):
         n = self.N
         a, h = cesaro_matrix(n), TruncatedSeq(1.0 / np.arange(1, n + 1))
@@ -391,6 +474,7 @@ class TestConstructorMemory:
             "cesaro_matrix": lambda: cesaro_matrix(n),
             "identity_matrix": lambda: identity_matrix(n),
             "diagonal_sandwich": lambda: diagonal_sandwich(h, a, h),
+            "diagonal_sandwich(CesaroOp)": lambda: diagonal_sandwich(h, CesaroOp(n), h),
             "perturb_entry": lambda: perturb_entry(a, n, 1, 1e-3),
         }[name]
         assert traced_peak(build) < 1.25 * 8 * n * n
