@@ -53,10 +53,8 @@ from .grid_functions import (
 from .operators import (
     CesaroOp,
     MatrixOp,
-    apply,
     cesaro_matrix,
     diagonal_sandwich,
-    factorable_matrix,
     identity_matrix,
     operator_norm_estimate,
     perturb_entry,

@@ -5,21 +5,23 @@ array, or the running-averages operator ``CesaroOp``, which stores only its
 size and makes its entries on demand.  Both give their rows through
 ``rows(lo, hi)``, and the factorization checks and ``diagonal_sandwich`` read
 them that way, by blocks of about ``_BLOCK_ENTRIES`` entries, so that neither
-builds a second N x N array.  The constructors here hand their freshly built
-arrays to ``MatrixOp`` read-only, so it keeps them without a copy.
+builds a second N x N array.  Both multiply by ``matvec(x)`` and ``rmatvec(y)``.
+The constructors here hand their freshly built arrays to ``MatrixOp``
+read-only, so it keeps them without a copy.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import LengthMismatch, ParseError, SizeMismatch, SpecError
 from .exponents import Exponent, TWO
 from .seq_spaces import (
-    IndexDomain,
     SeqSpaceSpec,
     SpaceKind,
     TruncatedSeq,
@@ -65,6 +67,12 @@ class MatrixOp:
         """Rows lo..hi-1 (0-based), as a read-only view."""
         return self.entries[lo:hi]
 
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        return self.entries @ _vector(x, self.n)
+
+    def rmatvec(self, y: np.ndarray) -> np.ndarray:
+        return _vector(y, self.n) @ self.entries
+
     def to_json(self) -> dict:
         return {
             "n": self.n,
@@ -74,12 +82,21 @@ class MatrixOp:
         }
 
 
+def _vector(x: np.ndarray, n: int) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    if x.shape != (n,):
+        raise LengthMismatch(f"vector shape {x.shape} != ({n},)")
+    return x
+
+
 def _fresh(entries: np.ndarray, domain: SeqSpaceSpec,
            codomain: SeqSpaceSpec) -> MatrixOp:
     """MatrixOp that takes over an array built here and held nowhere else."""
     entries.flags.writeable = False
     return MatrixOp(entries, domain, codomain)
 
+
+_L2 = lp_space(TWO)
 
 #: entries per row block when an operator is read by rows: 256 KB per float array
 _BLOCK_ENTRIES = 1 << 15
@@ -107,6 +124,14 @@ class CesaroOp:
         out *= (1.0 / np.arange(lo + 1, hi + 1))[:, None]
         return out
 
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        """(C x)_i = (x_1 + ... + x_i) / i."""
+        return np.cumsum(_vector(x, self.n)) / np.arange(1, self.n + 1)
+
+    def rmatvec(self, y: np.ndarray) -> np.ndarray:
+        """(C^T y)_j = sum over i >= j of y_i / i."""
+        return np.cumsum((_vector(y, self.n) / np.arange(1, self.n + 1))[::-1])[::-1]
+
 
 def cesaro_matrix(n: int, r: Exponent = TWO) -> MatrixOp:
     """Running-averages operator as a dense ``MatrixOp``."""
@@ -114,21 +139,20 @@ def cesaro_matrix(n: int, r: Exponent = TWO) -> MatrixOp:
     return _fresh(op.rows(0, n), op.domain, op.codomain)
 
 
-def identity_matrix(n: int, p: Exponent = TWO, q: Exponent | None = None) -> MatrixOp:
-    return _fresh(np.eye(n), lp_space(p), lp_space(q if q is not None else p))
+def identity_matrix(n: int) -> MatrixOp:
+    """Identity on l^2."""
+    return _fresh(np.eye(n), _L2, _L2)
 
 
-def random_lower_triangular(n: int, seed: int, p: Exponent = TWO) -> MatrixOp:
+def random_lower_triangular(n: int, seed: int) -> MatrixOp:
+    """Standard normal entries on and below the diagonal, on l^2."""
     rng = np.random.default_rng(seed)
     entries = rng.standard_normal((n, n))
     np.copyto(entries, 0.0, where=~np.tri(n, dtype=bool))  # np.tril, in place
-    spec = lp_space(p)
-    return _fresh(entries, spec, spec)
+    return _fresh(entries, _L2, _L2)
 
 
-def factorable_matrix(alpha: TruncatedSeq, h: TruncatedSeq, j0: int = 1,
-                      domain: SeqSpaceSpec | None = None,
-                      codomain: SeqSpaceSpec | None = None) -> MatrixOp:
+def factorable_matrix(alpha: TruncatedSeq, h: TruncatedSeq, j0: int = 1) -> MatrixOp:
     """Matrix with the rank-one-scaled triangular shape that factors through
     the running-averages operator: entry (i, j) = h_j * alpha_{i-j0+1} on the
     shifted triangle j0 <= j <= i, zero elsewhere.
@@ -140,7 +164,7 @@ def factorable_matrix(alpha: TruncatedSeq, h: TruncatedSeq, j0: int = 1,
     entries = np.zeros((n, n))
     for i in range(j0, n + 1):
         entries[i - 1, j0 - 1:i] = hv[j0 - 1:i] * a[i - j0]
-    return _fresh(entries, domain or lp_space(TWO), codomain or lp_space(TWO))
+    return _fresh(entries, _L2, _L2)
 
 
 def perturb_entry(op: MatrixOp, i: int, j: int, eps: float) -> MatrixOp:
@@ -150,13 +174,6 @@ def perturb_entry(op: MatrixOp, i: int, j: int, eps: float) -> MatrixOp:
     entries = op.entries.copy()
     entries[i - 1, j - 1] += eps
     return _fresh(entries, op.domain, op.codomain)
-
-
-def apply(op: MatrixOp, x: TruncatedSeq) -> TruncatedSeq:
-    """Matrix-vector product as a NAT1 sequence."""
-    if len(x) != op.n:
-        raise LengthMismatch(f"vector length {len(x)} != matrix size {op.n}")
-    return TruncatedSeq(op.entries @ x.coeffs, IndexDomain.NAT1)
 
 
 def diagonal_sandwich(g: TruncatedSeq, op: MatrixOp | CesaroOp,
@@ -174,55 +191,61 @@ def diagonal_sandwich(g: TruncatedSeq, op: MatrixOp | CesaroOp,
     return _fresh(entries, op.domain, op.codomain)
 
 
-def operator_norm_estimate(op: MatrixOp, trials: int = 64, seed: int = 0) -> float:
-    """Certified lower bound on the operator norm of the truncation.
+class NormEstimate(NamedTuple):
+    """Norm lower bound, Lanczos steps and convergence (0, False off l^2)."""
+    value: float
+    steps: int
+    converged: bool
 
-    Sampling: coordinate vectors (exact column norms), seeded random
-    directions normalized in the domain norm, and power-iteration refinement
-    when domain and codomain are both plain l^2 (where the refined value is
-    the spectral norm itself up to iteration tolerance).  No upper-bound
-    claim is made outside the l^2 case.  Deterministic given the seed.
-    """
+
+#: Golub-Kahan-Lanczos step limit and relative residual of the stopping rule
+_LANCZOS_STEPS = 300
+_LANCZOS_TOL = 1e-14
+
+
+def operator_norm_estimate(op: MatrixOp | CesaroOp, trials: int = 64,
+                           seed: int = 0) -> NormEstimate:
+    """Certified lower bound on the operator norm of the truncation, seeded:
+    on plain l^2 a Golub-Kahan-Lanczos estimate, in any other space the
+    largest ratio over the coordinate vectors and ``trials`` random
+    directions, with no upper-bound claim."""
     if trials < 1:
         raise SpecError("trials must be >= 1")
-    a = op.entries
     n = op.n
-    best = 0.0
-    for j in range(n):
-        e = np.zeros(n)
-        e[j] = 1.0
-        dn = space_norm(TruncatedSeq(e), op.domain)
-        if dn > 0:
-            best = max(best, space_norm(TruncatedSeq(a[:, j]), op.codomain) / dn)
     rng = np.random.default_rng(seed)
-    for _ in range(trials):
-        x = rng.standard_normal(n)
-        dn = space_norm(TruncatedSeq(x), op.domain)
-        if dn == 0:
-            continue
-        best = max(best, space_norm(TruncatedSeq(a @ x), op.codomain) / dn)
-    both_l2 = (
-        op.domain.kind is SpaceKind.LP and op.codomain.kind is SpaceKind.LP
-        and op.domain.p == TWO and op.codomain.p == TWO
-    )
-    if both_l2:
-        x = rng.standard_normal(n)
-        x /= np.linalg.norm(x)
-        prev = 0.0
-        for _ in range(10000):
-            y = a @ x
-            z = a.T @ y
-            val = np.linalg.norm(z)
-            if val == 0.0:
-                break
-            x = z / val
-            sigma = np.sqrt(val)
-            if abs(sigma - prev) <= 1e-14 * max(sigma, 1.0):
-                prev = sigma
-                break
-            prev = sigma
-        best = max(best, prev)
-    return best
+    if all(s.kind is SpaceKind.LP and s.p == TWO for s in (op.domain, op.codomain)):
+        return _lanczos_norm(op, rng.standard_normal(n))
+    a = op.rows(0, n)
+    pairs = itertools.chain(((np.eye(1, n, j)[0], a[:, j]) for j in range(n)),
+                            ((x, op.matvec(x)) for x in rng.standard_normal((trials, n))))
+    best = max((space_norm(TruncatedSeq(y), op.codomain) / dn for x, y in pairs
+                if (dn := space_norm(TruncatedSeq(x), op.domain)) > 0), default=0.0)
+    return NormEstimate(best, 0, False)
+
+
+def _lanczos_norm(op: MatrixOp | CesaroOp, x: np.ndarray) -> NormEstimate:
+    """Golub-Kahan-Lanczos from x with full reorthogonalisation, op V_k = U_k B_k
+    with the alphas on B_k's diagonal and the betas above it; converged when
+    beta_k |e_k^T p| <= _LANCZOS_TOL sigma, (sigma, p) B_k's top left pair."""
+    us, vs, alphas, betas = [], [x / np.linalg.norm(x)], [], []
+    for k in range(1, _LANCZOS_STEPS + 1):
+        u = op.matvec(vs[-1]) - (betas[-1] * us[-1] if us else 0.0)
+        alphas.append(_reorthogonalise(u, us))
+        us.append(u / alphas[-1] if alphas[-1] else u)  # u = 0: op V_k lies in span U
+        v = op.rmatvec(us[-1]) - alphas[-1] * vs[-1]
+        betas.append(_reorthogonalise(v, vs))
+        left, sigma, _ = np.linalg.svd(np.diag(alphas) + np.diag(betas[:-1], 1))
+        if betas[-1] * abs(left[-1, 0]) <= _LANCZOS_TOL * sigma[0]:
+            return NormEstimate(float(sigma[0]), k, True)
+        vs.append(v / betas[-1])
+    return NormEstimate(float(sigma[0]), _LANCZOS_STEPS, False)
+
+
+def _reorthogonalise(w: np.ndarray, basis: list) -> float:
+    """Norm of w after removing, in place, its parts along the orthonormal basis."""
+    for q in basis:
+        w -= (q @ w) * q
+    return float(np.linalg.norm(w))
 
 
 # ---------------------------------------------------------------------------
@@ -266,9 +289,8 @@ def matrix_to_csv(op: MatrixOp, path) -> None:
     _write_csv(path, op.entries, header=f"N={op.n}")
 
 
-def matrix_from_csv(path, domain: SeqSpaceSpec | None = None,
-                    codomain: SeqSpaceSpec | None = None) -> MatrixOp:
-    """Row-major CSV with a one-line header ``N=<n>``."""
+def matrix_from_csv(path) -> MatrixOp:
+    """Row-major CSV with a one-line header ``N=<n>``, as an operator on l^2."""
     lines = _nonblank_lines(path)
     if not lines or not lines[0][1].startswith("N="):
         raise ParseError(f"{path}:1: expected header 'N=<n>'")
@@ -279,8 +301,7 @@ def matrix_from_csv(path, domain: SeqSpaceSpec | None = None,
         raise ParseError(f"{path}:{k}: malformed size in header {header!r}") from None
     if len(lines) - 1 != n:
         raise ParseError(f"{path}: expected {n} rows, found {len(lines) - 1}")
-    spec2 = lp_space(TWO)
-    return _fresh(_read_csv(path, n, lines[1:]), domain or spec2, codomain or spec2)
+    return _fresh(_read_csv(path, n, lines[1:]), _L2, _L2)
 
 
 def matrix_from_json_file(path) -> MatrixOp:
@@ -313,9 +334,9 @@ def seq_to_csv(x: TruncatedSeq, path) -> None:
     _write_csv(path, x.coeffs[:, None])
 
 
-def seq_from_csv(path, index_domain: IndexDomain = IndexDomain.NAT1) -> TruncatedSeq:
-    """Single-column CSV of coefficients."""
+def seq_from_csv(path) -> TruncatedSeq:
+    """Single-column CSV of coefficients, indexed 1..N."""
     coeffs = _read_csv(path, 1, _nonblank_lines(path))[:, 0]
     if not coeffs.size:
         raise ParseError(f"{path}: empty sequence")
-    return TruncatedSeq(coeffs, index_domain)
+    return TruncatedSeq(coeffs)

@@ -13,7 +13,7 @@ from strongfactor.operators import (
     _BLOCK_ENTRIES,
     CesaroOp,
     MatrixOp,
-    apply,
+    NormEstimate,
     cesaro_matrix,
     diagonal_sandwich,
     factorable_matrix,
@@ -131,25 +131,46 @@ class TestCesaroOp:
         assert rows.tobytes() == a.entries[2:4].tobytes()
 
 
-class TestApply:
-    def test_constant_sequence_fixed_point(self):
-        out = apply(cesaro_matrix(5), ones(5))
-        assert np.allclose(out.coeffs, 1.0)
+#: both operator types, by the name of their Cesàro constructor
+CESARO_OPS = {"cesaro_matrix": cesaro_matrix, "CesaroOp": CesaroOp}
 
-    def test_first_unit_vector_gives_harmonic(self):
+
+@pytest.mark.parametrize("make", CESARO_OPS.values(), ids=CESARO_OPS.keys())
+class TestMatvec:
+    def test_constant_sequence_fixed_point(self, make):
+        assert np.allclose(make(5).matvec(np.ones(5)), 1.0)
+
+    def test_first_unit_vector_gives_harmonic(self, make):
         e1 = np.zeros(4)
         e1[0] = 1.0
-        out = apply(cesaro_matrix(4), TruncatedSeq(e1))
-        assert np.allclose(out.coeffs, [1.0, 0.5, 1 / 3, 0.25])
+        assert np.allclose(make(4).matvec(e1), [1.0, 0.5, 1 / 3, 0.25])
 
-    def test_identity(self):
-        rng = np.random.default_rng(0)
-        x = TruncatedSeq(rng.standard_normal(7))
-        assert np.array_equal(apply(identity_matrix(7), x).coeffs, x.coeffs)
+    def test_transpose_of_last_unit_vector_is_constant(self, make):
+        e4 = np.zeros(4)
+        e4[3] = 1.0
+        assert np.allclose(make(4).rmatvec(e4), 0.25)
 
-    def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
-            apply(cesaro_matrix(3), ones(4))
+    @pytest.mark.parametrize("method", ["matvec", "rmatvec"])
+    def test_length_mismatch(self, make, method):
+        multiply = getattr(make(3), method)
+        for x in (np.ones(4), np.ones(1), np.ones((3, 1)), np.float64(1.0)):
+            with pytest.raises(LengthMismatch):
+                multiply(x)
+
+
+def test_identity_matvec():
+    x = np.random.default_rng(0).standard_normal(7)
+    op = identity_matrix(7)
+    assert np.array_equal(op.matvec(x), x) and np.array_equal(op.rmatvec(x), x)
+
+
+@pytest.mark.parametrize("n", [1, 7, 256, 257])
+def test_cesaro_products_match_the_dense_matrix(n):
+    rng = np.random.default_rng(n)
+    x, y = rng.standard_normal(n), rng.standard_normal(n)
+    op, entries = CesaroOp(n), cesaro_matrix(n).entries
+    for got, ref in [(op.matvec(x), entries @ x), (op.rmatvec(y), y @ entries)]:
+        assert np.linalg.norm(got - ref) <= 1e-14 * np.linalg.norm(ref)
 
 
 class TestDiagonalSandwich:
@@ -179,25 +200,41 @@ class TestDiagonalSandwich:
         h = TruncatedSeq(rng.standard_normal(8))
         x = TruncatedSeq(rng.standard_normal(8))
         op = cesaro_matrix(8)
-        left = apply(diagonal_sandwich(g, op, h), x).coeffs
-        right = g.coeffs * apply(op, TruncatedSeq(h.coeffs * x.coeffs)).coeffs
+        left = diagonal_sandwich(g, op, h).matvec(x.coeffs)
+        right = g.coeffs * op.matvec(h.coeffs * x.coeffs)
         assert np.allclose(left, right, atol=1e-14)
+
+
+def norm_cases(n):
+    """Operators on l^2 at size n, by name, for the Lanczos estimate."""
+    rng = np.random.default_rng(n)
+    g, h = TruncatedSeq(rng.standard_normal(n)), TruncatedSeq(rng.uniform(0.1, 1.0, n))
+    top_repeats = np.concatenate([[3.0, 3.0, -3.0], np.linspace(2.5, 0.1, n)])[:n]
+    return {
+        "CesaroOp": CesaroOp(n),
+        "cesaro_matrix": cesaro_matrix(n),
+        "random_lower_triangular": random_lower_triangular(n, seed=n),
+        "sandwich": diagonal_sandwich(g, CesaroOp(n), h),
+        "diagonal": diagonal_sandwich(TruncatedSeq(top_repeats), identity_matrix(n), ones(n)),
+        "identity": identity_matrix(n),
+        "zero": MatrixOp(np.zeros((n, n)), lp_space(2), lp_space(2)),
+    }
 
 
 class TestNormEstimate:
     def test_identity_at_least_one(self):
-        assert operator_norm_estimate(identity_matrix(10), trials=4, seed=0) >= 1 - 1e-12
+        assert operator_norm_estimate(identity_matrix(10), trials=4, seed=0).value >= 1 - 1e-12
 
     def test_diagonal_spectral_norm(self):
         op = diagonal_sandwich(TruncatedSeq([3.0, 1.0]), identity_matrix(2),
                                TruncatedSeq([1.0, 1.0]))
-        assert operator_norm_estimate(op, trials=8, seed=0) == pytest.approx(3.0, abs=1e-6)
+        assert operator_norm_estimate(op, trials=8, seed=0).value == pytest.approx(3.0, abs=1e-6)
 
     def test_cesaro_truncation_norm(self):
         # the truncated norm stays below the limiting constant 2 and matches
         # a direct SVD; at N = 256 it sits near 1.686
         op = cesaro_matrix(256)
-        est = operator_norm_estimate(op, trials=8, seed=0)
+        est = operator_norm_estimate(op, trials=8, seed=0).value
         oracle = float(np.linalg.svd(np.asarray(op.entries), compute_uv=False)[0])
         assert est == pytest.approx(oracle, abs=1e-9)
         assert est <= 2.0
@@ -206,7 +243,32 @@ class TestNormEstimate:
     def test_lower_bound_only_for_general_exponents(self):
         op = cesaro_matrix(32, Exponent(3))
         est = operator_norm_estimate(op, trials=32, seed=1)
-        assert 0.9 <= est <= float(conjugate(Exponent(3)))
+        assert 0.9 <= est.value <= float(conjugate(Exponent(3)))
+        assert est.steps == 0 and not est.converged
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 64, 256, 1024])
+    def test_lanczos_agrees_with_dense_svd(self, n):
+        for name, op in norm_cases(n).items():
+            est = operator_norm_estimate(op)
+            sigma = float(np.linalg.svd(op.rows(0, n), compute_uv=False)[0])
+            assert est.converged and 1 <= est.steps <= 300, name
+            assert abs(est.value - sigma) <= 1e-13 * sigma, name
+
+    @pytest.mark.parametrize("k, norm", [(12, 1.79478), (14, 1.82921), (16, 1.85575)])
+    def test_cesaro_norm_curve(self, k, norm):
+        est = operator_norm_estimate(CesaroOp(2 ** k))
+        assert est.converged and abs(est.value - norm) <= 5e-6
+
+    @pytest.mark.parametrize("op", [CesaroOp(64), cesaro_matrix(16, Exponent(3))],
+                             ids=["l2", "l3"])
+    def test_same_seed_same_estimate(self, op):
+        est = operator_norm_estimate(op, trials=8, seed=3)
+        assert isinstance(est, NormEstimate)
+        assert operator_norm_estimate(op, trials=8, seed=3) == est
+
+    def test_lanczos_holds_no_square_array(self, traced_peak):
+        n = 2 ** 14
+        assert traced_peak(lambda: operator_norm_estimate(CesaroOp(n))) < 0.01 * 8 * n * n
 
 
 class TestHardyInequality:
@@ -218,7 +280,7 @@ class TestHardyInequality:
         bound = float(conjugate(pe))
         for _ in range(20):
             x = TruncatedSeq(np.abs(rng.standard_normal(256)))
-            assert lp_norm(apply(op, x), pe) <= bound * lp_norm(x, pe) * (1 + 1e-12)
+            assert lp_norm(op.matvec(x.coeffs), pe) <= bound * lp_norm(x, pe) * (1 + 1e-12)
 
 
 class TestFactorableMatrix:
