@@ -23,6 +23,8 @@ import numpy as np
 from .errors import ParseError, SpecError, StrongFactorError
 from .exponents import Exponent, conjugate, multiplier_exponent
 from .factorization import (
+    EXACT_TOL,
+    QUADRATURE_TOL,
     Certificate,
     Verdict,
     certify_inequality_cesaro,
@@ -33,7 +35,7 @@ from .factorization import (
     matrix_factor_check,
     verify_representing,
 )
-from .grid_functions import BasisFamily, BasisSpec, fourier_coeffs, representing_setup
+from .grid_functions import BasisFamily, BasisSpec, _representing_op
 from .operators import (
     CesaroOp,
     MatrixOp,
@@ -157,13 +159,10 @@ def _generate_matrix(args, n: int) -> MatrixOp:
 
 
 def _job_echo(args) -> dict:
-    keys = ("matrix", "gen", "g", "h", "through", "p", "q", "r", "N", "tol",
-            "seed", "patterns", "perturb", "family", "samples", "permute")
-    job = {"command": args.command}
-    for key in keys:
-        if hasattr(args, key):
-            job[key] = getattr(args, key)
-    return job
+    """Every parsed option as given, but where the output goes and which
+    handler runs."""
+    return {key: value for key, value in vars(args).items()
+            if key not in ("run", "check", "out", "no_timestamp")}
 
 
 def _finish_certificate(cert: Certificate, args, extra: dict | None = None) -> int:
@@ -256,33 +255,26 @@ def _cmd_verify_representing(args) -> int:
         raise SpecError(f"unknown family {args.family!r}; choose from "
                         f"{', '.join(_FAMILIES)}")
     spec = BasisSpec(family, args.N)
-    _, h = representing_setup(spec)
-    count = args.N
-    g = _load_sequence(args.g, count) if args.g else TruncatedSeq(np.ones(count))
-
-    def t_impl(x):
-        coeffs = fourier_coeffs(x.multiplied(h), spec, count).coeffs * g.coeffs
-        if args.permute:
-            coeffs = coeffs.copy()
-            coeffs[[0, 1]] = coeffs[[1, 0]]
-        return coeffs
-
-    cert = verify_representing(t_impl, spec, h, g, samples=args.samples,
-                               count=count, tol=args.tol, seed=args.seed)
+    g = _load_sequence(args.g, args.N) if args.g else TruncatedSeq(np.ones(args.N))
+    h, t = _representing_op(spec, g, args.permute)
+    cert = verify_representing(t, spec, h, g, samples=args.samples,
+                               count=args.N, tol=args.tol, seed=args.seed)
     return _finish_certificate(cert, args)
 
 
 def _cmd_suite(args) -> int:
-    from .suites import SUITES, run_suite
+    from .suites import SUITES
 
-    names = list(SUITES) if args.name == "all" else [args.name]
+    if args.name != "all" and args.name not in SUITES:
+        raise SpecError(f"unknown suite {args.name!r}; choose from "
+                        f"{', '.join([*SUITES, 'all'])}")
     all_ok = True
-    for name in names:
-        for res in run_suite(name, seed=args.seed):
-            print(res.summary())
-            for line in res.details:
-                print(f"  {line}")
-            all_ok = all_ok and res.passed
+    for name in SUITES if args.name == "all" else [args.name]:
+        res = SUITES[name](args.seed)
+        print(res.summary())
+        for line in res.details:
+            print(f"  {line}")
+        all_ok = all_ok and res.passed
     return 0 if all_ok else 1
 
 
@@ -303,7 +295,7 @@ def _add_common(sub, exponents: str = "", with_matrix=True):
                      default=64, help="truncation size")
     sub.add_argument("--tol", type=_checked(float, lambda t: 0.0 <= t < math.inf,
                                             "finite and >= 0"),
-                     default=1e-9, help="decision tolerance")
+                     default=EXACT_TOL, help="decision tolerance")
     sub.add_argument("--seed", type=int, default=0, help="seed recorded in output")
     sub.add_argument("--out", help="certificate path (default: print to stdout)")
     sub.add_argument("--no-timestamp", action="store_true",
@@ -365,7 +357,7 @@ def build_parser() -> _Parser:
     sub.add_argument("--g", help="diagonal sequence (default: ones)")
     sub.add_argument("--permute", action="store_true",
                      help="swap the first two coefficients (demonstrates failure)")
-    sub.set_defaults(tol=1e-6, run=_cmd_verify_representing)
+    sub.set_defaults(tol=QUADRATURE_TOL, run=_cmd_verify_representing)
 
     sub = subs.add_parser("suite", help="run a built-in verification sweep")
     sub.add_argument("--name", default="all")

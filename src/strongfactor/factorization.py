@@ -510,11 +510,10 @@ def _ascend_lockstep(form, r: np.ndarray, lhs, rhs, rows, rhs_pow) -> None:
     steers the flips only.  Every power is ``np.power``, which gives an
     element the same bits whatever the vector length, so each pattern takes
     the flips it would take alone.  A pattern stops after a pass with no
-    accepted flip, or after a flip that refutes.  When the evaluator
-    confirms that pattern k's flip refutes, the sweep ends at k, so every
-    later pattern stops too.  Near REFUTE_RHS_TOL the incremental RHS and
-    the evaluator's can fall on either side of it, so an unconfirmed
-    refutation stops only its own pattern.
+    accepted flip, or after a flip that refutes by the incremental score;
+    the other patterns go on.  The caller re-scores every end with the
+    evaluator and cuts the records at the first that refutes, so the
+    patterns after a refuting one are ascended but never reported.
     """
     ent, w, sp, inv_pow = form.ent, form.w, form.sp, form.inv_pow
     inv_sp = 1.0 / sp
@@ -559,11 +558,6 @@ def _ascend_lockstep(form, r: np.ndarray, lhs, rhs, rows, rhs_pow) -> None:
                         np.negative(rt[i, j], out=rt[i, j], where=refute)
                         active &= ~refute
                         cur[refute] = math.inf
-                        for k in np.flatnonzero(refute):
-                            if _refutes(*form.evaluate(r[k:k + 1])[:2])[0]:
-                                active[k + 1:] = False
-                                cur[k + 1:] = math.inf
-                                break
                     ratio = new[0] / new_rhs
                     accept = ratio > cur
                     if any_vanish:

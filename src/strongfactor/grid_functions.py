@@ -194,14 +194,18 @@ def constant(c: float, spec_or_rule) -> GridFunction:
     return GridFunction(rule, np.full(rule.nodes.shape, float(c)))
 
 
-def grid_from_csv(path, rule: QuadRule, node_tol: float = 1e-9) -> GridFunction:
+#: largest distance between a CSV node and the declared rule's node
+_NODE_TOL = 1e-9
+
+
+def grid_from_csv(path, rule: QuadRule) -> GridFunction:
     """(node, value) rows; nodes must match the declared rule's nodes."""
     lines = _nonblank_lines(path)
     rows = _read_csv(path, 2, lines)
     if len(rows) != rule.nodes.size:
         raise ParseError(f"{path}: expected {rule.nodes.size} rows, found {len(rows)}")
     miss = np.abs(rows[:, 0] - rule.nodes)
-    if miss.max() > node_tol:
+    if miss.max() > _NODE_TOL:
         k = int(miss.argmax())
         raise ParseError(f"{path}:{lines[k][0]}: node {float(rows[k, 0])!r} "
                          "does not match the declared rule")
@@ -350,3 +354,19 @@ def representing_setup(spec: BasisSpec):
         w = lambda x: np.ones_like(np.asarray(x, dtype=float))
         h = lambda x: np.ones_like(np.asarray(x, dtype=float))
     return w, h
+
+
+def _representing_op(spec: BasisSpec, g: TruncatedSeq, permute: bool):
+    """h = w^(1/2) and the representing operator t(x) = g . alpha(h x), alpha
+    the first spec.count coefficients; ``permute`` swaps t's first two."""
+    if permute and spec.count < 2:
+        raise SpecError(f"permuting needs at least two coefficients, got {spec.count}")
+    _, h = representing_setup(spec)
+
+    def t(x: GridFunction) -> np.ndarray:
+        coeffs = fourier_coeffs(x.multiplied(h), spec, spec.count).coeffs * g.coeffs
+        if permute:
+            coeffs[[0, 1]] = coeffs[[1, 0]]
+        return coeffs
+
+    return h, t

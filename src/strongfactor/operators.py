@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import LengthMismatch, ParseError, SizeMismatch, SpecError
-from .exponents import Exponent, TWO
+from .exponents import TWO
 from .seq_spaces import (
     SeqSpaceSpec,
     SpaceKind,
@@ -109,14 +109,14 @@ def _block_bounds(n: int):
 
 
 class CesaroOp:
-    """Running-averages operator C_N on l^r, held implicitly: entry (i, j) is
+    """Running-averages operator C_N on l^2, held implicitly: entry (i, j) is
     1/i for j <= i, else 0.  Only ``rows`` builds entries."""
 
-    def __init__(self, n: int, r: Exponent = TWO):
+    def __init__(self, n: int):
         if n < 1:
             raise SpecError("matrix size must be >= 1")
         self.n = n
-        self.domain = self.codomain = lp_space(r)
+        self.domain = self.codomain = _L2
 
     def rows(self, lo: int, hi: int) -> np.ndarray:
         """Rows lo..hi-1 (0-based), as a fresh array."""
@@ -133,10 +133,9 @@ class CesaroOp:
         return np.cumsum((_vector(y, self.n) / np.arange(1, self.n + 1))[::-1])[::-1]
 
 
-def cesaro_matrix(n: int, r: Exponent = TWO) -> MatrixOp:
-    """Running-averages operator as a dense ``MatrixOp``."""
-    op = CesaroOp(n, r)
-    return _fresh(op.rows(0, n), op.domain, op.codomain)
+def cesaro_matrix(n: int) -> MatrixOp:
+    """Running-averages operator as a dense ``MatrixOp`` on l^2."""
+    return _fresh(CesaroOp(n).rows(0, n), _L2, _L2)
 
 
 def identity_matrix(n: int) -> MatrixOp:
@@ -201,23 +200,22 @@ class NormEstimate(NamedTuple):
 #: Golub-Kahan-Lanczos step limit and relative residual of the stopping rule
 _LANCZOS_STEPS = 300
 _LANCZOS_TOL = 1e-14
+#: random directions tried, besides the coordinate vectors, off l^2
+_NORM_TRIALS = 64
 
 
-def operator_norm_estimate(op: MatrixOp | CesaroOp, trials: int = 64,
-                           seed: int = 0) -> NormEstimate:
+def operator_norm_estimate(op: MatrixOp | CesaroOp, seed: int = 0) -> NormEstimate:
     """Certified lower bound on the operator norm of the truncation, seeded:
     on plain l^2 a Golub-Kahan-Lanczos estimate, in any other space the
-    largest ratio over the coordinate vectors and ``trials`` random
+    largest ratio over the coordinate vectors and ``_NORM_TRIALS`` random
     directions, with no upper-bound claim."""
-    if trials < 1:
-        raise SpecError("trials must be >= 1")
     n = op.n
     rng = np.random.default_rng(seed)
     if all(s.kind is SpaceKind.LP and s.p == TWO for s in (op.domain, op.codomain)):
         return _lanczos_norm(op, rng.standard_normal(n))
     a = op.rows(0, n)
     pairs = itertools.chain(((np.eye(1, n, j)[0], a[:, j]) for j in range(n)),
-                            ((x, op.matvec(x)) for x in rng.standard_normal((trials, n))))
+                            ((x, op.matvec(x)) for x in rng.standard_normal((_NORM_TRIALS, n))))
     best = max((space_norm(TruncatedSeq(y), op.codomain) / dn for x, y in pairs
                 if (dn := space_norm(TruncatedSeq(x), op.domain)) > 0), default=0.0)
     return NormEstimate(best, 0, False)

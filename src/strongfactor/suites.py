@@ -27,11 +27,11 @@ from .grid_functions import (
     BasisFamily,
     BasisSpec,
     _basis_matrix,
+    _representing_op,
     default_rule,
     fourier_coeffs,
     lp_function_norm,
     random_trig_poly,
-    representing_setup,
 )
 from .operators import (
     CesaroOp,
@@ -195,7 +195,7 @@ def cesaro_norm_window(res: SuiteResult, seed: int = 0) -> None:
     the limiting constant 2 only as N grows without bound.
     """
     op = CesaroOp(256)
-    est, steps, converged = operator_norm_estimate(op, trials=16, seed=seed)
+    est, steps, converged = operator_norm_estimate(op, seed=seed)
     svd = float(np.linalg.svd(op.rows(0, op.n), compute_uv=False)[0])
     res.details.append(f"estimate {est:.9f} after {steps} Lanczos steps "
                        f"(converged: {converged}); direct SVD {svd:.9f}")
@@ -420,19 +420,10 @@ def representing_chebyshev(res: SuiteResult, seed: int = 0) -> None:
     square-root-weight multiplier) verifies as a representing operator with
     unit diagonal at tol 1e-6; permuting two coefficients breaks it."""
     spec = BasisSpec(BasisFamily.CHEBYSHEV1, 16)
-    _, h = representing_setup(spec)
     g = TruncatedSeq(np.ones(16))
-
-    def t_impl(x):
-        return fourier_coeffs(x.multiplied(h), spec, 16).coeffs
-
-    def t_permuted(x):
-        coeffs = t_impl(x).copy()
-        coeffs[[0, 1]] = coeffs[[1, 0]]
-        return coeffs
-
-    for label, t, expected in (("direct construction", t_impl, Verdict.FACTORS),
-                               ("permuted variant", t_permuted, Verdict.DOES_NOT_FACTOR)):
+    for label, permute, expected in (("direct construction", False, Verdict.FACTORS),
+                                     ("permuted variant", True, Verdict.DOES_NOT_FACTOR)):
+        h, t = _representing_op(spec, g, permute)
         cert = verify_representing(t, spec, h, g, samples=20, count=16,
                                    tol=1e-6, seed=seed)
         res.details.append(f"{label}: {cert.verdict.value} "
@@ -469,13 +460,3 @@ def cli_determinism(res: SuiteResult, seed: int = 7) -> None:
         else:
             res.details.append(f"byte-identical certificates ({len(outs[0])} bytes)")
 
-
-def run_suite(name: str, seed: int = 0) -> list[SuiteResult]:
-    if name == "all":
-        return [fn(seed) for fn in SUITES.values()]
-    if name not in SUITES:
-        from .errors import SpecError
-
-        raise SpecError(f"unknown suite {name!r}; choose from "
-                        f"{', '.join(list(SUITES) + ['all'])}")
-    return [SUITES[name](seed)]

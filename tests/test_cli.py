@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -315,6 +316,20 @@ class TestVerifyRepresenting:
     def test_unknown_family(self):
         assert run(["verify-representing", "--family", "hermite"]) == 64
 
+    def test_permute_one_coefficient_is_one_error_line(self):
+        done = run_process(["verify-representing", "--N", "1", "--permute",
+                            "--samples", "2", "--no-timestamp"])
+        assert done.returncode == 64
+        assert done.stdout == ""
+        assert "Traceback" not in done.stderr
+        assert len(done.stderr.splitlines()) == 1
+        assert done.stderr.startswith("error: ")
+
+    def test_permute_two_coefficients_fails(self, tmp_path):
+        code = run(["verify-representing", "--N", "2", "--permute",
+                    "--samples", "2", "--out", str(tmp_path / "c.json")])
+        assert code == 1
+
 
 class TestDeterminism:
     def test_byte_identical_output(self, tmp_path):
@@ -335,6 +350,13 @@ class TestDeterminism:
         assert job["command"] == command
         assert (job["p"], job["q"], job["r"]) == ("2", "2", "2")
 
+    @pytest.mark.parametrize("form", ["cesaro", "fourier"])
+    def test_job_echo_names_the_certify_form(self, tmp_path, form):
+        out = tmp_path / "c.json"
+        run(["certify", "--form", form, "--gen", "diag", "--g", "invsq",
+             "--h", "ones", "--N", "4", "--r", "2", "--q", "2", "--out", str(out)])
+        assert read_cert(out)["job"]["form"] == form
+
     def test_timestamp_present_by_default(self, tmp_path):
         out = tmp_path / "c.json"
         run(["check-cesaro", "--gen", "cesaro", "--h", "ones", "--N", "4",
@@ -349,6 +371,42 @@ class TestDeterminism:
         run(args + ["--out", str(a)])
         run(args + ["--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestJobEcho:
+    """The job echo holds every parsed option but the four that say where
+    the output goes or which handler runs."""
+
+    NOT_ECHOED = {"run", "check", "out", "no_timestamp"}
+    JOBS = {
+        "check-cesaro": ["--gen", "cesaro", "--h", "ones", "--p", "2", "--q", "2",
+                         "--r", "2"],
+        "check-cesaro-j0": ["--gen", "cesaro", "--h", "ones", "--p", "2", "--q", "2",
+                            "--r", "2"],
+        "check-fourier": ["--gen", "diag", "--g", "invsq", "--p", "2", "--q", "2",
+                          "--r", "2"],
+        "check-matrix": ["--gen", "cesaro", "--h", "ones"],
+        "certify": ["--gen", "identity", "--h", "ones", "--r", "2", "--q", "2"],
+        "verify-representing": ["--samples", "2"],
+    }
+
+    @staticmethod
+    def subcommands():
+        parser = cli.build_parser()
+        action = next(a for a in parser._actions
+                      if isinstance(a, argparse._SubParsersAction))
+        return action.dest, action.choices
+
+    def test_every_certificate_command_has_a_job(self):
+        assert set(self.JOBS) == set(self.subcommands()[1]) - {"suite"}
+
+    @pytest.mark.parametrize("command", sorted(JOBS))
+    def test_echo_keys_are_the_parser_destinations(self, tmp_path, command):
+        dest, subs = self.subcommands()
+        expected = {dest} | {a.dest for a in subs[command]._actions} - {"help"}
+        out = tmp_path / "c.json"
+        run([command, "--N", "4", *self.JOBS[command], "--out", str(out)])
+        assert set(read_cert(out)["job"]) == expected - self.NOT_ECHOED
 
 
 class TestSuiteCommand:

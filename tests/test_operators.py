@@ -118,9 +118,9 @@ class TestCesaroOp:
         assert not got.flags.writeable
 
     def test_spaces_and_size(self):
-        op = CesaroOp(5, Exponent(3))
-        assert op.n == 5 and op.domain == op.codomain == lp_space(3)
-        assert cesaro_matrix(5, Exponent(3)).domain == op.domain
+        op = CesaroOp(5)
+        assert op.n == 5 and op.domain == op.codomain == lp_space(2)
+        assert cesaro_matrix(5).domain == op.domain
         with pytest.raises(SpecError, match="matrix size must be >= 1"):
             CesaroOp(0)
 
@@ -223,26 +223,26 @@ def norm_cases(n):
 
 class TestNormEstimate:
     def test_identity_at_least_one(self):
-        assert operator_norm_estimate(identity_matrix(10), trials=4, seed=0).value >= 1 - 1e-12
+        assert operator_norm_estimate(identity_matrix(10), seed=0).value >= 1 - 1e-12
 
     def test_diagonal_spectral_norm(self):
         op = diagonal_sandwich(TruncatedSeq([3.0, 1.0]), identity_matrix(2),
                                TruncatedSeq([1.0, 1.0]))
-        assert operator_norm_estimate(op, trials=8, seed=0).value == pytest.approx(3.0, abs=1e-6)
+        assert operator_norm_estimate(op, seed=0).value == pytest.approx(3.0, abs=1e-6)
 
     def test_cesaro_truncation_norm(self):
         # the truncated norm stays below the limiting constant 2 and matches
         # a direct SVD; at N = 256 it sits near 1.686
         op = cesaro_matrix(256)
-        est = operator_norm_estimate(op, trials=8, seed=0).value
+        est = operator_norm_estimate(op, seed=0).value
         oracle = float(np.linalg.svd(np.asarray(op.entries), compute_uv=False)[0])
         assert est == pytest.approx(oracle, abs=1e-9)
         assert est <= 2.0
         assert est == pytest.approx(1.6864274, abs=1e-6)
 
     def test_lower_bound_only_for_general_exponents(self):
-        op = cesaro_matrix(32, Exponent(3))
-        est = operator_norm_estimate(op, trials=32, seed=1)
+        op = MatrixOp(cesaro_matrix(32).entries, lp_space(3), lp_space(3))
+        est = operator_norm_estimate(op, seed=1)
         assert 0.9 <= est.value <= float(conjugate(Exponent(3)))
         assert est.steps == 0 and not est.converged
 
@@ -259,12 +259,13 @@ class TestNormEstimate:
         est = operator_norm_estimate(CesaroOp(2 ** k))
         assert est.converged and abs(est.value - norm) <= 5e-6
 
-    @pytest.mark.parametrize("op", [CesaroOp(64), cesaro_matrix(16, Exponent(3))],
+    @pytest.mark.parametrize("op", [CesaroOp(64), MatrixOp(cesaro_matrix(16).entries,
+                                                           lp_space(3), lp_space(3))],
                              ids=["l2", "l3"])
     def test_same_seed_same_estimate(self, op):
-        est = operator_norm_estimate(op, trials=8, seed=3)
+        est = operator_norm_estimate(op, seed=3)
         assert isinstance(est, NormEstimate)
-        assert operator_norm_estimate(op, trials=8, seed=3) == est
+        assert operator_norm_estimate(op, seed=3) == est
 
     def test_lanczos_holds_no_square_array(self, traced_peak):
         n = 2 ** 14

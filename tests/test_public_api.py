@@ -1,7 +1,10 @@
 """The public API of ``strongfactor``: every name the package exports that is
 neither a submodule nor underscored.  A change to the API edits this set, so
-its size is read here rather than counted by hand."""
+its size is read here rather than counted by hand; so is its knob count, the
+parameters with a default over every exported callable."""
 
+import enum
+import inspect
 import types
 
 import strongfactor
@@ -37,3 +40,15 @@ def test_public_api_is_pinned():
                 if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert exported == PUBLIC_API
     assert len(PUBLIC_API) == 60
+
+
+def test_knob_count_is_pinned():
+    # an Enum's signature is the enum machinery's; exceptions have none
+    callables = [value for name, value in vars(strongfactor).items()
+                 if name in PUBLIC_API and callable(value)
+                 and not (isinstance(value, type)
+                          and issubclass(value, (enum.Enum, BaseException)))]
+    knobs = [param for value in callables
+             for param in inspect.signature(value).parameters.values()
+             if param.default is not inspect.Parameter.empty]
+    assert len(knobs) == 33
