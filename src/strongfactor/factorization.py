@@ -57,7 +57,7 @@ from .grid_functions import (
     fourier_coeffs,
     random_trig_poly,
 )
-from .operators import CesaroOp, MatrixOp, _block_bounds
+from .operators import CesaroOp, MatrixOp, _block_bounds, _Sandwich
 from .seq_spaces import IndexDomain, SpaceKind, TruncatedSeq, lp_norm
 
 EXACT_TOL = 1e-9       # identities exact in exact arithmetic
@@ -156,26 +156,29 @@ def _require_range(name: str, value: Exponent, low, high,
 # ---------------------------------------------------------------------------
 # shape checkers
 
-def _sandwich_check(ent: np.ndarray, w_rows, tol: float,
-                    g_exp: Exponent | None, notes: tuple[str, ...] = (),
-                    pivot_tol: float = 0.0, **meta) -> Certificate:
+def _sandwich_check(a: MatrixOp | _Sandwich, w_rows, tol: float, g_exp: Exponent | None,
+                    notes: tuple[str, ...] = (), pivot_tol: float = 0.0,
+                    pivots: np.ndarray | None = None, **meta) -> Certificate:
     """Decide a_ij = g_i * w_ij for some g, where w_ij = b_ij * h_j and every
     forced zero of w is stored as an exact 0.
 
-    A stays dense; w is never held whole: ``w_rows(lo, hi)`` returns a fresh
-    array of rows lo..hi-1 of w, and A is walked in the row blocks of
-    ``operators._block_bounds``.  g_i is read at the first entry of row i of w
-    with |w_ij| > pivot_tol; a row with no such entry gets g_i = 0.  The
-    witness is the first row-major entry whose deviation |a_ij - g_i w_ij|
-    exceeds tol, so the walk stops at the first block that holds one.  It
-    also stops at the first row where g_i or some g_i w_ij overflows: a
-    violation in an earlier row is then the witness, and otherwise a
-    ``SpecError`` names the row.  ``notes`` are added to a FACTORS
-    certificate; ``meta`` holds the remaining certificate fields.
+    Neither A nor w is held whole.  Both are walked in the row blocks of
+    ``operators._block_bounds``: A by the operator's ``a.rows(lo, hi)``, and
+    w by ``w_rows(lo, hi)``, which returns a fresh array of rows lo..hi-1 of
+    w.  A first walk stops at the first block with some |a_ij| > tol; when
+    there is none, A is a zero operator.  g_i is read at the first entry of
+    row i of w with |w_ij| > pivot_tol, and ``pivots``, when given, receives
+    a_ij there; a row with no such entry gets g_i = 0.  The witness is the
+    first row-major entry whose deviation |a_ij - g_i w_ij| exceeds tol, so
+    the walk stops at the first block that holds one.  It also stops at the
+    first row where g_i or some g_i w_ij overflows: a violation in an
+    earlier row is then the witness, and otherwise a ``SpecError`` names the
+    row.  ``notes`` are added to a FACTORS certificate; ``meta`` holds the
+    remaining certificate fields.
     """
-    n = ent.shape[0]
+    n = a.n
     meta.update(tol=tol, truncation=n)
-    if ent.max() <= tol and ent.min() >= -tol:
+    if not any(np.abs(a.rows(lo, hi)).max() > tol for lo, hi in _block_bounds(n)):
         return Certificate(verdict=Verdict.INCONCLUSIVE, residual=0.0,
                            notes=("zero operator: nontrivial operator required",
                                   EVIDENCE_NOTE), **meta)
@@ -186,16 +189,19 @@ def _sandwich_check(ent: np.ndarray, w_rows, tol: float,
     # an overflow shows as a non-finite deviation, which ends the walk below
     with np.errstate(over="ignore", invalid="ignore"):
         for lo, hi in _block_bounds(n):
-            w, a = w_rows(lo, hi), ent[lo:hi]
+            w, ar = w_rows(lo, hi), a.rows(lo, hi)
             rows = np.arange(hi - lo)
             dev = np.abs(w)  # the buffer is reused for the deviation below
             first = (dev > pivot_tol).argmax(axis=1)
             pivot = w[rows, first]
             live[lo:hi] = np.abs(pivot) > pivot_tol
             g = g_vals[lo:hi]
-            np.divide(a[rows, first], pivot, out=g, where=live[lo:hi])
+            a_pivot = ar[rows, first]
+            if pivots is not None:
+                pivots[lo:hi] = a_pivot
+            np.divide(a_pivot, pivot, out=g, where=live[lo:hi])
             np.multiply(g[:, None], w, out=dev)
-            np.subtract(a, dev, out=dev)
+            np.subtract(ar, dev, out=dev)
             np.abs(dev, out=dev)
             top, end = dev.max(initial=0.0), hi - lo
             if not np.isfinite(top):  # the first row where some g_i w_ij overflows
@@ -211,7 +217,7 @@ def _sandwich_check(ent: np.ndarray, w_rows, tol: float,
                     # + 0.0 turns a -0.0 product into 0.0
                     witness={"i": lo + int(i) + 1, "j": int(j) + 1,
                              "expected": float(g[i] * w[i, j]) + 0.0,
-                             "actual": float(a[i, j])},
+                             "actual": float(ar[i, j])},
                     notes=(EVIDENCE_NOTE,), **meta)
             if end < hi - lo:
                 k = lo + end + 1
@@ -232,7 +238,7 @@ def _sandwich_check(ent: np.ndarray, w_rows, tol: float,
                        residual=float(residual), notes=notes, **meta)
 
 
-def cesaro_factor_check(a: MatrixOp, h: TruncatedSeq, p: Exponent, q: Exponent,
+def cesaro_factor_check(a: MatrixOp | _Sandwich, h: TruncatedSeq, p: Exponent, q: Exponent,
                         r: Exponent, tol: float = EXACT_TOL,
                         seed: int | None = None) -> Certificate:
     """Decide factorization through the running-averages operator with inner
@@ -248,7 +254,7 @@ def cesaro_factor_check(a: MatrixOp, h: TruncatedSeq, p: Exponent, q: Exponent,
     return cesaro_factor_check_j0(a, h, p, q, r, tol=tol, seed=seed)
 
 
-def cesaro_factor_check_j0(a: MatrixOp, h: TruncatedSeq, p: Exponent, q: Exponent,
+def cesaro_factor_check_j0(a: MatrixOp | _Sandwich, h: TruncatedSeq, p: Exponent, q: Exponent,
                            r: Exponent, tol: float = EXACT_TOL,
                            seed: int | None = None) -> Certificate:
     """Shifted variant keyed to j0, the first index where h is nonzero: rows
@@ -268,26 +274,33 @@ def cesaro_factor_check_j0(a: MatrixOp, h: TruncatedSeq, p: Exponent, q: Exponen
     j0 = int(nonzero[0]) + 1
     s_rq = multiplier_exponent(r, q)
     s_pr = multiplier_exponent(p, r)
-    c = CesaroOp(a.n)
+    n = a.n
+    c = CesaroOp(n)
 
     def w_rows(lo, hi):
         w = c.rows(lo, hi)
         w *= hv
         return w
 
-    # the default pivot_tol = 0 reads every row i >= j0 at column j0
+    # the default pivot_tol = 0 reads row i >= j0 at column j0, where
+    # w_ij0 = (1/i) h_j0 is nonzero
+    column = np.empty(n)
     cert = _sandwich_check(
-        a.entries, w_rows, tol, s_rq,
+        a, w_rows, tol, s_rq,
         notes=(f"shifted shape with j0={j0}",) if j0 > 1 else (),
-        h=h, h_norm=(lp_norm(hv, s_pr), s_pr), seed=seed,
+        pivots=column, h=h, h_norm=(lp_norm(hv, s_pr), s_pr), seed=seed,
         exponents={"p": p, "q": q, "r": r, "s_rq": s_rq, "s_pr": s_pr})
     if cert.verdict is not Verdict.FACTORS:
         return cert
-    alpha = a.entries[j0 - 1:, j0 - 1] / hv[j0 - 1]
+    column = column[j0 - 1:]
+    # rows where (1/i) h_j0 underflows to 0 were read at another column
+    for k in np.flatnonzero((1.0 / np.arange(j0, n + 1)) * hv[j0 - 1] == 0.0):
+        column[k] = a.rows(j0 - 1 + k, j0 + k)[0, j0 - 1]
+    alpha = column / hv[j0 - 1]
     return replace(cert, alpha=TruncatedSeq(alpha, IndexDomain.NAT1))
 
 
-def fourier_factor_check(tphi: MatrixOp, r: Exponent, p: Exponent, q: Exponent,
+def fourier_factor_check(tphi: MatrixOp | _Sandwich, r: Exponent, p: Exponent, q: Exponent,
                          tol: float = EXACT_TOL,
                          seed: int | None = None) -> Certificate:
     """Decide factorization through the trigonometric coefficient operator.
@@ -302,12 +315,12 @@ def fourier_factor_check(tphi: MatrixOp, r: Exponent, p: Exponent, q: Exponent,
     if not (r <= p and p < INF):
         raise ExponentRange(f"p={p} outside [r, inf) with r={r}")
     s = multiplier_exponent(conjugate(r), q)
-    return _sandwich_check(tphi.entries, lambda lo, hi: np.eye(hi - lo, tphi.n, lo),
+    return _sandwich_check(tphi, lambda lo, hi: np.eye(hi - lo, tphi.n, lo),
                            tol, s, seed=seed,
                            exponents={"r": r, "p": p, "q": q, "s_rprime_q": s})
 
 
-def matrix_factor_check(a: MatrixOp, b: MatrixOp | CesaroOp, h: TruncatedSeq,
+def matrix_factor_check(a: MatrixOp | _Sandwich, b: MatrixOp | CesaroOp, h: TruncatedSeq,
                         tol: float = EXACT_TOL,
                         seed: int | None = None) -> Certificate:
     """Decide factorization of A through a general matrix operator B and the
@@ -335,7 +348,7 @@ def matrix_factor_check(a: MatrixOp, b: MatrixOp | CesaroOp, h: TruncatedSeq,
 
     # reading g_i at |b_ij h_j| > tol keeps a difference below tol from being
     # divided by a tiny b_ij h_j
-    return _sandwich_check(a.entries, w_rows, tol, g_exp, pivot_tol=tol, h=h,
+    return _sandwich_check(a, w_rows, tol, g_exp, pivot_tol=tol, h=h,
                            seed=seed,
                            exponents={} if g_exp is None else {"s": g_exp})
 
@@ -618,7 +631,7 @@ def _certifier_result(vertex: tuple, refute: tuple | None, rows: int,
                            lhs, rhs, refuted, c_vertex, rows, pattern.shape[-1], seed)
 
 
-def certify_inequality_cesaro(a: MatrixOp, h: TruncatedSeq, s_rq: Exponent,
+def certify_inequality_cesaro(a: MatrixOp | _Sandwich, h: TruncatedSeq, s_rq: Exponent,
                               patterns: int = 64, seed: int = 0) -> CertifierResult:
     """Sweep sign patterns through the running-averages inequality:
     LHS = sum_ij r_ij a_ij against
@@ -641,7 +654,8 @@ def certify_inequality_cesaro(a: MatrixOp, h: TruncatedSeq, s_rq: Exponent,
         raise SpecError("patterns must be >= 1")
     sp = float(conjugate(s_rq))
     n = a.n
-    form = _CesaroForm(a.entries, h.coeffs, sp)
+    ent = a.rows(0, n)
+    form = _CesaroForm(ent, h.coeffs, sp)
 
     if n * n <= EXHAUSTIVE_LIMIT:
         vertex, refute = _exhaustive_vertex_max(form, n, n)
@@ -651,9 +665,9 @@ def certify_inequality_cesaro(a: MatrixOp, h: TruncatedSeq, s_rq: Exponent,
     if refute is None:
         # targeted refutation: per row, maximize the LHS subject to a vanishing
         # weighted prefix sum; entries beyond the constrained prefix are free
-        r = np.sign(a.entries)[None]
+        r = np.sign(ent)[None]
         for i in range(n):
-            r[0, i, :i + 1] = _max_dot_with_zero_sum(a.entries[i, :i + 1], h.coeffs[:i + 1])
+            r[0, i, :i + 1] = _max_dot_with_zero_sum(ent[i, :i + 1], h.coeffs[:i + 1])
         refute = _select(r, *form.evaluate(r)[:2])[1]
 
     if vertex is None:
@@ -664,7 +678,7 @@ def certify_inequality_cesaro(a: MatrixOp, h: TruncatedSeq, s_rq: Exponent,
     return _certifier_result(vertex, refute, n, seed)
 
 
-def certify_inequality_fourier(tphi: MatrixOp, s: Exponent,
+def certify_inequality_fourier(tphi: MatrixOp | _Sandwich, s: Exponent,
                                seed: int = 0) -> CertifierResult:
     """Sweep sign patterns through the coefficient-operator inequality that
     ``_FourierForm`` scores.  The sign-matched vertex attains the vertex
@@ -674,8 +688,9 @@ def certify_inequality_fourier(tphi: MatrixOp, s: Exponent,
     s = Exponent(s)
     if s == Exponent(1):
         raise DegenerateExponent("multiplier exponent 1 has infinite conjugate")
-    form = _FourierForm(tphi.entries, s)
-    sign = np.sign(tphi.entries)
+    ent = tphi.rows(0, tphi.n)
+    form = _FourierForm(ent, s)
+    sign = np.sign(ent)
     vert = np.where(sign == 0.0, 1.0, sign)
     zeroed = (vert if form.rowform else sign).copy()
     np.fill_diagonal(zeroed, 0.0)

@@ -358,7 +358,13 @@ def representing_setup(spec: BasisSpec):
 
 def _representing_op(spec: BasisSpec, g: TruncatedSeq, permute: bool):
     """h = w^(1/2) and the representing operator t(x) = g . alpha(h x), alpha
-    the first spec.count coefficients; ``permute`` swaps t's first two."""
+    the first spec.count coefficients; ``permute`` swaps t's first two.  The
+    family's default rule resolves at most as many coefficients as it has
+    nodes, so a larger count is refused."""
+    nodes = default_rule(spec.family).nodes.size
+    if spec.count > nodes:
+        raise SpecError(f"count {spec.count} exceeds the {nodes} nodes of the "
+                        f"{spec.family.value} quadrature rule")
     if permute and spec.count < 2:
         raise SpecError(f"permuting needs at least two coefficients, got {spec.count}")
     _, h = representing_setup(spec)

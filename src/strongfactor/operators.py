@@ -1,13 +1,15 @@
 """N x N truncations of infinite-matrix operators between sequence spaces.
 
-An operator is either a ``MatrixOp``, which stores its entries as a dense
-array, or the running-averages operator ``CesaroOp``, which stores only its
-size and makes its entries on demand.  Both give their rows through
-``rows(lo, hi)``, and the factorization checks and ``diagonal_sandwich`` read
-them that way, by blocks of about ``_BLOCK_ENTRIES`` entries, so that neither
-builds a second N x N array.  Both multiply by ``matvec(x)`` and ``rmatvec(y)``.
-The constructors here hand their freshly built arrays to ``MatrixOp``
-read-only, so it keeps them without a copy.
+There are three kinds of operator.  A ``MatrixOp`` stores its entries as a
+dense array.  The running-averages operator ``CesaroOp`` stores only its size,
+and the sandwich M_g S M_h that ``diagonal_sandwich`` returns stores only g, S
+and h; both make their entries on demand.  All three share ``n``, ``domain``,
+``codomain``, ``rows(lo, hi)``, ``matvec(x)`` and ``rmatvec(y)``.  The
+factorization checks read an operator through ``rows``, by blocks of about
+``_BLOCK_ENTRIES`` entries, so that none of them builds an N x N array; a
+sandwich builds its dense array only when ``.entries`` is asked for.  The
+constructors here hand their freshly built arrays to ``MatrixOp`` read-only,
+so it keeps them without a copy.
 """
 
 from __future__ import annotations
@@ -102,10 +104,11 @@ _L2 = lp_space(TWO)
 _BLOCK_ENTRIES = 1 << 15
 
 
-def _block_bounds(n: int):
-    """(lo, hi) of the row blocks of an N x N operator."""
+def _block_bounds(n: int, lo: int = 0, hi: int | None = None):
+    """(lo, hi) of the row blocks of an N x N operator, over rows lo..hi-1."""
     step = max(1, _BLOCK_ENTRIES // n)
-    return ((lo, min(lo + step, n)) for lo in range(0, n, step))
+    hi = n if hi is None else hi
+    return ((k, min(k + step, hi)) for k in range(lo, hi, step))
 
 
 class CesaroOp:
@@ -166,28 +169,67 @@ def factorable_matrix(alpha: TruncatedSeq, h: TruncatedSeq, j0: int = 1) -> Matr
     return _fresh(entries, _L2, _L2)
 
 
-def perturb_entry(op: MatrixOp, i: int, j: int, eps: float) -> MatrixOp:
-    """Copy of op with eps added at 1-based entry (i, j)."""
+def perturb_entry(op: MatrixOp | _Sandwich, i: int, j: int, eps: float) -> MatrixOp:
+    """Dense copy of op with eps added at 1-based entry (i, j).  A sandwich's
+    rows are built once and taken over; a MatrixOp's array is copied."""
     if not (1 <= i <= op.n and 1 <= j <= op.n):
         raise SpecError(f"entry ({i}, {j}) outside 1..{op.n}")
-    entries = op.entries.copy()
+    entries = op.rows(0, op.n)
+    if not entries.flags.writeable:  # a MatrixOp's own array, not a fresh one
+        entries = entries.copy()
     entries[i - 1, j - 1] += eps
     return _fresh(entries, op.domain, op.codomain)
 
 
+class _Sandwich:
+    """M_g . S . M_h held as g, S and h: entry (i, j) is (g_i * s_ij) * h_j,
+    made by ``rows``; ``entries`` builds the whole array."""
+
+    def __init__(self, g: np.ndarray, op: MatrixOp | CesaroOp, h: np.ndarray):
+        self.g, self.s, self.h = g, op, h
+        self.n, self.domain, self.codomain = op.n, op.domain, op.codomain
+
+    @property
+    def entries(self) -> np.ndarray:
+        out = self.rows(0, self.n)
+        out.flags.writeable = False
+        return out
+
+    def rows(self, lo: int, hi: int) -> np.ndarray:
+        """Rows lo..hi-1 (0-based), as a fresh array, filled by row blocks of S."""
+        out = np.empty((hi - lo, self.n))
+        for k, m in _block_bounds(self.n, lo, hi):
+            block = out[k - lo:m - lo]
+            np.multiply(self.g[k:m, None], self.s.rows(k, m), out=block)
+            block *= self.h
+        return out
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        return self.g * self.s.matvec(self.h * _vector(x, self.n))
+
+    def rmatvec(self, y: np.ndarray) -> np.ndarray:
+        return self.h * self.s.rmatvec(self.g * _vector(y, self.n))
+
+
 def diagonal_sandwich(g: TruncatedSeq, op: MatrixOp | CesaroOp,
-                      h: TruncatedSeq) -> MatrixOp:
-    """Matrix of M_g . S . M_h: entries (g_i * s_ij) * h_j, filled by row
-    blocks of S."""
+                      h: TruncatedSeq) -> _Sandwich:
+    """M_g . S . M_h, held implicitly, with every entry checked finite.
+
+    Rounding is monotone, so max|g| * max|s| * max|h|, multiplied in the
+    entries' order, bounds every entry; with a margin for rounding it proves
+    them finite, and only where it fails are the row blocks walked.
+    """
     if len(g) != op.n or len(h) != op.n:
         raise LengthMismatch("multiplier lengths must equal the matrix size")
-    entries = np.empty((op.n, op.n))
-    gv = g.coeffs[:, None]
-    for lo, hi in _block_bounds(op.n):
-        block = entries[lo:hi]
-        np.multiply(gv[lo:hi], op.rows(lo, hi), out=block)
-        block *= h.coeffs
-    return _fresh(entries, op.domain, op.codomain)
+    out = _Sandwich(g.coeffs, op, h.coeffs)
+    s = None if isinstance(op, CesaroOp) else op.rows(0, op.n)  # a MatrixOp's own array
+    s_max = 1.0 if s is None else max(s.max(), -s.min())
+    bound = float(np.abs(g.coeffs).max()) * float(s_max) * float(np.abs(h.coeffs).max())
+    if not bound * (1.0 + 2.0 ** -50) < np.finfo(float).max:
+        with np.errstate(over="ignore", invalid="ignore"):
+            if not all(np.isfinite(out.rows(lo, hi)).all() for lo, hi in _block_bounds(op.n)):
+                raise SpecError("matrix entries must be finite")
+    return out
 
 
 class NormEstimate(NamedTuple):

@@ -65,9 +65,9 @@ CHECK = ["--gen", "rank-one", "--g", "harmonic", "--h", "ones", "--N", "8",
     # check-cesaro is a guard around the shifted check, and both are traced
     (["check-cesaro", *CHECK], {"factorization.check": 2}),
     (["check-cesaro-j0", *CHECK], {"factorization.check": 1}),
-    # the Cesàro operator is implicit: only the sandwich builds a matrix
+    # the Cesàro operator and the sandwich are implicit: no MatrixOp is built
     (["check-matrix", *CHECK[:8], "--through", "cesaro"],
-     {"operators.build": 1, "factorization.check": 1}),
+     {"operators.build": 1, "factorization.check": 1, "operators.matrixop": 0}),
 ])
 def test_traced_run_records_the_handler_span(tmp_path, argv, counts):
     # the CLI looks its handlers up when it builds the parser, after the

@@ -184,13 +184,23 @@ class TestCheckMatrix:
 
 
     def test_through_cesaro_holds_one_matrix(self, tmp_path, capsys, traced_peak):
-        # A and a boolean finiteness scan of it; B is never built
+        # at most A and a boolean finiteness scan of it; B is never built
         n = 1024
         argv = ["check-matrix", "--N", str(n), "--gen", "rank-one", "--g", "harmonic",
                 "--h", "alt", "--through", "cesaro", "--no-timestamp",
                 "--out", str(tmp_path / "c.json")]
         codes = []
         assert traced_peak(lambda: codes.append(run(argv))) < 1.5 * 8 * n * n
+        assert codes == [0]
+
+    def test_generated_sandwich_is_read_by_rows(self, tmp_path, capsys, traced_peak):
+        # A = M_g C M_h is held as g, C and h, and made one row block at a time
+        n = 2048
+        argv = ["check-matrix", "--gen", "rank-one", "--N", str(n), "--g", "harmonic",
+                "--h", "alt", "--through", "cesaro", "--no-timestamp",
+                "--out", str(tmp_path / "c.json")]
+        codes = []
+        assert traced_peak(lambda: codes.append(run(argv))) < 0.1 * 8 * n * n
         assert codes == [0]
 
 
@@ -329,6 +339,21 @@ class TestVerifyRepresenting:
         code = run(["verify-representing", "--N", "2", "--permute",
                     "--samples", "2", "--out", str(tmp_path / "c.json")])
         assert code == 1
+
+    @pytest.mark.parametrize("family, nodes", [("laguerre", 64), ("chebyshev1", 256)])
+    def test_count_beyond_the_rule_is_usage_error(self, family, nodes, capsys):
+        code = run(["verify-representing", "--family", family, "--N", str(nodes + 1),
+                    "--samples", "2", "--no-timestamp"])
+        assert code == 64
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (f"error: count {nodes + 1} exceeds the {nodes} nodes of the "
+                       f"{family} quadrature rule\n")
+
+    def test_count_at_the_rule_size_still_verifies(self, tmp_path):
+        code = run(["verify-representing", "--family", "laguerre", "--N", "64",
+                    "--samples", "2", "--out", str(tmp_path / "c.json")])
+        assert code == 0
 
 
 class TestDeterminism:

@@ -215,6 +215,23 @@ class TestCesaroCheckShifted:
             cesaro_factor_check_j0(cesaro_matrix(3), TruncatedSeq(np.zeros(3)),
                                    P2, P2, P2)
 
+    @pytest.mark.parametrize("j0", [1, 3])
+    def test_alpha_is_the_column_where_the_pivot_underflows(self, j0):
+        # w_ij0 = (1/i) h_j0 is 0 from i = 2 on, so those rows take their
+        # pivot at column j0 + 1; alpha still reads column j0 of A
+        n = 300
+        hv = np.ones(n)
+        hv[:j0 - 1] = 0.0
+        hv[j0 - 1] = 5e-324
+        h = TruncatedSeq(hv)
+        g = TruncatedSeq(np.arange(1, n + 1) * np.linspace(1.0, 3.0, n))
+        a = diagonal_sandwich(g, CesaroOp(n), h)
+        cert = cesaro_factor_check_j0(a, h, P2, P2, P2)
+        assert cert.verdict is Verdict.FACTORS
+        expected = a.entries[j0 - 1:, j0 - 1] / hv[j0 - 1]
+        assert cert.alpha.coeffs.tobytes() == expected.tobytes()
+        assert np.count_nonzero(expected) > 1
+
     def test_shifted_perturbation_flips(self):
         n, j0 = 16, 3
         alpha, h = self.shifted_instance(n, j0, seed=4)
@@ -344,9 +361,10 @@ class TestMatrixCheck:
         assert np.allclose(cert.g.coeffs, [2.0, 3.0, 4.0])
 
 
-def reference_sandwich_check(ent, w, tol, g_exp, notes=(), pivot_tol=0.0, **meta):
-    """The shape kernel before it took w by blocks of rows: w whole, and one
-    N x N deviation matrix."""
+def reference_sandwich_check(ent, w, tol, g_exp, notes=(), pivot_tol=0.0, pivots=None,
+                             **meta):
+    """The shape kernel before it took A and w by blocks of rows: both whole,
+    and one N x N deviation matrix."""
     n = ent.shape[0]
     meta.update(tol=tol, truncation=n)
     if ent.max() <= tol and ent.min() >= -tol:
@@ -359,6 +377,8 @@ def reference_sandwich_check(ent, w, tol, g_exp, notes=(), pivot_tol=0.0, **meta
     pivot = w[rows, first]
     live = np.abs(pivot) > pivot_tol
     g_vals = np.zeros(n)
+    if pivots is not None:
+        pivots[:] = ent[rows, first]
     np.divide(ent[rows, first], pivot, out=g_vals, where=live)
     np.multiply(g_vals[:, None], w, out=dev)
     np.subtract(ent, dev, out=dev)
@@ -398,7 +418,9 @@ def block_sizes():
 
 
 def block_cases(n):
-    """(label, A, h, B) around the block boundaries of size n."""
+    """(label, A, h, B) around the block boundaries of size n.  A is the
+    operator as built: the implicit sandwich, ``perturb_entry`` of it, or a
+    dense zero."""
     rng = np.random.default_rng(n)
     step = block_rows(n)
     last = (n - 1) // step * step  # first row of the last block
@@ -415,30 +437,30 @@ def block_cases(n):
     lead[0] = -0.0
 
     def sandwich(b, hv):
-        return diagonal_sandwich(TruncatedSeq(g), b, TruncatedSeq(hv)).entries
+        return diagonal_sandwich(TruncatedSeq(g), b, TruncatedSeq(hv))
 
-    def bumped(ent, *cells):
-        ent = ent.copy()
+    def bumped(a, *cells):
         for i, j, eps in cells:
-            ent[i, j] += eps
-        return ent
+            a = perturb_entry(a, i + 1, j + 1, eps)
+        return a
 
     cases = []
     for label, b, hv in (("cesaro", cesaro, h), ("shifted", cesaro, lead),
                          ("diagonal", eye, np.ones(n)), ("lower", lower, h),
                          ("lower-shifted", lower, lead)):
-        ent = sandwich(b, hv)
+        a = sandwich(b, hv)
         cases += [
-            (label, ent, hv, b),
-            (f"{label}/block-end", bumped(ent, (max(0, last - 1), 0, 1e-3)), hv, b),
-            (f"{label}/block-start", bumped(ent, (last, n - 1, 1e-3)), hv, b),
-            (f"{label}/larger-later", bumped(ent, (near, n - 1, 1e-6),
+            (label, a, hv, b),
+            (f"{label}/block-end", bumped(a, (max(0, last - 1), 0, 1e-3)), hv, b),
+            (f"{label}/block-start", bumped(a, (last, n - 1, 1e-3)), hv, b),
+            (f"{label}/larger-later", bumped(a, (near, n - 1, 1e-6),
                                              (near + 1, n - 1, 1.0)), hv, b),
         ]
-    ent = sandwich(cesaro, lead)
-    cases.append(("dead-row-entry", bumped(ent, (min(n - 3, step + 1), 0, 1e-3)), lead, cesaro))
-    cases.append(("zero", np.zeros((n, n)), h, cesaro))
-    cases.append(("negative-zero", np.full((n, n), -0.0), h, cesaro))
+    a = sandwich(cesaro, lead)
+    cases.append(("dead-row-entry", bumped(a, (min(n - 3, step + 1), 0, 1e-3)), lead, cesaro))
+    cases.append(("zero", MatrixOp(np.zeros((n, n)), lp_space(2), lp_space(2)), h, cesaro))
+    cases.append(("negative-zero", MatrixOp(np.full((n, n), -0.0), lp_space(2), lp_space(2)),
+                  h, cesaro))
     return cases
 
 
@@ -447,12 +469,12 @@ P32 = Exponent("3/2")
 
 class TestBlockKernel:
     """Every wrapper gives the dense reference kernel's certificate, byte for
-    byte, at sizes with one block, whole blocks and a ragged last block."""
+    byte, at sizes with one block, whole blocks and a ragged last block, for
+    A as built and for a dense ``MatrixOp`` with the same entries."""
 
     @staticmethod
-    def wrappers(ent, hv, b):
-        a, h = MatrixOp(ent, lp_space(2), lp_space(2)), TruncatedSeq(hv)
-        n = a.n
+    def wrappers(a, hv, b):
+        h, n = TruncatedSeq(hv), a.n
         tri = np.tri(n)
         tri *= hv
         tri *= (1.0 / np.arange(1, n + 1))[:, None]
@@ -477,18 +499,23 @@ class TestBlockKernel:
 
     @pytest.mark.parametrize("n", block_sizes())
     def test_matches_dense_reference(self, n, monkeypatch):
-        seen = set()
-        for label, ent, hv, b in block_cases(n):
-            for name, (call, w) in self.wrappers(ent, hv, b).items():
+        seen, forms = set(), set()
+        for label, a, hv, b in block_cases(n):
+            dense = MatrixOp(a.rows(0, n), a.domain, a.codomain)
+            forms.add(type(a).__name__)
+            built = self.wrappers(a, hv, b)
+            for name, (call, w) in self.wrappers(dense, hv, b).items():
                 got = self.outcome(call)
+                assert self.outcome(built[name][0]) == got, (label, name)
                 with monkeypatch.context() as m:
                     m.setattr(factorization, "_sandwich_check",
-                              lambda ent, _rows, *args, w=w, **meta:
-                              reference_sandwich_check(ent, w, *args, **meta))
+                              lambda a, _rows, *args, w=w, **meta:
+                              reference_sandwich_check(a.rows(0, a.n), w, *args, **meta))
                     expected = self.outcome(call)
                 assert got == expected, (label, name)
                 seen.add(json.loads(got)["verdict"] if got.startswith("{") else "error")
         assert seen == {"FACTORS", "DOES_NOT_FACTOR", "INCONCLUSIVE", "error"}
+        assert forms == {"_Sandwich", "MatrixOp"}
 
 
 @pytest.mark.filterwarnings("error")

@@ -9,6 +9,7 @@ from strongfactor.errors import (
     ExponentRange,
     IndexOutOfRange,
     ParseError,
+    SpecError,
 )
 from strongfactor.exponents import Exponent, INF, conjugate
 from strongfactor.grid_functions import (
@@ -23,13 +24,14 @@ from strongfactor.grid_functions import (
     eval_basis,
     fourier_coeffs,
     from_callable,
+    _representing_op,
     grid_from_csv,
     lp_function_norm,
     quad_integral,
     random_trig_poly,
     representing_setup,
 )
-from strongfactor.seq_spaces import lp_norm
+from strongfactor.seq_spaces import TruncatedSeq, lp_norm
 
 TRIG8 = BasisSpec(BasisFamily.TRIG_REAL, 8)
 
@@ -248,6 +250,19 @@ class TestRepresentingSetup:
             x = np.array([0.1, 0.2])
             assert np.all(w(x) == 1.0)
             assert np.all(h(x) == 1.0)
+
+
+class TestRepresentingOp:
+    """The built-in representing operator takes at most as many
+    coefficients as the family's default rule has nodes."""
+
+    @pytest.mark.parametrize("family", list(BasisFamily))
+    def test_count_up_to_the_node_count(self, family):
+        nodes = default_rule(family).nodes.size
+        ones = TruncatedSeq(np.ones(nodes + 1))
+        _representing_op(BasisSpec(family, nodes), ones, permute=False)
+        with pytest.raises(SpecError, match=f"count {nodes + 1} exceeds the {nodes} nodes"):
+            _representing_op(BasisSpec(family, nodes + 1), ones, permute=False)
 
 
 class TestGridIO:

@@ -205,6 +205,53 @@ class TestDiagonalSandwich:
         assert np.allclose(left, right, atol=1e-14)
 
 
+class TestImplicitSandwich:
+    """``diagonal_sandwich`` holds g, S and h.  Its rows have the bits of the
+    dense product (``TestCesaroOp`` checks ``entries``), its products agree
+    with the dense matrix, and an entry that is not finite is refused when
+    it is built."""
+
+    @pytest.mark.parametrize("n", block_sizes())
+    @pytest.mark.parametrize("through", ["implicit", "dense-lower"])
+    def test_rows_and_products_match_the_dense_matrix(self, n, through):
+        rng = np.random.default_rng(n)
+        g, h = rng.standard_normal(n), rng.standard_normal(n)
+        s = CesaroOp(n) if through == "implicit" else random_lower_triangular(n, seed=n)
+        op = diagonal_sandwich(TruncatedSeq(g), s, TruncatedSeq(h))
+        dense = reference_sandwich(g, s.rows(0, n), h)
+        assert (op.n, op.domain, op.codomain) == (n, s.domain, s.codomain)
+        for lo, hi in [(0, n), (0, 1), (n - 1, n), (n // 3, n // 2 + 1)]:
+            rows = op.rows(lo, hi)
+            assert rows.flags.writeable and rows.flags.owndata
+            assert rows.tobytes() == dense[lo:hi].tobytes()
+        x, y = rng.standard_normal(n), rng.standard_normal(n)
+        scale = np.abs(dense)
+        assert np.all(np.abs(op.matvec(x) - dense @ x) <= 1e-12 * (scale @ np.abs(x)))
+        assert np.all(np.abs(op.rmatvec(y) - y @ dense) <= 1e-12 * (np.abs(y) @ scale))
+        for multiply in (op.matvec, op.rmatvec):
+            with pytest.raises(LengthMismatch):
+                multiply(np.ones(n + 1))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("make", CESARO_OPS.values(), ids=CESARO_OPS.keys())
+    def test_overflow_in_the_last_row_block_is_spec_error(self, make):
+        n = block_sizes()[-1]
+        assert n // (_BLOCK_ENTRIES // n) >= 2  # row n lies in a later block than row 1
+        g, h = np.ones(n), np.ones(n)
+        g[-1] = h[0] = 1e200  # only g_n s_n1 h_1 = 1e400 / n overflows
+        with pytest.raises(SpecError, match="matrix entries must be finite"):
+            diagonal_sandwich(TruncatedSeq(g), make(n), TruncatedSeq(h))
+
+    @pytest.mark.filterwarnings("error")
+    def test_finite_entries_beyond_the_bound_are_accepted(self):
+        # max|g| max|s| max|h| = 1e400, but g_1 meets h_n only at s_1n = 0
+        n = block_sizes()[-1]
+        g, h = np.ones(n), np.ones(n)
+        g[0] = h[-1] = 1e200
+        op = diagonal_sandwich(TruncatedSeq(g), CesaroOp(n), TruncatedSeq(h))
+        assert op.entries.tobytes() == reference_sandwich(g, reference_cesaro(n), h).tobytes()
+
+
 def norm_cases(n):
     """Operators on l^2 at size n, by name, for the Lanczos estimate."""
     rng = np.random.default_rng(n)
@@ -529,7 +576,7 @@ class TestConstructorMemory:
 
     @pytest.mark.parametrize("name", ["cesaro_matrix", "identity_matrix",
                                       "diagonal_sandwich", "diagonal_sandwich(CesaroOp)",
-                                      "perturb_entry"])
+                                      "perturb_entry", "perturb_entry(diagonal_sandwich)"])
     def test_peak_below_one_and_a_quarter_matrices(self, name, traced_peak):
         n = self.N
         a, h = cesaro_matrix(n), TruncatedSeq(1.0 / np.arange(1, n + 1))
@@ -539,5 +586,7 @@ class TestConstructorMemory:
             "diagonal_sandwich": lambda: diagonal_sandwich(h, a, h),
             "diagonal_sandwich(CesaroOp)": lambda: diagonal_sandwich(h, CesaroOp(n), h),
             "perturb_entry": lambda: perturb_entry(a, n, 1, 1e-3),
+            "perturb_entry(diagonal_sandwich)":
+                lambda: perturb_entry(diagonal_sandwich(h, CesaroOp(n), h), n, 1, 1e-3),
         }[name]
         assert traced_peak(build) < 1.25 * 8 * n * n
