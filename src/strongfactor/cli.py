@@ -39,7 +39,6 @@ from .grid_functions import BasisFamily, BasisSpec, _representing_op
 from .operators import (
     CesaroOp,
     MatrixOp,
-    cesaro_matrix,
     diagonal_sandwich,
     identity_matrix,
     matrix_from_csv,
@@ -55,13 +54,7 @@ _EXIT_BY_VERDICT = {Verdict.FACTORS: 0, Verdict.DOES_NOT_FACTOR: 1,
 
 _SHIFT_RE = re.compile(r"^shift(\d+):([a-z-]+)$")
 
-_FAMILIES = {
-    "trig": BasisFamily.TRIG_REAL,
-    "legendre": BasisFamily.LEGENDRE,
-    "chebyshev1": BasisFamily.CHEBYSHEV1,
-    "chebyshev2": BasisFamily.CHEBYSHEV2,
-    "laguerre": BasisFamily.LAGUERRE,
-}
+_FAMILIES = {f.value.split("_")[0]: f for f in BasisFamily}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -140,7 +133,7 @@ def _generate_matrix(args, n: int) -> MatrixOp:
     if gen == "identity":
         return identity_matrix(n)
     if gen == "cesaro":
-        return cesaro_matrix(n)
+        return CesaroOp(n)
     if gen == "random-lower":
         return random_lower_triangular(n, seed=args.seed)
     if gen == "rank-one":
@@ -257,8 +250,8 @@ def _cmd_verify_representing(args) -> int:
     spec = BasisSpec(family, args.N)
     g = _load_sequence(args.g, args.N) if args.g else TruncatedSeq(np.ones(args.N))
     h, t = _representing_op(spec, g, args.permute)
-    cert = verify_representing(t, spec, h, g, samples=args.samples,
-                               count=args.N, tol=args.tol, seed=args.seed)
+    cert = verify_representing(t, spec, h, g, samples=args.samples, tol=args.tol,
+                               seed=args.seed)
     return _finish_certificate(cert, args)
 
 

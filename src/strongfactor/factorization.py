@@ -55,7 +55,6 @@ from .grid_functions import (
     _basis_matrix,
     default_rule,
     fourier_coeffs,
-    random_trig_poly,
 )
 from .operators import CesaroOp, MatrixOp, _block_bounds, _Sandwich
 from .seq_spaces import IndexDomain, SpaceKind, TruncatedSeq, lp_norm
@@ -94,6 +93,10 @@ class SignPattern:
         return np.asarray(self.r).tolist()
 
 
+def _json_number(x: float):  # JSON has no infinity; "inf" as exponents write it
+    return x if math.isfinite(x) else "inf"
+
+
 @dataclass(frozen=True)
 class Certificate:
     """Machine-readable verdict with recovered multipliers and witness data."""
@@ -123,7 +126,8 @@ class Certificate:
 
     def to_json(self) -> dict:
         def norm_pair(pair):
-            return None if pair is None else {"value": pair[0], "exponent": pair[1].to_json()}
+            return None if pair is None else {"value": _json_number(pair[0]),
+                                              "exponent": pair[1].to_json()}
 
         return {
             "verdict": self.verdict.value,
@@ -132,7 +136,7 @@ class Certificate:
             "alpha": self.alpha.to_json() if self.alpha is not None else None,
             "g_norm": norm_pair(self.g_norm),
             "h_norm": norm_pair(self.h_norm),
-            "residual": self.residual,
+            "residual": _json_number(self.residual),
             "witness": self.witness,
             "exponents": {k: v.to_json() for k, v in self.exponents.items()},
             "tolerances": {"tol": self.tol},
@@ -378,7 +382,7 @@ class CertifierResult:
 
     def to_json(self) -> dict:
         return {
-            "c_hat": self.c_hat if math.isfinite(self.c_hat) else "inf",
+            "c_hat": _json_number(self.c_hat),
             "c_hat_vertex": self.c_hat_vertex,
             "pattern": self.pattern.to_json(),
             "lhs": self.lhs,
@@ -411,7 +415,8 @@ def _max_dot_with_zero_sum(c: np.ndarray, w: np.ndarray) -> np.ndarray:
     r[free] = np.sign(c[free])
     if active.size == 0:
         return r
-    lam = c[active] / w[active]
+    with np.errstate(over="ignore"):  # an overflow is +-inf, which sorts alike
+        lam = c[active] / w[active]
     order = active[np.argsort(lam, kind="stable")]
     r[order] = np.sign(w[order])
     gap = float(np.abs(w[active]).sum())
@@ -713,19 +718,18 @@ def certify_inequality_fourier(tphi: MatrixOp | _Sandwich, s: Exponent,
 # representing-operator verification
 
 def verify_representing(t_impl, basis: BasisSpec, h, g: TruncatedSeq,
-                        samples: int = 20, count: int = 16,
-                        tol: float = QUADRATURE_TOL, seed: int = 0) -> Certificate:
+                        samples: int = 20, tol: float = QUADRATURE_TOL,
+                        seed: int = 0) -> Certificate:
     """Verify the two-sides-diagonal identity T(x)_j = g_j * alpha_j(h x) on
     seeded random inputs, with alpha the basis-coefficient map.
 
     ``t_impl`` maps a GridFunction to its coefficient sequence (anything
-    indexable to ``count`` entries); ``h`` is a pointwise multiplier
+    indexable to ``basis.count`` entries); ``h`` is a pointwise multiplier
     callable.  Injectivity requires every diagonal entry g_j to be nonzero.
     Both sides are linear in x, so the verdict is invariant under rescaling
     of the samples.
     """
-    if count < 1 or count > basis.count:
-        raise SpecError(f"count {count} outside 1..{basis.count}")
+    count = basis.count
     if len(g) < count:
         raise LengthMismatch(f"diagonal length {len(g)} < requested count {count}")
     zero = np.flatnonzero(g.coeffs[:count] == 0.0)
@@ -734,17 +738,13 @@ def verify_representing(t_impl, basis: BasisSpec, h, g: TruncatedSeq,
     if samples < 1:
         raise SpecError("samples must be >= 1")
     rule = default_rule(basis.family)
+    # a trigonometric sample has degree max(1, count // 2): every index to count
+    m = 2 * max(1, count // 2) + 1 if basis.family is BasisFamily.TRIG_REAL else count
+    span = _basis_matrix(BasisSpec(basis.family, m), m, rule)
     gv = g.coeffs[:count]
     worst = (-1.0, 0, 0)  # deviation, sample index, coefficient index
     for k in range(samples):
-        if basis.family is BasisFamily.TRIG_REAL:
-            # degree count//2 spans every coefficient index up to `count`
-            degree = max(1, basis.count // 2)
-            x, _ = random_trig_poly(degree, seed=seed * 100003 + k, rule=rule)
-        else:
-            rng = np.random.default_rng(seed * 100003 + k)
-            coeffs = rng.standard_normal(basis.count)
-            x = GridFunction(rule, coeffs @ _basis_matrix(basis, basis.count, rule))
+        x = GridFunction(rule, np.random.default_rng(seed * 100003 + k).standard_normal(m) @ span)
         tx = np.asarray(t_impl(x), dtype=float)[:count]
         alpha = fourier_coeffs(x.multiplied(h), basis, count).coeffs
         dev = np.abs(tx - gv * alpha)

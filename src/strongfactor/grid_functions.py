@@ -22,6 +22,7 @@ here verify orthonormality only and completeness is assumed.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -45,15 +46,6 @@ class BasisFamily(Enum):
     LAGUERRE = "laguerre"
 
 
-_INTERVALS = {
-    BasisFamily.TRIG_REAL: (-math.pi, math.pi),
-    BasisFamily.LEGENDRE: (-1.0, 1.0),
-    BasisFamily.CHEBYSHEV1: (-1.0, 1.0),
-    BasisFamily.CHEBYSHEV2: (-1.0, 1.0),
-    BasisFamily.LAGUERRE: (0.0, math.inf),
-}
-
-
 @dataclass(frozen=True)
 class BasisSpec:
     """A basis family together with how many of its functions are in play."""
@@ -67,7 +59,7 @@ class BasisSpec:
 
     @property
     def interval(self) -> tuple[float, float]:
-        return _INTERVALS[self.family]
+        return default_rule(self.family).interval
 
 
 @dataclass(frozen=True)
@@ -127,24 +119,19 @@ def gauss_laguerre(n: int) -> QuadRule:
     return QuadRule(nodes, weights, (0.0, math.inf), f"glag[{n}]")
 
 
-_DEFAULT_RULES: dict[BasisFamily, QuadRule] = {}
+#: each family's quadrature rule, whose interval is the family's interval
+_DEFAULT_RULES = {
+    BasisFamily.TRIG_REAL: lambda: composite_gauss_legendre(-math.pi, math.pi, panels=32, order=20),
+    BasisFamily.LEGENDRE: lambda: composite_gauss_legendre(-1.0, 1.0, panels=8, order=16),
+    BasisFamily.CHEBYSHEV1: lambda: gauss_chebyshev1(256),
+    BasisFamily.CHEBYSHEV2: lambda: gauss_chebyshev2(256),
+    BasisFamily.LAGUERRE: lambda: gauss_laguerre(64),
+}
 
 
+@functools.cache
 def default_rule(family: BasisFamily) -> QuadRule:
-    rule = _DEFAULT_RULES.get(family)
-    if rule is None:
-        if family is BasisFamily.TRIG_REAL:
-            rule = composite_gauss_legendre(-math.pi, math.pi, panels=32, order=20)
-        elif family is BasisFamily.LEGENDRE:
-            rule = composite_gauss_legendre(-1.0, 1.0, panels=8, order=16)
-        elif family is BasisFamily.CHEBYSHEV1:
-            rule = gauss_chebyshev1(256)
-        elif family is BasisFamily.CHEBYSHEV2:
-            rule = gauss_chebyshev2(256)
-        else:
-            rule = gauss_laguerre(64)
-        _DEFAULT_RULES[family] = rule
-    return rule
+    return _DEFAULT_RULES[family]()
 
 
 @dataclass(frozen=True)
@@ -184,13 +171,13 @@ class GridFunction:
         return GridFunction(self.rule, self.values * other)
 
 
-def from_callable(fn, spec_or_rule) -> GridFunction:
-    rule = spec_or_rule if isinstance(spec_or_rule, QuadRule) else default_rule(spec_or_rule.family)
+def from_callable(fn, spec: BasisSpec) -> GridFunction:
+    rule = default_rule(spec.family)
     return GridFunction(rule, np.asarray(fn(rule.nodes), dtype=float))
 
 
-def constant(c: float, spec_or_rule) -> GridFunction:
-    rule = spec_or_rule if isinstance(spec_or_rule, QuadRule) else default_rule(spec_or_rule.family)
+def constant(c: float, spec: BasisSpec) -> GridFunction:
+    rule = default_rule(spec.family)
     return GridFunction(rule, np.full(rule.nodes.shape, float(c)))
 
 
@@ -286,19 +273,18 @@ def eval_basis(spec: BasisSpec, n: int, x) -> float | np.ndarray:
     return float(row[0]) if np.isscalar(x) or np.ndim(x) == 0 else row
 
 
-def basis_element(spec: BasisSpec, n: int, rule: QuadRule | None = None) -> GridFunction:
+def basis_element(spec: BasisSpec, n: int) -> GridFunction:
     if n < 1 or n > spec.count:
         raise IndexOutOfRange(f"basis index {n} outside 1..{spec.count}")
-    rule = rule or default_rule(spec.family)
+    rule = default_rule(spec.family)
     return GridFunction(rule, _basis_matrix(spec, n, rule)[n - 1].copy())
 
 
-def random_trig_poly(degree: int, seed: int,
-                     rule: QuadRule | None = None) -> tuple[GridFunction, TruncatedSeq]:
+def random_trig_poly(degree: int, seed: int) -> tuple[GridFunction, TruncatedSeq]:
     """Seeded random trigonometric polynomial; also returns its coefficients."""
     if degree < 0:
         raise SpecError("degree must be >= 0")
-    rule = rule or default_rule(BasisFamily.TRIG_REAL)
+    rule = default_rule(BasisFamily.TRIG_REAL)
     count = 2 * degree + 1
     spec = BasisSpec(BasisFamily.TRIG_REAL, count)
     rng = np.random.default_rng(seed)

@@ -169,9 +169,9 @@ def factorable_matrix(alpha: TruncatedSeq, h: TruncatedSeq, j0: int = 1) -> Matr
     return _fresh(entries, _L2, _L2)
 
 
-def perturb_entry(op: MatrixOp | _Sandwich, i: int, j: int, eps: float) -> MatrixOp:
-    """Dense copy of op with eps added at 1-based entry (i, j).  A sandwich's
-    rows are built once and taken over; a MatrixOp's array is copied."""
+def perturb_entry(op: MatrixOp | CesaroOp | _Sandwich, i: int, j: int, eps: float) -> MatrixOp:
+    """Dense copy of op with eps added at 1-based entry (i, j).  An implicit
+    operator's rows are built once and taken over; a MatrixOp's array is copied."""
     if not (1 <= i <= op.n and 1 <= j <= op.n):
         raise SpecError(f"entry ({i}, {j}) outside 1..{op.n}")
     entries = op.rows(0, op.n)

@@ -203,6 +203,16 @@ class TestCheckMatrix:
         assert traced_peak(lambda: codes.append(run(argv))) < 0.1 * 8 * n * n
         assert codes == [0]
 
+    def test_generated_cesaro_is_implicit(self, tmp_path, capsys, traced_peak):
+        # --gen cesaro is CesaroOp(n), read by row blocks like --through cesaro
+        n = 2048
+        argv = ["check-cesaro", "--gen", "cesaro", "--h", "ones", "--N", str(n),
+                "--p", "2", "--q", "2", "--r", "2", "--no-timestamp",
+                "--out", str(tmp_path / "c.json")]
+        codes = []
+        assert traced_peak(lambda: codes.append(run(argv))) < 0.1 * 8 * n * n
+        assert codes == [0]
+
 
 def run_process(args):
     """The CLI in a fresh interpreter, so that whatever it writes to stderr,
@@ -269,6 +279,50 @@ class TestOverflowingMultiplier:
                                "overflows the float range\n")
 
 
+class TestNonFiniteNumbers:
+    """A number beyond the float range is written "inf", so every certificate
+    is valid JSON, and no numpy warning reaches stderr."""
+
+    def test_overflowing_difference_writes_residual_inf(self, tmp_path):
+        # g_1 = 1.5e308 is finite, but |a_12 - g_1 w_12| = 3e308 is not
+        ent = np.array([[1.5e308, -1.5e308], [1.0, 1.0]])
+        matrix, through, h = tmp_path / "a.csv", tmp_path / "b.csv", tmp_path / "h.csv"
+        matrix_to_csv(MatrixOp(ent, lp_space(2), lp_space(2)), matrix)
+        matrix_to_csv(MatrixOp(np.ones((2, 2)), lp_space(2), lp_space(2)), through)
+        seq_to_csv(TruncatedSeq([1.0, 1.0]), h)
+        done = run_process(["check-matrix", "--matrix", str(matrix), "--through",
+                            str(through), "--h", str(h), "--no-timestamp"])
+        assert done.returncode == 1
+        assert done.stderr == ""
+        doc = strict_json(done.stdout.split("\n", 1)[1])
+        assert doc["verdict"] == "DOES_NOT_FACTOR"
+        assert doc["residual"] == "inf"
+        assert doc["witness"] == {"i": 1, "j": 2, "expected": 1.5e308, "actual": -1.5e308}
+
+    def test_overflowing_norm_writes_g_norm_inf(self, tmp_path):
+        g = tmp_path / "g.csv"
+        seq_to_csv(TruncatedSeq(np.full(4, 1.5e308)), g)
+        done = run_process(["check-fourier", "--gen", "diag", "--g", str(g), "--N", "4",
+                            "--r", "4/3", "--p", "2", "--q", "2", "--no-timestamp"])
+        assert done.returncode == 0
+        assert done.stderr == ""
+        doc = strict_json(done.stdout.split("\n", 1)[1])
+        assert doc["verdict"] == "FACTORS"
+        assert doc["g_norm"] == {"value": "inf", "exponent": 4.0}
+
+    def test_subnormal_h_certifies_without_warning(self, tmp_path):
+        # c_j / w_j overflows at w_1 = h_1 = 1e-322 in the zero-sum LP
+        h = tmp_path / "h.csv"
+        seq_to_csv(TruncatedSeq([1e-322, 1.0]), h)
+        done = run_process(["certify", "--gen", "rank-one", "--g", "alt", "--h", str(h),
+                            "--N", "2", "--perturb", "2,1,1e-3", "--q", "2", "--r", "2",
+                            "--no-timestamp"])
+        assert done.returncode == 1
+        assert done.stderr == ""
+        doc = strict_json(done.stdout.split("\n", 1)[1])
+        assert doc["certifier"]["refuted"] is True
+
+
 class TestCertify:
     def test_bounded_evidence_is_inconclusive(self, tmp_path):
         out = tmp_path / "cert.json"
@@ -323,8 +377,11 @@ class TestVerifyRepresenting:
                     "--out", str(tmp_path / "c.json")])
         assert code == 1
 
-    def test_unknown_family(self):
+    def test_unknown_family(self, capsys):
         assert run(["verify-representing", "--family", "hermite"]) == 64
+        assert capsys.readouterr().err == (
+            "error: unknown family 'hermite'; choose from "
+            "trig, legendre, chebyshev1, chebyshev2, laguerre\n")
 
     def test_permute_one_coefficient_is_one_error_line(self):
         done = run_process(["verify-representing", "--N", "1", "--permute",

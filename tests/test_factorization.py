@@ -34,7 +34,10 @@ from strongfactor.factorization import (
 from strongfactor.grid_functions import (
     BasisFamily,
     BasisSpec,
+    basis_rows,
+    default_rule,
     fourier_coeffs,
+    random_trig_poly,
     representing_setup,
 )
 from strongfactor.operators import (
@@ -1253,8 +1256,8 @@ class TestVerifyRepresenting:
         def t_impl(x):
             return fourier_coeffs(x.multiplied(h), spec, 16).coeffs
 
-        cert = verify_representing(t_impl, spec, h, g, samples=10, count=16,
-                                   tol=1e-6, seed=0)
+        cert = verify_representing(t_impl, spec, h, g, samples=10, tol=1e-6,
+                                   seed=0)
         assert cert.verdict is Verdict.FACTORS
 
     @pytest.mark.parametrize("family", [BasisFamily.CHEBYSHEV2,
@@ -1268,8 +1271,8 @@ class TestVerifyRepresenting:
         def t_impl(x):
             return fourier_coeffs(x.multiplied(h), spec, 8).coeffs
 
-        cert = verify_representing(t_impl, spec, h, g, samples=5, count=8,
-                                   tol=1e-6, seed=3)
+        cert = verify_representing(t_impl, spec, h, g, samples=5, tol=1e-6,
+                                   seed=3)
         assert cert.verdict is Verdict.FACTORS
 
     def test_diagonal_scaling_on_trig(self):
@@ -1285,7 +1288,7 @@ class TestVerifyRepresenting:
             return gamma * fourier_coeffs(x, spec, n).coeffs
 
         cert = verify_representing(t_impl, spec, h, TruncatedSeq(gamma),
-                                   samples=10, count=n, tol=1e-9, seed=1)
+                                   samples=10, tol=1e-9, seed=1)
         assert cert.verdict is Verdict.FACTORS
 
     def test_permuted_coefficients_fail(self):
@@ -1298,8 +1301,8 @@ class TestVerifyRepresenting:
             coeffs[[0, 1]] = coeffs[[1, 0]]
             return coeffs
 
-        cert = verify_representing(t_impl, spec, h, g, samples=10, count=16,
-                                   tol=1e-6, seed=0)
+        cert = verify_representing(t_impl, spec, h, g, samples=10, tol=1e-6,
+                                   seed=0)
         assert cert.verdict is Verdict.DOES_NOT_FACTOR
         assert cert.witness["deviation"] > 1e-6
 
@@ -1315,7 +1318,7 @@ class TestVerifyRepresenting:
             return coeffs
 
         cert = verify_representing(t_impl, spec, h, ones(n), samples=5,
-                                   count=n, tol=1e-6, seed=0)
+                                   tol=1e-6, seed=0)
         assert cert.verdict is Verdict.DOES_NOT_FACTOR
 
     def test_zero_diagonal_rejected(self):
@@ -1323,8 +1326,33 @@ class TestVerifyRepresenting:
         _, h = representing_setup(spec)
         g = TruncatedSeq([1.0, 0.0, 1.0, 1.0])
         with pytest.raises(ZeroDiagonal):
-            verify_representing(lambda x: np.zeros(4), spec, h, g, samples=2,
-                                count=4)
+            verify_representing(lambda x: np.zeros(4), spec, h, g, samples=2)
+
+    @pytest.mark.parametrize("family", list(BasisFamily))
+    @pytest.mark.parametrize("n", [1, 2, 7, 16])
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_samples_are_the_family_generators(self, family, n, seed):
+        # every sample is seeded random coefficients times the basis rows; for
+        # the trigonometric family that is random_trig_poly of degree max(1, n // 2)
+        spec = BasisSpec(family, n)
+        rule = default_rule(family)
+        seen = []
+
+        def t_impl(x):
+            seen.append(x)
+            return np.zeros(n)
+
+        verify_representing(t_impl, spec, lambda x: np.ones_like(x), ones(n), samples=3,
+                            seed=seed)
+        for k, x in enumerate(seen):
+            if family is BasisFamily.TRIG_REAL:
+                want = random_trig_poly(max(1, n // 2), seed=seed * 100003 + k)[0].values
+            else:
+                rng = np.random.default_rng(seed * 100003 + k)
+                want = rng.standard_normal(n) @ basis_rows(spec, n, rule.nodes)
+            assert x.rule is rule
+            assert x.values.tobytes() == want.tobytes()
+        assert len(seen) == 3
 
     def test_deviation_scales_linearly(self):
         # both sides of the identity are linear, so scaling the input scales

@@ -145,6 +145,18 @@ class TestQuadrature:
         assert np.all(np.diff(rule.nodes) > 0)
         assert rule.weights.sum() == pytest.approx(1.0, rel=1e-14)
 
+    @pytest.mark.parametrize("family, interval", [
+        (BasisFamily.TRIG_REAL, (-math.pi, math.pi)),
+        (BasisFamily.LEGENDRE, (-1.0, 1.0)),
+        (BasisFamily.CHEBYSHEV1, (-1.0, 1.0)),
+        (BasisFamily.CHEBYSHEV2, (-1.0, 1.0)),
+        (BasisFamily.LAGUERRE, (0.0, math.inf)),
+    ])
+    def test_family_interval_is_its_rule_interval(self, family, interval):
+        assert BasisSpec(family, 1).interval == interval
+        assert default_rule(family).interval == interval
+        assert default_rule(family) is default_rule(family)
+
 
 class TestOrthonormality:
     @pytest.mark.parametrize("family", list(BasisFamily))

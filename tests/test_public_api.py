@@ -51,4 +51,4 @@ def test_knob_count_is_pinned():
     knobs = [param for value in callables
              for param in inspect.signature(value).parameters.values()
              if param.default is not inspect.Parameter.empty]
-    assert len(knobs) == 33
+    assert len(knobs) == 30
