@@ -3,7 +3,24 @@
 Decides, constructs and certifies factorizations of the form
 T = M_g . S . M_h, where S is the trigonometric coefficient operator or the
 running-averages (Cesàro) operator and M_g, M_h are pointwise multipliers.
+
+numpy is loaded with one OpenBLAS thread. OpenBLAS starts its worker pool as
+it loads, which costs every process CPU time, and no kernel here is large
+enough to use a second thread. One thread also makes long dot products, such
+as the norm estimator's, independent of the CPU count. OPENBLAS_NUM_THREADS=1
+is set only while the submodules load numpy, and only when numpy is not loaded
+yet and the caller has set no OpenBLAS thread variable; the caller's setting
+wins, and the environment that subprocesses inherit is left as it was.
 """
+
+import os as _os
+import sys as _sys
+
+_PIN_BLAS = "numpy" not in _sys.modules and not any(
+    name in _os.environ
+    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"))
+if _PIN_BLAS:
+    _os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 from .errors import (
     AllZeroMultiplier,
@@ -72,5 +89,8 @@ from .seq_spaces import (
     space_norm,
     weighted_lp_norm,
 )
+
+if _PIN_BLAS:
+    del _os.environ["OPENBLAS_NUM_THREADS"]
 
 __version__ = "0.1.0"
