@@ -299,7 +299,27 @@ def _nonblank_lines(path) -> list[tuple[int, str]]:
 def _read_csv(path, width: int, lines: list[tuple[int, str]]) -> np.ndarray:
     """(len(lines), width) array from a file's (line number, text) pairs.
     The one CSV format of matrix, sequence and grid files: each text holds
-    width fields that float() accepts, all finite; errors name path:line."""
+    width fields that float() accepts, all finite; errors name path:line.
+    Well-formed texts take one C pass, which accepts a subset of float()'s
+    spellings with the same values; the rest go to _read_csv_lines."""
+    out = None
+    if lines:  # loadtxt warns on no data
+        try:
+            out = np.loadtxt([text for _, text in lines], delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            pass
+    if out is None or out.shape != (len(lines), width):
+        out = _read_csv_lines(path, width, lines)
+    bad = ~np.isfinite(out)
+    if bad.any():
+        r, j = np.unravel_index(int(bad.argmax()), bad.shape)
+        raise ParseError(f"{path}:{lines[r][0]}: non-finite value "
+                         f"{float(out[r, j])!r} in column {j + 1}")
+    return out
+
+
+def _read_csv_lines(path, width: int, lines: list[tuple[int, str]]) -> np.ndarray:
+    """One float() per field: every error, and spellings like ``1_0`` and ``١``."""
     out = np.empty((len(lines), width))
     for r, (k, text) in enumerate(lines):
         fields = text.split(",")
@@ -309,11 +329,6 @@ def _read_csv(path, width: int, lines: list[tuple[int, str]]) -> np.ndarray:
             out[r] = fields  # numpy converts each field with float()
         except ValueError as exc:
             raise ParseError(f"{path}:{k}: {exc}") from None
-    bad = ~np.isfinite(out)
-    if bad.any():
-        r, j = np.unravel_index(int(bad.argmax()), bad.shape)
-        raise ParseError(f"{path}:{lines[r][0]}: non-finite value "
-                         f"{float(out[r, j])!r} in column {j + 1}")
     return out
 
 

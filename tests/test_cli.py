@@ -279,6 +279,23 @@ class TestOverflowingMultiplier:
                                "overflows the float range\n")
 
 
+class TestZeroRowInputs:
+    """A CSV with no rows gives one error line and no numpy warning."""
+
+    @pytest.mark.parametrize("text, inputs, code, err", [
+        ("N=0\n", ["--matrix", "{}", "--h", "ones"], 64,
+         "error: SizeMismatch: matrix must be square and nonempty, got shape (0, 0)\n"),
+        ("\n \n", ["--gen", "identity", "--h", "{}"], 65,
+         "parse error: {}: empty sequence\n"),
+    ], ids=["matrix-n0", "empty-h"])
+    def test_one_error_line(self, tmp_path, text, inputs, code, err):
+        path = tmp_path / "in.csv"
+        path.write_text(text)
+        done = run_process(["check-cesaro", "--N", "2", "--p", "2", "--q", "2", "--r", "2",
+                            *(a.format(path) for a in inputs)])
+        assert (done.returncode, done.stdout, done.stderr) == (code, "", err.format(path))
+
+
 class TestNonFiniteNumbers:
     """A number beyond the float range is written "inf", so every certificate
     is valid JSON, and no numpy warning reaches stderr."""

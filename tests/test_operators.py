@@ -5,7 +5,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from strongfactor import operators
 from strongfactor.errors import LengthMismatch, ParseError, SizeMismatch, SpecError
 from strongfactor.exponents import Exponent, conjugate
 from strongfactor.grid_functions import composite_gauss_legendre, grid_from_csv
@@ -14,6 +17,7 @@ from strongfactor.operators import (
     CesaroOp,
     MatrixOp,
     NormEstimate,
+    _read_csv,
     cesaro_matrix,
     diagonal_sandwich,
     factorable_matrix,
@@ -371,6 +375,8 @@ class TestIO:
         entries = matrix_from_csv(path).entries
         assert entries.tolist() == [[10.0, 2.0], [-0.0, 5e-324]]
         assert np.signbit(entries[1, 0])
+        path.write_text("N=1\n\u0661\n")  # ARABIC-INDIC DIGIT ONE
+        assert matrix_from_csv(path).entries.tolist() == [[1.0]]
 
     def test_json_round_trip(self, tmp_path):
         op = cesaro_matrix(3)
@@ -430,6 +436,8 @@ CSV_CASES = {
     "inf": lambda row: ([], _with_last(row, "inf")),
     "whitespace-line": lambda row: ([" \t "], _with_last(row, "1..0")),
     "blank-line": lambda row: ([""], _with_first(row, "-inf")),
+    "comment": lambda row: ([], _with_last(row, "1#2")),
+    "quoted": lambda row: ([], _with_first(row, '"1"')),
 }
 
 
@@ -448,6 +456,125 @@ class TestCsvReaders:
         with pytest.raises(ParseError) as info:
             read(path)
         assert str(info.value).startswith(f"{path}:{len(lines)}: ")
+
+    @pytest.mark.parametrize("reader", CSV_READERS)
+    def test_well_formed_file_takes_one_pass(self, tmp_path, monkeypatch, reader):
+        read, head, row = CSV_READERS[reader]
+        path = tmp_path / "in.csv"
+        path.write_text("\n".join(head + [",".join(row(0)), " , ".join(row(1))]) + "\n")
+
+        def per_line(*args):
+            raise AssertionError("a well-formed file reached the per-line reader")
+
+        monkeypatch.setattr(operators, "_read_csv_lines", per_line)
+        read(path)
+
+    @pytest.mark.parametrize("reader", CSV_READERS)
+    def test_float_only_spelling_takes_per_line_reader(self, tmp_path, monkeypatch, reader):
+        read, head, row = CSV_READERS[reader]
+        path = tmp_path / "in.csv"
+        path.write_text("\n".join(head + [",".join(row(0)), ",".join(_with_last(row(1), "1_0"))]))
+        calls = []
+        per_line = operators._read_csv_lines
+        monkeypatch.setattr(operators, "_read_csv_lines",
+                            lambda *args: calls.append(args) or per_line(*args))
+        read(path)
+        assert len(calls) == 1
+
+    def test_empty_sequence_and_grid(self, tmp_path):
+        path = tmp_path / "in.csv"
+        path.write_text("\n \n")
+        with pytest.raises(ParseError, match=r"in\.csv: empty sequence$"):
+            seq_from_csv(path)
+        with pytest.raises(ParseError, match=r"in\.csv: expected 2 rows, found 0$"):
+            grid_from_csv(path, GRID_RULE)
+
+
+def reference_read_csv(path, width, lines):
+    """What ``_read_csv`` must return for these lines: one ``float()`` per
+    field, each row checked for width before it is converted, then the first
+    non-finite entry in row-major order reported."""
+    rows = []
+    for k, text in lines:
+        fields = text.split(",")
+        if len(fields) != width:
+            raise ParseError(f"{path}:{k}: expected {width} values, found {len(fields)}")
+        try:
+            rows.append([float(f) for f in fields])
+        except ValueError as exc:
+            raise ParseError(f"{path}:{k}: {exc}") from None
+    for (k, _), row in zip(lines, rows):
+        for j, v in enumerate(row):
+            if not math.isfinite(v):
+                raise ParseError(f"{path}:{k}: non-finite value {v!r} in column {j + 1}")
+    return np.array(rows, dtype=float).reshape(len(rows), width)
+
+
+# field spellings: numpy's parser accepts some of these, float() more of them
+CSV_FIELD_ODD = [
+    "2.4703282292062328e-324", "2.4703282292062327e-324", "-2.4703282292062328e-324",
+    "7.4109846876186982e-324", "2.2250738585072011e-308", "1.7976931348623158e308",
+    "1.7976931348623159e308", "-0.0", "0", "+0e0", "1.", ".5", "1E5", "-1e-5",
+    "1_0", "1_000.5", "\u0661", "\u0661.\u0665", "\u0969e2",
+    "inf", "-inf", "+Infinity", "iNF", "nan", "-nan", "+NaN", "1e500", "-1e500", "1e-500",
+    "", "oops", "1#2", '"1"', "0x1p3", "1 2", "1e", ".", "-", "nan(1)", "infinit", "1__0",
+]
+CSV_PAD = st.sampled_from(["", " ", "\t", "\xa0", " \t\xa0", "\u2000"])
+CSV_LONG_DECIMAL = st.from_regex(r"-?[0-9]{1,40}\.[0-9]{1,60}(e-?[0-9]{1,3})?", fullmatch=True)
+
+
+@st.composite
+def csv_file(draw):
+    """(width, lines) as ``_nonblank_lines`` gives them: a file's stripped,
+    nonblank lines with their 1-based numbers.  Most rows are shortest reprs,
+    with a few fields swapped for other spellings and a few rows, or every
+    row, one field too wide or too narrow."""
+    width = draw(st.integers(1, 4))
+    file_width = max(1, width + draw(st.sampled_from([0, 0, 0, -1, 1])))
+    sizes = st.sampled_from([file_width] * 6 + [file_width + 1, max(1, file_width - 1)])
+    shortest = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+    commented = st.builds("{}#{}".format, shortest, shortest)  # no comments in CSV
+    other = st.one_of(shortest, CSV_LONG_DECIMAL, commented, st.sampled_from(CSV_FIELD_ODD))
+    other = st.tuples(CSV_PAD, other, CSV_PAD).map("".join)
+    lines, k = [], 0
+    for _ in range(draw(st.integers(0, 5))):
+        k += draw(st.integers(1, 2))
+        n = draw(sizes)
+        fields = draw(st.lists(shortest, min_size=n, max_size=n))
+        for _ in range(draw(st.sampled_from([0, 0, 0, 0, 1, 2]))):
+            fields[draw(st.integers(0, n - 1))] = draw(other)
+        if text := ",".join(fields).strip():
+            lines.append((k, text))
+    return width, lines
+
+
+class TestCsvParse:
+    """``_read_csv`` against one ``float()`` per field: identical bits, sign
+    included, or the identical error, whichever path parsed the file."""
+
+    @staticmethod
+    def outcome(read, width, lines):
+        try:
+            out = read("in.csv", width, lines)
+        except ParseError as exc:
+            return str(exc)
+        return out.shape, out.tobytes()
+
+    @settings(deadline=None, max_examples=300)
+    @given(csv_file())
+    @example((2, [(1, "1_0,2"), (2, "-0.0, 2.4703282292062328e-324")]))
+    @example((2, [(1, "\u0661,1"), (3, "-0.0\t,\xa01")]))
+    @example((2, [(1, "1,2,"), (2, "1,nan")]))
+    @example((1, [(1, "1e500")]))
+    @example((3, [(2, "1,,3")]))
+    @example((1, []))
+    @example((2, [(1, "1,1#2")]))  # a comment character would drop "#2"
+    @example((2, [(1, "1"), (2, "2")]))  # every row one field short
+    @example((1, [(1, "1,2")]))
+    def test_matches_per_field_float(self, case):
+        width, lines = case
+        assert (self.outcome(_read_csv, width, lines)
+                == self.outcome(reference_read_csv, width, lines))
 
 
 class TestCsvWriters:
