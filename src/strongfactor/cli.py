@@ -250,8 +250,7 @@ def _cmd_verify_representing(args) -> int:
     spec = BasisSpec(family, args.N)
     g = _load_sequence(args.g, args.N) if args.g else TruncatedSeq(np.ones(args.N))
     h, t = _representing_op(spec, g, args.permute)
-    cert = verify_representing(t, spec, h, g, samples=args.samples, tol=args.tol,
-                               seed=args.seed)
+    cert = verify_representing(t, spec, h, tol=args.tol, seed=args.seed)
     return _finish_certificate(cert, args)
 
 
@@ -283,13 +282,16 @@ def _checked(convert, ok, rule: str):
     return parse
 
 
+_SEED = _checked(int, lambda s: s >= 0, "at least 0")  # numpy refuses a negative seed
+
+
 def _add_common(sub, exponents: str = "", with_matrix=True):
     sub.add_argument("--N", type=_checked(int, lambda n: n >= 1, "at least 1"),
                      default=64, help="truncation size")
     sub.add_argument("--tol", type=_checked(float, lambda t: 0.0 <= t < math.inf,
                                             "finite and >= 0"),
                      default=EXACT_TOL, help="decision tolerance")
-    sub.add_argument("--seed", type=int, default=0, help="seed recorded in output")
+    sub.add_argument("--seed", type=_SEED, default=0, help="seed recorded in output")
     sub.add_argument("--out", help="certificate path (default: print to stdout)")
     sub.add_argument("--no-timestamp", action="store_true",
                      help="omit the timestamp for byte-reproducible output")
@@ -341,12 +343,11 @@ def build_parser() -> _Parser:
     sub.set_defaults(run=_cmd_certify)
 
     sub = subs.add_parser("verify-representing",
-                          help="verify the two-sides-diagonal identity on "
-                               "random inputs")
+                          help="decide the two-sides-diagonal identity on "
+                               "the basis functions")
     _add_common(sub, with_matrix=False)
     sub.add_argument("--family", default="chebyshev1",
                      help="basis family: " + ", ".join(_FAMILIES))
-    sub.add_argument("--samples", type=int, default=20)
     sub.add_argument("--g", help="diagonal sequence (default: ones)")
     sub.add_argument("--permute", action="store_true",
                      help="swap the first two coefficients (demonstrates failure)")
@@ -354,7 +355,7 @@ def build_parser() -> _Parser:
 
     sub = subs.add_parser("suite", help="run a built-in verification sweep")
     sub.add_argument("--name", default="all")
-    sub.add_argument("--seed", type=int, default=0)
+    sub.add_argument("--seed", type=_SEED, default=0)
     sub.set_defaults(run=_cmd_suite)
     return parser
 

@@ -9,7 +9,9 @@ merged:
   All of them read a factorization A = M_g B M_h of N x N truncations as
   a_ij = g_i w_ij with w_ij = b_ij h_j, and one kernel decides that identity;
   the Cesàro (B = C_N), shifted-Cesàro, Fourier (B = I, h = 1) and general
-  matrix checkers are thin wrappers that build w and check exponents;
+  matrix checkers are thin wrappers that build w and check exponents.  The
+  representing-operator check T = M_g alpha M_h is the fifth caller: it
+  hands the kernel T and alpha M_h applied to the first basis functions;
 * **inequality certifiers** evaluate the equivalent vector-norm inequality on
   sign patterns.  A finite sweep can never prove the full inequality, so a
   bounded ratio is reported as finite-truncation evidence only, while a
@@ -34,6 +36,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 from enum import Enum
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -166,19 +169,20 @@ def _sandwich_check(a: MatrixOp | _Sandwich, w_rows, tol: float, g_exp: Exponent
     """Decide a_ij = g_i * w_ij for some g, where w_ij = b_ij * h_j and every
     forced zero of w is stored as an exact 0.
 
-    Neither A nor w is held whole.  Both are walked in the row blocks of
-    ``operators._block_bounds``: A by the operator's ``a.rows(lo, hi)``, and
-    w by ``w_rows(lo, hi)``, which returns a fresh array of rows lo..hi-1 of
-    w.  A first walk stops at the first block with some |a_ij| > tol; when
-    there is none, A is a zero operator.  g_i is read at the first entry of
-    row i of w with |w_ij| > pivot_tol, and ``pivots``, when given, receives
-    a_ij there; a row with no such entry gets g_i = 0.  The witness is the
-    first row-major entry whose deviation |a_ij - g_i w_ij| exceeds tol, so
-    the walk stops at the first block that holds one.  It also stops at the
-    first row where g_i or some g_i w_ij overflows: a violation in an
-    earlier row is then the witness, and otherwise a ``SpecError`` names the
-    row.  ``notes`` are added to a FACTORS certificate; ``meta`` holds the
-    remaining certificate fields.
+    A is read only through its row count ``a.n`` and ``a.rows(lo, hi)``, so
+    its rows may have any length, and w's rows match them.  Neither is held
+    whole.  Both are walked in the row blocks of ``operators._block_bounds``:
+    A by ``a.rows(lo, hi)``, and w by ``w_rows(lo, hi)``, which returns a
+    fresh array of rows lo..hi-1 of w.  A first walk stops at the first
+    block with some |a_ij| > tol; when there is none, A is a zero operator.
+    g_i is read at the first entry of row i of w with |w_ij| > pivot_tol,
+    and ``pivots``, when given, receives a_ij there; a row with no such
+    entry gets g_i = 0.  The witness is the first row-major entry whose
+    deviation |a_ij - g_i w_ij| exceeds tol, so the walk stops at the first
+    block that holds one.  It also stops at the first row where g_i or some
+    g_i w_ij overflows: a violation in an earlier row is then the witness,
+    and otherwise a ``SpecError`` names the row.  ``notes`` are added to a
+    FACTORS certificate; ``meta`` holds the remaining certificate fields.
     """
     n = a.n
     meta.update(tol=tol, truncation=n)
@@ -717,48 +721,36 @@ def certify_inequality_fourier(tphi: MatrixOp | _Sandwich, s: Exponent,
 # ---------------------------------------------------------------------------
 # representing-operator verification
 
-def verify_representing(t_impl, basis: BasisSpec, h, g: TruncatedSeq,
-                        samples: int = 20, tol: float = QUADRATURE_TOL,
+def verify_representing(t_impl, basis: BasisSpec, h, tol: float = QUADRATURE_TOL,
                         seed: int = 0) -> Certificate:
-    """Verify the two-sides-diagonal identity T(x)_j = g_j * alpha_j(h x) on
-    seeded random inputs, with alpha the basis-coefficient map.
+    """Decide the two-sides-diagonal identity T(x)_k = g_k * alpha_k(h x),
+    with alpha the basis-coefficient map, and recover g.
 
     ``t_impl`` maps a GridFunction to its coefficient sequence (anything
     indexable to ``basis.count`` entries); ``h`` is a pointwise multiplier
-    callable.  Injectivity requires every diagonal entry g_j to be nonzero.
-    Both sides are linear in x, so the verdict is invariant under rescaling
-    of the samples.
+    callable.  Both sides are linear in x, so the identity holds on the span
+    of the family's first m basis functions exactly when it holds on each of
+    them: a_kv = g_k w_kv with a_kv = T(phi_v)_k and w_kv = alpha_k(h phi_v).
+    m is ``basis.count``, or 2 max(1, count // 2) + 1 for the trigonometric
+    family, whose span is then every polynomial of degree max(1, count // 2).
+    The shape kernel decides the count x m identity, reading g_k at the
+    first |w_kv| > tol.  Injectivity requires every recovered g_k to be
+    nonzero; ``seed`` is only recorded.
     """
     count = basis.count
-    if len(g) < count:
-        raise LengthMismatch(f"diagonal length {len(g)} < requested count {count}")
-    zero = np.flatnonzero(g.coeffs[:count] == 0.0)
-    if zero.size:
-        raise ZeroDiagonal(f"g_{int(zero[0]) + 1} = 0 breaks injectivity")
-    if samples < 1:
-        raise SpecError("samples must be >= 1")
     rule = default_rule(basis.family)
-    # a trigonometric sample has degree max(1, count // 2): every index to count
     m = 2 * max(1, count // 2) + 1 if basis.family is BasisFamily.TRIG_REAL else count
-    span = _basis_matrix(BasisSpec(basis.family, m), m, rule)
-    gv = g.coeffs[:count]
-    worst = (-1.0, 0, 0)  # deviation, sample index, coefficient index
-    for k in range(samples):
-        x = GridFunction(rule, np.random.default_rng(seed * 100003 + k).standard_normal(m) @ span)
-        tx = np.asarray(t_impl(x), dtype=float)[:count]
-        alpha = fourier_coeffs(x.multiplied(h), basis, count).coeffs
-        dev = np.abs(tx - gv * alpha)
-        j = int(np.argmax(dev))
-        if float(dev[j]) > worst[0]:
-            worst = (float(dev[j]), k, j + 1)
-    residual, sample_idx, coeff_idx = worst
-    common = dict(g=TruncatedSeq(gv), tol=tol, seed=seed, truncation=count)
-    if residual <= tol:
-        return Certificate(verdict=Verdict.FACTORS, residual=residual,
-                           notes=(EVIDENCE_NOTE,
-                                  f"verified on {samples} seeded samples"),
-                           **common)
-    return Certificate(
-        verdict=Verdict.DOES_NOT_FACTOR, residual=residual,
-        witness={"sample": sample_idx, "j": coeff_idx, "deviation": residual},
-        notes=(EVIDENCE_NOTE,), **common)
+    probes = [GridFunction(rule, phi)
+              for phi in _basis_matrix(BasisSpec(basis.family, m), m, rule)]
+    a = np.stack([np.asarray(t_impl(x), dtype=float)[:count] for x in probes], axis=1)
+    w = np.stack([fourier_coeffs(x.multiplied(h), basis, count).coeffs for x in probes],
+                 axis=1)
+    # the kernel reads A through its row count and its row blocks only
+    probe_op = SimpleNamespace(n=count, rows=lambda lo, hi: a[lo:hi])
+    cert = _sandwich_check(probe_op, lambda lo, hi: w[lo:hi].copy(), tol, None,
+                           notes=(f"decided on the first {m} basis functions",),
+                           pivot_tol=tol, seed=seed)
+    if cert.g is not None and not cert.g.coeffs.all():
+        k = int(np.argmin(np.abs(cert.g.coeffs))) + 1  # the first zero
+        raise ZeroDiagonal(f"g_{k} = 0 breaks injectivity")
+    return cert

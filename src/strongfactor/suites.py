@@ -417,18 +417,21 @@ def kellogg_embedding(res: SuiteResult, seed: int = 0) -> None:
 @_suite("representing")
 def representing_chebyshev(res: SuiteResult, seed: int = 0) -> None:
     """The first-kind Chebyshev construction (coefficient map after the
-    square-root-weight multiplier) verifies as a representing operator with
-    unit diagonal at tol 1e-6; permuting two coefficients breaks it."""
+    square-root-weight multiplier) verifies as a representing operator at
+    tol 1e-6, and the recovered diagonal is the unit one; permuting two
+    coefficients breaks it."""
     spec = BasisSpec(BasisFamily.CHEBYSHEV1, 16)
     g = TruncatedSeq(np.ones(16))
     for label, permute, expected in (("direct construction", False, Verdict.FACTORS),
                                      ("permuted variant", True, Verdict.DOES_NOT_FACTOR)):
         h, t = _representing_op(spec, g, permute)
-        cert = verify_representing(t, spec, h, g, samples=20, tol=1e-6, seed=seed)
+        cert = verify_representing(t, spec, h, tol=1e-6, seed=seed)
         res.details.append(f"{label}: {cert.verdict.value} "
                            f"(residual {cert.residual:.3e})")
         if cert.verdict is not expected:
             res.fail()
+        elif not permute and np.abs(cert.g.coeffs - 1.0).max() > 1e-12:
+            res.fail("recovered diagonal is not the unit one")
 
 
 @_suite("determinism")

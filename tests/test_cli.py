@@ -1,6 +1,8 @@
 import argparse
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -384,15 +386,26 @@ class TestVerifyRepresenting:
     def test_chebyshev_construction(self, tmp_path):
         out = tmp_path / "cert.json"
         code = run(["verify-representing", "--family", "chebyshev1",
-                    "--N", "16", "--samples", "10", "--out", str(out)])
+                    "--N", "16", "--out", str(out)])
         assert code == 0
         assert read_cert(out)["verdict"] == "FACTORS"
 
     def test_permuted_variant_fails(self, tmp_path):
+        out = tmp_path / "c.json"
         code = run(["verify-representing", "--family", "chebyshev1",
-                    "--N", "16", "--samples", "10", "--permute",
-                    "--out", str(tmp_path / "c.json")])
+                    "--N", "16", "--permute", "--out", str(out)])
         assert code == 1
+        assert read_cert(out)["witness"]["i"] in (1, 2)
+
+    def test_zero_in_the_diagonal_is_usage_error(self, capsys):
+        code = run(["verify-representing", "--N", "4", "--g", "shift1:ones"])
+        assert code == 64
+        assert capsys.readouterr().err == (
+            "error: ZeroDiagonal: g_1 = 0 breaks injectivity\n")
+
+    def test_samples_is_not_an_option(self, capsys):
+        assert run(["verify-representing", "--samples", "20"]) == 64
+        assert "unrecognized arguments: --samples 20" in capsys.readouterr().err
 
     def test_unknown_family(self, capsys):
         assert run(["verify-representing", "--family", "hermite"]) == 64
@@ -402,7 +415,7 @@ class TestVerifyRepresenting:
 
     def test_permute_one_coefficient_is_one_error_line(self):
         done = run_process(["verify-representing", "--N", "1", "--permute",
-                            "--samples", "2", "--no-timestamp"])
+                            "--no-timestamp"])
         assert done.returncode == 64
         assert done.stdout == ""
         assert "Traceback" not in done.stderr
@@ -411,13 +424,13 @@ class TestVerifyRepresenting:
 
     def test_permute_two_coefficients_fails(self, tmp_path):
         code = run(["verify-representing", "--N", "2", "--permute",
-                    "--samples", "2", "--out", str(tmp_path / "c.json")])
+                    "--out", str(tmp_path / "c.json")])
         assert code == 1
 
     @pytest.mark.parametrize("family, nodes", [("laguerre", 64), ("chebyshev1", 256)])
     def test_count_beyond_the_rule_is_usage_error(self, family, nodes, capsys):
         code = run(["verify-representing", "--family", family, "--N", str(nodes + 1),
-                    "--samples", "2", "--no-timestamp"])
+                    "--no-timestamp"])
         assert code == 64
         out, err = capsys.readouterr()
         assert out == ""
@@ -426,8 +439,74 @@ class TestVerifyRepresenting:
 
     def test_count_at_the_rule_size_still_verifies(self, tmp_path):
         code = run(["verify-representing", "--family", "laguerre", "--N", "64",
-                    "--samples", "2", "--out", str(tmp_path / "c.json")])
+                    "--out", str(tmp_path / "c.json")])
         assert code == 0
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+INPUT_OPTIONS = ("--matrix", "--through", "--g", "--h")
+
+
+def readme_examples():
+    """(argv, exit code) of each ``strongfactor`` command in the README's
+    "Command-line usage" section that reads no input file.  The code is the
+    one its ``# exit N`` comment names, else 0."""
+    text = README.read_text()
+    section = text.split("\n## Command-line usage\n", 1)[1].split("\n## ", 1)[0]
+    examples = []
+    for block in re.findall(r"```bash\n(.*?)```", section, re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            command, _, comment = line.partition("#")
+            argv = shlex.split(command)
+            if argv[:1] != ["strongfactor"]:
+                continue
+            argv = argv[1:]
+            inputs = [value for key, value in zip(argv, argv[1:]) if key in INPUT_OPTIONS]
+            if any(value.endswith((".csv", ".json")) for value in inputs):
+                continue
+            code = re.match(r"\s*exit (\d+)", comment)
+            examples.append((argv, int(code.group(1)) if code else 0))
+    return examples
+
+
+class TestReadmeExamples:
+    def test_examples_are_found(self):
+        assert len(readme_examples()) >= 8
+
+    @pytest.mark.parametrize("argv, code", readme_examples(),
+                             ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+    def test_example_exits_as_its_comment_says(self, argv, code, tmp_path,
+                                               monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert run(argv) == code, capsys.readouterr().err
+
+
+class TestSeedOption:
+    """--seed is a nonnegative integer for every subcommand: a negative one
+    is a usage error (exit 64, one line), never numpy's ValueError."""
+
+    JOBS = {
+        "check-cesaro": ["--gen", "random-lower", "--h", "ones", "--p", "2", "--q", "2",
+                         "--r", "2"],
+        "check-cesaro-j0": ["--gen", "random-lower", "--h", "ones", "--p", "2",
+                            "--q", "2", "--r", "2"],
+        "check-fourier": ["--gen", "random-lower", "--p", "2", "--q", "2", "--r", "2"],
+        "check-matrix": ["--gen", "random-lower", "--h", "ones"],
+        "certify": ["--gen", "identity", "--h", "ones", "--N", "8", "--r", "2",
+                    "--q", "2"],
+        "verify-representing": [],
+        "suite": ["--name", "exponents"],
+    }
+
+    def test_every_subcommand_is_covered(self):
+        assert set(self.JOBS) == set(TestJobEcho.subcommands()[1])
+
+    @pytest.mark.parametrize("command", sorted(JOBS))
+    def test_negative_seed_is_usage_error(self, command, capsys):
+        assert run([command, *self.JOBS[command], "--seed", "-1"]) == 64
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: argument --seed: must be at least 0, got -1\n"
 
 
 class TestDeterminism:
@@ -486,7 +565,7 @@ class TestJobEcho:
                           "--r", "2"],
         "check-matrix": ["--gen", "cesaro", "--h", "ones"],
         "certify": ["--gen", "identity", "--h", "ones", "--r", "2", "--q", "2"],
-        "verify-representing": ["--samples", "2"],
+        "verify-representing": [],
     }
 
     @staticmethod

@@ -32,12 +32,12 @@ from strongfactor.factorization import (
     verify_representing,
 )
 from strongfactor.grid_functions import (
+    _representing_op,
     BasisFamily,
     BasisSpec,
     basis_rows,
     default_rule,
     fourier_coeffs,
-    random_trig_poly,
     representing_setup,
 )
 from strongfactor.operators import (
@@ -1247,18 +1247,28 @@ class TestCertifyFourier:
         assert res.refuted
 
 
+def named_g(name, n):
+    i = np.arange(1, n + 1, dtype=float)
+    return TruncatedSeq({"ones": np.ones(n), "harmonic": 1.0 / i, "invsq": 1.0 / i ** 2,
+                         "alt": (-1.0) ** (i + 1) / i}[name])
+
+
+def representing_counts(family):
+    """Counts {1, 2, 3, 16, 32} and the node count of the family's rule."""
+    return sorted({1, 2, 3, 16, 32, default_rule(family).nodes.size})
+
+
 class TestVerifyRepresenting:
     def test_weighted_coefficient_construction(self):
         spec = BasisSpec(BasisFamily.CHEBYSHEV1, 16)
         _, h = representing_setup(spec)
-        g = ones(16)
 
         def t_impl(x):
             return fourier_coeffs(x.multiplied(h), spec, 16).coeffs
 
-        cert = verify_representing(t_impl, spec, h, g, samples=10, tol=1e-6,
-                                   seed=0)
+        cert = verify_representing(t_impl, spec, h, tol=1e-6, seed=0)
         assert cert.verdict is Verdict.FACTORS
+        assert np.abs(cert.g.coeffs - 1.0).max() <= 1e-12
 
     @pytest.mark.parametrize("family", [BasisFamily.CHEBYSHEV2,
                                         BasisFamily.LAGUERRE,
@@ -1266,14 +1276,13 @@ class TestVerifyRepresenting:
     def test_other_weighted_families(self, family):
         spec = BasisSpec(family, 8)
         _, h = representing_setup(spec)
-        g = ones(8)
 
         def t_impl(x):
             return fourier_coeffs(x.multiplied(h), spec, 8).coeffs
 
-        cert = verify_representing(t_impl, spec, h, g, samples=5, tol=1e-6,
-                                   seed=3)
+        cert = verify_representing(t_impl, spec, h, tol=1e-6, seed=3)
         assert cert.verdict is Verdict.FACTORS
+        assert cert.seed == 3
 
     def test_diagonal_scaling_on_trig(self):
         # the weighted-coefficient bound construction: diagonal decay applied
@@ -1287,27 +1296,26 @@ class TestVerifyRepresenting:
         def t_impl(x):
             return gamma * fourier_coeffs(x, spec, n).coeffs
 
-        cert = verify_representing(t_impl, spec, h, TruncatedSeq(gamma),
-                                   samples=10, tol=1e-9, seed=1)
+        cert = verify_representing(t_impl, spec, h, tol=1e-9, seed=1)
         assert cert.verdict is Verdict.FACTORS
+        assert np.abs(cert.g.coeffs - gamma).max() <= 1e-12 * gamma.min()
 
     def test_permuted_coefficients_fail(self):
         spec = BasisSpec(BasisFamily.CHEBYSHEV1, 16)
         _, h = representing_setup(spec)
-        g = ones(16)
 
         def t_impl(x):
             coeffs = fourier_coeffs(x.multiplied(h), spec, 16).coeffs.copy()
             coeffs[[0, 1]] = coeffs[[1, 0]]
             return coeffs
 
-        cert = verify_representing(t_impl, spec, h, g, samples=10, tol=1e-6,
-                                   seed=0)
+        cert = verify_representing(t_impl, spec, h, tol=1e-6, seed=0)
         assert cert.verdict is Verdict.DOES_NOT_FACTOR
-        assert cert.witness["deviation"] > 1e-6
+        assert cert.residual > 1e-6
+        assert cert.witness["i"] in (1, 2)
 
     def test_top_index_permutation_detected(self):
-        # random samples must excite every coefficient index up to `count`
+        # the probes must excite every coefficient index up to `count`
         n = 16
         spec = BasisSpec(BasisFamily.TRIG_REAL, n)
         _, h = representing_setup(spec)
@@ -1317,42 +1325,87 @@ class TestVerifyRepresenting:
             coeffs[[n - 2, n - 1]] = coeffs[[n - 1, n - 2]]
             return coeffs
 
-        cert = verify_representing(t_impl, spec, h, ones(n), samples=5,
-                                   tol=1e-6, seed=0)
+        cert = verify_representing(t_impl, spec, h, tol=1e-6, seed=0)
         assert cert.verdict is Verdict.DOES_NOT_FACTOR
+        assert cert.witness["i"] in (n - 1, n)
 
     def test_zero_diagonal_rejected(self):
         spec = BasisSpec(BasisFamily.TRIG_REAL, 4)
+        h, t = _representing_op(spec, TruncatedSeq([1.0, 0.0, 1.0, 1.0]), permute=False)
+        with pytest.raises(ZeroDiagonal, match=r"^g_2 = 0 breaks injectivity$"):
+            verify_representing(t, spec, h)
+
+    def test_zero_operator_is_inconclusive(self):
+        spec = BasisSpec(BasisFamily.LEGENDRE, 4)
         _, h = representing_setup(spec)
-        g = TruncatedSeq([1.0, 0.0, 1.0, 1.0])
-        with pytest.raises(ZeroDiagonal):
-            verify_representing(lambda x: np.zeros(4), spec, h, g, samples=2)
+        cert = verify_representing(lambda x: np.zeros(4), spec, h)
+        assert cert.verdict is Verdict.INCONCLUSIVE
+        assert cert.notes[0] == "zero operator: nontrivial operator required"
+
+    @pytest.mark.parametrize("family", list(BasisFamily))
+    def test_built_in_operator_factors_and_recovers_g(self, family):
+        for n in representing_counts(family):
+            spec = BasisSpec(family, n)
+            for name in ("harmonic",) if n > 32 else ("ones", "harmonic", "invsq", "alt"):
+                g = named_g(name, n)
+                h, t = _representing_op(spec, g, permute=False)
+                cert = verify_representing(t, spec, h)
+                assert cert.verdict is Verdict.FACTORS, (n, name)
+                assert cert.truncation == n
+                rel = np.abs(cert.g.coeffs - g.coeffs) / np.abs(g.coeffs)
+                assert rel.max() <= 1e-12, (n, name)
+
+    @pytest.mark.parametrize("family", list(BasisFamily))
+    def test_permuted_operator_fails_in_the_first_two_rows(self, family):
+        for n in representing_counts(family)[1:]:
+            spec = BasisSpec(family, n)
+            h, t = _representing_op(spec, named_g("harmonic", n), permute=True)
+            cert = verify_representing(t, spec, h)
+            assert cert.verdict is Verdict.DOES_NOT_FACTOR, n
+            assert cert.witness["i"] in (1, 2), n
 
     @pytest.mark.parametrize("family", list(BasisFamily))
     @pytest.mark.parametrize("n", [1, 2, 7, 16])
-    @pytest.mark.parametrize("seed", [0, 5])
-    def test_samples_are_the_family_generators(self, family, n, seed):
-        # every sample is seeded random coefficients times the basis rows; for
-        # the trigonometric family that is random_trig_poly of degree max(1, n // 2)
+    def test_probes_are_the_first_basis_functions(self, family, n):
+        # m = n, or 2 max(1, n // 2) + 1 for trig: the first m functions at
+        # the rule's nodes, in order, each once
         spec = BasisSpec(family, n)
         rule = default_rule(family)
+        m = 2 * max(1, n // 2) + 1 if family is BasisFamily.TRIG_REAL else n
         seen = []
 
         def t_impl(x):
             seen.append(x)
             return np.zeros(n)
 
-        verify_representing(t_impl, spec, lambda x: np.ones_like(x), ones(n), samples=3,
-                            seed=seed)
-        for k, x in enumerate(seen):
-            if family is BasisFamily.TRIG_REAL:
-                want = random_trig_poly(max(1, n // 2), seed=seed * 100003 + k)[0].values
-            else:
-                rng = np.random.default_rng(seed * 100003 + k)
-                want = rng.standard_normal(n) @ basis_rows(spec, n, rule.nodes)
+        verify_representing(t_impl, spec, lambda x: np.ones_like(x))
+        want = basis_rows(BasisSpec(family, m), m, rule.nodes)
+        assert len(seen) == m
+        for x, row in zip(seen, want):
             assert x.rule is rule
-            assert x.values.tobytes() == want.tobytes()
-        assert len(seen) == 3
+            assert x.values.tobytes() == row.tobytes()
+
+    @pytest.mark.parametrize("family", list(BasisFamily))
+    def test_matches_the_reference_kernel_on_the_probe_matrices(self, family, monkeypatch):
+        def outcomes():
+            found = []
+            for n in (1, 3, 16):
+                spec = BasisSpec(family, n)
+                g = named_g("alt", n)
+                for permute in (False, True) if n > 1 else (False,):
+                    h, t = _representing_op(spec, g, permute)
+                    found.append(json.dumps(verify_representing(t, spec, h).to_json()))
+                found.append(json.dumps(verify_representing(
+                    lambda x: np.zeros(n), spec, h).to_json()))
+            return found
+
+        got = outcomes()
+        monkeypatch.setattr(factorization, "_sandwich_check",
+                            lambda a, w_rows, *args, **meta: reference_sandwich_check(
+                                a.rows(0, a.n), w_rows(0, a.n), *args, **meta))
+        assert got == outcomes()
+        assert {json.loads(c)["verdict"] for c in got} == {
+            "FACTORS", "DOES_NOT_FACTOR", "INCONCLUSIVE"}
 
     def test_deviation_scales_linearly(self):
         # both sides of the identity are linear, so scaling the input scales
