@@ -449,12 +449,13 @@ INPUT_OPTIONS = ("--matrix", "--through", "--g", "--h")
 
 def readme_examples():
     """(argv, exit code) of each ``strongfactor`` command in the README's
-    "Command-line usage" section that reads no input file.  The code is the
-    one its ``# exit N`` comment names, else 0."""
+    "Install and test" and "Command-line usage" sections that reads no input
+    file.  The code is the one its ``# exit N`` comment names, else 0."""
     text = README.read_text()
-    section = text.split("\n## Command-line usage\n", 1)[1].split("\n## ", 1)[0]
+    sections = [text.split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
+                for title in ("Install and test", "Command-line usage")]
     examples = []
-    for block in re.findall(r"```bash\n(.*?)```", section, re.S):
+    for block in re.findall(r"```bash\n(.*?)```", "\n".join(sections), re.S):
         for line in block.replace("\\\n", " ").splitlines():
             command, _, comment = line.partition("#")
             argv = shlex.split(command)

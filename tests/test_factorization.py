@@ -694,6 +694,53 @@ def oracle_fourier(ent, sp):
     return best
 
 
+class TestSuiteOracles:
+    """The certifier suite's row-table oracles agree with the per-pattern
+    references above on dense entries and signed h."""
+
+    SP = [1.0, 4.0 / 3.0, 2.0, 4.0]
+
+    @staticmethod
+    def instance(n, seed):
+        rng = np.random.default_rng(seed)
+        return rng.standard_normal((n, n)), rng.standard_normal(n)
+
+    @pytest.mark.parametrize("sp", SP)
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_small_instances(self, n, sp):
+        from strongfactor.suites import _oracle_cesaro_vertex_max, _oracle_fourier_vertex_max
+
+        ent, hv = self.instance(n, 100 * n + int(3 * sp))
+        assert _oracle_cesaro_vertex_max(ent, hv, sp) == pytest.approx(
+            oracle_cesaro(ent, hv, sp), abs=1e-12)
+        assert _oracle_fourier_vertex_max(ent, sp) == pytest.approx(
+            oracle_fourier(ent, sp), abs=1e-12)
+
+    def test_cesaro_at_n4(self):
+        from strongfactor.suites import _oracle_cesaro_vertex_max
+
+        ent, hv = self.instance(4, 4)
+        assert _oracle_cesaro_vertex_max(ent, hv, 4.0 / 3.0) == pytest.approx(
+            oracle_cesaro(ent, hv, 4.0 / 3.0), abs=1e-12)
+
+    def test_fourier_at_n4(self):
+        from strongfactor.suites import _oracle_fourier_vertex_max
+
+        ent, _ = self.instance(4, 5)
+        assert _oracle_fourier_vertex_max(ent, 4.0) == pytest.approx(
+            oracle_fourier(ent, 4.0), abs=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_zero_h_leaves_no_pattern(self, n):
+        """With h = 0 every Cesaro right-hand side vanishes."""
+        from strongfactor.suites import _oracle_cesaro_vertex_max
+
+        ent, _ = self.instance(n, 6)
+        hv = np.zeros(n)
+        assert _oracle_cesaro_vertex_max(ent, hv, 2.0) == -math.inf
+        assert oracle_cesaro(ent, hv, 2.0) == -math.inf
+
+
 class TestRefutationLP:
     """The per-row search maximizes c . r subject to w . r = 0 over the cube;
     validated against the dual: min over lambda of sum |c_j - lambda w_j|,
