@@ -160,7 +160,7 @@ def _job_echo(args) -> dict:
 
 def _finish_certificate(cert: Certificate, args, extra: dict | None = None) -> int:
     doc = cert.to_json()
-    doc["job"] = _job_echo(args)
+    doc["job"], doc["seed"] = _job_echo(args), args.seed
     if extra:
         doc.update(extra)
     if not args.no_timestamp:
@@ -182,14 +182,14 @@ def _finish_certificate(cert: Certificate, args, extra: dict | None = None) -> i
 def _cmd_check_cesaro(args) -> int:
     p, q, r = Exponent(args.p), Exponent(args.q), Exponent(args.r)
     op = _load_matrix(args, args.N)
-    cert = args.check(op, _load_h(args, op.n), p, q, r, tol=args.tol, seed=args.seed)
+    cert = args.check(op, _load_h(args, op.n), p, q, r, tol=args.tol)
     return _finish_certificate(cert, args)
 
 
 def _cmd_check_fourier(args) -> int:
     r, p, q = Exponent(args.r), Exponent(args.p), Exponent(args.q)
     op = _load_matrix(args, args.N)
-    cert = fourier_factor_check(op, r, p, q, tol=args.tol, seed=args.seed)
+    cert = fourier_factor_check(op, r, p, q, tol=args.tol)
     return _finish_certificate(cert, args)
 
 
@@ -204,7 +204,7 @@ def _cmd_check_matrix(args) -> int:
         b = _read_matrix_file(through)
     else:
         raise SpecError(f"--through must be cesaro, identity, or a file path; got {through!r}")
-    cert = matrix_factor_check(op, b, _load_h(args, op.n), tol=args.tol, seed=args.seed)
+    cert = matrix_factor_check(op, b, _load_h(args, op.n), tol=args.tol)
     return _finish_certificate(cert, args)
 
 
@@ -223,23 +223,24 @@ def _cmd_certify(args) -> int:
             raise SpecError("patterns must be >= 1")
         held = None
         s = multiplier_exponent(conjugate(r), q)
-        result = certify_inequality_fourier(op, s, seed=args.seed)
+        result = certify_inequality_fourier(op, s)
         exps = {"r": r, "q": q, "s_rprime_q": s}
     if result.refuted:
         cert = Certificate(
             verdict=Verdict.DOES_NOT_FACTOR, h=held,
             witness={"pattern": result.pattern.to_json(), "lhs": result.lhs,
                      "rhs": result.rhs},
-            exponents=exps, tol=args.tol, seed=args.seed, truncation=op.n,
+            exponents=exps, tol=args.tol, truncation=op.n,
             notes=("refuting pattern: vanishing right-hand side with "
                    "positive left-hand side",))
     else:
         cert = Certificate(
             verdict=Verdict.INCONCLUSIVE, h=held, exponents=exps, tol=args.tol,
-            seed=args.seed, truncation=op.n,
+            truncation=op.n,
             notes=(f"finite evidence only: largest vertex ratio "
                    f"c_hat={result.c_hat:.12g}",))
-    return _finish_certificate(cert, args, extra={"certifier": result.to_json()})
+    certifier = {**result.to_json(), "seed": args.seed}
+    return _finish_certificate(cert, args, extra={"certifier": certifier})
 
 
 def _cmd_verify_representing(args) -> int:
@@ -250,7 +251,7 @@ def _cmd_verify_representing(args) -> int:
     spec = BasisSpec(family, args.N)
     g = _load_sequence(args.g, args.N) if args.g else TruncatedSeq(np.ones(args.N))
     h, t = _representing_op(spec, g, args.permute)
-    cert = verify_representing(t, spec, h, tol=args.tol, seed=args.seed)
+    cert = verify_representing(t, spec, h, tol=args.tol)
     return _finish_certificate(cert, args)
 
 

@@ -36,7 +36,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 from enum import Enum
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -114,7 +113,6 @@ class Certificate:
     witness: dict | None = None
     exponents: dict = field(default_factory=dict)
     tol: float = EXACT_TOL
-    seed: int | None = None
     truncation: int = 0
     notes: tuple[str, ...] = ()
 
@@ -143,7 +141,6 @@ class Certificate:
             "witness": self.witness,
             "exponents": {k: v.to_json() for k, v in self.exponents.items()},
             "tolerances": {"tol": self.tol},
-            "seed": self.seed,
             "truncation_n": self.truncation,
             "notes": list(self.notes),
         }
@@ -163,18 +160,18 @@ def _require_range(name: str, value: Exponent, low, high,
 # ---------------------------------------------------------------------------
 # shape checkers
 
-def _sandwich_check(a: MatrixOp | _Sandwich, w_rows, tol: float, g_exp: Exponent | None,
+def _sandwich_check(n: int, a_rows, w_rows, tol: float, g_exp: Exponent | None,
                     notes: tuple[str, ...] = (), pivot_tol: float = 0.0,
                     pivots: np.ndarray | None = None, **meta) -> Certificate:
     """Decide a_ij = g_i * w_ij for some g, where w_ij = b_ij * h_j and every
     forced zero of w is stored as an exact 0.
 
-    A is read only through its row count ``a.n`` and ``a.rows(lo, hi)``, so
-    its rows may have any length, and w's rows match them.  Neither is held
-    whole.  Both are walked in the row blocks of ``operators._block_bounds``:
-    A by ``a.rows(lo, hi)``, and w by ``w_rows(lo, hi)``, which returns a
-    fresh array of rows lo..hi-1 of w.  A first walk stops at the first
-    block with some |a_ij| > tol; when there is none, A is a zero operator.
+    A and w have n rows, read alike: ``a_rows(lo, hi)`` and ``w_rows(lo, hi)``
+    return rows lo..hi-1, which may have any length as long as the two
+    match.  Neither is held whole, and neither is written to: both are
+    walked in the row blocks of ``operators._block_bounds``.  A first walk
+    stops at the first block with some |a_ij| > tol; when there is none, A
+    is a zero operator.
     g_i is read at the first entry of row i of w with |w_ij| > pivot_tol,
     and ``pivots``, when given, receives a_ij there; a row with no such
     entry gets g_i = 0.  The witness is the first row-major entry whose
@@ -184,9 +181,8 @@ def _sandwich_check(a: MatrixOp | _Sandwich, w_rows, tol: float, g_exp: Exponent
     and otherwise a ``SpecError`` names the row.  ``notes`` are added to a
     FACTORS certificate; ``meta`` holds the remaining certificate fields.
     """
-    n = a.n
     meta.update(tol=tol, truncation=n)
-    if not any(np.abs(a.rows(lo, hi)).max() > tol for lo, hi in _block_bounds(n)):
+    if not any(np.abs(a_rows(lo, hi)).max() > tol for lo, hi in _block_bounds(n)):
         return Certificate(verdict=Verdict.INCONCLUSIVE, residual=0.0,
                            notes=("zero operator: nontrivial operator required",
                                   EVIDENCE_NOTE), **meta)
@@ -197,7 +193,7 @@ def _sandwich_check(a: MatrixOp | _Sandwich, w_rows, tol: float, g_exp: Exponent
     # an overflow shows as a non-finite deviation, which ends the walk below
     with np.errstate(over="ignore", invalid="ignore"):
         for lo, hi in _block_bounds(n):
-            w, ar = w_rows(lo, hi), a.rows(lo, hi)
+            w, ar = w_rows(lo, hi), a_rows(lo, hi)
             rows = np.arange(hi - lo)
             dev = np.abs(w)  # the buffer is reused for the deviation below
             first = (dev > pivot_tol).argmax(axis=1)
@@ -247,8 +243,7 @@ def _sandwich_check(a: MatrixOp | _Sandwich, w_rows, tol: float, g_exp: Exponent
 
 
 def cesaro_factor_check(a: MatrixOp | _Sandwich, h: TruncatedSeq, p: Exponent, q: Exponent,
-                        r: Exponent, tol: float = EXACT_TOL,
-                        seed: int | None = None) -> Certificate:
+                        r: Exponent, tol: float = EXACT_TOL) -> Certificate:
     """Decide factorization through the running-averages operator with inner
     multiplier h, for h with nonzero leading entry.
 
@@ -259,12 +254,11 @@ def cesaro_factor_check(a: MatrixOp | _Sandwich, h: TruncatedSeq, p: Exponent, q
     """
     if float(h.coeffs[0]) == 0.0:
         raise ZeroPivot("h_1 = 0: use the shifted variant")
-    return cesaro_factor_check_j0(a, h, p, q, r, tol=tol, seed=seed)
+    return cesaro_factor_check_j0(a, h, p, q, r, tol=tol)
 
 
 def cesaro_factor_check_j0(a: MatrixOp | _Sandwich, h: TruncatedSeq, p: Exponent, q: Exponent,
-                           r: Exponent, tol: float = EXACT_TOL,
-                           seed: int | None = None) -> Certificate:
+                           r: Exponent, tol: float = EXACT_TOL) -> Certificate:
     """Shifted variant keyed to j0, the first index where h is nonzero: rows
     and columns before j0 must vanish and the triangular shape starts at
     (j0, j0).  Collapses to the unshifted check when h_1 != 0.
@@ -294,9 +288,9 @@ def cesaro_factor_check_j0(a: MatrixOp | _Sandwich, h: TruncatedSeq, p: Exponent
     # w_ij0 = (1/i) h_j0 is nonzero
     column = np.empty(n)
     cert = _sandwich_check(
-        a, w_rows, tol, s_rq,
+        n, a.rows, w_rows, tol, s_rq,
         notes=(f"shifted shape with j0={j0}",) if j0 > 1 else (),
-        pivots=column, h=h, h_norm=(lp_norm(hv, s_pr), s_pr), seed=seed,
+        pivots=column, h=h, h_norm=(lp_norm(hv, s_pr), s_pr),
         exponents={"p": p, "q": q, "r": r, "s_rq": s_rq, "s_pr": s_pr})
     if cert.verdict is not Verdict.FACTORS:
         return cert
@@ -309,8 +303,7 @@ def cesaro_factor_check_j0(a: MatrixOp | _Sandwich, h: TruncatedSeq, p: Exponent
 
 
 def fourier_factor_check(tphi: MatrixOp | _Sandwich, r: Exponent, p: Exponent, q: Exponent,
-                         tol: float = EXACT_TOL,
-                         seed: int | None = None) -> Certificate:
+                         tol: float = EXACT_TOL) -> Certificate:
     """Decide factorization through the trigonometric coefficient operator.
 
     Column j of ``tphi`` holds the coefficient image of the j-th basis
@@ -323,14 +316,12 @@ def fourier_factor_check(tphi: MatrixOp | _Sandwich, r: Exponent, p: Exponent, q
     if not (r <= p and p < INF):
         raise ExponentRange(f"p={p} outside [r, inf) with r={r}")
     s = multiplier_exponent(conjugate(r), q)
-    return _sandwich_check(tphi, lambda lo, hi: np.eye(hi - lo, tphi.n, lo),
-                           tol, s, seed=seed,
-                           exponents={"r": r, "p": p, "q": q, "s_rprime_q": s})
+    return _sandwich_check(tphi.n, tphi.rows, lambda lo, hi: np.eye(hi - lo, tphi.n, lo),
+                           tol, s, exponents={"r": r, "p": p, "q": q, "s_rprime_q": s})
 
 
 def matrix_factor_check(a: MatrixOp | _Sandwich, b: MatrixOp | CesaroOp, h: TruncatedSeq,
-                        tol: float = EXACT_TOL,
-                        seed: int | None = None) -> Certificate:
+                        tol: float = EXACT_TOL) -> Certificate:
     """Decide factorization of A through a general matrix operator B and the
     inner multiplier h: requires a_ij = 0 wherever b_ij vanishes, and the
     ratios a_ij / (b_ij h_j) constant along each row elsewhere; the row
@@ -356,8 +347,7 @@ def matrix_factor_check(a: MatrixOp | _Sandwich, b: MatrixOp | CesaroOp, h: Trun
 
     # reading g_i at |b_ij h_j| > tol keeps a difference below tol from being
     # divided by a tiny b_ij h_j
-    return _sandwich_check(a, w_rows, tol, g_exp, pivot_tol=tol, h=h,
-                           seed=seed,
+    return _sandwich_check(a.n, a.rows, w_rows, tol, g_exp, pivot_tol=tol, h=h,
                            exponents={} if g_exp is None else {"s": g_exp})
 
 
@@ -382,7 +372,6 @@ class CertifierResult:
     c_hat_vertex: float
     rows: int
     cols: int
-    seed: int
 
     def to_json(self) -> dict:
         return {
@@ -394,7 +383,6 @@ class CertifierResult:
             "refuted": self.refuted,
             "rows": self.rows,
             "cols": self.cols,
-            "seed": self.seed,
         }
 
 
@@ -628,8 +616,7 @@ def _sampled_vertex_max(form, n: int, m: int, patterns: int, seed: int):
     return _select(records[:cut], lhs[:cut], rhs[:cut])
 
 
-def _certifier_result(vertex: tuple, refute: tuple | None, rows: int,
-                      seed: int) -> CertifierResult:
+def _certifier_result(vertex: tuple, refute: tuple | None, rows: int) -> CertifierResult:
     """Result of a sweep from its best vertex (ratio, pattern, lhs, rhs) and
     a refuting (pattern, lhs, rhs), which is reported instead when given."""
     ratio, *found = vertex
@@ -637,7 +624,7 @@ def _certifier_result(vertex: tuple, refute: tuple | None, rows: int,
     refuted = refute is not None
     pattern, lhs, rhs = refute if refuted else found
     return CertifierResult(math.inf if refuted else c_vertex, SignPattern(pattern),
-                           lhs, rhs, refuted, c_vertex, rows, pattern.shape[-1], seed)
+                           lhs, rhs, refuted, c_vertex, rows, pattern.shape[-1])
 
 
 def certify_inequality_cesaro(a: MatrixOp | _Sandwich, h: TruncatedSeq, s_rq: Exponent,
@@ -684,11 +671,10 @@ def certify_inequality_cesaro(a: MatrixOp | _Sandwich, h: TruncatedSeq, s_rq: Ex
         ones = np.ones((1, n, n))
         lhs, rhs = form.evaluate(ones)[:2]
         vertex = _select(ones, lhs, rhs)[0] or (0.0, ones[0], float(lhs[0]), float(rhs[0]))
-    return _certifier_result(vertex, refute, n, seed)
+    return _certifier_result(vertex, refute, n)
 
 
-def certify_inequality_fourier(tphi: MatrixOp | _Sandwich, s: Exponent,
-                               seed: int = 0) -> CertifierResult:
+def certify_inequality_fourier(tphi: MatrixOp | _Sandwich, s: Exponent) -> CertifierResult:
     """Sweep sign patterns through the coefficient-operator inequality that
     ``_FourierForm`` scores.  The sign-matched vertex attains the vertex
     optimum, as every +-1 vertex has the same RHS; zeroing its diagonal
@@ -715,14 +701,13 @@ def certify_inequality_fourier(tphi: MatrixOp | _Sandwich, s: Exponent,
         # first refutation, so every earlier row has a smaller LHS
         lhs, reported = (zero_lhs, refute[1]) if refute else (vert_lhs, vertex[2])
         rows = 1 + int(np.argmax(lhs == reported))
-    return _certifier_result(vertex, refute, rows, seed)
+    return _certifier_result(vertex, refute, rows)
 
 
 # ---------------------------------------------------------------------------
 # representing-operator verification
 
-def verify_representing(t_impl, basis: BasisSpec, h, tol: float = QUADRATURE_TOL,
-                        seed: int = 0) -> Certificate:
+def verify_representing(t_impl, basis: BasisSpec, h, tol: float = QUADRATURE_TOL) -> Certificate:
     """Decide the two-sides-diagonal identity T(x)_k = g_k * alpha_k(h x),
     with alpha the basis-coefficient map, and recover g.
 
@@ -735,7 +720,7 @@ def verify_representing(t_impl, basis: BasisSpec, h, tol: float = QUADRATURE_TOL
     family, whose span is then every polynomial of degree max(1, count // 2).
     The shape kernel decides the count x m identity, reading g_k at the
     first |w_kv| > tol.  Injectivity requires every recovered g_k to be
-    nonzero; ``seed`` is only recorded.
+    nonzero.
     """
     count = basis.count
     rule = default_rule(basis.family)
@@ -745,11 +730,9 @@ def verify_representing(t_impl, basis: BasisSpec, h, tol: float = QUADRATURE_TOL
     a = np.stack([np.asarray(t_impl(x), dtype=float)[:count] for x in probes], axis=1)
     w = np.stack([fourier_coeffs(x.multiplied(h), basis, count).coeffs for x in probes],
                  axis=1)
-    # the kernel reads A through its row count and its row blocks only
-    probe_op = SimpleNamespace(n=count, rows=lambda lo, hi: a[lo:hi])
-    cert = _sandwich_check(probe_op, lambda lo, hi: w[lo:hi].copy(), tol, None,
-                           notes=(f"decided on the first {m} basis functions",),
-                           pivot_tol=tol, seed=seed)
+    cert = _sandwich_check(count, lambda lo, hi: a[lo:hi], lambda lo, hi: w[lo:hi],
+                           tol, None, notes=(f"decided on the first {m} basis functions",),
+                           pivot_tol=tol)
     if cert.g is not None and not cert.g.coeffs.all():
         k = int(np.argmin(np.abs(cert.g.coeffs))) + 1  # the first zero
         raise ZeroDiagonal(f"g_{k} = 0 breaks injectivity")

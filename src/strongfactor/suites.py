@@ -334,7 +334,7 @@ def certifier_brute_force(res: SuiteResult, seed: int = 0) -> None:
         g = TruncatedSeq(0.7 * sign)
         tphi = diagonal_sandwich(g, identity_matrix(n), TruncatedSeq(np.ones(n)))
         s = multiplier_exponent(Exponent(4), Exponent(2))  # r = 4/3, r' = 4
-        sweep = certify_inequality_fourier(tphi, s, seed=seed)
+        sweep = certify_inequality_fourier(tphi, s)
         oracle = _oracle_fourier_vertex_max(np.asarray(tphi.entries), float(conjugate(s)))
         if abs(oracle - sweep.c_hat_vertex) > 1e-12:
             res.fail(f"fourier n={n}: oracle {oracle} != certifier {sweep.c_hat_vertex}")
@@ -422,7 +422,7 @@ def representing_chebyshev(res: SuiteResult, seed: int = 0) -> None:
     for label, permute, expected in (("direct construction", False, Verdict.FACTORS),
                                      ("permuted variant", True, Verdict.DOES_NOT_FACTOR)):
         h, t = _representing_op(spec, g, permute)
-        cert = verify_representing(t, spec, h, tol=1e-6, seed=seed)
+        cert = verify_representing(t, spec, h, tol=1e-6)
         res.details.append(f"{label}: {cert.verdict.value} "
                            f"(residual {cert.residual:.3e})")
         if cert.verdict is not expected:

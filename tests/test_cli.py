@@ -216,13 +216,18 @@ class TestCheckMatrix:
         assert codes == [0]
 
 
+def run_python(args):
+    """A fresh interpreter that imports the package from this checkout."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
 def run_process(args):
     """The CLI in a fresh interpreter, so that whatever it writes to stderr,
     warnings included, is seen as a user sees it."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]))
-    return subprocess.run([sys.executable, "-m", "strongfactor", *args], env=env,
-                          capture_output=True, text=True, timeout=120)
+    return run_python(["-m", "strongfactor", *args])
 
 
 def strict_json(text):
@@ -481,6 +486,13 @@ class TestReadmeExamples:
         monkeypatch.chdir(tmp_path)
         assert run(argv) == code, capsys.readouterr().err
 
+    def test_library_quick_tour_runs(self):
+        tour = README.read_text().split("\n## Library quick tour\n", 1)[1].split("\n## ", 1)[0]
+        blocks = re.findall(r"```python\n(.*?)```", tour, re.S)
+        assert len(blocks) == 1
+        done = run_python(["-c", blocks[0]])
+        assert (done.returncode, done.stderr) == (0, "")
+
 
 class TestSeedOption:
     """--seed is a nonnegative integer for every subcommand: a negative one
@@ -586,6 +598,77 @@ class TestJobEcho:
         out = tmp_path / "c.json"
         run([command, "--N", "4", *self.JOBS[command], "--out", str(out)])
         assert set(read_cert(out)["job"]) == expected - self.NOT_ECHOED
+
+
+class TestSeedIsRecorded:
+    """The CLI job writes --seed into every certificate, beside its job
+    echo, and ``certify`` into its certifier block too."""
+
+    JOBS = [[command, *args] for command, args in TestJobEcho.JOBS.items()] + [
+        ["certify", "--form", "fourier", "--gen", "diag", "--g", "invsq",
+         "--r", "2", "--q", "2"]]
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    @pytest.mark.parametrize("job", JOBS, ids=" ".join)
+    def test_certificate_records_the_seed(self, tmp_path, job, seed):
+        out = tmp_path / "c.json"
+        assert run([*job, "--N", "4", "--seed", str(seed), "--out", str(out)]) in (0, 1, 2)
+        doc = read_cert(out)
+        assert doc["seed"] == seed
+        if job[0] == "certify":
+            assert doc["certifier"]["seed"] == seed
+
+
+class TestUsageErrors:
+    """Each input check of the CLI exits with its code and one stderr line;
+    ``--through identity`` is a check like the others and exits 1.  Paths
+    are written as {tmp}."""
+
+    P = ["--p", "2", "--q", "2", "--r", "2"]
+    CASES = {
+        "matrix-and-gen": (["check-cesaro", "--matrix", "{tmp}/m.csv", "--gen", "identity",
+                            "--h", "ones", *P],
+                           64, "error: give either --matrix or --gen, not both\n"),
+        "no-matrix": (["check-cesaro", "--h", "ones", *P],
+                      64, "error: an input matrix is required (--matrix or --gen)\n"),
+        "no-h": (["check-cesaro", "--gen", "identity", "--N", "4", *P],
+                 64, "error: missing multiplier --h\n"),
+        "rank-one-without-h": (["check-fourier", "--gen", "rank-one", "--g", "ones",
+                                "--N", "4", *P],
+                               64, "error: --gen rank-one needs --g and --h\n"),
+        "diag-without-g": (["check-fourier", "--gen", "diag", "--N", "4", *P],
+                           64, "error: --gen diag needs --g\n"),
+        "unknown-gen": (["check-fourier", "--gen", "nope", "--N", "4", *P],
+                        64, "error: unknown generator 'nope' (available: identity, cesaro, "
+                            "random-lower, rank-one, diag)\n"),
+        "bad-through": (["check-matrix", "--gen", "cesaro", "--N", "4", "--h", "ones",
+                         "--through", "nope"],
+                        64, "error: --through must be cesaro, identity, or a file path; "
+                            "got 'nope'\n"),
+        "shift-past-n": (["check-cesaro", "--gen", "cesaro", "--N", "4", "--h", "shift4:ones",
+                          *P],
+                         64, "error: shift 4 leaves no nonzero entries at N=4\n"),
+        "h-csv-length": (["check-cesaro", "--gen", "cesaro", "--N", "4", "--h", "{tmp}/h.csv",
+                          *P],
+                         64, "error: {tmp}/h.csv: sequence length 3 != N=4\n"),
+        "missing-matrix-file": (["check-cesaro", "--matrix", "{tmp}/none.csv", "--h", "ones",
+                                 *P],
+                                65, "parse error: {tmp}/none.csv: no such file\n"),
+        "through-identity": (["check-matrix", "--gen", "random-lower", "--N", "4",
+                              "--h", "ones", "--through", "identity", "--out", "{tmp}/c.json"],
+                             1, ""),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_exit_code_and_stderr(self, tmp_path, capsys, case):
+        argv, code, err = self.CASES[case]
+        (tmp_path / "m.csv").write_text("N=1\n1\n")
+        (tmp_path / "h.csv").write_text("1\n1\n1\n")
+        assert run([arg.replace("{tmp}", str(tmp_path)) for arg in argv]) == code
+        assert capsys.readouterr().err == err.replace("{tmp}", str(tmp_path))
+        if code == 1:
+            witness = read_cert(tmp_path / "c.json")["witness"]
+            assert (witness["i"], witness["j"]) == (2, 1)
 
 
 class TestSuiteCommand:

@@ -10,6 +10,7 @@ from strongfactor.errors import (
     AllZeroMultiplier,
     DegenerateExponent,
     ExponentRange,
+    LengthMismatch,
     SizeMismatch,
     SpecError,
     StrongFactorError,
@@ -22,6 +23,7 @@ from strongfactor.factorization import (
     EVIDENCE_NOTE,
     EXACT_TOL,
     Certificate,
+    SignPattern,
     Verdict,
     certify_inequality_cesaro,
     certify_inequality_fourier,
@@ -512,8 +514,8 @@ class TestBlockKernel:
                 assert self.outcome(built[name][0]) == got, (label, name)
                 with monkeypatch.context() as m:
                     m.setattr(factorization, "_sandwich_check",
-                              lambda a, _rows, *args, w=w, **meta:
-                              reference_sandwich_check(a.rows(0, a.n), w, *args, **meta))
+                              lambda n, a_rows, _rows, *args, w=w, **meta:
+                              reference_sandwich_check(a_rows(0, n), w, *args, **meta))
                     expected = self.outcome(call)
                 assert got == expected, (label, name)
                 seen.add(json.loads(got)["verdict"] if got.startswith("{") else "error")
@@ -1228,8 +1230,7 @@ class TestCertifyFourier:
             return [v.tobytes() if isinstance(v, np.ndarray) else repr(v) for v in values]
 
         for ent in fourier_cases():
-            res = certify_inequality_fourier(MatrixOp(ent, lp_space(2), lp_space(2)), s,
-                                             seed=0)
+            res = certify_inequality_fourier(MatrixOp(ent, lp_space(2), lp_space(2)), s)
             got = (res.c_hat, np.asarray(res.pattern.r), res.lhs, res.rhs, res.refuted,
                    res.c_hat_vertex, res.rows)
             expected = reference_fourier(ent, s)
@@ -1242,7 +1243,7 @@ class TestCertifyFourier:
         # the row form replaced gave -0.0, as np.dot multiplies length-1
         # vectors as scalars
         res = certify_inequality_fourier(MatrixOp(np.array([[-0.0]]), lp_space(2),
-                                                  lp_space(2)), s, seed=0)
+                                                  lp_space(2)), s)
         assert repr((res.c_hat, res.c_hat_vertex, res.lhs)) == "(0.0, 0.0, 0.0)"
 
     def test_diagonal_attains_norm_with_constant_magnitude(self):
@@ -1250,7 +1251,7 @@ class TestCertifyFourier:
             g = TruncatedSeq(0.9 * np.where(np.arange(n) % 2 == 0, 1.0, -1.0))
             tphi = diagonal_sandwich(g, identity_matrix(n), ones(n))
             s = Exponent(4)
-            res = certify_inequality_fourier(tphi, s, seed=0)
+            res = certify_inequality_fourier(tphi, s)
             assert res.c_hat == pytest.approx(lp_norm(g, s), rel=1e-12)
             oracle = oracle_fourier(np.asarray(tphi.entries), float(conjugate(s)))
             assert res.c_hat_vertex == pytest.approx(oracle, abs=1e-12)
@@ -1261,7 +1262,7 @@ class TestCertifyFourier:
         g = TruncatedSeq(rng.uniform(0.2, 1.5, n))
         tphi = diagonal_sandwich(g, identity_matrix(n), ones(n))
         s = Exponent(2)
-        res = certify_inequality_fourier(tphi, s, seed=0)
+        res = certify_inequality_fourier(tphi, s)
         oracle = oracle_fourier(np.asarray(tphi.entries), float(conjugate(s)))
         assert res.c_hat_vertex == pytest.approx(oracle, abs=1e-12)
         assert res.c_hat <= lp_norm(g, s) + 1e-9
@@ -1270,19 +1271,19 @@ class TestCertifyFourier:
         ent = np.eye(2)
         ent[0, 1] = 0.3
         tphi = MatrixOp(ent, lp_space(2), lp_space(2))
-        res = certify_inequality_fourier(tphi, Exponent(4), seed=0)
+        res = certify_inequality_fourier(tphi, Exponent(4))
         assert res.refuted and math.isinf(res.c_hat)
         assert res.lhs == pytest.approx(0.3)
 
     def test_zero_matrix(self):
         zero = MatrixOp(np.zeros((2, 2)), lp_space(2), lp_space(2))
-        res = certify_inequality_fourier(zero, Exponent(4), seed=0)
+        res = certify_inequality_fourier(zero, Exponent(4))
         assert res.c_hat == 0.0
 
     def test_sup_case_uses_row_form(self):
         g = TruncatedSeq([0.25, -2.0, 1.0])
         tphi = diagonal_sandwich(g, identity_matrix(3), ones(3))
-        res = certify_inequality_fourier(tphi, INF, seed=0)
+        res = certify_inequality_fourier(tphi, INF)
         assert res.c_hat == pytest.approx(2.0)  # sup |g|
         assert not res.refuted
 
@@ -1290,7 +1291,7 @@ class TestCertifyFourier:
         ent = np.diag([1.0, 1.0, 1.0])
         ent[2, 0] = 0.4
         tphi = MatrixOp(ent, lp_space(2), lp_space(2))
-        res = certify_inequality_fourier(tphi, INF, seed=0)
+        res = certify_inequality_fourier(tphi, INF)
         assert res.refuted
 
 
@@ -1313,7 +1314,7 @@ class TestVerifyRepresenting:
         def t_impl(x):
             return fourier_coeffs(x.multiplied(h), spec, 16).coeffs
 
-        cert = verify_representing(t_impl, spec, h, tol=1e-6, seed=0)
+        cert = verify_representing(t_impl, spec, h, tol=1e-6)
         assert cert.verdict is Verdict.FACTORS
         assert np.abs(cert.g.coeffs - 1.0).max() <= 1e-12
 
@@ -1327,9 +1328,8 @@ class TestVerifyRepresenting:
         def t_impl(x):
             return fourier_coeffs(x.multiplied(h), spec, 8).coeffs
 
-        cert = verify_representing(t_impl, spec, h, tol=1e-6, seed=3)
+        cert = verify_representing(t_impl, spec, h, tol=1e-6)
         assert cert.verdict is Verdict.FACTORS
-        assert cert.seed == 3
 
     def test_diagonal_scaling_on_trig(self):
         # the weighted-coefficient bound construction: diagonal decay applied
@@ -1343,7 +1343,7 @@ class TestVerifyRepresenting:
         def t_impl(x):
             return gamma * fourier_coeffs(x, spec, n).coeffs
 
-        cert = verify_representing(t_impl, spec, h, tol=1e-9, seed=1)
+        cert = verify_representing(t_impl, spec, h, tol=1e-9)
         assert cert.verdict is Verdict.FACTORS
         assert np.abs(cert.g.coeffs - gamma).max() <= 1e-12 * gamma.min()
 
@@ -1356,7 +1356,7 @@ class TestVerifyRepresenting:
             coeffs[[0, 1]] = coeffs[[1, 0]]
             return coeffs
 
-        cert = verify_representing(t_impl, spec, h, tol=1e-6, seed=0)
+        cert = verify_representing(t_impl, spec, h, tol=1e-6)
         assert cert.verdict is Verdict.DOES_NOT_FACTOR
         assert cert.residual > 1e-6
         assert cert.witness["i"] in (1, 2)
@@ -1372,7 +1372,7 @@ class TestVerifyRepresenting:
             coeffs[[n - 2, n - 1]] = coeffs[[n - 1, n - 2]]
             return coeffs
 
-        cert = verify_representing(t_impl, spec, h, tol=1e-6, seed=0)
+        cert = verify_representing(t_impl, spec, h, tol=1e-6)
         assert cert.verdict is Verdict.DOES_NOT_FACTOR
         assert cert.witness["i"] in (n - 1, n)
 
@@ -1448,8 +1448,8 @@ class TestVerifyRepresenting:
 
         got = outcomes()
         monkeypatch.setattr(factorization, "_sandwich_check",
-                            lambda a, w_rows, *args, **meta: reference_sandwich_check(
-                                a.rows(0, a.n), w_rows(0, a.n), *args, **meta))
+                            lambda n, a_rows, w_rows, *args, **meta: reference_sandwich_check(
+                                a_rows(0, n), w_rows(0, n), *args, **meta))
         assert got == outcomes()
         assert {json.loads(c)["verdict"] for c in got} == {
             "FACTORS", "DOES_NOT_FACTOR", "INCONCLUSIVE"}
@@ -1476,6 +1476,34 @@ class TestVerifyRepresenting:
         assert dev3 == pytest.approx(3.0 * dev1, rel=1e-12)
 
 
+# each input check as (call, error, message): lengths that differ from the
+# matrix size, a degenerate exponent, a pattern outside the unit ball, and a
+# FACTORS certificate whose residual exceeds its tol
+INPUT_CHECKS = {
+    "j0-length": (lambda: cesaro_factor_check_j0(cesaro_matrix(3), ones(2), P2, P2, P2),
+                  LengthMismatch, "multiplier length 2 != matrix size 3"),
+    "matrix-length": (lambda: matrix_factor_check(cesaro_matrix(3), cesaro_matrix(3), ones(2)),
+                      LengthMismatch, "multiplier length 2 != matrix size 3"),
+    "certify-cesaro-length": (lambda: certify_inequality_cesaro(cesaro_matrix(3), ones(2), P2),
+                              LengthMismatch, "multiplier length 2 != matrix size 3"),
+    "certify-fourier-s1": (lambda: certify_inequality_fourier(cesaro_matrix(2), Exponent(1)),
+                           DegenerateExponent, "multiplier exponent 1 has infinite conjugate"),
+    "pattern-entry": (lambda: SignPattern(np.array([[0.5, -1.5]])),
+                      SpecError, "pattern entries must lie in [-1, 1]"),
+    "factors-residual": (lambda: Certificate(verdict=Verdict.FACTORS, g=ones(1),
+                                             residual=2 * EXACT_TOL),
+                         SpecError, "FACTORS requires residual within tolerance"),
+}
+
+
+@pytest.mark.parametrize("case", INPUT_CHECKS)
+def test_input_check_raises(case):
+    call, error, message = INPUT_CHECKS[case]
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == message
+
+
 class TestCertificate:
     def test_factors_requires_multiplier(self):
         with pytest.raises(SpecError):
@@ -1488,13 +1516,14 @@ class TestCertificate:
     def test_json_schema_keys(self):
         n = 8
         a = diagonal_sandwich(harmonic(n), cesaro_matrix(n), ones(n))
-        cert = cesaro_factor_check(a, ones(n), P2, P2, P2, seed=5)
+        cert = cesaro_factor_check(a, ones(n), P2, P2, P2)
         doc = cert.to_json()
         for key in ("verdict", "g", "h", "exponents", "g_norm", "residual",
-                    "witness", "tolerances", "seed", "truncation_n"):
+                    "witness", "tolerances", "truncation_n"):
             assert key in doc
+        # the CLI job writes the seed, as it writes the job echo
+        assert "seed" not in doc
         assert doc["verdict"] == "FACTORS"
-        assert doc["seed"] == 5
         assert doc["truncation_n"] == n
         assert doc["exponents"]["s_rq"] == "inf"
         assert doc["g_norm"]["exponent"] == "inf"

@@ -16,6 +16,7 @@ from strongfactor.grid_functions import (
     BasisFamily,
     BasisSpec,
     GridFunction,
+    QuadRule,
     basis_element,
     basis_rows,
     composite_gauss_legendre,
@@ -198,6 +199,30 @@ class TestFourierCoeffs:
     def test_count_bounds(self):
         with pytest.raises(IndexOutOfRange):
             fourier_coeffs(constant(1.0, TRIG8), TRIG8, 9)
+
+
+# each input check as (call, error, message)
+INPUT_CHECKS = {
+    "rule-unsorted": (lambda: QuadRule(np.array([0.5, 0.1]), np.ones(2), (0.0, 1.0), "x"),
+                      SpecError, "nodes must be strictly increasing"),
+    "rule-mismatched": (lambda: QuadRule(np.array([0.1, 0.5]), np.ones(3), (0.0, 1.0), "x"),
+                        SpecError, "nodes and weights must be matching 1-D arrays"),
+    "rule-2d": (lambda: QuadRule(np.ones((1, 2)), np.ones((1, 2)), (0.0, 1.0), "x"),
+                SpecError, "nodes and weights must be matching 1-D arrays"),
+    "grid-shape": (lambda: GridFunction(default_rule(BasisFamily.LEGENDRE), np.ones(3)),
+                   DomainMismatch, "values must be given at every rule node"),
+    "basis-count": (lambda: BasisSpec(BasisFamily.LEGENDRE, 0),
+                    SpecError, "basis count must be >= 1"),
+    "trig-degree": (lambda: random_trig_poly(-1, seed=0), SpecError, "degree must be >= 0"),
+}
+
+
+@pytest.mark.parametrize("case", INPUT_CHECKS)
+def test_input_check_raises(case):
+    call, error, message = INPUT_CHECKS[case]
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == message
 
 
 class TestFunctionNorm:

@@ -408,6 +408,48 @@ class TestIO:
         assert out.entries[0, 2] == 0.5
         assert op.entries[0, 2] == 0.0
 
+    # file name, its text, the reader, and the message after "<path>"
+    BAD_FILES = {
+        "csv-header-size": ("m.csv", "N=x\n1\n", matrix_from_csv,
+                            ":1: malformed size in header 'N=x'"),
+        "csv-row-count": ("m.csv", "N=2\n1,2\n", matrix_from_csv,
+                          ": expected 2 rows, found 1"),
+        "json-syntax": ("m.json", '{"entries": [[1]],\n "domain": }', matrix_from_json_file,
+                        ":2: Expecting value"),
+        "json-missing-key": ("m.json", '{"entries": [[1]]}', matrix_from_json_file,
+                             ": missing key 'domain'"),
+    }
+
+    @pytest.mark.parametrize("case", BAD_FILES)
+    def test_bad_file_is_parse_error(self, tmp_path, case):
+        name, text, read, message = self.BAD_FILES[case]
+        path = tmp_path / name
+        path.write_text(text)
+        with pytest.raises(ParseError) as info:
+            read(path)
+        assert str(info.value) == f"{path}{message}"
+
+    # each as (call, error, message)
+    BAD_ARGUMENTS = {
+        "perturb-row": (lambda: perturb_entry(cesaro_matrix(3), 4, 1, 0.5),
+                        SpecError, "entry (4, 1) outside 1..3"),
+        "perturb-column": (lambda: perturb_entry(cesaro_matrix(3), 1, 0, 0.5),
+                           SpecError, "entry (1, 0) outside 1..3"),
+        "factorable-shift-high": (lambda: factorable_matrix(ones(3), ones(4), j0=5),
+                                  SpecError, "shift j0=5 outside 1..4"),
+        "factorable-shift-low": (lambda: factorable_matrix(ones(3), ones(4), j0=0),
+                                 SpecError, "shift j0=0 outside 1..4"),
+        "sandwich-length": (lambda: diagonal_sandwich(ones(2), cesaro_matrix(3), ones(3)),
+                            LengthMismatch, "multiplier lengths must equal the matrix size"),
+    }
+
+    @pytest.mark.parametrize("case", BAD_ARGUMENTS)
+    def test_bad_argument_raises(self, case):
+        call, error, message = self.BAD_ARGUMENTS[case]
+        with pytest.raises(error) as info:
+            call()
+        assert type(info.value) is error and str(info.value) == message
+
 
 GRID_RULE = composite_gauss_legendre(-1.0, 1.0, panels=1, order=2)
 

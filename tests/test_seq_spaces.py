@@ -43,6 +43,14 @@ class TestTruncatedSeq:
         with pytest.raises(DomainMismatch):
             zsym([1.0, 2.0])
 
+    @pytest.mark.parametrize("coeffs, message", [
+        (np.ones((2, 2)), "coefficient array must be one-dimensional"),
+        (np.array([]), "coefficient array must be nonempty"),
+    ])
+    def test_rejects_shape(self, coeffs, message):
+        with pytest.raises(SpecError, match=f"^{message}$"):
+            TruncatedSeq(coeffs)
+
     def test_indices_and_lookup(self):
         s = zsym([5.0, 6.0, 7.0])
         assert list(s.indices()) == [-1, 0, 1]
@@ -276,6 +284,10 @@ class TestSpaceSpec:
     def test_kellogg_needs_q(self):
         with pytest.raises(SpecError):
             SeqSpaceSpec(SpaceKind.KELLOGG_MIXED, Exponent(2))
+
+    def test_weighted_needs_weight(self):
+        with pytest.raises(SpecError, match="^weighted space needs a weight sequence$"):
+            SeqSpaceSpec(SpaceKind.LP_WEIGHTED, Exponent(2))
 
     def test_dispatch_and_json(self):
         spec = SeqSpaceSpec(SpaceKind.LP_WEIGHTED, Exponent(2),
