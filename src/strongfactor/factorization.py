@@ -12,8 +12,11 @@ merged:
   matrix checkers are thin wrappers that build w and check exponents.  The
   representing-operator check T = M_g alpha M_h is the fifth caller: it
   hands the kernel T and alpha M_h applied to the first basis functions;
-* **inequality certifiers** evaluate the equivalent vector-norm inequality on
-  sign patterns.  A finite sweep can never prove the full inequality, so a
+* **inequality certifiers** score sign patterns r in the equivalent inequality
+  sum_ij r_ij a_ij <= C (sum_i wt_i |sum_j w_ij r_ij|^s')^(1/s'): one form
+  for both families (Cesàro: w_ij = h_j on j <= i, wt_i = i^(-s'); Fourier:
+  w = I, wt = 1) and one driver, in closed form when each row of w has one
+  nonzero entry.  A finite sweep can never prove the full inequality, so a
   bounded ratio is reported as finite-truncation evidence only, while a
   pattern with vanishing right-hand side and positive left-hand side is a
   genuine refutation.
@@ -361,7 +364,10 @@ class CertifierResult:
     ``c_hat_vertex`` is the largest ratio LHS/RHS over the searched +-1
     vertex patterns.  ``c_hat`` equals it unless a refuting pattern
     (RHS ~ 0 < LHS, zeroed entries allowed) was found, in which case
-    ``c_hat`` is inf and ``pattern`` is the refuting pattern.
+    ``c_hat`` is inf and ``pattern`` is the refuting pattern; a ratio that
+    overflows makes both inf without a refutation.  ``rows`` and ``cols``
+    are N, but in the row form (closed form at s = inf) ``pattern`` is a
+    vector on row ``rows`` of A, counted from 1.
     """
 
     c_hat: float
@@ -376,7 +382,7 @@ class CertifierResult:
     def to_json(self) -> dict:
         return {
             "c_hat": _json_number(self.c_hat),
-            "c_hat_vertex": self.c_hat_vertex,
+            "c_hat_vertex": _json_number(self.c_hat_vertex),
             "pattern": self.pattern.to_json(),
             "lhs": self.lhs,
             "rhs": self.rhs,
@@ -426,53 +432,24 @@ def _max_dot_with_zero_sum(c: np.ndarray, w: np.ndarray) -> np.ndarray:
     return r
 
 
-class _CesaroForm:
-    """LHS/RHS of the running-averages inequality at fixed s', evaluated on
-    stacks of n x n patterns."""
+class _Form:
+    """LHS = sum_ij r_ij a_ij and RHS = (sum_i wt_i |sum_j w_ij r_ij|^s')^(1/s')
+    of the weighted inequality, evaluated on stacks of n x n patterns."""
 
-    def __init__(self, ent: np.ndarray, hv: np.ndarray, sp: float):
-        n = ent.shape[0]
-        self.ent = ent
-        self.sp = sp
-        self.w = np.tri(n) * hv  # row i holds h_j on j <= i
-        self.inv_pow = np.arange(1, n + 1, dtype=float) ** (-sp)
+    def __init__(self, ent: np.ndarray, w: np.ndarray, wt: np.ndarray, sp: float):
+        self.ent, self.w, self.wt, self.sp = ent, w, wt, sp
 
     def evaluate(self, r: np.ndarray):
-        """LHS, RHS, the row sums sum_{j<=i} h_j r_ij and RHS^s' of each
-        pattern in a stack of shape (P, n, n).
+        """LHS, RHS, the row sums sum_j w_ij r_ij and RHS^s' of each pattern
+        in a stack of shape (P, n, n).
 
         einsum, unlike BLAS, reduces each pattern in the same order whatever
         P is, so a pattern scores the same alone as inside a stack.
         """
         lhs = np.einsum("pij,ij->p", r, self.ent)
         rows = np.einsum("pij,ij->pi", r, self.w)
-        rhs_pow = np.einsum("pi,i->p", np.abs(rows) ** self.sp, self.inv_pow)
+        rhs_pow = np.einsum("pi,i->p", np.abs(rows) ** self.sp, self.wt)
         return lhs, rhs_pow ** (1.0 / self.sp), rows, rhs_pow
-
-
-class _FourierForm:
-    """LHS/RHS of the coefficient-operator inequality at multiplier exponent
-    s.  At finite s a pattern is n x n, with LHS = sum_ij r_ij a_ij against
-    the l^(s') norm of its diagonal.  At s = inf the entrywise row form
-    applies (``rowform``): row k of an n x n stack is a vector pattern on
-    row k of A, with LHS = sum_j r_kj a_kj against RHS = |r_kk|."""
-
-    def __init__(self, ent: np.ndarray, s: Exponent):
-        self.ent = ent
-        self.rowform = s.is_inf
-        self.sp = None if self.rowform else float(conjugate(s))
-
-    def evaluate(self, r: np.ndarray):
-        """LHS and RHS of each pattern in the stack r.  The batched matmul
-        rounds each row's LHS as np.dot does (a lone -0.0 product sums to
-        +0.0), and the final power is the scalar ``**``, which is correctly
-        rounded more often than np.power."""
-        if self.rowform:
-            lhs = (r[:, None, :] @ self.ent[:, :, None])[:, 0, 0]
-            return lhs, np.abs(np.diagonal(r))
-        lhs = (r * self.ent).sum(axis=(1, 2))
-        rhs_pow = (np.abs(np.diagonal(r, axis1=1, axis2=2)) ** self.sp).sum(axis=1)
-        return lhs, np.array([float(x) ** (1.0 / self.sp) for x in rhs_pow])
 
 
 def _refutes(lhs, rhs):
@@ -525,7 +502,7 @@ def _ascend_lockstep(form, r: np.ndarray, lhs, rhs, rows, rhs_pow) -> None:
     evaluator and cuts the records at the first that refutes, so the
     patterns after a refuting one are ascended but never reported.
     """
-    ent, w, sp, inv_pow = form.ent, form.w, form.sp, form.inv_pow
+    ent, w, sp, wt = form.ent, form.w, form.sp, form.wt
     inv_sp = 1.0 / sp
     n = r.shape[1]
     # r indexed (i, j, pattern), and d[i, j] the changes in LHS and in row
@@ -536,12 +513,13 @@ def _ascend_lockstep(form, r: np.ndarray, lhs, rhs, rows, rhs_pow) -> None:
     lhs_row = np.stack((lhs, rows[0]))  # LHS and the row sum of the row visited
     rhs, rhs_pow = rhs.copy(), rhs_pow.copy()
     active = np.ones(len(r), dtype=bool)
-    # A flip at j > i with ent[i, j] == 0 changes neither LHS nor RHS, so it
-    # is never accepted, and it refutes only if the current state refutes.
-    # That state is a start that does not refute (the sweep ends at the
-    # first start that does) or an accepted one, whose RHS exceeds
-    # REFUTE_RHS_TOL.  So those flips are skipped.
-    cols = [[j for j in range(n) if j <= i or ent[i, j] != 0.0] for i in range(n)]
+    # A flip with w[i, j] == 0 leaves the RHS alone; with ent[i, j] == 0 too
+    # it changes neither LHS nor RHS, so it is never accepted, and it refutes
+    # only if the current state refutes.  That state is a start that does not
+    # refute (the sweep ends at the first start that does) or an accepted one,
+    # whose RHS exceeds REFUTE_RHS_TOL.  So those flips are skipped.
+    moves = (w != 0.0).tolist()
+    cols = [[j for j in range(n) if moves[i][j] or ent[i, j] != 0.0] for i in range(n)]
     with np.errstate(divide="ignore", invalid="ignore"):
         # each pattern's current ratio; +inf once it is inactive, so that
         # no flip of it is accepted
@@ -552,14 +530,14 @@ def _ascend_lockstep(form, r: np.ndarray, lhs, rhs, rows, rhs_pow) -> None:
                 if not active.any():
                     return
                 lhs_row[1] = rows[i]
-                row_pow, inv_pow_i = np.power(np.abs(rows[i]), sp), inv_pow[i]
+                row_pow, wt_i, move = np.power(np.abs(rows[i]), sp), wt[i], moves[i]
                 for j in cols[i]:
                     new = lhs_row + d[i, j]
-                    if j <= i:
+                    if move[j]:
                         new_row_pow = np.power(np.abs(new[1]), sp)
-                        new_pow = rhs_pow + inv_pow_i * (new_row_pow - row_pow)
+                        new_pow = rhs_pow + wt_i * (new_row_pow - row_pow)
                         new_rhs = np.power(np.maximum(new_pow, 0.0), inv_sp)
-                    else:  # outside the triangle a flip leaves the RHS alone
+                    else:
                         new_rhs = rhs
                     vanish = new_rhs <= REFUTE_RHS_TOL
                     any_vanish = np.count_nonzero(vanish)
@@ -579,7 +557,7 @@ def _ascend_lockstep(form, r: np.ndarray, lhs, rhs, rows, rhs_pow) -> None:
                     np.negative(d[i, j], out=d[i, j], where=accept)
                     np.copyto(lhs_row, new, where=accept)
                     np.copyto(cur, ratio, where=accept)
-                    if j <= i:
+                    if move[j]:
                         np.copyto(row_pow, new_row_pow, where=accept)
                         np.copyto(rhs_pow, new_pow, where=accept)
                         np.copyto(rhs, new_rhs, where=accept)
@@ -616,31 +594,90 @@ def _sampled_vertex_max(form, n: int, m: int, patterns: int, seed: int):
     return _select(records[:cut], lhs[:cut], rhs[:cut])
 
 
-def _certifier_result(vertex: tuple, refute: tuple | None, rows: int) -> CertifierResult:
-    """Result of a sweep from its best vertex (ratio, pattern, lhs, rhs) and
-    a refuting (pattern, lhs, rhs), which is reported instead when given."""
+def _closed_form(ent: np.ndarray, w: np.ndarray, wt: np.ndarray, sp: float):
+    """``_select``'s best vertex and first refutation, and ``rows``, when row
+    i of w has one nonzero entry, w_ic_i.  Every +-1 vertex has the same
+    RHS, so the sign-matched one is optimal; zeroed at each c_i it has RHS 0.
+    At s' = 1 a ratio of row sums is at most its largest row ratio, so the
+    row form is exact: a vector pattern on row k of A, with LHS =
+    sum_j r_kj a_kj against RHS = wt_k |w_kc_k r_kc_k|.  A row's LHS rounds
+    as np.dot's (a lone -0.0 product sums to +0.0); the last power is the
+    scalar ``**``, correctly rounded more often than np.power."""
+    n = ent.shape[0]
+    col, k = (w != 0.0).argmax(axis=1), np.arange(n)
+    rowform = sp == 1.0
+    stack = np.empty((2, n, n))
+    vert, zeroed = stack
+    np.sign(ent, out=zeroed)
+    np.add(zeroed, zeroed == 0.0, out=vert)  # sign(a_ij), and 1 where a_ij = 0
+    if rowform:
+        zeroed[:] = vert
+    zeroed[k, col] = 0.0
+    if rowform:  # row t of the stack is a vector pattern on row t % n of A
+        lhs = (stack[:, :, None, :] @ ent[:, :, None]).reshape(2 * n)
+        stack, k = stack.reshape(2 * n, n), np.tile(k, 2)
+        rhs = wt[k] * np.abs(w[k, col[k]] * stack[np.arange(2 * n), col[k]])
+    else:
+        lhs = np.array([(r * ent).sum() for r in stack])
+        rhs_pow = (wt * np.abs(w[k, col] * stack[:, k, col]) ** sp).sum(axis=1)
+        rhs = np.array([float(x) ** (1.0 / sp) for x in rhs_pow])
+    vertex, refute = _select(stack, lhs, rhs)
+    if not rowform or not (vertex or refute):
+        return vertex, refute, n
+    # _select took the first row scoring the reported (lhs, rhs)
+    found = refute[1:] if refute else vertex[2:]
+    return vertex, refute, 1 + int(np.argmax((lhs == found[0]) & (rhs == found[1]))) % n
+
+
+def _sweep(ent: np.ndarray, w: np.ndarray, wt: np.ndarray, sp: float, patterns: int,
+           seed: int) -> CertifierResult:
+    """Certify the inequality that ``_Form(ent, w, wt, sp)`` scores: by
+    ``_closed_form`` when each row of w has exactly one nonzero entry, else
+    by enumerating (up to EXHAUSTIVE_LIMIT entries) or sampling the +-1
+    vertices, then, failing a refutation, a per-row search over patterns
+    with zeroed entries.  An LHS or RHS that overflows at the sign pattern
+    of A or of w, the largest there is, is a SpecError."""
+    n = ent.shape[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for side, top in ("LHS", np.abs(ent).sum()), ("RHS", wt @ np.abs(w).sum(axis=1) ** sp):
+            if not np.isfinite(top):
+                raise SpecError(f"the {side} of a sign pattern overflows the float range")
+    form, rows = _Form(ent, w, wt, sp), n
+    closed = (np.count_nonzero(w, axis=1) == 1).all()
+    with np.errstate(over="ignore"):
+        if closed:
+            vertex, refute, rows = _closed_form(ent, w, wt, sp)
+        elif n * n <= EXHAUSTIVE_LIMIT:
+            vertex, refute = _exhaustive_vertex_max(form, n, n)
+        else:
+            vertex, refute = _sampled_vertex_max(form, n, n, patterns, seed)
+        if refute is None and not closed:
+            # per row, maximize the LHS subject to sum_j w_ij r_ij = 0, up to
+            # w's last nonzero entry (all of a zero row: each r_ij is free)
+            r = np.sign(ent)[None]
+            for i, end in enumerate(n - (w[:, ::-1] != 0.0).argmax(axis=1)):
+                r[0, i, :end] = _max_dot_with_zero_sum(ent[i, :end], w[i, :end])
+            refute = _select(r, *form.evaluate(r)[:2])[1]
+        if vertex is None:
+            # no searched vertex has a nonvanishing RHS: report the all-ones pattern
+            ones = np.ones((1, n, n))
+            lhs, rhs = form.evaluate(ones)[:2]
+            vertex = _select(ones, lhs, rhs)[0] or (0.0, ones[0], float(lhs[0]), float(rhs[0]))
     ratio, *found = vertex
     c_vertex = max(ratio, 0.0)
-    refuted = refute is not None
-    pattern, lhs, rhs = refute if refuted else found
-    return CertifierResult(math.inf if refuted else c_vertex, SignPattern(pattern),
-                           lhs, rhs, refuted, c_vertex, rows, pattern.shape[-1])
+    pattern, lhs, rhs = refute or found
+    return CertifierResult(math.inf if refute else c_vertex, SignPattern(pattern), lhs, rhs,
+                           refute is not None, c_vertex, rows, pattern.shape[-1])
 
 
 def certify_inequality_cesaro(a: MatrixOp | _Sandwich, h: TruncatedSeq, s_rq: Exponent,
                               patterns: int = 64, seed: int = 0) -> CertifierResult:
-    """Sweep sign patterns through the running-averages inequality:
-    LHS = sum_ij r_ij a_ij against
-    RHS = (sum_i i^(-s') |sum_{j<=i} h_j r_ij|^(s'))^(1/s'),
-    with s' conjugate to the multiplier exponent.
-
-    Finite ratios come from +-1 vertex patterns, enumerated exhaustively when
-    the matrix has at most EXHAUSTIVE_LIMIT entries and otherwise sampled
-    (seeded) with coordinate-ascent sign flips.  A separate per-row search
-    over patterns with zeroed entries looks for a refutation, reported as
-    c_hat = inf with the refuting pattern as witness.  Deterministic given
-    the seed.
-    """
+    """Sweep sign patterns through the running-averages inequality, LHS =
+    sum_ij r_ij a_ij against RHS = (sum_i i^(-s') |sum_{j<=i} h_j r_ij|^s')^(1/s')
+    with s' conjugate to the multiplier exponent: ``_sweep`` with
+    w_ij = h_j on j <= i and wt_i = i^(-s'), in closed form when only h_1 is
+    nonzero.  A refutation is reported as c_hat = inf with the refuting
+    pattern as witness.  Deterministic given the seed."""
     s_rq = Exponent(s_rq)
     if s_rq == Exponent(1):
         raise DegenerateExponent("multiplier exponent 1 has infinite conjugate")
@@ -648,60 +685,20 @@ def certify_inequality_cesaro(a: MatrixOp | _Sandwich, h: TruncatedSeq, s_rq: Ex
         raise LengthMismatch(f"multiplier length {len(h)} != matrix size {a.n}")
     if patterns < 1:
         raise SpecError("patterns must be >= 1")
-    sp = float(conjugate(s_rq))
-    n = a.n
-    ent = a.rows(0, n)
-    form = _CesaroForm(ent, h.coeffs, sp)
-
-    if n * n <= EXHAUSTIVE_LIMIT:
-        vertex, refute = _exhaustive_vertex_max(form, n, n)
-    else:
-        vertex, refute = _sampled_vertex_max(form, n, n, patterns, seed)
-
-    if refute is None:
-        # targeted refutation: per row, maximize the LHS subject to a vanishing
-        # weighted prefix sum; entries beyond the constrained prefix are free
-        r = np.sign(ent)[None]
-        for i in range(n):
-            r[0, i, :i + 1] = _max_dot_with_zero_sum(ent[i, :i + 1], h.coeffs[:i + 1])
-        refute = _select(r, *form.evaluate(r)[:2])[1]
-
-    if vertex is None:
-        # no searched vertex has a nonvanishing RHS: report the all-ones pattern
-        ones = np.ones((1, n, n))
-        lhs, rhs = form.evaluate(ones)[:2]
-        vertex = _select(ones, lhs, rhs)[0] or (0.0, ones[0], float(lhs[0]), float(rhs[0]))
-    return _certifier_result(vertex, refute, n)
+    sp, n = float(conjugate(s_rq)), a.n
+    return _sweep(a.rows(0, n), np.tri(n) * h.coeffs,
+                  np.arange(1, n + 1, dtype=float) ** (-sp), sp, patterns, seed)
 
 
 def certify_inequality_fourier(tphi: MatrixOp | _Sandwich, s: Exponent) -> CertifierResult:
-    """Sweep sign patterns through the coefficient-operator inequality that
-    ``_FourierForm`` scores.  The sign-matched vertex attains the vertex
-    optimum, as every +-1 vertex has the same RHS; zeroing its diagonal
-    refutes whenever any off-diagonal mass is present.  Nothing is sampled.
-    """
+    """Sweep sign patterns through the coefficient-operator inequality,
+    LHS = sum_ij r_ij a_ij against the l^(s') norm of r's diagonal: ``_sweep``
+    with w = I and wt = 1, which takes the closed form.  Nothing is sampled."""
     s = Exponent(s)
     if s == Exponent(1):
         raise DegenerateExponent("multiplier exponent 1 has infinite conjugate")
-    ent = tphi.rows(0, tphi.n)
-    form = _FourierForm(ent, s)
-    sign = np.sign(ent)
-    vert = np.where(sign == 0.0, 1.0, sign)
-    zeroed = (vert if form.rowform else sign).copy()
-    np.fill_diagonal(zeroed, 0.0)
-    if not form.rowform:
-        vert, zeroed = vert[None], zeroed[None]
-    vert_lhs, vert_rhs = form.evaluate(vert)
-    zero_lhs, zero_rhs = form.evaluate(zeroed)
-    vertex = _select(vert, vert_lhs, vert_rhs)[0]
-    refute = _select(zeroed, zero_lhs, zero_rhs)[1]
-    rows = tphi.n
-    if form.rowform:
-        # _select takes the earliest best ratio (each vertex RHS is 1) or the
-        # first refutation, so every earlier row has a smaller LHS
-        lhs, reported = (zero_lhs, refute[1]) if refute else (vert_lhs, vertex[2])
-        rows = 1 + int(np.argmax(lhs == reported))
-    return _certifier_result(vertex, refute, rows)
+    n = tphi.n
+    return _sweep(tphi.rows(0, n), np.eye(n), np.ones(n), float(conjugate(s)), patterns=1, seed=0)
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,14 @@ def run(args, capsys=None):
     return code
 
 
+def strict_json(text):
+    def reject(constant):
+        raise ValueError(f"not JSON: {constant}")
+    return json.loads(text, parse_constant=reject)
+
+
 def read_cert(path):
-    return json.loads(path.read_text())
+    return strict_json(path.read_text())
 
 
 class TestCheckCesaro:
@@ -230,12 +236,6 @@ def run_process(args):
     return run_python(["-m", "strongfactor", *args])
 
 
-def strict_json(text):
-    def reject(constant):
-        raise ValueError(f"not JSON: {constant}")
-    return json.loads(text, parse_constant=reject)
-
-
 class TestOverflowingMultiplier:
     """An overflowing g_i or g_i b_ij h_j gives valid JSON or one error line,
     and no numpy warning."""
@@ -345,6 +345,44 @@ class TestNonFiniteNumbers:
         assert done.stderr == ""
         doc = strict_json(done.stdout.split("\n", 1)[1])
         assert doc["certifier"]["refuted"] is True
+
+
+class TestCertifierOverflow:
+    """A certifier ratio beyond the float range is written "inf"; an LHS or
+    RHS beyond it is one error line.  No numpy warning reaches stderr."""
+
+    @staticmethod
+    def seq(tmp_path, name, value):
+        path = tmp_path / f"{name}.csv"
+        seq_to_csv(TruncatedSeq(np.full(4, value)), path)
+        return str(path)
+
+    def test_overflowing_ratio_writes_inf(self, tmp_path):
+        # LHS = 2.3e297 and RHS = 1.2e-11 are finite; their ratio is not
+        done = run_process(["certify", "--form", "cesaro", "--gen", "rank-one",
+                            "--g", self.seq(tmp_path, "g", 1.7e308),
+                            "--h", self.seq(tmp_path, "h", 1e-11),
+                            "--N", "4", "--r", "4", "--q", "2", "--no-timestamp"])
+        assert (done.returncode, done.stderr) == (2, "")
+        certifier = strict_json(done.stdout.split("\n", 1)[1])["certifier"]
+        assert (certifier["c_hat"], certifier["c_hat_vertex"]) == ("inf", "inf")
+        assert certifier["refuted"] is False
+        assert 1e297 < certifier["lhs"] < 1e298 and 1e-11 < certifier["rhs"] < 1e-10
+
+    @pytest.mark.parametrize("form, g, h, side", [
+        ("cesaro", "ones", 1.7e308, "LHS"),
+        ("cesaro", 1e-300, 1.7e308, "RHS"),
+        ("fourier", 1.7e308, None, "LHS"),
+    ], ids=["cesaro-lhs", "cesaro-rhs", "fourier-lhs"])
+    def test_overflowing_side_is_one_error_line(self, tmp_path, form, g, h, side):
+        gen = ["--gen", "rank-one" if h else "diag",
+               "--g", g if isinstance(g, str) else self.seq(tmp_path, "g", g)]
+        if h:
+            gen += ["--h", self.seq(tmp_path, "h", h)]
+        done = run_process(["certify", "--form", form, *gen, "--N", "4",
+                            "--r", "4" if h else "4/3", "--q", "2", "--no-timestamp"])
+        assert (done.returncode, done.stdout) == (64, "")
+        assert done.stderr == f"error: the {side} of a sign pattern overflows the float range\n"
 
 
 class TestCertify:

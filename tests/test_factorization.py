@@ -782,6 +782,15 @@ class TestRefutationLP:
         assert np.array_equal(r, np.sign(c))
 
 
+def cesaro_form(ent, hv, sp):
+    """The form that ``certify_inequality_cesaro`` sweeps: w_ij = h_j on
+    j <= i and wt_i = i^(-s')."""
+    from strongfactor.factorization import _Form
+
+    n = len(hv)
+    return _Form(ent, np.tri(n) * hv, np.arange(1, n + 1, dtype=float) ** (-sp), sp)
+
+
 class TestCesaroForm:
     """The certifier's one evaluator of the running-averages inequality."""
 
@@ -798,14 +807,12 @@ class TestCesaroForm:
 
     @pytest.mark.parametrize("n", [1, 5, 32])
     def test_matches_plain_python(self, n):
-        from strongfactor.factorization import _CesaroForm
-
         rng = np.random.default_rng(40 + n)
         ent = rng.standard_normal((n, n))
         hv = rng.uniform(-1.5, 1.5, n)
         stack = rng.uniform(-1.0, 1.0, (8, n, n))
         for sp in (1.0, 4.0 / 3.0, 2.0, 4.0):
-            lhs, rhs = _CesaroForm(ent, hv, sp).evaluate(stack)[:2]
+            lhs, rhs = cesaro_form(ent, hv, sp).evaluate(stack)[:2]
             for k, r in enumerate(stack):
                 ref_lhs, ref_rhs = self.reference(ent, hv, sp, r)
                 # the LHS may cancel: measure it against its absolute terms
@@ -817,15 +824,13 @@ class TestCesaroForm:
                                       (5, Exponent(4)), (8, INF), (12, Exponent(3))])
     def test_report_is_the_evaluators_value(self, n, s):
         # n * n <= 16 takes the exhaustive sweep, larger n the sampled one
-        from strongfactor.factorization import _CesaroForm
-
         rng = np.random.default_rng(50 + n)
         g = TruncatedSeq(rng.uniform(0.5, 1.5, n))
         h = TruncatedSeq(rng.uniform(0.5, 1.5, n))
         a = diagonal_sandwich(g, cesaro_matrix(n), h)
         res = certify_inequality_cesaro(a, h, s, patterns=16, seed=2)
         assert not res.refuted
-        form = _CesaroForm(a.entries, h.coeffs, float(conjugate(s)))
+        form = cesaro_form(a.entries, h.coeffs, float(conjugate(s)))
         lhs, rhs = form.evaluate(np.asarray(res.pattern.r)[None])[:2]
         assert (res.lhs, res.rhs) == (lhs[0], rhs[0])
         assert res.c_hat_vertex == lhs[0] / rhs[0]
@@ -833,12 +838,10 @@ class TestCesaroForm:
     @pytest.mark.parametrize("n", [2, 5])
     def test_refutation_is_the_evaluators_value(self, n):
         # with h_1 != 0 no vertex refutes: the targeted search finds it
-        from strongfactor.factorization import _CesaroForm
-
         res = certify_inequality_cesaro(identity_matrix(n), ones(n), Exponent(4),
                                         patterns=4, seed=0)
         assert res.refuted
-        form = _CesaroForm(identity_matrix(n).entries, np.ones(n), float(conjugate(Exponent(4))))
+        form = cesaro_form(identity_matrix(n).entries, np.ones(n), float(conjugate(Exponent(4))))
         lhs, rhs = form.evaluate(np.asarray(res.pattern.r)[None])[:2]
         assert (res.lhs, res.rhs) == (lhs[0], rhs[0])
 
@@ -848,7 +851,7 @@ def reference_ascent(form, r):
     ``np.power`` for every power: single-entry flips on r, in place, while a
     flip raises the ratio.  Returns the (pass, i, j) of a flip that leaves
     the RHS vanishing with a positive LHS, where it stops, else None."""
-    ent, w, sp, inv_pow = form.ent, form.w, form.sp, form.inv_pow
+    ent, w, sp, wt = form.ent, form.w, form.sp, form.wt
     lhs, rhs, rows, rhs_pow = (v[0] for v in form.evaluate(r[None]))
     cur = lhs / rhs if rhs_pow > 0 else -math.inf
     n = r.shape[0]
@@ -861,7 +864,7 @@ def reference_ascent(form, r):
                 if j <= i:
                     new_si = rows[i] - 2.0 * r[i, j] * w[i, j]
                     new_row_pow = np.power(abs(new_si), sp)
-                    new_pow = rhs_pow + inv_pow[i] * (new_row_pow - row_pow)
+                    new_pow = rhs_pow + wt[i] * (new_row_pow - row_pow)
                     new_rhs = np.power(max(new_pow, 0.0), 1.0 / sp)
                 else:
                     new_si, new_row_pow, new_pow, new_rhs = rows[i], row_pow, rhs_pow, rhs
@@ -919,9 +922,7 @@ class TestLockstepAscent:
 
     @staticmethod
     def form(ent, hv, s):
-        from strongfactor.factorization import _CesaroForm
-
-        return _CesaroForm(np.asarray(ent, dtype=float), np.asarray(hv, dtype=float),
+        return cesaro_form(np.asarray(ent, dtype=float), np.asarray(hv, dtype=float),
                            float(conjugate(s)))
 
     @staticmethod
@@ -1119,7 +1120,9 @@ class TestCertifyCesaro:
 
 def certifier_corpus():
     """(n, label, A, h) cases: exact sandwiches, sandwiches perturbed off
-    column 1, the identity and random lower-triangular matrices."""
+    column 1, the identity and random lower-triangular matrices; then exact
+    and perturbed sandwiches whose h has leading zeros, interior holes, or
+    h = (c, 0, ..., 0), labelled by that kind first."""
     rng = np.random.default_rng(42)
 
     def multiplier(n):
@@ -1140,12 +1143,27 @@ def certifier_corpus():
         for k in range(4):
             yield (n, f"random lower {k}", random_lower_triangular(n, seed=k),
                    TruncatedSeq(multiplier(n)))
+    for n in (2, 3, 4, 5, 8, 12):
+        for kind, zeros in (("leading zeros", slice(0, n // 2)),
+                            ("holes", slice(1, n - 1, 2)), ("spike", slice(1, n))):
+            for k in range(3):
+                hv = multiplier(n)
+                hv[zeros] = 0.0
+                h = TruncatedSeq(hv)
+                a = diagonal_sandwich(TruncatedSeq(multiplier(n)), cesaro_matrix(n), h)
+                if k == 0:
+                    yield n, f"{kind} sandwich", a, h
+                    continue
+                i, j = int(rng.integers(1, n + 1)), int(rng.integers(1, n + 1))
+                eps = float(10.0 ** rng.uniform(-3, -1))
+                yield n, f"{kind} perturbed ({i}, {j}) by {eps:.1e}", perturb_entry(a, i, j, eps), h
 
 
 class TestCertifierAgreesWithShapeCheck:
     """The Cesàro certifier refutes exactly when the shape check gives
     DOES_NOT_FACTOR, and on FACTORS its vertex ratio stays below the
-    recovered multiplier's norm (Hoelder).  The two routes share no code."""
+    recovered multiplier's norm (Hoelder).  The two routes share no code.
+    The shifted check also takes the h with h_1 = 0."""
 
     @pytest.mark.parametrize("r, q", [(2, 2), (4, 2), (3, Fraction(3, 2))])
     def test_refuted_iff_does_not_factor(self, r, q):
@@ -1153,7 +1171,7 @@ class TestCertifierAgreesWithShapeCheck:
         s = multiplier_exponent(r, q)
         verdicts = set()
         for seed, (n, label, a, h) in enumerate(certifier_corpus()):
-            cert = cesaro_factor_check(a, h, P2, q, r)
+            cert = cesaro_factor_check_j0(a, h, P2, q, r)
             res = certify_inequality_cesaro(a, h, s, patterns=16, seed=seed)
             verdicts.add(cert.verdict)
             assert res.refuted == (cert.verdict is Verdict.DOES_NOT_FACTOR), (n, label)
@@ -1161,9 +1179,39 @@ class TestCertifierAgreesWithShapeCheck:
                 assert res.c_hat_vertex <= cert.g_norm[0] * (1.0 + 1e-9), (n, label)
         assert verdicts == {Verdict.FACTORS, Verdict.DOES_NOT_FACTOR}
 
+    @staticmethod
+    def spikes(most):
+        return [(n, label, a, h) for n, label, a, h in certifier_corpus()
+                if n <= most and label.startswith("spike")]
+
+    def test_closed_form_matches_oracle(self):
+        # only h_1 != 0: every +-1 vertex has the same RHS, so the closed form
+        # gives the vertex optimum that the brute-force enumeration finds
+        s = multiplier_exponent(Exponent(4), P2)
+        for n, label, a, h in self.spikes(4):
+            res = certify_inequality_cesaro(a, h, s, patterns=16, seed=0)
+            oracle = oracle_cesaro(np.asarray(a.entries), h.coeffs, float(conjugate(s)))
+            assert res.c_hat_vertex == pytest.approx(oracle, abs=1e-12), (n, label)
+
+    def test_closed_form_row_form(self):
+        # at s = inf the pattern is a vector on the row k of A that maximizes
+        # sum_j |a_kj| / (|h_1| / k), which no +-1 matrix ratio exceeds
+        for n, label, a, h in self.spikes(12):
+            ent = np.asarray(a.entries)
+            res = certify_inequality_cesaro(a, h, INF, patterns=16, seed=0)
+            pattern = np.asarray(res.pattern.r)
+            assert pattern.shape == (n,) and res.cols == n, (n, label)
+            ratios = np.abs(ent).sum(axis=1) * np.arange(1, n + 1) / abs(h.coeffs[0])
+            assert res.c_hat_vertex == pytest.approx(ratios.max(), rel=1e-12), (n, label)
+            if not res.refuted:
+                assert res.rows == 1 + int(np.argmax(ratios)), (n, label)
+                assert np.array_equal(pattern, np.where(ent[res.rows - 1] < 0, -1.0, 1.0))
+            if n <= 3:
+                assert res.c_hat_vertex >= oracle_cesaro(ent, h.coeffs, 1.0) - 1e-12
+
 
 def reference_fourier(ent, s):
-    """The Fourier certifier that ``_FourierForm`` replaced: a closure
+    """The Fourier certifier before the shared closed form: a closure
     evaluator at finite s and a loop over rows at s = inf.  Returns
     (c_hat, pattern, lhs, rhs, refuted, c_hat_vertex, rows)."""
     n = ent.shape[0]
