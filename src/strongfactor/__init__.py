@@ -34,7 +34,6 @@ from .errors import (
     SpecError,
     StrongFactorError,
     ZeroDiagonal,
-    ZeroPivot,
 )
 from .exponents import INF, Exponent, conjugate, multiplier_exponent
 from .factorization import (
@@ -45,7 +44,6 @@ from .factorization import (
     certify_inequality_cesaro,
     certify_inequality_fourier,
     cesaro_factor_check,
-    cesaro_factor_check_j0,
     fourier_factor_check,
     matrix_factor_check,
     verify_representing,

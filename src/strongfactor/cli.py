@@ -30,7 +30,6 @@ from .factorization import (
     certify_inequality_cesaro,
     certify_inequality_fourier,
     cesaro_factor_check,
-    cesaro_factor_check_j0,
     fourier_factor_check,
     matrix_factor_check,
     verify_representing,
@@ -155,7 +154,7 @@ def _job_echo(args) -> dict:
     """Every parsed option as given, but where the output goes and which
     handler runs."""
     return {key: value for key, value in vars(args).items()
-            if key not in ("run", "check", "out", "no_timestamp")}
+            if key not in ("run", "out", "no_timestamp")}
 
 
 def _finish_certificate(cert: Certificate, args, extra: dict | None = None) -> int:
@@ -182,7 +181,7 @@ def _finish_certificate(cert: Certificate, args, extra: dict | None = None) -> i
 def _cmd_check_cesaro(args) -> int:
     p, q, r = Exponent(args.p), Exponent(args.q), Exponent(args.r)
     op = _load_matrix(args, args.N)
-    cert = args.check(op, _load_h(args, op.n), p, q, r, tol=args.tol)
+    cert = cesaro_factor_check(op, _load_h(args, op.n), p, q, r, tol=args.tol)
     return _finish_certificate(cert, args)
 
 
@@ -316,12 +315,11 @@ def build_parser() -> _Parser:
                      description="strong-factorization checkers and certifiers")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    for name, check in (("check-cesaro", cesaro_factor_check),
-                        ("check-cesaro-j0", cesaro_factor_check_j0)):
-        sub = subs.add_parser(name, help="triangular shape check through the "
-                                         "running-averages operator")
-        _add_common(sub, "pqr")
-        sub.set_defaults(run=_cmd_check_cesaro, check=check)
+    sub = subs.add_parser("check-cesaro", aliases=["check-cesaro-j0"],
+                          help="triangular shape check through the "
+                               "running-averages operator")
+    _add_common(sub, "pqr")
+    sub.set_defaults(run=_cmd_check_cesaro)
 
     sub = subs.add_parser("check-fourier", help="diagonal shape check through "
                                                 "the coefficient operator")

@@ -25,10 +25,6 @@ class ExponentRange(StrongFactorError):
     """Exponent outside the admissible range for the operation."""
 
 
-class ZeroPivot(StrongFactorError):
-    """Leading multiplier entry is zero; the shifted check must be used."""
-
-
 class AllZeroMultiplier(StrongFactorError):
     """Multiplier sequence is identically zero."""
 

@@ -8,10 +8,11 @@ merged:
   exact factorization forces, recovering the outer multiplier when it exists.
   All of them read a factorization A = M_g B M_h of N x N truncations as
   a_ij = g_i w_ij with w_ij = b_ij h_j, and one kernel decides that identity;
-  the Cesàro (B = C_N), shifted-Cesàro, Fourier (B = I, h = 1) and general
-  matrix checkers are thin wrappers that build w and check exponents.  The
-  representing-operator check T = M_g alpha M_h is the fifth caller: it
-  hands the kernel T and alpha M_h applied to the first basis functions;
+  the Cesàro (B = C_N, h with any leading zeros), Fourier (B = I, h = 1)
+  and general matrix checkers are thin wrappers that build w and check
+  exponents.  The representing-operator check T = M_g alpha M_h is the
+  fourth caller: it hands the kernel T and alpha M_h applied to the first
+  basis functions;
 * **inequality certifiers** score sign patterns r in the equivalent inequality
   sum_ij r_ij a_ij <= C (sum_i wt_i |sum_j w_ij r_ij|^s')^(1/s'): one form
   for both families (Cesàro: w_ij = h_j on j <= i, wt_i = i^(-s'); Fourier:
@@ -50,7 +51,6 @@ from .errors import (
     SizeMismatch,
     SpecError,
     ZeroDiagonal,
-    ZeroPivot,
 )
 from .exponents import Exponent, INF, conjugate, multiplier_exponent
 from .grid_functions import (
@@ -88,7 +88,7 @@ class SignPattern:
 
     def __post_init__(self):
         arr = np.asarray(self.r, dtype=float)
-        if np.any(np.abs(arr) > 1.0 + 1e-12):
+        if not (np.abs(arr) <= 1.0 + 1e-12).all():
             raise SpecError("pattern entries must lie in [-1, 1]")
         arr = arr.copy()
         arr.flags.writeable = False
@@ -164,8 +164,7 @@ def _require_range(name: str, value: Exponent, low, high,
 # shape checkers
 
 def _sandwich_check(n: int, a_rows, w_rows, tol: float, g_exp: Exponent | None,
-                    notes: tuple[str, ...] = (), pivot_tol: float = 0.0,
-                    pivots: np.ndarray | None = None, **meta) -> Certificate:
+                    notes: tuple[str, ...] = (), pivot_tol: float = 0.0, **meta) -> Certificate:
     """Decide a_ij = g_i * w_ij for some g, where w_ij = b_ij * h_j and every
     forced zero of w is stored as an exact 0.
 
@@ -175,14 +174,14 @@ def _sandwich_check(n: int, a_rows, w_rows, tol: float, g_exp: Exponent | None,
     walked in the row blocks of ``operators._block_bounds``.  A first walk
     stops at the first block with some |a_ij| > tol; when there is none, A
     is a zero operator.
-    g_i is read at the first entry of row i of w with |w_ij| > pivot_tol,
-    and ``pivots``, when given, receives a_ij there; a row with no such
-    entry gets g_i = 0.  The witness is the first row-major entry whose
-    deviation |a_ij - g_i w_ij| exceeds tol, so the walk stops at the first
-    block that holds one.  It also stops at the first row where g_i or some
-    g_i w_ij overflows: a violation in an earlier row is then the witness,
-    and otherwise a ``SpecError`` names the row.  ``notes`` are added to a
-    FACTORS certificate; ``meta`` holds the remaining certificate fields.
+    g_i is read at the first entry of row i of w with |w_ij| > pivot_tol;
+    a row with no such entry gets g_i = 0.  The witness is the first
+    row-major entry whose deviation |a_ij - g_i w_ij| exceeds tol, so the
+    walk stops at the first block that holds one.  It also stops at the
+    first row where g_i or some g_i w_ij overflows: a violation in an
+    earlier row is then the witness, and otherwise a ``SpecError`` names the
+    row.  ``notes`` are added to a FACTORS certificate; ``meta`` holds the
+    remaining certificate fields.
     """
     meta.update(tol=tol, truncation=n)
     if not any(np.abs(a_rows(lo, hi)).max() > tol for lo, hi in _block_bounds(n)):
@@ -203,10 +202,7 @@ def _sandwich_check(n: int, a_rows, w_rows, tol: float, g_exp: Exponent | None,
             pivot = w[rows, first]
             live[lo:hi] = np.abs(pivot) > pivot_tol
             g = g_vals[lo:hi]
-            a_pivot = ar[rows, first]
-            if pivots is not None:
-                pivots[lo:hi] = a_pivot
-            np.divide(a_pivot, pivot, out=g, where=live[lo:hi])
+            np.divide(ar[rows, first], pivot, out=g, where=live[lo:hi])
             np.multiply(g[:, None], w, out=dev)
             np.subtract(ar, dev, out=dev)
             np.abs(dev, out=dev)
@@ -248,23 +244,14 @@ def _sandwich_check(n: int, a_rows, w_rows, tol: float, g_exp: Exponent | None,
 def cesaro_factor_check(a: MatrixOp | _Sandwich, h: TruncatedSeq, p: Exponent, q: Exponent,
                         r: Exponent, tol: float = EXACT_TOL) -> Certificate:
     """Decide factorization through the running-averages operator with inner
-    multiplier h, for h with nonzero leading entry.
+    multiplier h, for any h that is not all zero.
 
-    The factorization forces zeros above the diagonal and the rank-one-scaled
-    shape a_ij = h_j * a_i1 / h_1 below it; the recovered outer multiplier is
-    g_i = i * a_i1 / h_1 and its norm is reported at the multiplier exponent
-    of the (r, q) pair.
-    """
-    if float(h.coeffs[0]) == 0.0:
-        raise ZeroPivot("h_1 = 0: use the shifted variant")
-    return cesaro_factor_check_j0(a, h, p, q, r, tol=tol)
-
-
-def cesaro_factor_check_j0(a: MatrixOp | _Sandwich, h: TruncatedSeq, p: Exponent, q: Exponent,
-                           r: Exponent, tol: float = EXACT_TOL) -> Certificate:
-    """Shifted variant keyed to j0, the first index where h is nonzero: rows
-    and columns before j0 must vanish and the triangular shape starts at
-    (j0, j0).  Collapses to the unshifted check when h_1 != 0.
+    With j0 the first index where h is nonzero, the factorization forces
+    zeros in the rows and columns before j0 and above the diagonal, and the
+    shape a_ij = h_j * a_ij0 / h_j0 on the triangle from (j0, j0).  The
+    recovered outer multiplier is g_i = i * a_ij0 / h_j0 (0 before j0), and
+    its norm is reported at the multiplier exponent of the (r, q) pair;
+    alpha_(i-j0+1) = a_ij0 / h_j0 is column j0 of A from row j0 on.
     """
     p, q, r = Exponent(p), Exponent(q), Exponent(r)
     _require_range("p", p, 1, INF, low_open=False, high_open=True)
@@ -281,28 +268,31 @@ def cesaro_factor_check_j0(a: MatrixOp | _Sandwich, h: TruncatedSeq, p: Exponent
     s_pr = multiplier_exponent(p, r)
     n = a.n
     c = CesaroOp(n)
+    column = np.empty(n)
+
+    def a_rows(lo, hi):
+        rows = a.rows(lo, hi)
+        column[lo:hi] = rows[:, j0 - 1]
+        return rows
 
     def w_rows(lo, hi):
         w = c.rows(lo, hi)
         w *= hv
         return w
 
-    # the default pivot_tol = 0 reads row i >= j0 at column j0, where
-    # w_ij0 = (1/i) h_j0 is nonzero
-    column = np.empty(n)
     cert = _sandwich_check(
-        n, a.rows, w_rows, tol, s_rq,
+        n, a_rows, w_rows, tol, s_rq,
         notes=(f"shifted shape with j0={j0}",) if j0 > 1 else (),
-        pivots=column, h=h, h_norm=(lp_norm(hv, s_pr), s_pr),
+        h=h, h_norm=(lp_norm(hv, s_pr), s_pr),
         exponents={"p": p, "q": q, "r": r, "s_rq": s_rq, "s_pr": s_pr})
     if cert.verdict is not Verdict.FACTORS:
         return cert
-    column = column[j0 - 1:]
-    # rows where (1/i) h_j0 underflows to 0 were read at another column
-    for k in np.flatnonzero((1.0 / np.arange(j0, n + 1)) * hv[j0 - 1] == 0.0):
-        column[k] = a.rows(j0 - 1 + k, j0 + k)[0, j0 - 1]
-    alpha = column / hv[j0 - 1]
+    alpha = column[j0 - 1:] / hv[j0 - 1]
     return replace(cert, alpha=TruncatedSeq(alpha, IndexDomain.NAT1))
+
+
+# the shifted check's former name, kept while sfbench/shim.py wraps it by name
+cesaro_factor_check_j0 = cesaro_factor_check
 
 
 def fourier_factor_check(tphi: MatrixOp | _Sandwich, r: Exponent, p: Exponent, q: Exponent,

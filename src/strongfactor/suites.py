@@ -20,7 +20,6 @@ from .factorization import (
     certify_inequality_cesaro,
     certify_inequality_fourier,
     cesaro_factor_check,
-    cesaro_factor_check_j0,
     verify_representing,
 )
 from .grid_functions import (
@@ -216,8 +215,8 @@ def _random_multiplier(rng, n: int) -> np.ndarray:
 def cesaro_roundtrip(res: SuiteResult, seed: int = 0) -> None:
     """50 seeded (g, h) pairs at N = 128: sandwich matrices certify FACTORS
     with g recovered within 1e-12; 1e-3 single-entry perturbations above the
-    diagonal flip the verdict at tol 1e-6; shifted variants (j0 = 2, 3)
-    behave identically."""
+    diagonal flip the verdict at tol 1e-6; h with leading zeros (j0 = 2, 3)
+    behaves identically."""
     rng = np.random.default_rng(seed)
     n = 128
     op = cesaro_matrix(n)
@@ -251,7 +250,7 @@ def cesaro_roundtrip(res: SuiteResult, seed: int = 0) -> None:
             hv[:j0 - 1] = 0.0
             h = TruncatedSeq(hv)
             a = diagonal_sandwich(g, op, h)
-            cert = cesaro_factor_check_j0(a, h, p, q, r, tol=1e-9)
+            cert = cesaro_factor_check(a, h, p, q, r, tol=1e-9)
             if cert.verdict is not Verdict.FACTORS:
                 res.fail(f"j0={j0} trial {trial}: got {cert.verdict.value}")
                 continue
@@ -261,7 +260,7 @@ def cesaro_roundtrip(res: SuiteResult, seed: int = 0) -> None:
                 res.fail(f"j0={j0} trial {trial}: recovery error {rec:.3e}")
             flips_expected += 1
             bad = perturb_entry(a, 1, 1, 1e-3)
-            if cesaro_factor_check_j0(bad, h, p, q, r, tol=1e-6).verdict is Verdict.DOES_NOT_FACTOR:
+            if cesaro_factor_check(bad, h, p, q, r, tol=1e-6).verdict is Verdict.DOES_NOT_FACTOR:
                 flips += 1
     if flips != flips_expected:
         res.fail(f"only {flips}/{flips_expected} perturbations flipped the verdict")

@@ -157,6 +157,31 @@ class TestCheckCesaro:
         assert doc["alpha"] is not None
         assert any("j0=2" in note for note in doc["notes"])
 
+    @pytest.mark.parametrize("matrix, code", [
+        (["--gen", "rank-one", "--g", "harmonic"], 0),
+        (["--gen", "rank-one", "--g", "harmonic", "--perturb", "5,3,1e-3"], 1),
+        (["--gen", "identity"], 1),
+    ], ids=["rank-one", "perturbed", "identity"])
+    @pytest.mark.parametrize("h", ["ones", "shift1:ones", "shift3:alt"])
+    def test_both_spellings_decide_alike(self, tmp_path, capsys, matrix, code, h):
+        # h_1 = 0 is decided under either name; the job echo alone differs
+        outcomes = []
+        for command in ("check-cesaro", "check-cesaro-j0"):
+            out = tmp_path / f"{command}.json"
+            got = run([command, *matrix, "--h", h, "--N", "12", "--p", "2", "--q", "2",
+                       "--r", "2", "--no-timestamp", "--out", str(out)])
+            echo = f'"command": "{command}"'.encode()
+            cert = out.read_bytes()
+            assert cert.count(echo) == 1
+            outcomes.append((got, capsys.readouterr(), cert.replace(echo, b"")))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0] == code
+
+    def test_help_lists_the_other_name(self, capsys):
+        with pytest.raises(SystemExit):
+            run(["--help"])
+        assert "check-cesaro (check-cesaro-j0)" in capsys.readouterr().out
+
 
 class TestCheckFourier:
     def test_diagonal_matrix(self, tmp_path):
@@ -603,10 +628,10 @@ class TestDeterminism:
 
 
 class TestJobEcho:
-    """The job echo holds every parsed option but the four that say where
+    """The job echo holds every parsed option but the three that say where
     the output goes or which handler runs."""
 
-    NOT_ECHOED = {"run", "check", "out", "no_timestamp"}
+    NOT_ECHOED = {"run", "out", "no_timestamp"}
     JOBS = {
         "check-cesaro": ["--gen", "cesaro", "--h", "ones", "--p", "2", "--q", "2",
                          "--r", "2"],

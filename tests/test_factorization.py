@@ -15,7 +15,6 @@ from strongfactor.errors import (
     SpecError,
     StrongFactorError,
     ZeroDiagonal,
-    ZeroPivot,
 )
 from strongfactor.exponents import Exponent, INF, conjugate, multiplier_exponent
 from strongfactor import factorization
@@ -128,9 +127,11 @@ class TestCesaroCheck:
         assert cert.verdict is Verdict.INCONCLUSIVE
 
     def test_zero_pivot(self):
+        # h_1 = 0 is decided: row 1 of C M_h vanishes, so a_11 = 1 breaks it
         h = TruncatedSeq([0.0, 1.0, 1.0])
-        with pytest.raises(ZeroPivot):
-            cesaro_factor_check(cesaro_matrix(3), h, P2, P2, P2)
+        cert = cesaro_factor_check(cesaro_matrix(3), h, P2, P2, P2)
+        assert cert.verdict is Verdict.DOES_NOT_FACTOR
+        assert (cert.witness["i"], cert.witness["j"]) == (1, 1)
 
     def test_exponent_hypotheses(self):
         with pytest.raises(ExponentRange):
@@ -182,7 +183,7 @@ class TestCesaroCheckShifted:
         n, j0 = 16, 2
         alpha, h = self.shifted_instance(n, j0)
         a = factorable_matrix(alpha, h, j0=j0)
-        cert = cesaro_factor_check_j0(a, h, P2, P2, P2)
+        cert = cesaro_factor_check(a, h, P2, P2, P2)
         assert cert.verdict is Verdict.FACTORS
         assert np.abs(cert.alpha.coeffs - alpha.coeffs[:n - j0 + 1]).max() < 1e-12
         assert np.all(cert.g.coeffs[:j0 - 1] == 0.0)
@@ -200,7 +201,7 @@ class TestCesaroCheckShifted:
         n, j0 = 6, 2
         alpha, h = self.shifted_instance(n, j0)
         a = perturb_entry(factorable_matrix(alpha, h, j0=j0), 1, 1, 1.0)
-        cert = cesaro_factor_check_j0(a, h, P2, P2, P2)
+        cert = cesaro_factor_check(a, h, P2, P2, P2)
         assert cert.verdict is Verdict.DOES_NOT_FACTOR
         assert (cert.witness["i"], cert.witness["j"]) == (1, 1)
 
@@ -211,14 +212,13 @@ class TestCesaroCheckShifted:
             return factorable_matrix(alpha, h, j0=j0), h
 
         for a, h in seeded_instances(41, make):
-            cert = cesaro_factor_check_j0(a, h, P2, P2, P2)
+            cert = cesaro_factor_check(a, h, P2, P2, P2)
             ref = matrix_factor_check(a, cesaro_matrix(a.n), h)
             assert_same_decision(cert, ref)
 
     def test_all_zero_multiplier(self):
         with pytest.raises(AllZeroMultiplier):
-            cesaro_factor_check_j0(cesaro_matrix(3), TruncatedSeq(np.zeros(3)),
-                                   P2, P2, P2)
+            cesaro_factor_check(cesaro_matrix(3), TruncatedSeq(np.zeros(3)), P2, P2, P2)
 
     @pytest.mark.parametrize("j0", [1, 3])
     def test_alpha_is_the_column_where_the_pivot_underflows(self, j0):
@@ -231,7 +231,7 @@ class TestCesaroCheckShifted:
         h = TruncatedSeq(hv)
         g = TruncatedSeq(np.arange(1, n + 1) * np.linspace(1.0, 3.0, n))
         a = diagonal_sandwich(g, CesaroOp(n), h)
-        cert = cesaro_factor_check_j0(a, h, P2, P2, P2)
+        cert = cesaro_factor_check(a, h, P2, P2, P2)
         assert cert.verdict is Verdict.FACTORS
         expected = a.entries[j0 - 1:, j0 - 1] / hv[j0 - 1]
         assert cert.alpha.coeffs.tobytes() == expected.tobytes()
@@ -242,7 +242,7 @@ class TestCesaroCheckShifted:
         alpha, h = self.shifted_instance(n, j0, seed=4)
         a = factorable_matrix(alpha, h, j0=j0)
         bad = perturb_entry(a, 4, 9, 1e-3)
-        assert cesaro_factor_check_j0(bad, h, P2, P2, P2, tol=1e-6).verdict \
+        assert cesaro_factor_check(bad, h, P2, P2, P2, tol=1e-6).verdict \
             is Verdict.DOES_NOT_FACTOR
 
 
@@ -366,8 +366,7 @@ class TestMatrixCheck:
         assert np.allclose(cert.g.coeffs, [2.0, 3.0, 4.0])
 
 
-def reference_sandwich_check(ent, w, tol, g_exp, notes=(), pivot_tol=0.0, pivots=None,
-                             **meta):
+def reference_sandwich_check(ent, w, tol, g_exp, notes=(), pivot_tol=0.0, **meta):
     """The shape kernel before it took A and w by blocks of rows: both whole,
     and one N x N deviation matrix."""
     n = ent.shape[0]
@@ -382,8 +381,6 @@ def reference_sandwich_check(ent, w, tol, g_exp, notes=(), pivot_tol=0.0, pivots
     pivot = w[rows, first]
     live = np.abs(pivot) > pivot_tol
     g_vals = np.zeros(n)
-    if pivots is not None:
-        pivots[:] = ent[rows, first]
     np.divide(ent[rows, first], pivot, out=g_vals, where=live)
     np.multiply(g_vals[:, None], w, out=dev)
     np.subtract(ent, dev, out=dev)
@@ -463,6 +460,8 @@ def block_cases(n):
         ]
     a = sandwich(cesaro, lead)
     cases.append(("dead-row-entry", bumped(a, (min(n - 3, step + 1), 0, 1e-3)), lead, cesaro))
+    # the Cesàro wrapper refuses an all-zero h before the kernel runs
+    cases.append(("zero-h", sandwich(cesaro, h), np.zeros(n), cesaro))
     cases.append(("zero", MatrixOp(np.zeros((n, n)), lp_space(2), lp_space(2)), h, cesaro))
     cases.append(("negative-zero", MatrixOp(np.full((n, n), -0.0), lp_space(2), lp_space(2)),
                   h, cesaro))
@@ -490,7 +489,6 @@ class TestBlockKernel:
         # (the call, the dense w that the parent wrapper built)
         return {
             "cesaro": (lambda: cesaro_factor_check(a, h, P2, P2, P2), tri),
-            "cesaro-j0": (lambda: cesaro_factor_check_j0(a, h, P2, P2, P2), tri),
             "fourier": (lambda: fourier_factor_check(a, P32, P2, P2), np.eye(n)),
             "matrix": (lambda: matrix_factor_check(a, b, h), bh),
         }
@@ -1163,7 +1161,7 @@ class TestCertifierAgreesWithShapeCheck:
     """The Cesàro certifier refutes exactly when the shape check gives
     DOES_NOT_FACTOR, and on FACTORS its vertex ratio stays below the
     recovered multiplier's norm (Hoelder).  The two routes share no code.
-    The shifted check also takes the h with h_1 = 0."""
+    The shape check also takes the h with h_1 = 0."""
 
     @pytest.mark.parametrize("r, q", [(2, 2), (4, 2), (3, Fraction(3, 2))])
     def test_refuted_iff_does_not_factor(self, r, q):
@@ -1171,7 +1169,7 @@ class TestCertifierAgreesWithShapeCheck:
         s = multiplier_exponent(r, q)
         verdicts = set()
         for seed, (n, label, a, h) in enumerate(certifier_corpus()):
-            cert = cesaro_factor_check_j0(a, h, P2, q, r)
+            cert = cesaro_factor_check(a, h, P2, q, r)
             res = certify_inequality_cesaro(a, h, s, patterns=16, seed=seed)
             verdicts.add(cert.verdict)
             assert res.refuted == (cert.verdict is Verdict.DOES_NOT_FACTOR), (n, label)
@@ -1528,7 +1526,7 @@ class TestVerifyRepresenting:
 # matrix size, a degenerate exponent, a pattern outside the unit ball, and a
 # FACTORS certificate whose residual exceeds its tol
 INPUT_CHECKS = {
-    "j0-length": (lambda: cesaro_factor_check_j0(cesaro_matrix(3), ones(2), P2, P2, P2),
+    "j0-length": (lambda: cesaro_factor_check(cesaro_matrix(3), ones(2), P2, P2, P2),
                   LengthMismatch, "multiplier length 2 != matrix size 3"),
     "matrix-length": (lambda: matrix_factor_check(cesaro_matrix(3), cesaro_matrix(3), ones(2)),
                       LengthMismatch, "multiplier length 2 != matrix size 3"),
@@ -1538,6 +1536,8 @@ INPUT_CHECKS = {
                            DegenerateExponent, "multiplier exponent 1 has infinite conjugate"),
     "pattern-entry": (lambda: SignPattern(np.array([[0.5, -1.5]])),
                       SpecError, "pattern entries must lie in [-1, 1]"),
+    "pattern-entry-nan": (lambda: SignPattern(np.array([np.nan, 0.5])),
+                          SpecError, "pattern entries must lie in [-1, 1]"),
     "factors-residual": (lambda: Certificate(verdict=Verdict.FACTORS, g=ones(1),
                                              residual=2 * EXACT_TOL),
                          SpecError, "FACTORS requires residual within tolerance"),

@@ -1,7 +1,8 @@
 """The public API of ``strongfactor``: every name the package exports that is
 neither a submodule nor underscored.  A change to the API edits this set, so
 its size is read here rather than counted by hand; so is its knob count, the
-parameters with a default over every exported callable."""
+parameters with a default over every exported callable.  CI prints both
+through ``exported`` and ``knobs``."""
 
 import enum
 import inspect
@@ -13,14 +14,13 @@ PUBLIC_API = {
     # errors
     "AllZeroMultiplier", "DegenerateExponent", "DomainMismatch", "ExponentRange",
     "IndexOutOfRange", "LengthMismatch", "ParseError", "SizeMismatch", "SpecError",
-    "StrongFactorError", "ZeroDiagonal", "ZeroPivot",
+    "StrongFactorError", "ZeroDiagonal",
     # exponents
     "INF", "Exponent", "conjugate", "multiplier_exponent",
     # factorization
     "Certificate", "CertifierResult", "SignPattern", "Verdict",
     "certify_inequality_cesaro", "certify_inequality_fourier", "cesaro_factor_check",
-    "cesaro_factor_check_j0", "fourier_factor_check", "matrix_factor_check",
-    "verify_representing",
+    "fourier_factor_check", "matrix_factor_check", "verify_representing",
     # grid_functions
     "BasisFamily", "BasisSpec", "GridFunction", "QuadRule", "basis_element",
     "composite_gauss_legendre", "constant", "default_rule", "eval_basis",
@@ -35,20 +35,27 @@ PUBLIC_API = {
 }
 
 
+def exported():
+    return {name for name, value in vars(strongfactor).items()
+            if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+
+
+def knobs():
+    # an Enum's signature is the enum machinery's; exceptions have none
+    names = exported()
+    callables = [value for name, value in vars(strongfactor).items()
+                 if name in names and callable(value)
+                 and not (isinstance(value, type)
+                          and issubclass(value, (enum.Enum, BaseException)))]
+    return [param for value in callables
+            for param in inspect.signature(value).parameters.values()
+            if param.default is not inspect.Parameter.empty]
+
+
 def test_public_api_is_pinned():
-    exported = {name for name, value in vars(strongfactor).items()
-                if not name.startswith("_") and not isinstance(value, types.ModuleType)}
-    assert exported == PUBLIC_API
-    assert len(PUBLIC_API) == 60
+    assert exported() == PUBLIC_API
+    assert len(PUBLIC_API) == 58
 
 
 def test_knob_count_is_pinned():
-    # an Enum's signature is the enum machinery's; exceptions have none
-    callables = [value for name, value in vars(strongfactor).items()
-                 if name in PUBLIC_API and callable(value)
-                 and not (isinstance(value, type)
-                          and issubclass(value, (enum.Enum, BaseException)))]
-    knobs = [param for value in callables
-             for param in inspect.signature(value).parameters.values()
-             if param.default is not inspect.Parameter.empty]
-    assert len(knobs) == 22
+    assert len(knobs()) == 21
