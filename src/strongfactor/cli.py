@@ -103,10 +103,7 @@ def _load_matrix(args, n: int) -> MatrixOp:
     if args.matrix and args.gen:
         raise SpecError("give either --matrix or --gen, not both")
     if args.matrix:
-        path = args.matrix
-        if not Path(path).exists():
-            raise ParseError(f"{path}: no such file")
-        op = _read_matrix_file(path)
+        op = _read_matrix_file(args.matrix)
     elif args.gen:
         op = _generate_matrix(args, n)
     else:

@@ -14,8 +14,11 @@ so it keeps them without a copy.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
+import os
+import tempfile
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -291,9 +294,40 @@ def _reorthogonalise(w: np.ndarray, basis: list) -> float:
 # ---------------------------------------------------------------------------
 # ingestion / serialization
 
-def _nonblank_lines(path) -> list[tuple[int, str]]:
-    with open(path) as fh:
-        return [(k, text) for k, ln in enumerate(fh, start=1) if (text := ln.strip())]
+def _lines(path, digest=None):
+    """(line number, text) of each line of the file, decoded as UTF-8, its
+    line end kept; ``\\n``, ``\\r\\n`` and ``\\r`` end lines, as ``open()``
+    reads text.  The bytes go to ``digest.update`` as they are read, when a
+    digest is given.  A file that cannot be read, and a line that is not
+    UTF-8, are a ParseError."""
+    try:
+        # a row longer than the default 8 KiB buffer is read in many pieces
+        with open(path, "rb", buffering=1 << 16) as fh:
+            k = 0
+            for raw in fh:  # no UTF-8 sequence holds a \n or \r byte
+                if digest is not None:
+                    digest.update(raw)
+                for piece in raw.splitlines(keepends=True) if b"\r" in raw else (raw,):
+                    k += 1
+                    try:
+                        text = piece.decode("utf-8")
+                    except UnicodeDecodeError:
+                        raise ParseError(f"{path}:{k}: not valid UTF-8") from None
+                    yield k, text
+    except FileNotFoundError:
+        raise ParseError(f"{path}: no such file") from None
+    except OSError as exc:
+        raise ParseError(f"{path}: {exc.strerror or exc}") from None
+
+
+def _nonblank_lines(path, digest=None) -> list[tuple[int, str]]:
+    return [(k, text) for k, ln in _lines(path, digest) if (text := ln.strip())]
+
+
+def _read_text(path) -> str:
+    """The file's text as ``open(path, encoding="utf-8").read()`` gives it."""
+    text = "".join(ln for _, ln in _lines(path))
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def _read_csv(path, width: int, lines: list[tuple[int, str]]) -> np.ndarray:
@@ -345,26 +379,135 @@ def matrix_to_csv(op: MatrixOp, path) -> None:
 
 
 def matrix_from_csv(path) -> MatrixOp:
-    """Row-major CSV with a one-line header ``N=<n>``, as an operator on l^2."""
-    lines = _nonblank_lines(path)
-    if not lines or not lines[0][1].startswith("N="):
-        raise ParseError(f"{path}:1: expected header 'N=<n>'")
-    k, header = lines[0]
+    """Row-major CSV with a one-line header ``N=<n>``, as an operator on l^2.
+
+    A file of 1 MiB or more (``_CACHE_MIN_BYTES``) is parsed once per content:
+    the parsed array is kept in the user's cache directory under the sha256 of
+    the file's bytes, and a later read of the same bytes loads it.  The cache
+    changes no result; when it cannot be used, the file is parsed."""
     try:
-        n = int(header[2:])
-    except ValueError:
-        raise ParseError(f"{path}:{k}: malformed size in header {header!r}") from None
+        large = os.stat(path).st_size >= _CACHE_MIN_BYTES
+    except OSError:
+        large = False  # the reader reports it
+    return _fresh(_cached_parse(path) if large else _parse_matrix_csv(path), _L2, _L2)
+
+
+def _parse_matrix_csv(path, digest=None) -> np.ndarray:
+    lines = _nonblank_lines(path, digest)
+    n = _matrix_size(path, *(lines[0] if lines else (1, "")))
     if len(lines) - 1 != n:
         raise ParseError(f"{path}: expected {n} rows, found {len(lines) - 1}")
-    return _fresh(_read_csv(path, n, lines[1:]), _L2, _L2)
+    return _read_csv(path, n, lines[1:])
+
+
+def _matrix_size(path, k: int, header: str) -> int:
+    """N from the header ``N=<n>``, the first nonblank line (line k)."""
+    if not header.startswith("N="):
+        raise ParseError(f"{path}:1: expected header 'N=<n>'")
+    try:
+        return int(header[2:])
+    except ValueError:
+        raise ParseError(f"{path}:{k}: malformed size in header {header!r}") from None
+
+
+#: matrix CSV files of at least this many bytes are parsed once per content;
+#: also the chunk in which they are hashed
+_CACHE_MIN_BYTES = 1 << 20
+#: total size of the cache entries; the least recently used go first
+_CACHE_MAX_BYTES = 1 << 30
+#: hashed ahead of a file's bytes: what an entry holds and which reader made it
+_CACHE_TAG = b"strongfactor matrix_from_csv: float64 .npy 1.0\n"
+
+
+def _cache_dir() -> str:
+    """``$XDG_CACHE_HOME/strongfactor``, or ``~/.cache/strongfactor`` when that
+    variable is unset or not an absolute path."""
+    base = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(base):
+        base = os.path.join(os.path.expanduser("~"), ".cache")
+    return os.path.join(base, "strongfactor")
+
+
+def _cached_parse(path) -> np.ndarray:
+    """``_parse_matrix_csv(path)``, loaded from the entry of the file's bytes
+    when a valid one exists; otherwise parsed, and stored if the parse
+    succeeds.  The bytes stored under a key are the bytes parsed."""
+    import hashlib  # only files this large pay for the import
+
+    try:
+        first = next(((k, t) for k, ln in _lines(path) if (t := ln.strip())), (1, ""))
+        entry = os.path.join(_cache_dir(), _entry_name(path, hashlib.sha256(_CACHE_TAG)))
+        out = _load_entry(entry, _matrix_size(path, *first))
+    except (ParseError, OSError, ValueError):
+        pass  # a miss; the parse reads the file again, or reports why it cannot
+    else:
+        with contextlib.suppress(OSError):
+            os.utime(entry)  # most recently used
+        return out
+    digest = hashlib.sha256(_CACHE_TAG)
+    out = _parse_matrix_csv(path, digest)
+    with contextlib.suppress(OSError):
+        _store(out, digest.hexdigest() + ".npy")
+    return out
+
+
+def _entry_name(path, digest) -> str:
+    """``<hex digest>.npy`` of the file's bytes, fed in chunks, never all held."""
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(_CACHE_MIN_BYTES), b""):
+            digest.update(chunk)
+    return digest.hexdigest() + ".npy"
+
+
+def _load_entry(entry: str, n: int) -> np.ndarray:
+    """The entry's array if it is N x N, C-order, native float64 (``<f8``)
+    and finite; ValueError otherwise.  Only the .npy header is parsed, so no
+    pickle is ever read, and the array owns its memory."""
+    with open(entry, "rb") as fh:
+        if (np.lib.format.read_magic(fh) != (1, 0)
+                or np.lib.format.read_array_header_1_0(fh) != ((n, n), False, np.dtype(float))
+                or os.fstat(fh.fileno()).st_size != fh.tell() + 8 * n * n):
+            raise ValueError(f"{entry}: not the entry of an N={n} file")
+        out = np.empty((n, n))
+        if fh.readinto(out) != out.nbytes:
+            raise ValueError(f"{entry}: truncated")
+    if not np.isfinite(out).all():
+        raise ValueError(f"{entry}: non-finite entries")
+    return out
+
+
+def _store(entries: np.ndarray, name: str) -> None:
+    """Write the entry through a temporary file and ``os.replace``, then
+    evict the least recently used entries until the cache holds at most
+    ``_CACHE_MAX_BYTES``; an array above the bound is not stored."""
+    if entries.nbytes > _CACHE_MAX_BYTES:
+        return
+    folder = _cache_dir()
+    os.makedirs(folder, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=folder, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            np.lib.format.write_array(fh, entries, version=(1, 0))
+        os.replace(tmp, os.path.join(folder, name))
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+    with os.scandir(folder) as found:
+        held = [(e.name == name, e.stat().st_mtime_ns, e.stat().st_size, e.path)
+                for e in found if e.name.endswith(".npy")]
+    total = sum(size for _, _, size, _ in held)
+    for _, _, size, old in sorted(held):  # oldest first, the new entry last
+        if total <= _CACHE_MAX_BYTES:
+            break
+        os.unlink(old)
+        total -= size
 
 
 def matrix_from_json_file(path) -> MatrixOp:
     """JSON object with ``entries`` (a list of rows), ``domain`` and
     ``codomain``, as written by ``MatrixOp.to_json``."""
     try:
-        with open(path) as fh:
-            obj = json.load(fh)
+        obj = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}:{exc.lineno}: {exc.msg}") from None
     try:

@@ -1,6 +1,21 @@
+import os
 import tracemalloc
 
 import pytest
+
+
+@pytest.fixture(autouse=True, scope="session")
+def private_cache_home(tmp_path_factory):
+    """``XDG_CACHE_HOME`` at a temporary directory for the whole run, so that
+    the matrix cache of in-process reads, and of CLI subprocesses, which
+    inherit ``os.environ``, never touches the user's."""
+    before = os.environ.get("XDG_CACHE_HOME")
+    os.environ["XDG_CACHE_HOME"] = str(tmp_path_factory.mktemp("cache-home"))
+    yield
+    if before is None:
+        del os.environ["XDG_CACHE_HOME"]
+    else:
+        os.environ["XDG_CACHE_HOME"] = before
 
 
 @pytest.fixture

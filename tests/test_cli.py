@@ -10,8 +10,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from strongfactor import cli
-from strongfactor.operators import MatrixOp, cesaro_matrix, matrix_to_csv, seq_to_csv
+from strongfactor import cli, operators
+from strongfactor.operators import (
+    CesaroOp,
+    MatrixOp,
+    cesaro_matrix,
+    diagonal_sandwich,
+    matrix_to_csv,
+    seq_to_csv,
+)
 from strongfactor.seq_spaces import TruncatedSeq, lp_space
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -717,6 +724,24 @@ class TestUsageErrors:
         "missing-matrix-file": (["check-cesaro", "--matrix", "{tmp}/none.csv", "--h", "ones",
                                  *P],
                                 65, "parse error: {tmp}/none.csv: no such file\n"),
+        "matrix-is-a-directory": (["check-cesaro", "--N", "2", "--matrix", "{tmp}/dir",
+                                   "--h", "{tmp}/h.csv", *P],
+                                  65, "parse error: {tmp}/dir: Is a directory\n"),
+        "json-matrix-is-a-directory": (["check-cesaro", "--N", "2", "--matrix",
+                                        "{tmp}/dir.json", "--h", "{tmp}/h.csv", *P],
+                                       65, "parse error: {tmp}/dir.json: Is a directory\n"),
+        "h-is-a-directory": (["check-cesaro", "--gen", "cesaro", "--N", "2", "--h", "{tmp}/dir",
+                              *P],
+                             65, "parse error: {tmp}/dir: Is a directory\n"),
+        "matrix-csv-not-utf8": (["check-cesaro", "--N", "2", "--matrix", "{tmp}/ff.csv",
+                                 "--h", "ones", *P],
+                                65, "parse error: {tmp}/ff.csv:3: not valid UTF-8\n"),
+        "h-csv-not-utf8": (["check-cesaro", "--gen", "cesaro", "--N", "2", "--h", "{tmp}/ff.csv",
+                            *P],
+                           65, "parse error: {tmp}/ff.csv:3: not valid UTF-8\n"),
+        "json-matrix-not-utf8": (["check-cesaro", "--N", "2", "--matrix", "{tmp}/ff.json",
+                                  "--h", "ones", *P],
+                                 65, "parse error: {tmp}/ff.json:2: not valid UTF-8\n"),
         "through-identity": (["check-matrix", "--gen", "random-lower", "--N", "4",
                               "--h", "ones", "--through", "identity", "--out", "{tmp}/c.json"],
                              1, ""),
@@ -727,11 +752,70 @@ class TestUsageErrors:
         argv, code, err = self.CASES[case]
         (tmp_path / "m.csv").write_text("N=1\n1\n")
         (tmp_path / "h.csv").write_text("1\n1\n1\n")
+        (tmp_path / "dir").mkdir()
+        (tmp_path / "dir.json").mkdir()
+        (tmp_path / "ff.csv").write_bytes(b"N=2\n1,0\n\xff,1\n")  # \xff is no UTF-8 byte
+        (tmp_path / "ff.json").write_bytes(b'{"entries":\n [[\xff]]}')
         assert run([arg.replace("{tmp}", str(tmp_path)) for arg in argv]) == code
         assert capsys.readouterr().err == err.replace("{tmp}", str(tmp_path))
         if code == 1:
             witness = read_cert(tmp_path / "c.json")["witness"]
             assert (witness["i"], witness["j"]) == (2, 1)
+
+
+class TestMatrixCacheOutputs:
+    """A matrix CSV above the cache threshold gives the same exit code,
+    stdout, stderr and certificate bytes with a cold cache, a warm one and one
+    that cannot be made (``XDG_CACHE_HOME`` at a regular file)."""
+
+    N = 384  # full-precision rows: the file is above 1 MiB
+    P = ["--p", "2", "--q", "2", "--r", "2"]
+    JOBS = {
+        "check-cesaro": ["check-cesaro", "--h", "{h}", *P],
+        "check-cesaro-perturbed": ["check-cesaro", "--h", "{h}", "--perturb", "3,2,1e-3", *P],
+        "check-fourier": ["check-fourier", *P],
+        "check-matrix": ["check-matrix", "--h", "{h}"],
+        "check-matrix-perturbed": ["check-matrix", "--h", "{h}", "--perturb", "384,1,-1e-3"],
+        "certify-fourier": ["certify", "--form", "fourier", "--q", "2", "--r", "2"],
+    }
+
+    @pytest.fixture
+    def job_files(self, tmp_path):
+        """A Cesàro sandwich with full-precision g and h, and h, as CSV."""
+        rng = np.random.default_rng(3)
+        g, h = (TruncatedSeq(rng.uniform(0.5, 2.0, self.N)) for _ in range(2))
+        a = MatrixOp(diagonal_sandwich(g, CesaroOp(self.N), h).entries,
+                     lp_space(2), lp_space(2))
+        matrix_to_csv(a, tmp_path / "a.csv")
+        seq_to_csv(h, tmp_path / "h.csv")
+        assert (tmp_path / "a.csv").stat().st_size >= operators._CACHE_MIN_BYTES
+        (tmp_path / "blocker").write_text("")
+        return tmp_path
+
+    def argv(self, root, job):
+        return [arg.replace("{h}", str(root / "h.csv")) for arg in self.JOBS[job]] + [
+            "--N", str(self.N), "--matrix", str(root / "a.csv"), "--no-timestamp",
+            "--out", str(root / "c.json")]
+
+    @pytest.mark.parametrize("job", JOBS)
+    def test_cold_warm_and_uncached_alike(self, job_files, job, capsys, monkeypatch):
+        outputs = []
+        for home in ("xdg", "xdg", "blocker"):
+            monkeypatch.setenv("XDG_CACHE_HOME", str(job_files / home))
+            code = run(self.argv(job_files, job))
+            outputs.append((code, capsys.readouterr(), (job_files / "c.json").read_bytes()))
+        assert outputs[0] == outputs[1] == outputs[2]
+        assert len(list((job_files / "xdg" / "strongfactor").iterdir())) == 1
+
+    def test_cache_home_at_a_file_changes_nothing(self, job_files, monkeypatch):
+        outputs = []
+        for home in ("xdg", "blocker"):
+            monkeypatch.setenv("XDG_CACHE_HOME", str(job_files / home))
+            done = run_process(self.argv(job_files, "check-cesaro"))
+            outputs.append((done.returncode, done.stdout, done.stderr,
+                            (job_files / "c.json").read_bytes()))
+        assert outputs[0] == outputs[1]
+        assert outputs[1][0] == 0 and outputs[1][2] == ""
 
 
 class TestSuiteCommand:

@@ -1,7 +1,14 @@
+import hashlib
+import io
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +39,9 @@ from strongfactor.operators import (
     seq_to_csv,
 )
 from strongfactor.seq_spaces import TruncatedSeq, lp_norm, lp_space
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def ones(n):
@@ -617,6 +627,178 @@ class TestCsvParse:
         width, lines = case
         assert (self.outcome(_read_csv, width, lines)
                 == self.outcome(reference_read_csv, width, lines))
+
+
+class TestLines:
+    """The readers see a file's lines as ``open(path, encoding="utf-8")``
+    does: the same numbers and texts, whatever ends the lines."""
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.text(alphabet="\r\n \t\x0b\x0c\x1c\x85\u2028\xa0\ufeffa,1\xe9", max_size=40))
+    @example("N=2\r\n1,0\r0,1\n\r\n")
+    @example("a\r")
+    def test_matches_text_mode(self, tmp_path_factory, text):
+        path = tmp_path_factory.getbasetemp() / "lines.csv"
+        path.write_bytes(text.encode("utf-8"))
+        with open(path, encoding="utf-8") as fh:
+            expected = [(k, t) for k, ln in enumerate(fh, start=1) if (t := ln.strip())]
+        with open(path, encoding="utf-8") as fh:
+            whole = fh.read()
+        assert operators._nonblank_lines(path) == expected
+        assert operators._read_text(path) == whole
+
+    @pytest.mark.parametrize("data, line", [(b"\xff", 1), (b"N=2\r\n1,0\r0,\xff\n", 3),
+                                            (b"1\n\n\xe9t\xc3\n", 3)])
+    def test_bytes_not_utf8_name_their_line(self, tmp_path, data, line):
+        path = tmp_path / "m.csv"
+        path.write_bytes(data)
+        for read in (operators._nonblank_lines, operators._read_text):
+            with pytest.raises(ParseError) as info:
+                read(path)
+            assert str(info.value) == f"{path}:{line}: not valid UTF-8"
+
+
+CACHE_N = 384  # full-precision rows of this size make a file above 1 MiB
+
+
+def forbidden(*args):
+    raise AssertionError("the file was parsed")
+
+
+@pytest.fixture
+def cache_dir(tmp_path, monkeypatch):
+    """The matrix cache's directory, under a fresh XDG_CACHE_HOME."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+    return tmp_path / "xdg" / "strongfactor"
+
+
+@pytest.fixture
+def large_csv(tmp_path):
+    """A dense full-precision N = 384 CSV, at least ``_CACHE_MIN_BYTES`` long."""
+    entries = np.random.default_rng(11).standard_normal((CACHE_N, CACHE_N))
+    path = tmp_path / "a.csv"
+    matrix_to_csv(MatrixOp(entries, lp_space(2), lp_space(2)), path)
+    assert path.stat().st_size >= operators._CACHE_MIN_BYTES
+    return path
+
+
+def npy_bytes(arr) -> bytes:
+    out = io.BytesIO()
+    np.save(out, arr)
+    return out.getvalue()
+
+
+def changed_copy(path, dest, digit=1):
+    """dest with path's bytes, the last digit of the last field moved by digit."""
+    data = bytearray(path.read_bytes())
+    assert chr(data[-2]).isdigit()
+    data[-2] = ord("0") + (data[-2] - ord("0") + digit) % 10
+    dest.write_bytes(bytes(data))
+    return dest
+
+
+def entry_name(path) -> str:
+    return hashlib.sha256(operators._CACHE_TAG + path.read_bytes()).hexdigest() + ".npy"
+
+
+class TestMatrixCache:
+    """A matrix CSV of at least ``_CACHE_MIN_BYTES`` is parsed once per
+    content, and every read gives the parse's bits, whatever the cache holds."""
+
+    def test_cold_and_warm_reads_give_the_parse(self, large_csv, cache_dir, monkeypatch):
+        parsed = operators._parse_matrix_csv(large_csv)
+        cold = matrix_from_csv(large_csv).entries
+        assert [p.name for p in cache_dir.iterdir()] == [entry_name(large_csv)]
+        monkeypatch.setattr(operators, "_read_csv", forbidden)
+        warm = matrix_from_csv(large_csv).entries
+        assert cold.tobytes() == parsed.tobytes() == warm.tobytes()
+        assert warm.flags.owndata and not warm.flags.writeable
+
+    def test_one_changed_byte_misses(self, large_csv, cache_dir, tmp_path):
+        first = matrix_from_csv(large_csv).entries
+        other = changed_copy(large_csv, tmp_path / "b.csv")
+        second = matrix_from_csv(other).entries
+        assert second.tobytes() == operators._parse_matrix_csv(other).tobytes()
+        assert second[-1, -1] != first[-1, -1]
+        assert sorted(p.name for p in cache_dir.iterdir()) == sorted(
+            [entry_name(large_csv), entry_name(other)])
+
+    # each turns a good entry's bytes into a bad one's
+    BAD_ENTRIES = {
+        "truncated": lambda good: good[:len(good) // 2],
+        "padded": lambda good: good + b"\0",
+        "garbage": lambda good: b"not an entry\n" * 100,
+        "empty": lambda good: b"",
+        "wrong-shape": lambda good: npy_bytes(np.zeros((CACHE_N - 1, CACHE_N - 1))),
+        "not-square": lambda good: npy_bytes(np.zeros((CACHE_N, CACHE_N - 1))),
+        "same-size-other-shape": lambda good: npy_bytes(
+            np.load(io.BytesIO(good)).reshape(CACHE_N // 2, 2 * CACHE_N)),
+        "fortran-order": lambda good: npy_bytes(np.asfortranarray(np.load(io.BytesIO(good)))),
+        "big-endian": lambda good: npy_bytes(np.load(io.BytesIO(good)).astype(">f8")),
+        "float32": lambda good: npy_bytes(np.load(io.BytesIO(good)).astype(np.float32)),
+        "non-finite": lambda good: npy_bytes(np.where(np.eye(CACHE_N) > 0, np.nan,
+                                                      np.load(io.BytesIO(good)))),
+    }
+
+    @pytest.mark.parametrize("case", BAD_ENTRIES)
+    def test_bad_entry_is_parsed_again_and_replaced(self, large_csv, cache_dir, case):
+        parsed = matrix_from_csv(large_csv).entries
+        entry = cache_dir / entry_name(large_csv)
+        good = entry.read_bytes()
+        entry.write_bytes(self.BAD_ENTRIES[case](good))
+        assert matrix_from_csv(large_csv).entries.tobytes() == parsed.tobytes()
+        assert entry.read_bytes() == good
+
+    def test_failed_parse_stores_nothing(self, large_csv, cache_dir):
+        text = large_csv.read_text()
+        large_csv.write_text(text[:text.rindex(",") + 1] + "oops\n")
+        for _ in range(2):
+            with pytest.raises(ParseError) as info:
+                matrix_from_csv(large_csv)
+            assert str(info.value) == (f"{large_csv}:{CACHE_N + 1}: "
+                                       "could not convert string to float: 'oops'")
+        assert not cache_dir.exists()
+
+    @pytest.mark.parametrize("which, imported", [("small", False), ("large", True)])
+    def test_small_file_skips_the_cache_in_a_fresh_interpreter(
+            self, large_csv, cache_dir, tmp_path, which, imported):
+        path = large_csv if which == "large" else tmp_path / "s.csv"
+        if which == "small":
+            matrix_to_csv(cesaro_matrix(8), path)
+        code = ("import sys; from strongfactor.operators import matrix_from_csv; "
+                f"matrix_from_csv({str(path)!r}); print('hashlib' in sys.modules)")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]))
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert (done.returncode, done.stdout, done.stderr) == (0, f"{imported}\n", "")
+        assert cache_dir.exists() is imported
+
+    def test_least_recently_used_goes_first(self, large_csv, cache_dir, tmp_path,
+                                            monkeypatch):
+        files = [large_csv] + [changed_copy(large_csv, tmp_path / f"{d}.csv", d)
+                               for d in (1, 2)]
+        size = 128 + 8 * CACHE_N ** 2  # a version 1.0 .npy header, then the entries
+        monkeypatch.setattr(operators, "_CACHE_MAX_BYTES", 2 * size + size // 2)
+        first, second, third = (cache_dir / entry_name(f) for f in files)
+        for f in files[:2]:
+            matrix_from_csv(f)
+        now = time.time()
+        os.utime(first, (now - 200, now - 200))
+        os.utime(second, (now - 100, now - 100))
+        with monkeypatch.context() as patched:
+            patched.setattr(operators, "_read_csv", forbidden)
+            matrix_from_csv(files[0])  # a hit: the first entry is now the most recent
+        matrix_from_csv(files[2])
+        assert sorted(cache_dir.iterdir()) == sorted([first, third])
+        assert sum(p.stat().st_size for p in cache_dir.iterdir()) <= 2 * size + size // 2
+        assert first.stat().st_size == size
+
+    def test_array_above_the_bound_is_not_stored(self, large_csv, cache_dir, monkeypatch):
+        monkeypatch.setattr(operators, "_CACHE_MAX_BYTES", 8 * CACHE_N ** 2 - 1)
+        parsed = operators._parse_matrix_csv(large_csv)
+        assert matrix_from_csv(large_csv).entries.tobytes() == parsed.tobytes()
+        assert not cache_dir.exists()
 
 
 class TestCsvWriters:
