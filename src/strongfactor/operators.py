@@ -15,6 +15,7 @@ so it keeps them without a copy.
 from __future__ import annotations
 
 import contextlib
+import io
 import itertools
 import json
 import os
@@ -295,29 +296,45 @@ def _reorthogonalise(w: np.ndarray, basis: list) -> float:
 # ingestion / serialization
 
 def _lines(path, digest=None):
-    """(line number, text) of each line of the file, decoded as UTF-8, its
-    line end kept; ``\\n``, ``\\r\\n`` and ``\\r`` end lines, as ``open()``
-    reads text.  The bytes go to ``digest.update`` as they are read, when a
-    digest is given.  A file that cannot be read, and a line that is not
-    UTF-8, are a ParseError."""
+    """(line number, text) of each line of the file as ``open(path,
+    encoding="utf-8")`` reads it, line end kept.  The bytes go to
+    ``digest.update`` as they are read, when a digest is given.  A file that
+    cannot be read, and a line that is not UTF-8, are a ParseError."""
     try:
-        # a row longer than the default 8 KiB buffer is read in many pieces
-        with open(path, "rb", buffering=1 << 16) as fh:
-            k = 0
-            for raw in fh:  # no UTF-8 sequence holds a \n or \r byte
-                if digest is not None:
-                    digest.update(raw)
-                for piece in raw.splitlines(keepends=True) if b"\r" in raw else (raw,):
-                    k += 1
+        # a byte that is not UTF-8 becomes a lone surrogate in the line that holds it
+        with (open(path, encoding="utf-8", errors="surrogateescape") if digest is None
+              else io.TextIOWrapper(io.BufferedReader(_Digesting(path, digest)),
+                                    encoding="utf-8", errors="surrogateescape")) as fh:
+            for k, ln in enumerate(fh, start=1):
+                if not ln.isascii():
                     try:
-                        text = piece.decode("utf-8")
-                    except UnicodeDecodeError:
+                        ln.encode("utf-8")
+                    except UnicodeEncodeError:
                         raise ParseError(f"{path}:{k}: not valid UTF-8") from None
-                    yield k, text
+                yield k, ln
     except FileNotFoundError:
         raise ParseError(f"{path}: no such file") from None
     except OSError as exc:
         raise ParseError(f"{path}: {exc.strerror or exc}") from None
+
+
+class _Digesting(io.RawIOBase):
+    """The file at path, read in binary, each byte fed to digest as it is read."""
+
+    def __init__(self, path, digest):
+        self._fh, self._digest = open(path, "rb", buffering=0), digest
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buf) -> int:
+        size = self._fh.readinto(buf)
+        self._digest.update(memoryview(buf)[:size])
+        return size
+
+    def close(self) -> None:
+        self._fh.close()
+        super().close()
 
 
 def _nonblank_lines(path, digest=None) -> list[tuple[int, str]]:
@@ -326,8 +343,7 @@ def _nonblank_lines(path, digest=None) -> list[tuple[int, str]]:
 
 def _read_text(path) -> str:
     """The file's text as ``open(path, encoding="utf-8").read()`` gives it."""
-    text = "".join(ln for _, ln in _lines(path))
-    return text.replace("\r\n", "\n").replace("\r", "\n")
+    return "".join(ln for _, ln in _lines(path))
 
 
 def _read_csv(path, width: int, lines: list[tuple[int, str]]) -> np.ndarray:
@@ -382,14 +398,16 @@ def matrix_from_csv(path) -> MatrixOp:
     """Row-major CSV with a one-line header ``N=<n>``, as an operator on l^2.
 
     A file of 1 MiB or more (``_CACHE_MIN_BYTES``) is parsed once per content:
-    the parsed array is kept in the user's cache directory under the sha256 of
-    the file's bytes, and a later read of the same bytes loads it.  The cache
-    changes no result; when it cannot be used, the file is parsed."""
+    the parsed array is kept in the user's cache directory under a hash of the
+    file's bytes and of this reader, and a later read of the same bytes loads
+    it.  The cache changes no result; when it cannot be used, the file is
+    parsed."""
     try:
-        large = os.stat(path).st_size >= _CACHE_MIN_BYTES
+        size = os.stat(path).st_size
     except OSError:
-        large = False  # the reader reports it
-    return _fresh(_cached_parse(path) if large else _parse_matrix_csv(path), _L2, _L2)
+        size = 0  # the reader reports it
+    return _fresh(_cached_parse(path, size) if size >= _CACHE_MIN_BYTES
+                  else _parse_matrix_csv(path), _L2, _L2)
 
 
 def _parse_matrix_csv(path, digest=None) -> np.ndarray:
@@ -410,12 +428,11 @@ def _matrix_size(path, k: int, header: str) -> int:
         raise ParseError(f"{path}:{k}: malformed size in header {header!r}") from None
 
 
-#: matrix CSV files of at least this many bytes are parsed once per content;
-#: also the chunk in which they are hashed
+#: matrix CSV files of at least this many bytes are parsed once per content
 _CACHE_MIN_BYTES = 1 << 20
-#: total size of the cache entries; the least recently used go first
+#: total size of the files in the cache directory; the least recently used go first
 _CACHE_MAX_BYTES = 1 << 30
-#: hashed ahead of a file's bytes: what an entry holds and which reader made it
+#: hashed ahead of numpy's version, this module's source and a file's bytes
 _CACHE_TAG = b"strongfactor matrix_from_csv: float64 .npy 1.0\n"
 
 
@@ -428,35 +445,51 @@ def _cache_dir() -> str:
     return os.path.join(base, "strongfactor")
 
 
-def _cached_parse(path) -> np.ndarray:
+def _cache_digest():
+    """A BLAKE2b hash fed the entry format, numpy's version and this module's
+    source, so that an entry is found only by the reader that wrote it.
+    CPython's own BLAKE2b: ``hashlib`` would load OpenSSL, 3.5 MB of RSS."""
+    try:
+        from _blake2 import blake2b
+    except ImportError:
+        from hashlib import blake2b
+    with open(__file__, "rb") as fh:
+        source = fh.read()
+    return blake2b(_CACHE_TAG + np.__version__.encode() + b"\n" + source, digest_size=32)
+
+
+def _cached_parse(path, size: int) -> np.ndarray:
     """``_parse_matrix_csv(path)``, loaded from the entry of the file's bytes
     when a valid one exists; otherwise parsed, and stored if the parse
-    succeeds.  The bytes stored under a key are the bytes parsed."""
-    import hashlib  # only files this large pay for the import
-
+    succeeds.  The bytes stored under a key are the bytes parsed.  An entry is
+    ``<size>-<hex digest>.npy``, size the file's length in bytes when it was
+    read, so that a file whose length no entry has is hashed once, not twice."""
     try:
-        first = next(((k, t) for k, ln in _lines(path) if (t := ln.strip())), (1, ""))
-        entry = os.path.join(_cache_dir(), _entry_name(path, hashlib.sha256(_CACHE_TAG)))
-        out = _load_entry(entry, _matrix_size(path, *first))
-    except (ParseError, OSError, ValueError):
-        pass  # a miss; the parse reads the file again, or reports why it cannot
-    else:
-        with contextlib.suppress(OSError):
-            os.utime(entry)  # most recently used
-        return out
-    digest = hashlib.sha256(_CACHE_TAG)
+        digest = _cache_digest()
+    except OSError:
+        return _parse_matrix_csv(path)
+    folder, prefix = _cache_dir(), f"{size}-"
+    with contextlib.suppress(ParseError, OSError, ValueError):  # any failure is a miss
+        if any(name.startswith(prefix) for name in os.listdir(folder)):
+            first = next(((k, t) for k, ln in _lines(path) if (t := ln.strip())), (1, ""))
+            entry = os.path.join(folder, prefix + _hex_digest(path, digest.copy()) + ".npy")
+            out = _load_entry(entry, _matrix_size(path, *first))
+            with contextlib.suppress(OSError):
+                os.utime(entry)  # most recently used
+            return out
     out = _parse_matrix_csv(path, digest)
     with contextlib.suppress(OSError):
-        _store(out, digest.hexdigest() + ".npy")
+        _store(out, folder, prefix + digest.hexdigest() + ".npy")
     return out
 
 
-def _entry_name(path, digest) -> str:
-    """``<hex digest>.npy`` of the file's bytes, fed in chunks, never all held."""
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(_CACHE_MIN_BYTES), b""):
-            digest.update(chunk)
-    return digest.hexdigest() + ".npy"
+def _hex_digest(path, digest) -> str:
+    """The digest of the file's bytes, fed in 64 KiB pieces."""
+    piece = bytearray(1 << 16)
+    with open(path, "rb", buffering=0) as fh:
+        while size := fh.readinto(piece):
+            digest.update(memoryview(piece)[:size])
+    return digest.hexdigest()
 
 
 def _load_entry(entry: str, n: int) -> np.ndarray:
@@ -476,13 +509,13 @@ def _load_entry(entry: str, n: int) -> np.ndarray:
     return out
 
 
-def _store(entries: np.ndarray, name: str) -> None:
+def _store(entries: np.ndarray, folder: str, name: str) -> None:
     """Write the entry through a temporary file and ``os.replace``, then
-    evict the least recently used entries until the cache holds at most
-    ``_CACHE_MAX_BYTES``; an array above the bound is not stored."""
+    remove the least recently used files, a writer's leftover temporary file
+    among them, until the folder holds at most ``_CACHE_MAX_BYTES``; an array
+    above the bound is not stored."""
     if entries.nbytes > _CACHE_MAX_BYTES:
         return
-    folder = _cache_dir()
     os.makedirs(folder, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=folder, suffix=".tmp")
     try:
@@ -493,8 +526,7 @@ def _store(entries: np.ndarray, name: str) -> None:
         with contextlib.suppress(FileNotFoundError):
             os.unlink(tmp)
     with os.scandir(folder) as found:
-        held = [(e.name == name, e.stat().st_mtime_ns, e.stat().st_size, e.path)
-                for e in found if e.name.endswith(".npy")]
+        held = [(e.name == name, e.stat().st_mtime_ns, e.stat().st_size, e.path) for e in found]
     total = sum(size for _, _, size, _ in held)
     for _, _, size, old in sorted(held):  # oldest first, the new entry last
         if total <= _CACHE_MAX_BYTES:

@@ -768,54 +768,58 @@ class TestMatrixCacheOutputs:
     stdout, stderr and certificate bytes with a cold cache, a warm one and one
     that cannot be made (``XDG_CACHE_HOME`` at a regular file)."""
 
-    N = 384  # full-precision rows: the file is above 1 MiB
     P = ["--p", "2", "--q", "2", "--r", "2"]
     JOBS = {
         "check-cesaro": ["check-cesaro", "--h", "{h}", *P],
         "check-cesaro-perturbed": ["check-cesaro", "--h", "{h}", "--perturb", "3,2,1e-3", *P],
         "check-fourier": ["check-fourier", *P],
         "check-matrix": ["check-matrix", "--h", "{h}"],
-        "check-matrix-perturbed": ["check-matrix", "--h", "{h}", "--perturb", "384,1,-1e-3"],
+        "check-matrix-perturbed": ["check-matrix", "--h", "{h}", "--perturb", "{n},1,-1e-3"],
         "certify-fourier": ["certify", "--form", "fourier", "--q", "2", "--r", "2"],
     }
 
-    @pytest.fixture
-    def job_files(self, tmp_path):
+    @staticmethod
+    def job_files(root, n):
         """A Cesàro sandwich with full-precision g and h, and h, as CSV."""
         rng = np.random.default_rng(3)
-        g, h = (TruncatedSeq(rng.uniform(0.5, 2.0, self.N)) for _ in range(2))
-        a = MatrixOp(diagonal_sandwich(g, CesaroOp(self.N), h).entries,
-                     lp_space(2), lp_space(2))
-        matrix_to_csv(a, tmp_path / "a.csv")
-        seq_to_csv(h, tmp_path / "h.csv")
-        assert (tmp_path / "a.csv").stat().st_size >= operators._CACHE_MIN_BYTES
-        (tmp_path / "blocker").write_text("")
-        return tmp_path
+        g, h = (TruncatedSeq(rng.uniform(0.5, 2.0, n)) for _ in range(2))
+        a = MatrixOp(diagonal_sandwich(g, CesaroOp(n), h).entries, lp_space(2), lp_space(2))
+        matrix_to_csv(a, root / "a.csv")
+        seq_to_csv(h, root / "h.csv")
+        (root / "blocker").write_text("")
+        return root
 
-    def argv(self, root, job):
-        return [arg.replace("{h}", str(root / "h.csv")) for arg in self.JOBS[job]] + [
-            "--N", str(self.N), "--matrix", str(root / "a.csv"), "--no-timestamp",
+    def argv(self, root, job, n):
+        return [arg.replace("{h}", str(root / "h.csv")).replace("{n}", str(n))
+                for arg in self.JOBS[job]] + [
+            "--N", str(n), "--matrix", str(root / "a.csv"), "--no-timestamp",
             "--out", str(root / "c.json")]
 
     @pytest.mark.parametrize("job", JOBS)
-    def test_cold_warm_and_uncached_alike(self, job_files, job, capsys, monkeypatch):
+    def test_cold_warm_and_uncached_alike(self, tmp_path, job, capsys, monkeypatch):
+        root = self.job_files(tmp_path, 16)
+        monkeypatch.setattr(operators, "_CACHE_MIN_BYTES", (root / "a.csv").stat().st_size)
         outputs = []
         for home in ("xdg", "xdg", "blocker"):
-            monkeypatch.setenv("XDG_CACHE_HOME", str(job_files / home))
-            code = run(self.argv(job_files, job))
-            outputs.append((code, capsys.readouterr(), (job_files / "c.json").read_bytes()))
+            monkeypatch.setenv("XDG_CACHE_HOME", str(root / home))
+            code = run(self.argv(root, job, 16))
+            outputs.append((code, capsys.readouterr(), (root / "c.json").read_bytes()))
         assert outputs[0] == outputs[1] == outputs[2]
-        assert len(list((job_files / "xdg" / "strongfactor").iterdir())) == 1
+        assert len(list((root / "xdg" / "strongfactor").iterdir())) == 1
 
-    def test_cache_home_at_a_file_changes_nothing(self, job_files, monkeypatch):
+    def test_cache_home_at_a_file_changes_nothing(self, tmp_path, monkeypatch):
+        """At the real threshold, in fresh processes: N = 384 makes a file above 1 MiB."""
+        root = self.job_files(tmp_path, 384)
+        assert (root / "a.csv").stat().st_size >= operators._CACHE_MIN_BYTES
         outputs = []
         for home in ("xdg", "blocker"):
-            monkeypatch.setenv("XDG_CACHE_HOME", str(job_files / home))
-            done = run_process(self.argv(job_files, "check-cesaro"))
+            monkeypatch.setenv("XDG_CACHE_HOME", str(root / home))
+            done = run_process(self.argv(root, "check-cesaro", 384))
             outputs.append((done.returncode, done.stdout, done.stderr,
-                            (job_files / "c.json").read_bytes()))
+                            (root / "c.json").read_bytes()))
         assert outputs[0] == outputs[1]
         assert outputs[1][0] == 0 and outputs[1][2] == ""
+        assert len(list((root / "xdg" / "strongfactor").iterdir())) == 1
 
 
 class TestSuiteCommand:

@@ -658,7 +658,7 @@ class TestLines:
             assert str(info.value) == f"{path}:{line}: not valid UTF-8"
 
 
-CACHE_N = 384  # full-precision rows of this size make a file above 1 MiB
+CACHE_N = 16  # the cache's threshold is lowered to the size of such a file
 
 
 def forbidden(*args):
@@ -672,13 +672,17 @@ def cache_dir(tmp_path, monkeypatch):
     return tmp_path / "xdg" / "strongfactor"
 
 
-@pytest.fixture
-def large_csv(tmp_path):
-    """A dense full-precision N = 384 CSV, at least ``_CACHE_MIN_BYTES`` long."""
-    entries = np.random.default_rng(11).standard_normal((CACHE_N, CACHE_N))
-    path = tmp_path / "a.csv"
+def write_matrix(path, n):
+    entries = np.random.default_rng(11).standard_normal((n, n))
     matrix_to_csv(MatrixOp(entries, lp_space(2), lp_space(2)), path)
-    assert path.stat().st_size >= operators._CACHE_MIN_BYTES
+    return path
+
+
+@pytest.fixture
+def large_csv(tmp_path, monkeypatch):
+    """A dense full-precision N = 16 CSV, with the cache's threshold at its size."""
+    path = write_matrix(tmp_path / "a.csv", CACHE_N)
+    monkeypatch.setattr(operators, "_CACHE_MIN_BYTES", path.stat().st_size)
     return path
 
 
@@ -697,8 +701,12 @@ def changed_copy(path, dest, digit=1):
     return dest
 
 
-def entry_name(path) -> str:
-    return hashlib.sha256(operators._CACHE_TAG + path.read_bytes()).hexdigest() + ".npy"
+def entry_name(path, source=Path(operators.__file__)) -> str:
+    """The file's length, then BLAKE2b of the entry format, numpy's version,
+    the reader's source and the file."""
+    data = path.read_bytes()
+    key = operators._CACHE_TAG + np.__version__.encode() + b"\n" + source.read_bytes() + data
+    return f"{len(data)}-{hashlib.blake2b(key, digest_size=32).hexdigest()}.npy"
 
 
 class TestMatrixCache:
@@ -722,6 +730,37 @@ class TestMatrixCache:
         assert second[-1, -1] != first[-1, -1]
         assert sorted(p.name for p in cache_dir.iterdir()) == sorted(
             [entry_name(large_csv), entry_name(other)])
+
+    def test_length_no_entry_has_is_hashed_once(self, large_csv, cache_dir, tmp_path,
+                                                 monkeypatch):
+        """No lookup: only the parse hashes the file."""
+        matrix_from_csv(large_csv)
+        longer = tmp_path / "b.csv"
+        longer.write_bytes(large_csv.read_bytes() + b"\n")  # a blank line: the same matrix
+        monkeypatch.setattr(operators, "_hex_digest", forbidden)
+        assert matrix_from_csv(longer).entries.tobytes() == (
+            operators._parse_matrix_csv(large_csv).tobytes())
+        assert sorted(p.name for p in cache_dir.iterdir()) == sorted(
+            [entry_name(large_csv), entry_name(longer)])
+
+    def test_another_reader_misses(self, large_csv, cache_dir, tmp_path, monkeypatch):
+        """An edit of the reader's module, one byte even, keys every file anew:
+        the read misses, and stores a second entry."""
+        matrix_from_csv(large_csv)
+        source = tmp_path / "operators.py"
+        source.write_bytes(Path(operators.__file__).read_bytes() + b"\n")
+        monkeypatch.setattr(operators, "__file__", str(source))
+        assert matrix_from_csv(large_csv).entries.tobytes() == (
+            operators._parse_matrix_csv(large_csv).tobytes())
+        assert sorted(p.name for p in cache_dir.iterdir()) == sorted(
+            [entry_name(large_csv), entry_name(large_csv, source)])
+
+    def test_unreadable_reader_source_parses(self, large_csv, cache_dir, tmp_path,
+                                             monkeypatch):
+        monkeypatch.setattr(operators, "__file__", str(tmp_path / "gone.py"))
+        assert matrix_from_csv(large_csv).entries.tobytes() == (
+            operators._parse_matrix_csv(large_csv).tobytes())
+        assert not cache_dir.exists()
 
     # each turns a good entry's bytes into a bad one's
     BAD_ENTRIES = {
@@ -759,20 +798,21 @@ class TestMatrixCache:
                                        "could not convert string to float: 'oops'")
         assert not cache_dir.exists()
 
-    @pytest.mark.parametrize("which, imported", [("small", False), ("large", True)])
-    def test_small_file_skips_the_cache_in_a_fresh_interpreter(
-            self, large_csv, cache_dir, tmp_path, which, imported):
-        path = large_csv if which == "large" else tmp_path / "s.csv"
-        if which == "small":
-            matrix_to_csv(cesaro_matrix(8), path)
+    @pytest.mark.parametrize("n, hashed", [(8, False), (384, True)])
+    def test_threshold_in_a_fresh_interpreter(self, cache_dir, tmp_path, n, hashed):
+        """At the real threshold: an N = 8 file is not hashed and an N = 384
+        one, above 1 MiB, is; neither loads ``hashlib``, and so OpenSSL."""
+        path = write_matrix(tmp_path / "m.csv", n)
+        assert (path.stat().st_size >= operators._CACHE_MIN_BYTES) is hashed
         code = ("import sys; from strongfactor.operators import matrix_from_csv; "
-                f"matrix_from_csv({str(path)!r}); print('hashlib' in sys.modules)")
+                f"matrix_from_csv({str(path)!r}); "
+                "print('_blake2' in sys.modules, 'hashlib' in sys.modules)")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]))
         done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                               text=True, timeout=120)
-        assert (done.returncode, done.stdout, done.stderr) == (0, f"{imported}\n", "")
-        assert cache_dir.exists() is imported
+        assert (done.returncode, done.stdout, done.stderr) == (0, f"{hashed} False\n", "")
+        assert cache_dir.exists() is hashed
 
     def test_least_recently_used_goes_first(self, large_csv, cache_dir, tmp_path,
                                             monkeypatch):
@@ -783,7 +823,10 @@ class TestMatrixCache:
         first, second, third = (cache_dir / entry_name(f) for f in files)
         for f in files[:2]:
             matrix_from_csv(f)
+        leftover = cache_dir / "killed-writer.tmp"  # counted, and older than any entry
+        leftover.write_bytes(b"\0" * (size // 4))
         now = time.time()
+        os.utime(leftover, (now - 300, now - 300))
         os.utime(first, (now - 200, now - 200))
         os.utime(second, (now - 100, now - 100))
         with monkeypatch.context() as patched:
