@@ -99,7 +99,7 @@ def _read_matrix_file(path: str) -> MatrixOp:
     return matrix_from_json_file(path) if path.endswith(".json") else matrix_from_csv(path)
 
 
-def _load_matrix(args, n: int) -> MatrixOp:
+def _load_matrix(args, n: int):
     if args.matrix and args.gen:
         raise SpecError("give either --matrix or --gen, not both")
     if args.matrix:
@@ -124,7 +124,7 @@ def _load_h(args, n: int) -> TruncatedSeq:
     return _load_sequence(args.h, n)
 
 
-def _generate_matrix(args, n: int) -> MatrixOp:
+def _generate_matrix(args, n: int):
     gen = args.gen
     if gen == "identity":
         return identity_matrix(n)

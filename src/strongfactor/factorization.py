@@ -61,7 +61,7 @@ from .grid_functions import (
     default_rule,
     fourier_coeffs,
 )
-from .operators import CesaroOp, MatrixOp, _block_bounds, _Sandwich
+from .operators import CesaroOp, MatrixOp, _block_bounds, _Identity, _Sandwich
 from .seq_spaces import IndexDomain, SpaceKind, TruncatedSeq, lp_norm
 
 EXACT_TOL = 1e-9       # identities exact in exact arithmetic
@@ -309,7 +309,7 @@ def fourier_factor_check(tphi: MatrixOp | _Sandwich, r: Exponent, p: Exponent, q
     if not (r <= p and p < INF):
         raise ExponentRange(f"p={p} outside [r, inf) with r={r}")
     s = multiplier_exponent(conjugate(r), q)
-    return _sandwich_check(tphi.n, tphi.rows, lambda lo, hi: np.eye(hi - lo, tphi.n, lo),
+    return _sandwich_check(tphi.n, tphi.rows, _Identity(tphi.n).rows,
                            tol, s, exponents={"r": r, "p": p, "q": q, "s_rprime_q": s})
 
 
@@ -688,7 +688,8 @@ def certify_inequality_fourier(tphi: MatrixOp | _Sandwich, s: Exponent) -> Certi
     if s == Exponent(1):
         raise DegenerateExponent("multiplier exponent 1 has infinite conjugate")
     n = tphi.n
-    return _sweep(tphi.rows(0, n), np.eye(n), np.ones(n), float(conjugate(s)), patterns=1, seed=0)
+    return _sweep(tphi.rows(0, n), _Identity(n).rows(0, n), np.ones(n), float(conjugate(s)),
+                  patterns=1, seed=0)
 
 
 # ---------------------------------------------------------------------------

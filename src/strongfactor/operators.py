@@ -1,15 +1,17 @@
 """N x N truncations of infinite-matrix operators between sequence spaces.
 
-There are three kinds of operator.  A ``MatrixOp`` stores its entries as a
-dense array.  The running-averages operator ``CesaroOp`` stores only its size,
-and the sandwich M_g S M_h that ``diagonal_sandwich`` returns stores only g, S
-and h; both make their entries on demand.  All three share ``n``, ``domain``,
+A ``MatrixOp`` stores its entries as a dense array.  Every other operator
+here stores only what makes its entries, and makes them on demand: the
+running-averages operator ``CesaroOp`` and the identity store their size,
+``random_lower_triangular`` its seed, the sandwich M_g S M_h that
+``diagonal_sandwich`` returns g, S and h, and ``perturb_entry`` the operator,
+the entry and the change.  All of them share ``n``, ``domain``,
 ``codomain``, ``rows(lo, hi)``, ``matvec(x)`` and ``rmatvec(y)``.  The
 factorization checks read an operator through ``rows``, by blocks of about
-``_BLOCK_ENTRIES`` entries, so that none of them builds an N x N array; a
-sandwich builds its dense array only when ``.entries`` is asked for.  The
-constructors here hand their freshly built arrays to ``MatrixOp`` read-only,
-so it keeps them without a copy.
+``_BLOCK_ENTRIES`` entries, so that none of them builds an N x N array; the
+implicit operators other than ``CesaroOp`` build their dense array only when
+``.entries`` is asked for.  The constructors here hand their freshly built
+arrays to ``MatrixOp`` read-only, so it keeps them without a copy.
 """
 
 from __future__ import annotations
@@ -145,17 +147,90 @@ def cesaro_matrix(n: int) -> MatrixOp:
     return _fresh(CesaroOp(n).rows(0, n), _L2, _L2)
 
 
-def identity_matrix(n: int) -> MatrixOp:
+def _size(n: int) -> int:
+    if n < 1:
+        raise SizeMismatch(f"matrix must be square and nonempty, got shape ({n}, {n})")
+    return n
+
+
+def _dense(op) -> np.ndarray:
+    """``.entries`` of an operator that stores none: all its rows, read-only."""
+    out = op.rows(0, op.n)
+    out.flags.writeable = False
+    return out
+
+
+class _Identity:
+    """Identity on l^2, held as its size: ``rows`` builds the entries."""
+
+    entries = property(_dense)
+
+    def __init__(self, n: int):
+        self.n = _size(n)
+        self.domain = self.codomain = _L2
+
+    def rows(self, lo: int, hi: int) -> np.ndarray:
+        """Rows lo..hi-1 (0-based), as a fresh array."""
+        return np.eye(hi - lo, self.n, lo)
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        return _vector(x, self.n).copy()
+
+    rmatvec = matvec
+
+
+def identity_matrix(n: int) -> _Identity:
     """Identity on l^2."""
-    return _fresh(np.eye(n), _L2, _L2)
+    return _Identity(n)
 
 
-def random_lower_triangular(n: int, seed: int) -> MatrixOp:
+class _RandomLower:
+    """Standard normal entries on and below the diagonal, on l^2, held as the
+    seed.  Row i holds draws i*n .. (i+1)*n - 1 of ``default_rng(seed)``, as
+    in one draw of the whole matrix in C order; ``rows`` draws on from where
+    the stream stands.  A read that starts before that draws again from the
+    start of the previous read, or, before that too, from the seed: so two
+    readers that take turns on the same rows, such as A and B = A in a
+    check, draw each row twice, not the whole stream again for each block."""
+
+    entries = property(_dense)
+
+    def __init__(self, n: int, seed: int):
+        self.n, self.seed = _size(n), seed
+        self.domain = self.codomain = _L2
+        self._rng, self._at = np.random.default_rng(seed), 0  # the first row not drawn
+        # (row, stream state) at row 0 and at the previous read's first row
+        self._start = self._mark = (0, self._rng.bit_generator.state)
+
+    def rows(self, lo: int, hi: int) -> np.ndarray:
+        """Rows lo..hi-1 (0-based), as a fresh array, drawn by row blocks."""
+        if lo < self._at:
+            if lo < self._mark[0]:
+                self._mark = self._start
+            self._at, self._rng.bit_generator.state = self._mark
+        for k, m in _block_bounds(self.n, self._at, lo):  # the rows before lo
+            self._rng.standard_normal((m - k, self.n))
+        self._mark = (lo, self._rng.bit_generator.state)
+        out = np.empty((hi - lo, self.n))
+        for k, m in _block_bounds(self.n, lo, hi):
+            block = out[k - lo:m - lo]
+            self._rng.standard_normal(out=block)
+            np.copyto(block, 0.0, where=~np.tri(m - k, self.n, k, dtype=bool))
+        self._at = hi
+        return out
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        x = _vector(x, self.n)
+        return np.concatenate([self.rows(lo, hi) @ x for lo, hi in _block_bounds(self.n)])
+
+    def rmatvec(self, y: np.ndarray) -> np.ndarray:
+        y = _vector(y, self.n)
+        return sum(y[lo:hi] @ self.rows(lo, hi) for lo, hi in _block_bounds(self.n))
+
+
+def random_lower_triangular(n: int, seed: int) -> _RandomLower:
     """Standard normal entries on and below the diagonal, on l^2."""
-    rng = np.random.default_rng(seed)
-    entries = rng.standard_normal((n, n))
-    np.copyto(entries, 0.0, where=~np.tri(n, dtype=bool))  # np.tril, in place
-    return _fresh(entries, _L2, _L2)
+    return _RandomLower(n, seed)
 
 
 def factorable_matrix(alpha: TruncatedSeq, h: TruncatedSeq, j0: int = 1) -> MatrixOp:
@@ -173,31 +248,60 @@ def factorable_matrix(alpha: TruncatedSeq, h: TruncatedSeq, j0: int = 1) -> Matr
     return _fresh(entries, _L2, _L2)
 
 
-def perturb_entry(op: MatrixOp | CesaroOp | _Sandwich, i: int, j: int, eps: float) -> MatrixOp:
-    """Dense copy of op with eps added at 1-based entry (i, j).  An implicit
-    operator's rows are built once and taken over; a MatrixOp's array is copied."""
+class _Perturbed:
+    """op with eps added at 0-based entry (i, j), held as op, (i, j) and eps:
+    ``rows`` returns op's rows, and adds eps in the block that holds row i,
+    a copy of it when op returns its own array."""
+
+    entries = property(_dense)
+
+    def __init__(self, op, i: int, j: int, eps: float):
+        self.op, self.i, self.j, self.eps = op, i, j, eps
+        self.n, self.domain, self.codomain = op.n, op.domain, op.codomain
+
+    def rows(self, lo: int, hi: int) -> np.ndarray:
+        """Rows lo..hi-1 (0-based): op's, or a fresh array when they hold row i."""
+        out = self.op.rows(lo, hi)
+        if lo <= self.i < hi:
+            if not out.flags.writeable:  # a view of a MatrixOp's array
+                out = out.copy()
+            out[self.i - lo, self.j] += self.eps
+        return out
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        x = _vector(x, self.n)
+        out = self.op.matvec(x)
+        out[self.i] += self.eps * x[self.j]
+        return out
+
+    def rmatvec(self, y: np.ndarray) -> np.ndarray:
+        y = _vector(y, self.n)
+        out = self.op.rmatvec(y)
+        out[self.j] += self.eps * y[self.i]
+        return out
+
+
+def perturb_entry(op, i: int, j: int, eps: float) -> _Perturbed:
+    """op with eps added at 1-based entry (i, j).  The other entries are op's
+    and already finite, so only the new one is checked."""
     if not (1 <= i <= op.n and 1 <= j <= op.n):
         raise SpecError(f"entry ({i}, {j}) outside 1..{op.n}")
-    entries = op.rows(0, op.n)
-    if not entries.flags.writeable:  # a MatrixOp's own array, not a fresh one
-        entries = entries.copy()
-    entries[i - 1, j - 1] += eps
-    return _fresh(entries, op.domain, op.codomain)
+    out = _Perturbed(op, i - 1, j - 1, eps)
+    with np.errstate(over="ignore"):
+        if not np.isfinite(out.rows(i - 1, i)[0, j - 1]):
+            raise SpecError("matrix entries must be finite")
+    return out
 
 
 class _Sandwich:
     """M_g . S . M_h held as g, S and h: entry (i, j) is (g_i * s_ij) * h_j,
-    made by ``rows``; ``entries`` builds the whole array."""
+    made by ``rows``."""
 
-    def __init__(self, g: np.ndarray, op: MatrixOp | CesaroOp, h: np.ndarray):
+    entries = property(_dense)
+
+    def __init__(self, g: np.ndarray, op, h: np.ndarray):
         self.g, self.s, self.h = g, op, h
         self.n, self.domain, self.codomain = op.n, op.domain, op.codomain
-
-    @property
-    def entries(self) -> np.ndarray:
-        out = self.rows(0, self.n)
-        out.flags.writeable = False
-        return out
 
     def rows(self, lo: int, hi: int) -> np.ndarray:
         """Rows lo..hi-1 (0-based), as a fresh array, filled by row blocks of S."""
@@ -215,19 +319,20 @@ class _Sandwich:
         return self.h * self.s.rmatvec(self.g * _vector(y, self.n))
 
 
-def diagonal_sandwich(g: TruncatedSeq, op: MatrixOp | CesaroOp,
-                      h: TruncatedSeq) -> _Sandwich:
+def diagonal_sandwich(g: TruncatedSeq, op, h: TruncatedSeq) -> _Sandwich:
     """M_g . S . M_h, held implicitly, with every entry checked finite.
 
     Rounding is monotone, so max|g| * max|s| * max|h|, multiplied in the
     entries' order, bounds every entry; with a margin for rounding it proves
-    them finite, and only where it fails are the row blocks walked.
+    them finite, and only where it fails are the row blocks walked.  max|s|
+    is 1 for the Cesàro operator and the identity, and read by row blocks
+    of S otherwise.
     """
     if len(g) != op.n or len(h) != op.n:
         raise LengthMismatch("multiplier lengths must equal the matrix size")
     out = _Sandwich(g.coeffs, op, h.coeffs)
-    s = None if isinstance(op, CesaroOp) else op.rows(0, op.n)  # a MatrixOp's own array
-    s_max = 1.0 if s is None else max(s.max(), -s.min())
+    s_max = 1.0 if isinstance(op, (CesaroOp, _Identity)) else max(
+        max(s.max(), -s.min()) for s in (op.rows(lo, hi) for lo, hi in _block_bounds(op.n)))
     bound = float(np.abs(g.coeffs).max()) * float(s_max) * float(np.abs(h.coeffs).max())
     if not bound * (1.0 + 2.0 ** -50) < np.finfo(float).max:
         with np.errstate(over="ignore", invalid="ignore"):

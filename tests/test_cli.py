@@ -254,6 +254,35 @@ class TestCheckMatrix:
         assert codes == [0]
 
 
+class TestGeneratedOperatorsAreReadByRows:
+    """No built-in operator, perturbed or not, is held as an N x N array:
+    each check walks it by row blocks, so the whole job stays below half of
+    one such array."""
+
+    N = 1024
+    P = ["--p", "2", "--q", "2"]
+    JOBS = {
+        "identity": ["check-fourier", "--r", "3/2", *P, "--gen", "identity"],
+        "cesaro": ["check-cesaro", "--r", "2", *P, "--gen", "cesaro", "--h", "ones"],
+        "random-lower": ["check-cesaro", "--r", "2", *P, "--gen", "random-lower",
+                         "--h", "ones", "--seed", "3"],
+        "rank-one": ["check-cesaro", "--r", "2", *P, "--gen", "rank-one", "--g", "harmonic",
+                     "--h", "alt"],
+        "diag": ["check-fourier", "--r", "3/2", *P, "--gen", "diag", "--g", "alt"],
+    }
+
+    @pytest.mark.parametrize("perturb", [False, True], ids=["plain", "perturbed"])
+    @pytest.mark.parametrize("gen", JOBS)
+    def test_peak_below_half_a_matrix(self, gen, perturb, tmp_path, capsys, traced_peak):
+        n = self.N
+        # the last row: the walk reaches it through every block before it
+        argv = [*self.JOBS[gen], "--N", str(n), "--no-timestamp",
+                "--out", str(tmp_path / "c.json"), *(["--perturb", f"{n},1,1e-3"] * perturb)]
+        codes = []
+        assert traced_peak(lambda: codes.append(run(argv))) < 0.5 * 8 * n * n
+        assert codes[0] in (0, 1) and (tmp_path / "c.json").exists()
+
+
 def run_python(args):
     """A fresh interpreter that imports the package from this checkout."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

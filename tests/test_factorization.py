@@ -421,7 +421,8 @@ def block_sizes():
 
 def block_cases(n):
     """(label, A, h, B) around the block boundaries of size n.  A is the
-    operator as built: the implicit sandwich, ``perturb_entry`` of it, or a
+    operator as built: the implicit sandwich, ``perturb_entry`` of it, the
+    identity, a random lower triangle, perturbed in its last block, or a
     dense zero."""
     rng = np.random.default_rng(n)
     step = block_rows(n)
@@ -458,6 +459,9 @@ def block_cases(n):
             (f"{label}/larger-later", bumped(a, (near, n - 1, 1e-6),
                                              (near + 1, n - 1, 1.0)), hv, b),
         ]
+    rand = random_lower_triangular(n, seed=n)
+    cases += [("identity", eye, h, cesaro), ("random-lower", rand, h, eye),
+              ("random-lower/block-start", bumped(rand, (last, 0, 1e-3)), h, eye)]
     a = sandwich(cesaro, lead)
     cases.append(("dead-row-entry", bumped(a, (min(n - 3, step + 1), 0, 1e-3)), lead, cesaro))
     # the Cesàro wrapper refuses an all-zero h before the kernel runs
@@ -518,7 +522,7 @@ class TestBlockKernel:
                 assert got == expected, (label, name)
                 seen.add(json.loads(got)["verdict"] if got.startswith("{") else "error")
         assert seen == {"FACTORS", "DOES_NOT_FACTOR", "INCONCLUSIVE", "error"}
-        assert forms == {"_Sandwich", "MatrixOp"}
+        assert forms == {"_Sandwich", "_Perturbed", "_Identity", "_RandomLower", "MatrixOp"}
 
 
 @pytest.mark.filterwarnings("error")

@@ -266,6 +266,43 @@ class TestImplicitSandwich:
         assert op.entries.tobytes() == reference_sandwich(g, reference_cesaro(n), h).tobytes()
 
 
+class TestRandomLower:
+    """``random_lower_triangular`` draws its rows by blocks from the seeded
+    stream, with the bits of one draw of the whole matrix, whatever order
+    the rows are read in."""
+
+    @pytest.mark.parametrize("n", [1, 7, 257, 1024])
+    def test_rows_in_any_order_match_one_draw(self, n):
+        ref = np.tril(np.random.default_rng(n).standard_normal((n, n)))
+        step = max(1, _BLOCK_ENTRIES // n)
+        first, last = (0, min(step, n)), ((n - 1) // step * step, n)
+        # a later block first, block 0 twice (the zero-operator pre-check,
+        # then the walk), a slice across blocks twice, all rows, then a
+        # later block
+        middle = (n // 3, n // 2 + 1)
+        reads = [last, first, first, middle, middle, (0, n), last]
+        op = random_lower_triangular(n, seed=n)
+        assert (op.n, op.domain, op.codomain) == (n, lp_space(2), lp_space(2))
+        for lo, hi in reads:
+            rows = op.rows(lo, hi)
+            assert rows.flags.writeable and rows.flags.owndata
+            assert rows.tobytes() == ref[lo:hi].tobytes(), (lo, hi)
+        assert op.entries.tobytes() == ref.tobytes() and not op.entries.flags.writeable
+        x = np.random.default_rng(0).standard_normal(n)
+        scale = np.abs(ref)
+        assert np.all(np.abs(op.matvec(x) - ref @ x) <= 1e-12 * (scale @ np.abs(x)))
+        assert np.all(np.abs(op.rmatvec(x) - x @ ref) <= 1e-12 * (np.abs(x) @ scale))
+
+    @pytest.mark.parametrize("n", [7, 256, 1024, 4096])
+    def test_chunked_draws_equal_one_draw(self, n):
+        whole = np.random.default_rng(n).standard_normal((n, n))
+        rng, block = np.random.default_rng(n), np.empty(_BLOCK_ENTRIES)
+        for lo, hi in operators._block_bounds(n):
+            rows = block[:(hi - lo) * n].reshape(hi - lo, n)
+            rng.standard_normal(out=rows)
+            assert rows.tobytes() == whole[lo:hi].tobytes(), (lo, hi)
+
+
 def norm_cases(n):
     """Operators on l^2 at size n, by name, for the Lanczos estimate."""
     rng = np.random.default_rng(n)
@@ -407,6 +444,8 @@ class TestIO:
             MatrixOp(np.ones((2, 3)), lp_space(2), lp_space(2))
         with pytest.raises(SizeMismatch):
             identity_matrix(0)
+        with pytest.raises(SizeMismatch):
+            random_lower_triangular(0, seed=1)
         path = tmp_path / "empty.csv"
         path.write_text("N=0\n")
         with pytest.raises(SizeMismatch):
@@ -445,6 +484,14 @@ class TestIO:
                         SpecError, "entry (4, 1) outside 1..3"),
         "perturb-column": (lambda: perturb_entry(cesaro_matrix(3), 1, 0, 0.5),
                            SpecError, "entry (1, 0) outside 1..3"),
+        "perturb-infinite": (lambda: perturb_entry(random_lower_triangular(3, 1), 3, 3, math.inf),
+                             SpecError, "matrix entries must be finite"),
+        "perturb-nan": (lambda: perturb_entry(identity_matrix(3), 1, 2, math.nan),
+                        SpecError, "matrix entries must be finite"),
+        # no overflow warning either: the suite turns warnings into errors
+        "perturb-overflow": (lambda: perturb_entry(
+            MatrixOp([[1e308]], lp_space(2), lp_space(2)), 1, 1, 1e308),
+            SpecError, "matrix entries must be finite"),
         "factorable-shift-high": (lambda: factorable_matrix(ones(3), ones(4), j0=5),
                                   SpecError, "shift j0=5 outside 1..4"),
         "factorable-shift-low": (lambda: factorable_matrix(ones(3), ones(4), j0=0),
@@ -950,11 +997,22 @@ class TestOwnership:
         assert writable == []
 
     def test_perturb_entry_leaves_source(self):
-        a = cesaro_matrix(5)
+        # only the block that holds the entry is copied; the others are views
+        n = block_sizes()[-1]
+        a = MatrixOp(np.random.default_rng(n).standard_normal((n, n)), lp_space(2), lp_space(2))
         before = a.entries.copy()
-        out = perturb_entry(a, 1, 5, 0.5)
-        assert np.array_equal(a.entries, before)
-        assert out.entries[0, 4] == 0.5 and not np.shares_memory(out.entries, a.entries)
+        out = perturb_entry(a, n, 1, 0.5)
+        x = np.random.default_rng(0).standard_normal(n)
+        dense, scale = out.entries, np.abs(out.entries)
+        assert np.all(np.abs(out.matvec(x) - dense @ x) <= 1e-12 * (scale @ np.abs(x)))
+        assert np.all(np.abs(out.rmatvec(x) - x @ dense) <= 1e-12 * (np.abs(x) @ scale))
+        blocks = [(lo, hi, out.rows(lo, hi)) for lo, hi in operators._block_bounds(n)]
+        assert len(blocks) >= 2
+        assert a.entries.tobytes() == before.tobytes()
+        for lo, hi, rows in blocks:
+            assert np.shares_memory(rows, a.entries) == (hi < n)
+        assert out.entries[n - 1, 0] == before[n - 1, 0] + 0.5
+        assert not np.shares_memory(out.entries, a.entries)
 
     def test_sandwich_overflow_is_spec_error(self):
         big = TruncatedSeq(np.full(3, 1e200))
