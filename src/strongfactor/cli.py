@@ -214,9 +214,6 @@ def _cmd_certify(args) -> int:
                                            seed=args.seed)
         exps = {"r": r, "q": q, "s_rq": s}
     else:
-        # the Fourier sweep does not sample, but the option is checked alike
-        if args.patterns < 1:
-            raise SpecError("patterns must be >= 1")
         held = None
         s = multiplier_exponent(conjugate(r), q)
         result = certify_inequality_fourier(op, s)
@@ -332,10 +329,10 @@ def build_parser() -> _Parser:
     sub = subs.add_parser("certify", help="sign-pattern inequality sweep")
     _add_common(sub, "qr")
     sub.add_argument("--form", choices=("cesaro", "fourier"), default="cesaro")
-    sub.add_argument("--patterns", type=int, default=64,
-                     help="sampled patterns when the rectangle is too large "
-                          "for exhaustive enumeration (--form fourier does "
-                          "not sample)")
+    sub.add_argument("--patterns", type=_checked(int, lambda p: p >= 1, "at least 1"),
+                     default=64, help="sampled patterns when the rectangle is too large "
+                                      "for exhaustive enumeration (--form fourier does "
+                                      "not sample)")
     sub.set_defaults(run=_cmd_certify)
 
     sub = subs.add_parser("verify-representing",

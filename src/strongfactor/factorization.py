@@ -61,7 +61,7 @@ from .grid_functions import (
     default_rule,
     fourier_coeffs,
 )
-from .operators import CesaroOp, MatrixOp, _block_bounds, _Identity, _Sandwich
+from .operators import CesaroOp, _block_bounds, _Identity
 from .seq_spaces import IndexDomain, SpaceKind, TruncatedSeq, lp_norm
 
 EXACT_TOL = 1e-9       # identities exact in exact arithmetic
@@ -241,7 +241,7 @@ def _sandwich_check(n: int, a_rows, w_rows, tol: float, g_exp: Exponent | None,
                        residual=float(residual), notes=notes, **meta)
 
 
-def cesaro_factor_check(a: MatrixOp | _Sandwich, h: TruncatedSeq, p: Exponent, q: Exponent,
+def cesaro_factor_check(a, h: TruncatedSeq, p: Exponent, q: Exponent,
                         r: Exponent, tol: float = EXACT_TOL) -> Certificate:
     """Decide factorization through the running-averages operator with inner
     multiplier h, for any h that is not all zero.
@@ -295,7 +295,7 @@ def cesaro_factor_check(a: MatrixOp | _Sandwich, h: TruncatedSeq, p: Exponent, q
 cesaro_factor_check_j0 = cesaro_factor_check
 
 
-def fourier_factor_check(tphi: MatrixOp | _Sandwich, r: Exponent, p: Exponent, q: Exponent,
+def fourier_factor_check(tphi, r: Exponent, p: Exponent, q: Exponent,
                          tol: float = EXACT_TOL) -> Certificate:
     """Decide factorization through the trigonometric coefficient operator.
 
@@ -313,8 +313,7 @@ def fourier_factor_check(tphi: MatrixOp | _Sandwich, r: Exponent, p: Exponent, q
                            tol, s, exponents={"r": r, "p": p, "q": q, "s_rprime_q": s})
 
 
-def matrix_factor_check(a: MatrixOp | _Sandwich, b: MatrixOp | CesaroOp, h: TruncatedSeq,
-                        tol: float = EXACT_TOL) -> Certificate:
+def matrix_factor_check(a, b, h: TruncatedSeq, tol: float = EXACT_TOL) -> Certificate:
     """Decide factorization of A through a general matrix operator B and the
     inner multiplier h: requires a_ij = 0 wherever b_ij vanishes, and the
     ratios a_ij / (b_ij h_j) constant along each row elsewhere; the row
@@ -660,8 +659,8 @@ def _sweep(ent: np.ndarray, w: np.ndarray, wt: np.ndarray, sp: float, patterns: 
                            refute is not None, c_vertex, rows, pattern.shape[-1])
 
 
-def certify_inequality_cesaro(a: MatrixOp | _Sandwich, h: TruncatedSeq, s_rq: Exponent,
-                              patterns: int = 64, seed: int = 0) -> CertifierResult:
+def certify_inequality_cesaro(a, h: TruncatedSeq, s_rq: Exponent, patterns: int = 64,
+                              seed: int = 0) -> CertifierResult:
     """Sweep sign patterns through the running-averages inequality, LHS =
     sum_ij r_ij a_ij against RHS = (sum_i i^(-s') |sum_{j<=i} h_j r_ij|^s')^(1/s')
     with s' conjugate to the multiplier exponent: ``_sweep`` with
@@ -680,7 +679,7 @@ def certify_inequality_cesaro(a: MatrixOp | _Sandwich, h: TruncatedSeq, s_rq: Ex
                   np.arange(1, n + 1, dtype=float) ** (-sp), sp, patterns, seed)
 
 
-def certify_inequality_fourier(tphi: MatrixOp | _Sandwich, s: Exponent) -> CertifierResult:
+def certify_inequality_fourier(tphi, s: Exponent) -> CertifierResult:
     """Sweep sign patterns through the coefficient-operator inequality,
     LHS = sum_ij r_ij a_ij against the l^(s') norm of r's diagonal: ``_sweep``
     with w = I and wt = 1, which takes the closed form.  Nothing is sampled."""

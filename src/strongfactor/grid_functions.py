@@ -29,9 +29,8 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DomainMismatch, ExponentRange, IndexOutOfRange, ParseError, SpecError
+from .errors import DomainMismatch, ExponentRange, IndexOutOfRange, SpecError
 from .exponents import Exponent
-from .operators import _nonblank_lines, _read_csv
 from .seq_spaces import IndexDomain, TruncatedSeq
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -179,24 +178,6 @@ def from_callable(fn, spec: BasisSpec) -> GridFunction:
 def constant(c: float, spec: BasisSpec) -> GridFunction:
     rule = default_rule(spec.family)
     return GridFunction(rule, np.full(rule.nodes.shape, float(c)))
-
-
-#: largest distance between a CSV node and the declared rule's node
-_NODE_TOL = 1e-9
-
-
-def grid_from_csv(path, rule: QuadRule) -> GridFunction:
-    """(node, value) rows; nodes must match the declared rule's nodes."""
-    lines = _nonblank_lines(path)
-    rows = _read_csv(path, 2, lines)
-    if len(rows) != rule.nodes.size:
-        raise ParseError(f"{path}: expected {rule.nodes.size} rows, found {len(rows)}")
-    miss = np.abs(rows[:, 0] - rule.nodes)
-    if miss.max() > _NODE_TOL:
-        k = int(miss.argmax())
-        raise ParseError(f"{path}:{lines[k][0]}: node {float(rows[k, 0])!r} "
-                         "does not match the declared rule")
-    return GridFunction(rule, rows[:, 1])
 
 
 # ---------------------------------------------------------------------------

@@ -6,12 +6,14 @@ running-averages operator ``CesaroOp`` and the identity store their size,
 ``random_lower_triangular`` its seed, the sandwich M_g S M_h that
 ``diagonal_sandwich`` returns g, S and h, and ``perturb_entry`` the operator,
 the entry and the change.  All of them share ``n``, ``domain``,
-``codomain``, ``rows(lo, hi)``, ``matvec(x)`` and ``rmatvec(y)``.  The
-factorization checks read an operator through ``rows``, by blocks of about
-``_BLOCK_ENTRIES`` entries, so that none of them builds an N x N array; the
-implicit operators other than ``CesaroOp`` build their dense array only when
-``.entries`` is asked for.  The constructors here hand their freshly built
-arrays to ``MatrixOp`` read-only, so it keeps them without a copy.
+``codomain``, ``rows(lo, hi)``, ``matvec(x)`` and ``rmatvec(y)``, so the
+norm estimate here and the checks and certifiers of ``factorization`` take
+any of them.  The factorization checks read an operator through ``rows``, by
+blocks of about ``_BLOCK_ENTRIES`` entries, so that none of them builds an
+N x N array; the implicit operators other than ``CesaroOp`` build their dense
+array only when ``.entries`` is asked for.  The constructors here hand their
+freshly built arrays to ``MatrixOp`` read-only, so it keeps them without a
+copy.
 """
 
 from __future__ import annotations
@@ -355,7 +357,7 @@ _LANCZOS_TOL = 1e-14
 _NORM_TRIALS = 64
 
 
-def operator_norm_estimate(op: MatrixOp | CesaroOp, seed: int = 0) -> NormEstimate:
+def operator_norm_estimate(op, seed: int = 0) -> NormEstimate:
     """Certified lower bound on the operator norm of the truncation, seeded:
     on plain l^2 a Golub-Kahan-Lanczos estimate, in any other space the
     largest ratio over the coordinate vectors and ``_NORM_TRIALS`` random
@@ -372,7 +374,7 @@ def operator_norm_estimate(op: MatrixOp | CesaroOp, seed: int = 0) -> NormEstima
     return NormEstimate(best, 0, False)
 
 
-def _lanczos_norm(op: MatrixOp | CesaroOp, x: np.ndarray) -> NormEstimate:
+def _lanczos_norm(op, x: np.ndarray) -> NormEstimate:
     """Golub-Kahan-Lanczos from x with full reorthogonalisation, op V_k = U_k B_k
     with the alphas on B_k's diagonal and the betas above it; converged when
     beta_k |e_k^T p| <= _LANCZOS_TOL sigma, (sigma, p) B_k's top left pair."""
@@ -453,7 +455,7 @@ def _read_text(path) -> str:
 
 def _read_csv(path, width: int, lines: list[tuple[int, str]]) -> np.ndarray:
     """(len(lines), width) array from a file's (line number, text) pairs.
-    The one CSV format of matrix, sequence and grid files: each text holds
+    The one CSV format of matrix and sequence files: each text holds
     width fields that float() accepts, all finite; errors name path:line.
     Well-formed texts take one C pass, which accepts a subset of float()'s
     spellings with the same values; the rest go to _read_csv_lines."""
@@ -526,7 +528,7 @@ def _parse_matrix_csv(path, digest=None) -> np.ndarray:
 def _matrix_size(path, k: int, header: str) -> int:
     """N from the header ``N=<n>``, the first nonblank line (line k)."""
     if not header.startswith("N="):
-        raise ParseError(f"{path}:1: expected header 'N=<n>'")
+        raise ParseError(f"{path}:{k}: expected header 'N=<n>'")
     try:
         return int(header[2:])
     except ValueError:

@@ -351,9 +351,8 @@ def certifier_brute_force(res: SuiteResult, seed: int = 0) -> None:
             res.fail(f"identity n={n}: refutation not found")
             continue
         # recompute the refutation from the returned pattern, independently
-        rpat = np.asarray(sweep.pattern.r)
-        lhs = sum(rpat[i, j] * float(ident.entries[i, j])
-                  for i in range(n) for j in range(n))
+        rpat, ent = np.asarray(sweep.pattern.r), ident.entries
+        lhs = sum(rpat[i, j] * float(ent[i, j]) for i in range(n) for j in range(n))
         srows = [sum(float(h.coeffs[j]) * rpat[i, j] for j in range(min(i + 1, n)))
                  for i in range(n)]
         if abs(lhs - sweep.lhs) > 1e-12 or max(abs(s) for s in srows) > 1e-12:

@@ -471,12 +471,15 @@ class TestCertify:
 
     @pytest.mark.parametrize("form", ["cesaro", "fourier"])
     @pytest.mark.parametrize("patterns", ["0", "-2"])
-    def test_patterns_below_one_is_usage_error(self, form, patterns, capsys):
-        code = run(["certify", "--form", form, "--gen", "diag", "--g", "invsq",
-                    "--h", "ones", "--N", "4", "--r", "4/3", "--q", "2",
-                    "--patterns", patterns])
-        assert code == 64
-        assert "patterns must be >= 1" in capsys.readouterr().err
+    def test_patterns_below_one_is_usage_error(self, form, patterns, tmp_path, capsys):
+        # checked by argparse, before an input is read: a missing file is not reached
+        for source in (["--gen", "diag", "--g", "invsq"],
+                       ["--matrix", str(tmp_path / "missing.csv")]):
+            code = run(["certify", "--form", form, *source, "--h", "ones", "--N", "4",
+                        "--r", "4/3", "--q", "2", "--patterns", patterns])
+            assert code == 64
+            assert capsys.readouterr().err.endswith(
+                f"error: argument --patterns: must be at least 1, got {patterns}\n")
 
     def test_fourier_form(self, tmp_path):
         out = tmp_path / "cert.json"

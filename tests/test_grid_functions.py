@@ -8,7 +8,6 @@ from strongfactor.errors import (
     DomainMismatch,
     ExponentRange,
     IndexOutOfRange,
-    ParseError,
     SpecError,
 )
 from strongfactor.exponents import Exponent, INF, conjugate
@@ -26,7 +25,6 @@ from strongfactor.grid_functions import (
     fourier_coeffs,
     from_callable,
     _representing_op,
-    grid_from_csv,
     lp_function_norm,
     quad_integral,
     random_trig_poly,
@@ -302,34 +300,7 @@ class TestRepresentingOp:
             _representing_op(BasisSpec(family, nodes + 1), ones, permute=False)
 
 
-class TestGridIO:
-    def test_csv_round_trip(self, tmp_path):
-        rule = composite_gauss_legendre(-1.0, 1.0, panels=2, order=3)
-        f = GridFunction(rule, np.sin(rule.nodes))
-        path = tmp_path / "grid.csv"
-        with open(path, "w") as fh:
-            for x, v in zip(f.nodes, f.values):
-                fh.write(f"{float(x)!r},{float(v)!r}\n")
-        back = grid_from_csv(path, rule)
-        assert np.array_equal(back.values, f.values)
-
-    def test_csv_node_mismatch(self, tmp_path):
-        rule = composite_gauss_legendre(-1.0, 1.0, panels=2, order=3)
-        path = tmp_path / "grid.csv"
-        with open(path, "w") as fh:
-            for x in rule.nodes:
-                fh.write(f"{float(x) + 0.1!r},0.0\n")
-        with pytest.raises(ParseError):
-            grid_from_csv(path, rule)
-
-    def test_csv_node_mismatch_names_file_line(self, tmp_path):
-        rule = composite_gauss_legendre(-1.0, 1.0, panels=1, order=2)
-        path = tmp_path / "grid.csv"
-        path.write_text(f"{float(rule.nodes[0])!r},1.0\n\n0.9,2.0\n")
-        with pytest.raises(ParseError) as info:
-            grid_from_csv(path, rule)
-        assert str(info.value).startswith(f"{path}:3: node 0.9 does not match")
-
+class TestRandomTrigPoly:
     def test_random_poly_deterministic(self):
         f1, c1 = random_trig_poly(6, seed=42)
         f2, c2 = random_trig_poly(6, seed=42)

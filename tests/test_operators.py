@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import io
 import itertools
@@ -18,7 +19,6 @@ from hypothesis import strategies as st
 from strongfactor import operators
 from strongfactor.errors import LengthMismatch, ParseError, SizeMismatch, SpecError
 from strongfactor.exponents import Exponent, conjugate
-from strongfactor.grid_functions import composite_gauss_legendre, grid_from_csv
 from strongfactor.operators import (
     _BLOCK_ENTRIES,
     CesaroOp,
@@ -461,6 +461,11 @@ class TestIO:
     BAD_FILES = {
         "csv-header-size": ("m.csv", "N=x\n1\n", matrix_from_csv,
                             ":1: malformed size in header 'N=x'"),
+        "csv-header-after-blank-lines": ("m.csv", "\n\nfoo\n1\n", matrix_from_csv,
+                                         ":3: expected header 'N=<n>'"),
+        "csv-header-size-after-blank-lines": ("m.csv", "\n\nN=x\n1\n", matrix_from_csv,
+                                              ":3: malformed size in header 'N=x'"),
+        "csv-empty": ("m.csv", "", matrix_from_csv, ":1: expected header 'N=<n>'"),
         "csv-row-count": ("m.csv", "N=2\n1,2\n", matrix_from_csv,
                           ": expected 2 rows, found 1"),
         "json-syntax": ("m.json", '{"entries": [[1]],\n "domain": }', matrix_from_json_file,
@@ -508,14 +513,10 @@ class TestIO:
         assert type(info.value) is error and str(info.value) == message
 
 
-GRID_RULE = composite_gauss_legendre(-1.0, 1.0, panels=1, order=2)
-
 # reader, the lines ahead of the rows, and row k as a list of fields
 CSV_READERS = {
     "matrix": (matrix_from_csv, ["N=2"], lambda k: [f"{k}.5", "0.25"]),
     "seq": (seq_from_csv, [], lambda k: [f"{k}.5"]),
-    "grid": (lambda path: grid_from_csv(path, GRID_RULE), [],
-             lambda k: [repr(float(GRID_RULE.nodes[k])), "0.25"]),
 }
 
 
@@ -541,7 +542,7 @@ CSV_CASES = {
 
 
 class TestCsvReaders:
-    """One text format behind the matrix, sequence and grid readers: every
+    """One text format behind the matrix and sequence readers: every
     rejected row is reported at its file line, blank lines included."""
 
     @pytest.mark.parametrize("case", CSV_CASES)
@@ -580,13 +581,24 @@ class TestCsvReaders:
         read(path)
         assert len(calls) == 1
 
-    def test_empty_sequence_and_grid(self, tmp_path):
+    def test_empty_sequence(self, tmp_path):
         path = tmp_path / "in.csv"
         path.write_text("\n \n")
         with pytest.raises(ParseError, match=r"in\.csv: empty sequence$"):
             seq_from_csv(path)
-        with pytest.raises(ParseError, match=r"in\.csv: expected 2 rows, found 0$"):
-            grid_from_csv(path, GRID_RULE)
+
+    def test_one_module_owns_the_format(self):
+        # a module that reads CSV goes through the public readers of operators
+        owned = {"_lines", "_nonblank_lines", "_read_csv", "_read_csv_lines", "_read_text"}
+        found = []
+        for path in sorted((SRC / "strongfactor").glob("*.py")):
+            if path.name == "operators.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                names = ([alias.name for alias in node.names] if isinstance(node, ast.ImportFrom)
+                         else [node.attr] if isinstance(node, ast.Attribute) else [])
+                found += [f"{path.name}:{node.lineno}: {name}" for name in names if name in owned]
+        assert found == []
 
 
 def reference_read_csv(path, width, lines):
