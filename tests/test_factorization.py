@@ -326,6 +326,30 @@ class TestMatrixCheck:
         assert cert.verdict is Verdict.FACTORS
         assert np.allclose(cert.g.coeffs, 1.0)
 
+    @pytest.mark.parametrize("kind", ["MatrixOp", "CesaroOp", "identity", "random_lower",
+                                      "perturbed", "sandwich"])
+    def test_every_kind_gives_the_certificate_of_its_dense_copy(self, kind):
+        # the check reads A and B by their rows, whatever kind of operator each is
+        n = 9
+        rng = np.random.default_rng(n)
+        g, h = TruncatedSeq(rng.uniform(0.5, 2.0, n)), TruncatedSeq(rng.uniform(0.1, 1.0, n))
+        op = {
+            "MatrixOp": lambda: cesaro_matrix(n),
+            "CesaroOp": lambda: CesaroOp(n),
+            "identity": lambda: identity_matrix(n),
+            "random_lower": lambda: random_lower_triangular(n, seed=n),
+            "perturbed": lambda: perturb_entry(CesaroOp(n), 5, 2, 0.25),
+            "sandwich": lambda: diagonal_sandwich(g, CesaroOp(n), h),
+        }[kind]()
+
+        def dense(m):
+            return MatrixOp(np.array(m.rows(0, n)), m.domain, m.codomain)
+
+        for a, b in [(diagonal_sandwich(g, op, h), op), (op, CesaroOp(n))]:
+            assert (matrix_factor_check(a, b, h).to_json()
+                    == matrix_factor_check(dense(a), dense(b), h).to_json())
+        assert matrix_factor_check(diagonal_sandwich(g, op, h), op, h).verdict is Verdict.FACTORS
+
     def test_inconsistent_row_ratios(self):
         b = cesaro_matrix(3)
         a = perturb_entry(diagonal_sandwich(ones(3), b, ones(3)), 3, 2, 0.25)

@@ -541,6 +541,20 @@ CSV_CASES = {
 }
 
 
+CSV_HELPERS = ["_lines", "_nonblank_lines", "_read_csv", "_read_csv_lines", "_read_text"]
+
+
+def csv_helpers_used(source):
+    """(line, name) for each import or attribute use of an ``operators`` CSV
+    helper in this module source."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        names = ([alias.name for alias in node.names] if isinstance(node, ast.ImportFrom)
+                 else [node.attr] if isinstance(node, ast.Attribute) else [])
+        found += [(node.lineno, name) for name in names if name in CSV_HELPERS]
+    return sorted(found)
+
+
 class TestCsvReaders:
     """One text format behind the matrix and sequence readers: every
     rejected row is reported at its file line, blank lines included."""
@@ -589,16 +603,25 @@ class TestCsvReaders:
 
     def test_one_module_owns_the_format(self):
         # a module that reads CSV goes through the public readers of operators
-        owned = {"_lines", "_nonblank_lines", "_read_csv", "_read_csv_lines", "_read_text"}
-        found = []
-        for path in sorted((SRC / "strongfactor").glob("*.py")):
-            if path.name == "operators.py":
-                continue
-            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-                names = ([alias.name for alias in node.names] if isinstance(node, ast.ImportFrom)
-                         else [node.attr] if isinstance(node, ast.Attribute) else [])
-                found += [f"{path.name}:{node.lineno}: {name}" for name in names if name in owned]
+        found = [f"{path.name}:{line}: {name}"
+                 for path in sorted((SRC / "strongfactor").glob("*.py"))
+                 if path.name != "operators.py"
+                 for line, name in csv_helpers_used(path.read_text(encoding="utf-8"))]
         assert found == []
+
+    @pytest.mark.parametrize("name", CSV_HELPERS)
+    def test_guard_finds_each_helper(self, name):
+        source = f"from .operators import {name}\nfrom . import operators\noperators.{name}(p)\n"
+        assert csv_helpers_used(source) == [(1, name), (3, name)]
+
+    def test_grid_functions_imports_nothing_from_operators(self):
+        tree = ast.parse((SRC / "strongfactor" / "grid_functions.py").read_text(encoding="utf-8"))
+        modules = [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+        modules += [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                    for alias in node.names]
+        assert "operators" not in modules and "strongfactor.operators" not in modules
+        assert not any(alias.name == "operators" for node in ast.walk(tree)
+                       if isinstance(node, ast.ImportFrom) for alias in node.names)
 
 
 def reference_read_csv(path, width, lines):
