@@ -230,7 +230,7 @@ def _cmd_certify(args) -> int:
         cert = Certificate(
             verdict=Verdict.INCONCLUSIVE, h=held, exponents=exps, tol=args.tol,
             truncation=op.n,
-            notes=(f"finite evidence only: largest vertex ratio "
+            notes=(f"finite evidence only: attained constant "
                    f"c_hat={result.c_hat:.12g}",))
     certifier = {**result.to_json(), "seed": args.seed}
     return _finish_certificate(cert, args, extra={"certifier": certifier})

@@ -17,10 +17,11 @@ merged:
   sum_ij r_ij a_ij <= C (sum_i wt_i |sum_j w_ij r_ij|^s')^(1/s'): one form
   for both families (Cesàro: w_ij = h_j on j <= i, wt_i = i^(-s'); Fourier:
   w = I, wt = 1) and one driver, in closed form when each row of w has one
-  nonzero entry.  A finite sweep can never prove the full inequality, so a
-  bounded ratio is reported as finite-truncation evidence only, while a
-  pattern with vanishing right-hand side and positive left-hand side is a
-  genuine refutation.
+  nonzero entry.  A pattern with vanishing right-hand side and positive
+  left-hand side is a genuine refutation; without one, the sweep reports
+  the truncation's constant with a pattern that attains it.  A finite
+  truncation can never prove the full inequality, so that constant is
+  finite-truncation evidence only.
 
 Verdicts follow the nontrivial-operator policy: an (approximately) zero
 operator yields INCONCLUSIVE, never FACTORS.
@@ -62,7 +63,7 @@ from .grid_functions import (
     fourier_coeffs,
 )
 from .operators import CesaroOp, _block_bounds, _Identity
-from .seq_spaces import IndexDomain, SpaceKind, TruncatedSeq, lp_norm
+from .seq_spaces import IndexDomain, SpaceKind, TruncatedSeq, dual_norm, lp_norm
 
 EXACT_TOL = 1e-9       # identities exact in exact arithmetic
 QUADRATURE_TOL = 1e-6  # identities that pass through quadrature
@@ -351,12 +352,16 @@ class CertifierResult:
     """Outcome of a sign-pattern sweep.
 
     ``c_hat_vertex`` is the largest ratio LHS/RHS over the searched +-1
-    vertex patterns.  ``c_hat`` equals it unless a refuting pattern
-    (RHS ~ 0 < LHS, zeroed entries allowed) was found, in which case
-    ``c_hat`` is inf and ``pattern`` is the refuting pattern; a ratio that
-    overflows makes both inf without a refutation.  ``rows`` and ``cols``
-    are N, but in the row form (closed form at s = inf) ``pattern`` is a
-    vector on row ``rows`` of A, counted from 1.
+    vertex patterns: all of them up to 4 x 4, else the seeded starts.
+    When a refuting pattern (RHS ~ 0 < LHS, zeroed entries allowed) is
+    found, ``c_hat`` is inf and ``pattern`` is the refuting pattern.
+    Otherwise ``c_hat`` is the attained constant: the ratio on ``pattern``,
+    which attains sup LHS/RHS over [-1, 1]^(N x N) when every row of A is
+    proportional to w's, and is never below ``c_hat_vertex``.  Either way
+    ``lhs`` and ``rhs`` are the evaluator's values on ``pattern``.  A ratio
+    that overflows makes both constants inf without a refutation.  ``rows``
+    and ``cols`` are N, but in the row form (closed form at s = inf)
+    ``pattern`` is a vector on row ``rows`` of A, counted from 1.
     """
 
     c_hat: float
@@ -384,8 +389,6 @@ class CertifierResult:
 #: exhaustive vertex enumeration is guaranteed up to this many pattern entries
 EXHAUSTIVE_LIMIT = 16
 
-_ASCENT_PASSES = 8
-
 
 def _max_dot_with_zero_sum(c: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Maximize c . r over r in [-1, 1]^k subject to w . r = 0.
@@ -393,7 +396,11 @@ def _max_dot_with_zero_sum(c: np.ndarray, w: np.ndarray) -> np.ndarray:
     Exact small LP: the dual piecewise-linear objective is minimized where the
     step function sum_j w_j sign(c_j - lambda w_j) crosses zero, which leaves
     at most one fractional coordinate.  The zero vector is feasible, so the
-    optimum is always >= 0.
+    optimum is always >= 0.  In the order of c_j / w_j, each r_j flips from
+    sign(w_j) to -sign(w_j) while the gap sum |w_j| - 2 sum |w_flipped| stays
+    >= 0; the gaps are one sequential ``subtract.accumulate``, which rounds
+    as subtracting the steps one at a time does, and they never grow, so
+    the crossing is a ``searchsorted``.
     """
     k = c.size
     r = np.zeros(k)
@@ -405,19 +412,17 @@ def _max_dot_with_zero_sum(c: np.ndarray, w: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore"):  # an overflow is +-inf, which sorts alike
         lam = c[active] / w[active]
     order = active[np.argsort(lam, kind="stable")]
-    r[order] = np.sign(w[order])
-    gap = float(np.abs(w[active]).sum())
-    for j in order:
-        step = 2.0 * abs(w[j])
-        if gap - step >= 0.0:
-            r[j] = -np.sign(w[j])
-            gap -= step
-            continue
+    sign = np.sign(w[order])
+    gaps = np.subtract.accumulate(np.r_[np.abs(w[active]).sum(), 2.0 * np.abs(w[order])])
+    cross = int(np.searchsorted(-gaps[1:], 0.0, side="right"))  # the first gap < 0
+    r[order] = sign
+    r[order[:cross]] = -sign[:cross]
+    if cross < order.size:
+        j = order[cross]
         r[j] = 0.0
         # |r_j| <= 1 holds in exact arithmetic at the crossing; clip guards
         # against summation rounding when w_j is tiny relative to the rest
         r[j] = min(1.0, max(-1.0, -float(np.dot(w, r)) / w[j]))
-        break
     return r
 
 
@@ -432,10 +437,13 @@ class _Form:
         """LHS, RHS, the row sums sum_j w_ij r_ij and RHS^s' of each pattern
         in a stack of shape (P, n, n).
 
-        einsum, unlike BLAS, reduces each pattern in the same order whatever
-        P is, so a pattern scores the same alone as inside a stack.
+        Each sum runs over one row of one pattern at a time: einsum, unlike
+        BLAS, then reduces each pattern in the same order whatever P is, so
+        a pattern scores the same alone as inside a stack.  (A single
+        "pij,ij->p" contraction does not: at P = 1 it reduces a pattern of
+        more than 8192 entries in another order.)
         """
-        lhs = np.einsum("pij,ij->p", r, self.ent)
+        lhs = np.einsum("pij,ij->pi", r, self.ent).sum(axis=1)
         rows = np.einsum("pij,ij->pi", r, self.w)
         rhs_pow = np.einsum("pi,i->p", np.abs(rows) ** self.sp, self.wt)
         return lhs, rhs_pow ** (1.0 / self.sp), rows, rhs_pow
@@ -471,116 +479,40 @@ def _exhaustive_vertex_max(form, n: int, m: int):
     pattern, so the result is deterministic.
     """
     k = n * m
-    codes = np.arange(1 << k, dtype=np.int64)
-    # no 0/1 copy of the bits outlives the +-1 stack
-    stack = (2.0 * ((codes[:, None] >> np.arange(k)) & 1) - 1.0).reshape(-1, n, m)
+    # entry b of pattern c is -1 or +1 as bit b of c is 0 or 1; k <= 16 bits
+    # of each little-endian code are unpacked as bytes, and no 0/1 copy of
+    # them outlives the +-1 stack
+    codes = np.arange(1 << k, dtype="<u4").view(np.uint8).reshape(-1, 4)
+    stack = np.array([-1.0, 1.0])[
+        np.unpackbits(codes, axis=1, count=k, bitorder="little")].reshape(-1, n, m)
     return _select(stack, *form.evaluate(stack)[:2])
 
 
-def _ascend_lockstep(form, r: np.ndarray, lhs, rhs, rows, rhs_pow) -> None:
-    """Single-entry sign flips on every pattern of the stack r, in place and
-    in lockstep, while a flip raises that pattern's ratio.
-
-    (lhs, rhs, rows, rhs_pow) is the evaluator's score of r.  The ascent
-    updates it incrementally, one P-vector operation at a time, and it
-    steers the flips only.  Every power is ``np.power``, which gives an
-    element the same bits whatever the vector length, so each pattern takes
-    the flips it would take alone.  A pattern stops after a pass with no
-    accepted flip, or after a flip that refutes by the incremental score;
-    the other patterns go on.  The caller re-scores every end with the
-    evaluator and cuts the records at the first that refutes, so the
-    patterns after a refuting one are ascended but never reported.
-    """
-    ent, w, sp, wt = form.ent, form.w, form.sp, form.wt
-    inv_sp = 1.0 / sp
-    n = r.shape[1]
-    # r indexed (i, j, pattern), and d[i, j] the changes in LHS and in row
-    # sum i that flipping r_ij makes, negated with every accepted flip
-    rt = r.transpose(1, 2, 0)
-    d = -2.0 * rt[:, :, None] * np.stack((ent, w), axis=-1)[..., None]
-    rows = rows.T.copy()
-    lhs_row = np.stack((lhs, rows[0]))  # LHS and the row sum of the row visited
-    rhs, rhs_pow = rhs.copy(), rhs_pow.copy()
-    active = np.ones(len(r), dtype=bool)
-    # A flip with w[i, j] == 0 leaves the RHS alone; with ent[i, j] == 0 too
-    # it changes neither LHS nor RHS, so it is never accepted, and it refutes
-    # only if the current state refutes.  That state is a start that does not
-    # refute (the sweep ends at the first start that does) or an accepted one,
-    # whose RHS exceeds REFUTE_RHS_TOL.  So those flips are skipped.
-    moves = (w != 0.0).tolist()
-    cols = [[j for j in range(n) if moves[i][j] or ent[i, j] != 0.0] for i in range(n)]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # each pattern's current ratio; +inf once it is inactive, so that
-        # no flip of it is accepted
-        cur = np.where(rhs_pow > 0.0, lhs / rhs, -math.inf)
-        for _pass in range(_ASCENT_PASSES):
-            improved = np.zeros_like(active)
-            for i in range(n):
-                if not active.any():
-                    return
-                lhs_row[1] = rows[i]
-                row_pow, wt_i, move = np.power(np.abs(rows[i]), sp), wt[i], moves[i]
-                for j in cols[i]:
-                    new = lhs_row + d[i, j]
-                    if move[j]:
-                        new_row_pow = np.power(np.abs(new[1]), sp)
-                        new_pow = rhs_pow + wt_i * (new_row_pow - row_pow)
-                        new_rhs = np.power(np.maximum(new_pow, 0.0), inv_sp)
-                    else:
-                        new_rhs = rhs
-                    vanish = new_rhs <= REFUTE_RHS_TOL
-                    any_vanish = np.count_nonzero(vanish)
-                    if any_vanish:
-                        refute = active & _refutes(new[0], new_rhs)
-                        np.negative(rt[i, j], out=rt[i, j], where=refute)
-                        active &= ~refute
-                        cur[refute] = math.inf
-                    ratio = new[0] / new_rhs
-                    accept = ratio > cur
-                    if any_vanish:
-                        accept &= ~vanish
-                    if not np.count_nonzero(accept):
-                        continue
-                    improved |= accept
-                    np.negative(rt[i, j], out=rt[i, j], where=accept)
-                    np.negative(d[i, j], out=d[i, j], where=accept)
-                    np.copyto(lhs_row, new, where=accept)
-                    np.copyto(cur, ratio, where=accept)
-                    if move[j]:
-                        np.copyto(row_pow, new_row_pow, where=accept)
-                        np.copyto(rhs_pow, new_pow, where=accept)
-                        np.copyto(rhs, new_rhs, where=accept)
-                rows[i] = lhs_row[1]
-            active &= improved
-            cur[~active] = math.inf
-
-
 def _sampled_vertex_max(form, n: int, m: int, patterns: int, seed: int):
-    """Seeded sampling plus deterministic single-entry sign flips, run on
-    every sampled pattern at once.
+    """Best ratio over ``patterns`` seeded +-1 starts, and the first start
+    that refutes, which ends the sweep.
 
-    The starting patterns come from one draw, the same stream as one draw
-    per pattern.  Each start, and the pattern its ascent ends at, is a
-    record; the records are taken in visit order (start_0, end_0, start_1,
-    ...) and cut at the first that refutes, so only the patterns before the
-    first refuting start are ascended.  The records are scored by the form's
-    evaluator, which scores a pattern the same inside any stack, so every
-    reported (lhs, rhs) is its value on the reported pattern.
+    The starts are drawn and scored in the row blocks of
+    ``operators._block_bounds``, one n x m pattern a row, so no stack of
+    all of them is held.  ``Generator.random`` fills arrays in sequence, so
+    the blocks hold the values of one (patterns, n, m) draw, and the
+    evaluator scores a pattern the same inside any stack: the result is
+    that of scoring the one draw whole, earliest start on ties.
     """
     rng = np.random.default_rng(seed)
-    starts = np.where(rng.random((patterns, n, m)) < 0.5, -1.0, 1.0)
-    lhs0, rhs0, rows, rhs_pow = form.evaluate(starts)
-    refuting = np.flatnonzero(_refutes(lhs0, rhs0))
-    k = int(refuting[0]) if refuting.size else patterns
-    ends = starts[:k].copy()
-    _ascend_lockstep(form, ends, lhs0[:k], rhs0[:k], rows[:k], rhs_pow[:k])
-    # start_0, end_0, start_1, ..., then the refuting start if any
-    records = np.concatenate((np.stack((starts[:k], ends), axis=1).reshape(-1, n, m),
-                              starts[k:k + 1]))
-    lhs, rhs = form.evaluate(records)[:2]
-    refuting = np.flatnonzero(_refutes(lhs, rhs))
-    cut = int(refuting[0]) + 1 if refuting.size else len(records)
-    return _select(records[:cut], lhs[:cut], rhs[:cut])
+    vertex = None
+    for lo, hi in _block_bounds(n * m, 0, patterns):
+        starts = rng.random((hi - lo, n, m))
+        np.subtract(starts, 0.5, out=starts)
+        np.copysign(1.0, starts, out=starts)  # -1 below 0.5, else +1
+        lhs, rhs = form.evaluate(starts)[:2]
+        cut = int(np.argmax(np.append(_refutes(lhs, rhs), True))) + 1
+        best, refute = _select(starts[:cut], lhs[:cut], rhs[:cut])
+        if best is not None and (vertex is None or best[0] > vertex[0]):
+            vertex = best
+        if refute is not None:
+            return vertex, refute
+    return vertex, None
 
 
 def _closed_form(ent: np.ndarray, w: np.ndarray, wt: np.ndarray, sp: float):
@@ -618,14 +550,52 @@ def _closed_form(ent: np.ndarray, w: np.ndarray, wt: np.ndarray, sp: float):
     return vertex, refute, 1 + int(np.argmax((lhs == found[0]) & (rhs == found[1]))) % n
 
 
+def _attained(form) -> np.ndarray | None:
+    """The n x n pattern that attains sup LHS/RHS over [-1, 1]^(n x n) when
+    every row of A is gamma_i w_i, or None when there is none to build.
+
+    Then LHS = sum_i gamma_i S_i with S_i = sum_j w_ij r_ij, so by
+    homogeneity the supremum is ||c||_s with c_i = gamma_i wt_i^(-1/s'),
+    attained by S_i = f_i wt_i^(-1/s') with f the l^s' extremizer of
+    ``dual_norm``, scaled so that |S_i| <= ||w_i||_1 with equality on some
+    row, and r_i = (S_i / ||w_i||_1) sign(w_i).  gamma_i is read as
+    a_i . w_i / w_i . w_i, over w_i scaled by its largest |w_ij| so that
+    neither product underflows; a zero row gets gamma_i = 0.
+    """
+    ent, w, wt, sp = form.ent, form.w, form.wt, form.sp
+    top = np.abs(w).max(axis=1, keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u = np.divide(w, top, out=np.zeros_like(w), where=top > 0.0)
+        uu = np.einsum("ij,ij->i", u, u)
+        gamma = np.divide(np.einsum("ij,ij->i", ent, u), uu * top[:, 0],
+                          out=np.zeros_like(uu), where=uu > 0.0)
+        lift = wt ** (-1.0 / sp)
+        c = gamma * lift
+        if not np.isfinite(c).all():
+            return None
+        norms = np.abs(w).sum(axis=1)
+        q = np.divide(dual_norm(c, Exponent(sp))[1].coeffs * lift, norms,
+                      out=np.zeros_like(norms), where=norms > 0.0)
+        peak = np.abs(q).max()
+        if not 0.0 < peak < math.inf:
+            return None
+        return (q / peak)[:, None] * np.sign(w)
+
+
 def _sweep(ent: np.ndarray, w: np.ndarray, wt: np.ndarray, sp: float, patterns: int,
            seed: int) -> CertifierResult:
-    """Certify the inequality that ``_Form(ent, w, wt, sp)`` scores: by
-    ``_closed_form`` when each row of w has exactly one nonzero entry, else
-    by enumerating (up to EXHAUSTIVE_LIMIT entries) or sampling the +-1
-    vertices, then, failing a refutation, a per-row search over patterns
-    with zeroed entries.  An LHS or RHS that overflows at the sign pattern
-    of A or of w, the largest there is, is a SpecError."""
+    """Certify the inequality that ``_Form(ent, w, wt, sp)`` scores.
+
+    The vertex search (``c_hat_vertex``) is ``_closed_form`` when each row
+    of w has exactly one nonzero entry, else the enumeration of the +-1
+    vertices up to EXHAUSTIVE_LIMIT entries, else the seeded starts.
+    Failing a refutation there, a per-row search over patterns with zeroed
+    entries looks for one; failing that too, every row of A is
+    proportional to w's, and ``_attained``'s pattern gives ``c_hat``
+    unless a searched vertex scores higher.  The row form keeps its
+    vector pattern, which is exact already.  An LHS or RHS that overflows
+    at the sign pattern of A or of w, the largest there is, is a
+    SpecError."""
     n = ent.shape[0]
     with np.errstate(over="ignore", invalid="ignore"):
         for side, top in ("LHS", np.abs(ent).sum()), ("RHS", wt @ np.abs(w).sum(axis=1) ** sp):
@@ -652,10 +622,15 @@ def _sweep(ent: np.ndarray, w: np.ndarray, wt: np.ndarray, sp: float, patterns: 
             ones = np.ones((1, n, n))
             lhs, rhs = form.evaluate(ones)[:2]
             vertex = _select(ones, lhs, rhs)[0] or (0.0, ones[0], float(lhs[0]), float(rhs[0]))
-    ratio, *found = vertex
-    c_vertex = max(ratio, 0.0)
-    pattern, lhs, rhs = refute or found
-    return CertifierResult(math.inf if refute else c_vertex, SignPattern(pattern), lhs, rhs,
+        best = vertex
+        if refute is None and not (closed and sp == 1.0):
+            r = _attained(form)
+            attained = None if r is None else _select(r[None], *form.evaluate(r[None])[:2])[0]
+            if attained and attained[0] >= vertex[0]:
+                best = attained
+    c_vertex, c_best = max(vertex[0], 0.0), max(best[0], 0.0)
+    pattern, lhs, rhs = refute or best[1:]
+    return CertifierResult(math.inf if refute else c_best, SignPattern(pattern), lhs, rhs,
                            refute is not None, c_vertex, rows, pattern.shape[-1])
 
 

@@ -800,6 +800,58 @@ class TestRefutationLP:
                 assert value >= -1e-12  # zero is feasible
                 assert value == pytest.approx(self.dual_optimum(c, w), abs=1e-10)
 
+    @staticmethod
+    def sequential(c, w):
+        """The reference search: the crossing found by subtracting one step
+        at a time, which ``subtract.accumulate`` must reproduce bit for bit."""
+        r = np.zeros(c.size)
+        active, free = np.flatnonzero(w != 0.0), np.flatnonzero(w == 0.0)
+        r[free] = np.sign(c[free])
+        if active.size == 0:
+            return r
+        with np.errstate(over="ignore"):
+            order = active[np.argsort(c[active] / w[active], kind="stable")]
+        r[order] = np.sign(w[order])
+        gap = float(np.abs(w[active]).sum())
+        for j in order:
+            step = 2.0 * abs(w[j])
+            if gap - step >= 0.0:
+                r[j] = -np.sign(w[j])
+                gap -= step
+                continue
+            r[j] = 0.0
+            r[j] = min(1.0, max(-1.0, -float(np.dot(w, r)) / w[j]))
+            break
+        return r
+
+    def test_matches_sequential_search_bit_for_bit(self):
+        # ties in c_j / w_j, proportional rows, one-signed w, spreads of 16
+        # orders of magnitude, where the gaps round, and tenths, where a gap
+        # reaches exactly 0 while the dot product at the crossing rounds
+        from strongfactor.factorization import _max_dot_with_zero_sum
+
+        # the gap after r_3 flips is exactly 0, so r_3 flips whole and r_2,
+        # where the gap turns negative, takes the rounded remainder
+        c, w = np.array([2.0, 1.0, 1.25]), np.array([0.2, 0.5, -0.7])
+        assert _max_dot_with_zero_sum(c, w).tolist() == [1.0, 0.9999999999999999, 1.0]
+        rng = np.random.default_rng(123)
+        for k in (1, 2, 3, 5, 8, 64, 257):
+            for t in range(72):
+                c = rng.standard_normal(k) * 10.0 ** rng.uniform(-8, 8, k)
+                w = rng.standard_normal(k) * 10.0 ** rng.uniform(-8, 8, k)
+                if t % 6 == 1:
+                    w[rng.random(k) < 0.3] = 0.0
+                elif t % 6 == 2:
+                    c = w * rng.integers(-2, 3, k)
+                elif t % 6 == 3:
+                    w, c = np.round(w), np.round(3.0 * c)
+                elif t % 6 == 4:
+                    w = np.abs(w)
+                elif t % 6 == 5:
+                    w = rng.integers(1, 10, k) / 10.0 * rng.choice([-1.0, 1.0], k)
+                got, want = _max_dot_with_zero_sum(c, w), self.sequential(c, w)
+                assert got.tobytes() == want.tobytes(), (k, t)
+
     def test_all_zero_weights(self):
         from strongfactor.factorization import _max_dot_with_zero_sum
 
@@ -849,7 +901,10 @@ class TestCesaroForm:
     @pytest.mark.parametrize("n, s", [(2, Exponent(4)), (4, INF), (4, Exponent(4)),
                                       (5, Exponent(4)), (8, INF), (12, Exponent(3))])
     def test_report_is_the_evaluators_value(self, n, s):
-        # n * n <= 16 takes the exhaustive sweep, larger n the sampled one
+        # n * n <= 16 takes the exhaustive sweep, larger n the sampled one;
+        # c_hat pairs with the reported pattern, c_hat_vertex is the search's
+        from strongfactor.factorization import _exhaustive_vertex_max, _sampled_vertex_max
+
         rng = np.random.default_rng(50 + n)
         g = TruncatedSeq(rng.uniform(0.5, 1.5, n))
         h = TruncatedSeq(rng.uniform(0.5, 1.5, n))
@@ -857,9 +912,10 @@ class TestCesaroForm:
         res = certify_inequality_cesaro(a, h, s, patterns=16, seed=2)
         assert not res.refuted
         form = cesaro_form(a.entries, h.coeffs, float(conjugate(s)))
-        lhs, rhs = form.evaluate(np.asarray(res.pattern.r)[None])[:2]
-        assert (res.lhs, res.rhs) == (lhs[0], rhs[0])
-        assert res.c_hat_vertex == lhs[0] / rhs[0]
+        assert_reports_its_pattern(res, form)
+        search = (_exhaustive_vertex_max(form, n, n) if n * n <= 16
+                  else _sampled_vertex_max(form, n, n, 16, 2))
+        assert res.c_hat_vertex == search[0][0]
 
     @pytest.mark.parametrize("n", [2, 5])
     def test_refutation_is_the_evaluators_value(self, n):
@@ -872,62 +928,21 @@ class TestCesaroForm:
         assert (res.lhs, res.rhs) == (lhs[0], rhs[0])
 
 
-def reference_ascent(form, r):
-    """The per-pattern flip loop that the lockstep ascent replaced, with
-    ``np.power`` for every power: single-entry flips on r, in place, while a
-    flip raises the ratio.  Returns the (pass, i, j) of a flip that leaves
-    the RHS vanishing with a positive LHS, where it stops, else None."""
-    ent, w, sp, wt = form.ent, form.w, form.sp, form.wt
-    lhs, rhs, rows, rhs_pow = (v[0] for v in form.evaluate(r[None]))
-    cur = lhs / rhs if rhs_pow > 0 else -math.inf
-    n = r.shape[0]
-    for pass_ in range(8):
-        improved = False
-        for i in range(n):
-            row_pow = np.power(abs(rows[i]), sp)
-            for j in range(n):
-                new_lhs = lhs - 2.0 * r[i, j] * ent[i, j]
-                if j <= i:
-                    new_si = rows[i] - 2.0 * r[i, j] * w[i, j]
-                    new_row_pow = np.power(abs(new_si), sp)
-                    new_pow = rhs_pow + wt[i] * (new_row_pow - row_pow)
-                    new_rhs = np.power(max(new_pow, 0.0), 1.0 / sp)
-                else:
-                    new_si, new_row_pow, new_pow, new_rhs = rows[i], row_pow, rhs_pow, rhs
-                if new_rhs <= 1e-12:
-                    if new_lhs > 1e-9:
-                        r[i, j] = -r[i, j]
-                        return pass_, i, j
-                    continue
-                ratio = new_lhs / new_rhs
-                if ratio > cur:
-                    r[i, j] = -r[i, j]
-                    lhs, rhs_pow, rhs, cur = new_lhs, new_pow, new_rhs, ratio
-                    rows[i], row_pow = new_si, new_row_pow
-                    improved = True
-        if not improved:
-            return None
-    return None
-
-
-def reference_sweep(form, n, patterns, seed):
-    """One draw, one ascent and one scored record at a time, in visit
-    order, up to the first refuting record: (best vertex, refutation) as
-    (ratio, pattern, lhs, rhs) and (pattern, lhs, rhs), and the (pass, i, j)
-    of each pattern's refuting flip."""
-    rng = np.random.default_rng(seed)
-    best, flips = None, []
-    for _ in range(patterns):
-        r = np.where(rng.random((n, n)) < 0.5, -1.0, 1.0)
-        for stage in ("start", "end"):
-            if stage == "end":
-                flips.append(reference_ascent(form, r))
-            lhs, rhs = (float(v[0]) for v in form.evaluate(r[None])[:2])
-            if rhs <= 1e-12 and lhs > 1e-9:
-                return best, (r.copy(), lhs, rhs), flips
-            if rhs > 1e-12 and (best is None or lhs / rhs > best[0]):
-                best = (lhs / rhs, r.copy(), lhs, rhs)
-    return best, None, flips
+def whole_draw_sweep(form, n, patterns, seed):
+    """The seeded starts drawn and scored as one (patterns, n, n) stack, cut
+    after the first refuting start: (best vertex, refutation) as (ratio,
+    pattern, lhs, rhs) and (pattern, lhs, rhs), and the index of the
+    refuting start (None when no start refutes)."""
+    starts = np.where(np.random.default_rng(seed).random((patterns, n, n)) < 0.5, -1.0, 1.0)
+    lhs, rhs = form.evaluate(starts)[:2]
+    best = refute = first = None
+    for k in range(patterns):
+        if rhs[k] <= 1e-12 and lhs[k] > 1e-9:
+            refute, first = (starts[k], float(lhs[k]), float(rhs[k])), k
+            break
+        if rhs[k] > 1e-12 and (best is None or lhs[k] / rhs[k] > best[0]):
+            best = (float(lhs[k] / rhs[k]), starts[k], float(lhs[k]), float(rhs[k]))
+    return best, refute, first
 
 
 def assert_same_sweep(got, expected):
@@ -942,120 +957,88 @@ def assert_same_sweep(got, expected):
                     assert x == y
 
 
-class TestLockstepAscent:
-    """The sampled sweep ascends every pattern at once, bit for bit as the
-    per-pattern loop did."""
+def assert_reports_its_pattern(res, form):
+    """(lhs, rhs) are the evaluator's values on the reported pattern, every
+    entry of which lies in [-1, 1], and a bounded c_hat is their ratio, at
+    least the vertex search's."""
+    r = np.asarray(res.pattern.r)
+    assert np.abs(r).max(initial=0.0) <= 1.0
+    lhs, rhs = form.evaluate(r[None])[:2]
+    assert (res.lhs, res.rhs) == (lhs[0], rhs[0])
+    if not res.refuted:
+        assert res.c_hat == max(lhs[0] / rhs[0], 0.0)
+        assert res.c_hat >= res.c_hat_vertex
+
+
+class TestAttainedConstant:
+    """Once no pattern refutes, every row of A is gamma_i w_i, and the
+    reported c_hat is the constant sup LHS/RHS over the box, attained by the
+    reported pattern: ||g||_s for a Cesaro sandwich M_g C M_h."""
 
     @staticmethod
-    def form(ent, hv, s):
-        return cesaro_form(np.asarray(ent, dtype=float), np.asarray(hv, dtype=float),
-                           float(conjugate(s)))
+    def sandwich(n, seed):
+        rng = np.random.default_rng(seed)
+        g = TruncatedSeq(np.where(rng.random(n) < 0.5, -1.0, 1.0) * rng.uniform(0.2, 2.0, n))
+        h = TruncatedSeq(rng.uniform(0.5, 1.5, n))
+        return g, h, diagonal_sandwich(g, cesaro_matrix(n), h)
 
-    @staticmethod
-    def tiny_h_case():
-        # h = 6e-13: the RHS sits near REFUTE_RHS_TOL, so flips can refute
-        ent = np.tril(np.random.default_rng(0).standard_normal((5, 5)))
-        return ent, np.full(5, 6e-13)
-
-    @pytest.mark.parametrize("s", [Exponent(2), Exponent(4), Exponent("4/3"), INF])
-    def test_bounded_matches_reference(self, s):
-        from strongfactor.factorization import _sampled_vertex_max
-
-        n = 12
-        a = diagonal_sandwich(harmonic(n), cesaro_matrix(n), ones(n))
-        form = self.form(a.entries, np.ones(n), s)
-        for seed in range(3):
-            got = _sampled_vertex_max(form, n, n, 16, seed)
-            best, refute, _ = reference_sweep(form, n, 16, seed)
-            assert refute is None
-            assert_same_sweep(got, (best, refute))
-
-    def test_refuting_matches_reference(self):
-        from strongfactor.factorization import _sampled_vertex_max
-
-        form = self.form(*self.tiny_h_case(), INF)
-        flip_refutations = 0
-        for seed in range(10):
-            got = _sampled_vertex_max(form, 5, 5, 4, seed)
-            best, refute, flips = reference_sweep(form, 5, 4, seed)
-            assert refute is not None
-            flip_refutations += sum(f is not None for f in flips)
-            assert_same_sweep(got, (best, refute))
-        assert flip_refutations > 0  # the ascent itself refuted, not only starts
-
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_full_matrix_matches_reference(self, seed):
-        # entries above the diagonal move only the LHS, and zero entries on
-        # or below it still move the RHS
-        from strongfactor.factorization import _sampled_vertex_max
-
-        rng = np.random.default_rng(70 + seed)
-        n = 7
-        ent = rng.standard_normal((n, n))
-        ent[1, 4] = ent[5, 1] = ent[5, 2] = ent[6, 6] = 0.0
-        hv = np.r_[0.0, rng.uniform(0.5, 1.5, n - 1)]  # a leading zero in h
-        form = self.form(ent, hv, Exponent(3))
-        got = _sampled_vertex_max(form, n, n, 16, seed)
-        assert_same_sweep(got, reference_sweep(form, n, 16, seed)[:2])
-
-    def test_earlier_refutation_wins(self):
-        # pattern 1's ascent refutes in pass 0, before pattern 0's refutes in
-        # pass 1; visit order puts pattern 0's end first, so it is reported
-        from strongfactor.factorization import _sampled_vertex_max
-
-        ent, hv = self.tiny_h_case()
-        form = self.form(ent, hv, INF)
-        rng = np.random.default_rng(3)
-        starts = np.where(rng.random((2, 5, 5)) < 0.5, -1.0, 1.0)
-        ends, flips = starts.copy(), []
-        for r in ends:
-            flips.append(reference_ascent(form, r))
-        lhs, rhs = form.evaluate(ends)[:2]
-        assert flips[1][0] < flips[0][0]
-        assert np.all((rhs <= 1e-12) & (lhs > 1e-9))
-        refute = _sampled_vertex_max(form, 5, 5, 4, 3)[1]
-        assert np.array_equal(refute[0], ends[0])
-        res = certify_inequality_cesaro(MatrixOp(ent, lp_space(2), lp_space(2)),
-                                        TruncatedSeq(hv), INF, patterns=4, seed=3)
-        assert res.refuted and np.array_equal(np.asarray(res.pattern.r), ends[0])
-        assert (res.lhs, res.rhs) == (lhs[0], rhs[0])
-
-    def test_refuting_flip_the_evaluator_rejects(self):
-        # h is scaled so that the least RHS of a +-1 pattern at s = inf,
-        # 1 + 1/3 + 1/5 times h, sits at REFUTE_RHS_TOL: a flip the ascent
-        # counts as refuting can end in a record that does not refute, and
-        # the sweep must then go on to the later patterns
-        from strongfactor.factorization import REFUTE_RHS_TOL, _sampled_vertex_max
-
-        ent = self.tiny_h_case()[0]
-        form = self.form(ent, np.full(5, REFUTE_RHS_TOL / (1 + 1 / 3 + 1 / 5)), INF)
-        best, refute, flips = reference_sweep(form, 5, 3, 11)
-        rng = np.random.default_rng(11)
-        ends = np.where(rng.random((len(flips), 5, 5)) < 0.5, -1.0, 1.0)
-        for r in ends:
-            reference_ascent(form, r)
-        lhs, rhs = form.evaluate(ends)[:2]
-        rejected = [f is not None and not (rhs[k] <= 1e-12 and lhs[k] > 1e-9)
-                    for k, f in enumerate(flips)]
-        assert any(rejected[:-1])
-        assert_same_sweep(_sampled_vertex_max(form, 5, 5, 3, 11), (best, refute))
-
-    @pytest.mark.parametrize("s, c_hat", [(Exponent(2), 1.1690837955055293),
-                                          (Exponent(4), 0.8992915448862009),
-                                          (INF, 0.6989177489177489)])
-    def test_one_pattern(self, s, c_hat):
-        # values from the per-pattern loop this ascent replaced
-        n = 8
-        a = diagonal_sandwich(harmonic(n), cesaro_matrix(n), ones(n))
-        res = certify_inequality_cesaro(a, ones(n), s, patterns=1, seed=5)
+    @pytest.mark.parametrize("n", [5, 32, 256])
+    @pytest.mark.parametrize("s", [Exponent("4/3"), Exponent(2), Exponent(3), INF])
+    def test_sandwich_attains_g_norm(self, n, s):
+        g, h, a = self.sandwich(n, 90 + n)
+        res = certify_inequality_cesaro(a, h, s, patterns=8, seed=1)
         assert not res.refuted
-        assert res.c_hat == pytest.approx(c_hat, rel=1e-15)
-        best = reference_sweep(self.form(a.entries, np.ones(n), s), n, 1, 5)[0]
-        assert res.c_hat == best[0] and np.array_equal(np.asarray(res.pattern.r), best[1])
+        assert res.c_hat == pytest.approx(lp_norm(g, s), rel=1e-12, abs=0.0)
+        assert res.c_hat > res.c_hat_vertex  # the vertex search understates it
+        assert_reports_its_pattern(res, cesaro_form(a.entries, h.coeffs,
+                                                    float(conjugate(s))))
+
+    @pytest.mark.parametrize("r, q", [(2, 2), (4, 2), (3, Fraction(3, 2))])
+    def test_corpus_attains_recovered_norm(self, r, q):
+        # h with leading zeros, holes or only h_1 != 0 included: the norm of
+        # the g that the shape check recovers (0 where row i of w vanishes)
+        s = multiplier_exponent(Exponent(r), Exponent(q))
+        sp = float(conjugate(s))
+        bounded = 0
+        for seed, (n, label, a, h) in enumerate(certifier_corpus()):
+            res = certify_inequality_cesaro(a, h, s, patterns=16, seed=seed)
+            if res.refuted:
+                continue
+            bounded += 1
+            cert = cesaro_factor_check(a, h, P2, Exponent(q), Exponent(r))
+            if res.pattern.r.ndim == 2:  # the row form at s = inf keeps its vector
+                assert_reports_its_pattern(res, cesaro_form(a.entries, h.coeffs, sp))
+            assert res.c_hat == pytest.approx(cert.g_norm[0], rel=1e-12, abs=0.0), (n, label)
+        assert bounded >= 40
+
+    @pytest.mark.parametrize("n, patterns", [(5, 16), (32, 64), (64, 20), (256, 3)])
+    def test_block_scoring_matches_whole_draw(self, n, patterns):
+        # blocks of 1310, 32, 8 and 1 starts: the same bits as one draw
+        from strongfactor.factorization import _sampled_vertex_max
+
+        _, h, a = self.sandwich(n, 7)
+        form = cesaro_form(a.entries, h.coeffs, 2.0)
+        for seed in range(2):
+            best, refute, _ = whole_draw_sweep(form, n, patterns, seed)
+            assert refute is None
+            assert_same_sweep(_sampled_vertex_max(form, n, n, patterns, seed), (best, refute))
+
+    def test_refuting_start_in_a_later_block(self):
+        # h = 1e-13 puts the RHS of the starts near REFUTE_RHS_TOL: start 9,
+        # in the second block of 8, is the first to refute; the best vertex
+        # is read from the starts before it only
+        from strongfactor.factorization import _sampled_vertex_max
+
+        n = 64
+        ent = np.tril(np.random.default_rng(0).standard_normal((n, n)))
+        form = cesaro_form(ent, np.full(n, 1e-13), 1.0)
+        best, refute, first = whole_draw_sweep(form, n, 64, 0)
+        assert first == 9
+        assert_same_sweep(_sampled_vertex_max(form, n, n, 64, 0), (best, refute))
 
     @pytest.mark.parametrize("patterns", [1, 8])
     def test_refuting_start_ends_the_sweep(self, patterns):
-        # with h = 0 every RHS vanishes: the first draw refutes unascended
+        # with h = 0 every RHS vanishes: the first draw refutes
         n = 8
         a = diagonal_sandwich(harmonic(n), cesaro_matrix(n), ones(n))
         res = certify_inequality_cesaro(a, TruncatedSeq(np.zeros(n)), Exponent(4),
@@ -1110,11 +1093,15 @@ class TestCertifyCesaro:
         assert abs(r[1, 0] + r[1, 1]) <= 1e-12
         assert res.lhs > 0 and res.rhs <= 1e-12
 
-    def test_zero_matrix_gives_zero(self):
-        zero = MatrixOp(np.zeros((3, 3)), lp_space(2), lp_space(2))
-        res = certify_inequality_cesaro(zero, ones(3), Exponent(4), patterns=4, seed=0)
-        assert res.c_hat == 0.0
-        assert not res.refuted
+    @pytest.mark.parametrize("n", [3, 6])
+    @pytest.mark.parametrize("s", [Exponent(4), INF])
+    def test_zero_matrix_gives_zero(self, n, s):
+        # n = 6 samples; no pattern, attained or searched, scores above 0
+        zero = MatrixOp(np.zeros((n, n)), lp_space(2), lp_space(2))
+        res = certify_inequality_cesaro(zero, ones(n), s, patterns=4, seed=0)
+        assert (res.c_hat, res.c_hat_vertex, res.refuted) == (0.0, 0.0, False)
+        assert_reports_its_pattern(res, cesaro_form(zero.entries, np.ones(n),
+                                                    float(conjugate(s))))
 
     def test_degenerate_exponent(self):
         with pytest.raises(DegenerateExponent):
@@ -1299,17 +1286,30 @@ class TestCertifyFourier:
     @pytest.mark.parametrize("s", [Exponent(2), Exponent(4), Exponent("4/3"),
                                    Exponent("3/2"), Exponent(6), INF])
     def test_matches_reference(self, s):
-        # bit for bit, -0.0 and rows included
+        # bit for bit, -0.0 and rows included: the vertex search always, and
+        # the report too when it refutes or takes the row form (s = inf);
+        # a bounded report at finite s is the attained constant
         def bits(values):
             return [v.tobytes() if isinstance(v, np.ndarray) else repr(v) for v in values]
 
         for ent in fourier_cases():
+            n = ent.shape[0]
             res = certify_inequality_fourier(MatrixOp(ent, lp_space(2), lp_space(2)), s)
             got = (res.c_hat, np.asarray(res.pattern.r), res.lhs, res.rhs, res.refuted,
                    res.c_hat_vertex, res.rows)
             expected = reference_fourier(ent, s)
-            assert got[1].shape == expected[1].shape
-            assert bits(got) == bits(expected)
+            if res.refuted or s.is_inf:
+                assert got[1].shape == expected[1].shape
+                assert bits(got) == bits(expected)
+                continue
+            assert bits(got[4:]) == bits(expected[4:])
+            sp = float(conjugate(s))
+            assert_reports_its_pattern(res, factorization._Form(ent, np.eye(n), np.ones(n), sp))
+            # the sup over the box is ||diag A||_s, up to A's mass off the
+            # diagonal, which no refutation took
+            diag = lp_norm(np.diagonal(ent), s)
+            off = np.abs(ent).sum() - np.abs(np.diagonal(ent)).sum()
+            assert abs(res.c_hat - diag) <= 1e-12 * diag + off
 
     @pytest.mark.parametrize("s", [Exponent(2), INF])
     def test_negative_zero_operator_gives_zero(self, s):
