@@ -434,8 +434,7 @@ class _Form:
         self.ent, self.w, self.wt, self.sp = ent, w, wt, sp
 
     def evaluate(self, r: np.ndarray):
-        """LHS, RHS, the row sums sum_j w_ij r_ij and RHS^s' of each pattern
-        in a stack of shape (P, n, n).
+        """LHS and RHS of each pattern in a stack of shape (P, n, n).
 
         Each sum runs over one row of one pattern at a time: einsum, unlike
         BLAS, then reduces each pattern in the same order whatever P is, so
@@ -446,7 +445,7 @@ class _Form:
         lhs = np.einsum("pij,ij->pi", r, self.ent).sum(axis=1)
         rows = np.einsum("pij,ij->pi", r, self.w)
         rhs_pow = np.einsum("pi,i->p", np.abs(rows) ** self.sp, self.wt)
-        return lhs, rhs_pow ** (1.0 / self.sp), rows, rhs_pow
+        return lhs, rhs_pow ** (1.0 / self.sp)
 
 
 def _refutes(lhs, rhs):
@@ -485,7 +484,7 @@ def _exhaustive_vertex_max(form, n: int, m: int):
     codes = np.arange(1 << k, dtype="<u4").view(np.uint8).reshape(-1, 4)
     stack = np.array([-1.0, 1.0])[
         np.unpackbits(codes, axis=1, count=k, bitorder="little")].reshape(-1, n, m)
-    return _select(stack, *form.evaluate(stack)[:2])
+    return _select(stack, *form.evaluate(stack))
 
 
 def _sampled_vertex_max(form, n: int, m: int, patterns: int, seed: int):
@@ -505,7 +504,7 @@ def _sampled_vertex_max(form, n: int, m: int, patterns: int, seed: int):
         starts = rng.random((hi - lo, n, m))
         np.subtract(starts, 0.5, out=starts)
         np.copysign(1.0, starts, out=starts)  # -1 below 0.5, else +1
-        lhs, rhs = form.evaluate(starts)[:2]
+        lhs, rhs = form.evaluate(starts)
         cut = int(np.argmax(np.append(_refutes(lhs, rhs), True))) + 1
         best, refute = _select(starts[:cut], lhs[:cut], rhs[:cut])
         if best is not None and (vertex is None or best[0] > vertex[0]):
@@ -616,16 +615,16 @@ def _sweep(ent: np.ndarray, w: np.ndarray, wt: np.ndarray, sp: float, patterns: 
             r = np.sign(ent)[None]
             for i, end in enumerate(n - (w[:, ::-1] != 0.0).argmax(axis=1)):
                 r[0, i, :end] = _max_dot_with_zero_sum(ent[i, :end], w[i, :end])
-            refute = _select(r, *form.evaluate(r)[:2])[1]
+            refute = _select(r, *form.evaluate(r))[1]
         if vertex is None:
             # no searched vertex has a nonvanishing RHS: report the all-ones pattern
             ones = np.ones((1, n, n))
-            lhs, rhs = form.evaluate(ones)[:2]
+            lhs, rhs = form.evaluate(ones)
             vertex = _select(ones, lhs, rhs)[0] or (0.0, ones[0], float(lhs[0]), float(rhs[0]))
         best = vertex
         if refute is None and not (closed and sp == 1.0):
             r = _attained(form)
-            attained = None if r is None else _select(r[None], *form.evaluate(r[None])[:2])[0]
+            attained = None if r is None else _select(r[None], *form.evaluate(r[None]))[0]
             if attained and attained[0] >= vertex[0]:
                 best = attained
     c_vertex, c_best = max(vertex[0], 0.0), max(best[0], 0.0)

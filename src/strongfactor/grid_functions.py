@@ -154,10 +154,6 @@ class GridFunction:
     def interval(self) -> tuple[float, float]:
         return self.rule.interval
 
-    @property
-    def nodes(self) -> np.ndarray:
-        return self.rule.nodes
-
     def scaled(self, c: float) -> "GridFunction":
         return GridFunction(self.rule, c * self.values)
 

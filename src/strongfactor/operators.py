@@ -10,8 +10,8 @@ the entry and the change.  All of them share ``n``, ``domain``,
 norm estimate here and the checks and certifiers of ``factorization`` take
 any of them.  The factorization checks read an operator through ``rows``, by
 blocks of about ``_BLOCK_ENTRIES`` entries, so that none of them builds an
-N x N array; the implicit operators other than ``CesaroOp`` build their dense
-array only when ``.entries`` is asked for.  The constructors here hand their
+N x N array; ``rows(0, n)`` is how any of them gives all its entries, and
+only a ``MatrixOp`` has ``.entries``.  The constructors here hand their
 freshly built arrays to ``MatrixOp`` read-only, so it keeps them without a
 copy.
 """
@@ -155,17 +155,8 @@ def _size(n: int) -> int:
     return n
 
 
-def _dense(op) -> np.ndarray:
-    """``.entries`` of an operator that stores none: all its rows, read-only."""
-    out = op.rows(0, op.n)
-    out.flags.writeable = False
-    return out
-
-
 class _Identity:
     """Identity on l^2, held as its size: ``rows`` builds the entries."""
-
-    entries = property(_dense)
 
     def __init__(self, n: int):
         self.n = _size(n)
@@ -194,8 +185,6 @@ class _RandomLower:
     start of the previous read, or, before that too, from the seed: so two
     readers that take turns on the same rows, such as A and B = A in a
     check, draw each row twice, not the whole stream again for each block."""
-
-    entries = property(_dense)
 
     def __init__(self, n: int, seed: int):
         self.n, self.seed = _size(n), seed
@@ -255,8 +244,6 @@ class _Perturbed:
     ``rows`` returns op's rows, and adds eps in the block that holds row i,
     a copy of it when op returns its own array."""
 
-    entries = property(_dense)
-
     def __init__(self, op, i: int, j: int, eps: float):
         self.op, self.i, self.j, self.eps = op, i, j, eps
         self.n, self.domain, self.codomain = op.n, op.domain, op.codomain
@@ -298,8 +285,6 @@ def perturb_entry(op, i: int, j: int, eps: float) -> _Perturbed:
 class _Sandwich:
     """M_g . S . M_h held as g, S and h: entry (i, j) is (g_i * s_ij) * h_j,
     made by ``rows``."""
-
-    entries = property(_dense)
 
     def __init__(self, g: np.ndarray, op, h: np.ndarray):
         self.g, self.s, self.h = g, op, h
@@ -526,13 +511,16 @@ def _parse_matrix_csv(path, digest=None) -> np.ndarray:
 
 
 def _matrix_size(path, k: int, header: str) -> int:
-    """N from the header ``N=<n>``, the first nonblank line (line k)."""
+    """N from the header ``N=<n>``, the first nonblank line (line k); N >= 1."""
     if not header.startswith("N="):
         raise ParseError(f"{path}:{k}: expected header 'N=<n>'")
     try:
-        return int(header[2:])
+        n = int(header[2:])
     except ValueError:
         raise ParseError(f"{path}:{k}: malformed size in header {header!r}") from None
+    if n < 1:
+        raise ParseError(f"{path}:{k}: size in header must be at least 1, got {header!r}")
+    return n
 
 
 #: matrix CSV files of at least this many bytes are parsed once per content

@@ -318,7 +318,7 @@ def certifier_brute_force(res: SuiteResult, seed: int = 0) -> None:
         a = diagonal_sandwich(g, cesaro_matrix(n), h)
         sweep = certify_inequality_cesaro(a, h, s_rq, patterns=8, seed=seed)
         sp = float(conjugate(s_rq))
-        oracle = _oracle_cesaro_vertex_max(np.asarray(a.entries), h.coeffs, sp)
+        oracle = _oracle_cesaro_vertex_max(a.rows(0, n), h.coeffs, sp)
         if abs(oracle - sweep.c_hat_vertex) > 1e-12:
             res.fail(f"n={n}, s={s_rq}: oracle {oracle} != certifier {sweep.c_hat_vertex}")
         bound = lp_norm(g, s_rq)
@@ -334,7 +334,7 @@ def certifier_brute_force(res: SuiteResult, seed: int = 0) -> None:
         tphi = diagonal_sandwich(g, identity_matrix(n), TruncatedSeq(np.ones(n)))
         s = multiplier_exponent(Exponent(4), Exponent(2))  # r = 4/3, r' = 4
         sweep = certify_inequality_fourier(tphi, s)
-        oracle = _oracle_fourier_vertex_max(np.asarray(tphi.entries), float(conjugate(s)))
+        oracle = _oracle_fourier_vertex_max(tphi.rows(0, n), float(conjugate(s)))
         if abs(oracle - sweep.c_hat_vertex) > 1e-12:
             res.fail(f"fourier n={n}: oracle {oracle} != certifier {sweep.c_hat_vertex}")
         if abs(sweep.c_hat - lp_norm(g, s)) > 1e-12:
@@ -351,7 +351,7 @@ def certifier_brute_force(res: SuiteResult, seed: int = 0) -> None:
             res.fail(f"identity n={n}: refutation not found")
             continue
         # recompute the refutation from the returned pattern, independently
-        rpat, ent = np.asarray(sweep.pattern.r), ident.entries
+        rpat, ent = np.asarray(sweep.pattern.r), ident.rows(0, n)
         lhs = sum(rpat[i, j] * float(ent[i, j]) for i in range(n) for j in range(n))
         srows = [sum(float(h.coeffs[j]) * rpat[i, j] for j in range(min(i + 1, n)))
                  for i in range(n)]

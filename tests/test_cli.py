@@ -351,8 +351,8 @@ class TestZeroRowInputs:
     """A CSV with no rows gives one error line and no numpy warning."""
 
     @pytest.mark.parametrize("text, inputs, code, err", [
-        ("N=0\n", ["--matrix", "{}", "--h", "ones"], 64,
-         "error: SizeMismatch: matrix must be square and nonempty, got shape (0, 0)\n"),
+        ("N=0\n", ["--matrix", "{}", "--h", "ones"], 65,
+         "parse error: {}:1: size in header must be at least 1, got 'N=0'\n"),
         ("\n \n", ["--gen", "identity", "--h", "{}"], 65,
          "parse error: {}: empty sequence\n"),
     ], ids=["matrix-n0", "empty-h"])
@@ -815,7 +815,7 @@ class TestMatrixCacheOutputs:
         """A Cesàro sandwich with full-precision g and h, and h, as CSV."""
         rng = np.random.default_rng(3)
         g, h = (TruncatedSeq(rng.uniform(0.5, 2.0, n)) for _ in range(2))
-        a = MatrixOp(diagonal_sandwich(g, CesaroOp(n), h).entries, lp_space(2), lp_space(2))
+        a = MatrixOp(diagonal_sandwich(g, CesaroOp(n), h).rows(0, n), lp_space(2), lp_space(2))
         matrix_to_csv(a, root / "a.csv")
         seq_to_csv(h, root / "h.csv")
         (root / "blocker").write_text("")

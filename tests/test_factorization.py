@@ -233,7 +233,7 @@ class TestCesaroCheckShifted:
         a = diagonal_sandwich(g, CesaroOp(n), h)
         cert = cesaro_factor_check(a, h, P2, P2, P2)
         assert cert.verdict is Verdict.FACTORS
-        expected = a.entries[j0 - 1:, j0 - 1] / hv[j0 - 1]
+        expected = a.rows(j0 - 1, n)[:, j0 - 1] / hv[j0 - 1]
         assert cert.alpha.coeffs.tobytes() == expected.tobytes()
         assert np.count_nonzero(expected) > 1
 
@@ -510,9 +510,10 @@ class TestBlockKernel:
         tri = np.tri(n)
         tri *= hv
         tri *= (1.0 / np.arange(1, n + 1))[:, None]
-        bh = np.abs(b.entries)
+        b_rows = b.rows(0, n)
+        bh = np.abs(b_rows)
         b_zero = bh <= EXACT_TOL
-        np.multiply(b.entries, hv, out=bh)
+        np.multiply(b_rows, hv, out=bh)
         bh[b_zero] = 0.0
         # (the call, the dense w that the parent wrapper built)
         return {
@@ -562,7 +563,7 @@ class TestOverflowingMultiplier:
         a = diagonal_sandwich(ones(n), cesaro_matrix(n), TruncatedSeq(hv))
         if bump:
             a = perturb_entry(a, 250, 2, 1e-3)
-        return perturb_entry(a, 251, 1, 1e10 - float(a.entries[250, 0])), TruncatedSeq(hv)
+        return perturb_entry(a, 251, 1, 1e10 - float(a.rows(250, 251)[0, 0])), TruncatedSeq(hv)
 
     @staticmethod
     def product_case(bump):
@@ -622,7 +623,7 @@ class TestImplicitCesaroThrough:
     @staticmethod
     def sandwich(n, hv):
         g = TruncatedSeq(np.cos(np.arange(n)) + 0.5)
-        return diagonal_sandwich(g, CesaroOp(n), TruncatedSeq(hv)).entries.copy()
+        return diagonal_sandwich(g, CesaroOp(n), TruncatedSeq(hv)).rows(0, n)
 
     def test_exact_sandwich(self):
         n = 300
@@ -890,7 +891,7 @@ class TestCesaroForm:
         hv = rng.uniform(-1.5, 1.5, n)
         stack = rng.uniform(-1.0, 1.0, (8, n, n))
         for sp in (1.0, 4.0 / 3.0, 2.0, 4.0):
-            lhs, rhs = cesaro_form(ent, hv, sp).evaluate(stack)[:2]
+            lhs, rhs = cesaro_form(ent, hv, sp).evaluate(stack)
             for k, r in enumerate(stack):
                 ref_lhs, ref_rhs = self.reference(ent, hv, sp, r)
                 # the LHS may cancel: measure it against its absolute terms
@@ -911,7 +912,7 @@ class TestCesaroForm:
         a = diagonal_sandwich(g, cesaro_matrix(n), h)
         res = certify_inequality_cesaro(a, h, s, patterns=16, seed=2)
         assert not res.refuted
-        form = cesaro_form(a.entries, h.coeffs, float(conjugate(s)))
+        form = cesaro_form(a.rows(0, n), h.coeffs, float(conjugate(s)))
         assert_reports_its_pattern(res, form)
         search = (_exhaustive_vertex_max(form, n, n) if n * n <= 16
                   else _sampled_vertex_max(form, n, n, 16, 2))
@@ -923,8 +924,8 @@ class TestCesaroForm:
         res = certify_inequality_cesaro(identity_matrix(n), ones(n), Exponent(4),
                                         patterns=4, seed=0)
         assert res.refuted
-        form = cesaro_form(identity_matrix(n).entries, np.ones(n), float(conjugate(Exponent(4))))
-        lhs, rhs = form.evaluate(np.asarray(res.pattern.r)[None])[:2]
+        form = cesaro_form(identity_matrix(n).rows(0, n), np.ones(n), float(conjugate(Exponent(4))))
+        lhs, rhs = form.evaluate(np.asarray(res.pattern.r)[None])
         assert (res.lhs, res.rhs) == (lhs[0], rhs[0])
 
 
@@ -934,7 +935,7 @@ def whole_draw_sweep(form, n, patterns, seed):
     pattern, lhs, rhs) and (pattern, lhs, rhs), and the index of the
     refuting start (None when no start refutes)."""
     starts = np.where(np.random.default_rng(seed).random((patterns, n, n)) < 0.5, -1.0, 1.0)
-    lhs, rhs = form.evaluate(starts)[:2]
+    lhs, rhs = form.evaluate(starts)
     best = refute = first = None
     for k in range(patterns):
         if rhs[k] <= 1e-12 and lhs[k] > 1e-9:
@@ -963,7 +964,7 @@ def assert_reports_its_pattern(res, form):
     least the vertex search's."""
     r = np.asarray(res.pattern.r)
     assert np.abs(r).max(initial=0.0) <= 1.0
-    lhs, rhs = form.evaluate(r[None])[:2]
+    lhs, rhs = form.evaluate(r[None])
     assert (res.lhs, res.rhs) == (lhs[0], rhs[0])
     if not res.refuted:
         assert res.c_hat == max(lhs[0] / rhs[0], 0.0)
@@ -990,7 +991,7 @@ class TestAttainedConstant:
         assert not res.refuted
         assert res.c_hat == pytest.approx(lp_norm(g, s), rel=1e-12, abs=0.0)
         assert res.c_hat > res.c_hat_vertex  # the vertex search understates it
-        assert_reports_its_pattern(res, cesaro_form(a.entries, h.coeffs,
+        assert_reports_its_pattern(res, cesaro_form(a.rows(0, n), h.coeffs,
                                                     float(conjugate(s))))
 
     @pytest.mark.parametrize("r, q", [(2, 2), (4, 2), (3, Fraction(3, 2))])
@@ -1007,7 +1008,7 @@ class TestAttainedConstant:
             bounded += 1
             cert = cesaro_factor_check(a, h, P2, Exponent(q), Exponent(r))
             if res.pattern.r.ndim == 2:  # the row form at s = inf keeps its vector
-                assert_reports_its_pattern(res, cesaro_form(a.entries, h.coeffs, sp))
+                assert_reports_its_pattern(res, cesaro_form(a.rows(0, n), h.coeffs, sp))
             assert res.c_hat == pytest.approx(cert.g_norm[0], rel=1e-12, abs=0.0), (n, label)
         assert bounded >= 40
 
@@ -1017,7 +1018,7 @@ class TestAttainedConstant:
         from strongfactor.factorization import _sampled_vertex_max
 
         _, h, a = self.sandwich(n, 7)
-        form = cesaro_form(a.entries, h.coeffs, 2.0)
+        form = cesaro_form(a.rows(0, n), h.coeffs, 2.0)
         for seed in range(2):
             best, refute, _ = whole_draw_sweep(form, n, patterns, seed)
             assert refute is None
@@ -1046,7 +1047,7 @@ class TestAttainedConstant:
         first = np.where(np.random.default_rng(5).random((n, n)) < 0.5, -1.0, 1.0)
         assert res.refuted and math.isinf(res.c_hat) and res.c_hat_vertex == 0.0
         assert np.array_equal(np.asarray(res.pattern.r), first)
-        assert res.rhs == 0.0 and res.lhs == float(np.sum(first * a.entries))
+        assert res.rhs == 0.0 and res.lhs == float(np.sum(first * a.rows(0, n)))
 
 
 class TestCertifyCesaro:
@@ -1058,12 +1059,13 @@ class TestCertifyCesaro:
         g = TruncatedSeq(rng.uniform(0.5, 1.5, n))
         h = TruncatedSeq(rng.uniform(0.5, 1.5, n))
         a = diagonal_sandwich(g, cesaro_matrix(n), h)
+        ent = a.rows(0, n)
         for s in (Exponent(4), INF):
             sp = float(conjugate(s))
             bound = lp_norm(g, s)
             for _ in range(200):
                 r = rng.uniform(-1.0, 1.0, (n, n))
-                lhs = float(np.sum(r * np.asarray(a.entries)))
+                lhs = float(np.sum(r * ent))
                 rhs_pow = 0.0
                 for i in range(n):
                     row_sum = float(np.dot(h.coeffs[:i + 1], r[i, :i + 1]))
@@ -1078,7 +1080,7 @@ class TestCertifyCesaro:
             a = diagonal_sandwich(g, cesaro_matrix(n), h)
             s = Exponent(4)
             res = certify_inequality_cesaro(a, h, s, patterns=4, seed=0)
-            oracle = oracle_cesaro(np.asarray(a.entries), h.coeffs, float(conjugate(s)))
+            oracle = oracle_cesaro(a.rows(0, n), h.coeffs, float(conjugate(s)))
             assert res.c_hat_vertex == pytest.approx(oracle, abs=1e-12)
             assert not res.refuted
             assert res.c_hat <= lp_norm(g, s) + 1e-9
@@ -1203,14 +1205,14 @@ class TestCertifierAgreesWithShapeCheck:
         s = multiplier_exponent(Exponent(4), P2)
         for n, label, a, h in self.spikes(4):
             res = certify_inequality_cesaro(a, h, s, patterns=16, seed=0)
-            oracle = oracle_cesaro(np.asarray(a.entries), h.coeffs, float(conjugate(s)))
+            oracle = oracle_cesaro(a.rows(0, n), h.coeffs, float(conjugate(s)))
             assert res.c_hat_vertex == pytest.approx(oracle, abs=1e-12), (n, label)
 
     def test_closed_form_row_form(self):
         # at s = inf the pattern is a vector on the row k of A that maximizes
         # sum_j |a_kj| / (|h_1| / k), which no +-1 matrix ratio exceeds
         for n, label, a, h in self.spikes(12):
-            ent = np.asarray(a.entries)
+            ent = a.rows(0, n)
             res = certify_inequality_cesaro(a, h, INF, patterns=16, seed=0)
             pattern = np.asarray(res.pattern.r)
             assert pattern.shape == (n,) and res.cols == n, (n, label)
@@ -1327,7 +1329,7 @@ class TestCertifyFourier:
             s = Exponent(4)
             res = certify_inequality_fourier(tphi, s)
             assert res.c_hat == pytest.approx(lp_norm(g, s), rel=1e-12)
-            oracle = oracle_fourier(np.asarray(tphi.entries), float(conjugate(s)))
+            oracle = oracle_fourier(tphi.rows(0, n), float(conjugate(s)))
             assert res.c_hat_vertex == pytest.approx(oracle, abs=1e-12)
 
     def test_general_diagonal_matches_oracle(self):
@@ -1337,7 +1339,7 @@ class TestCertifyFourier:
         tphi = diagonal_sandwich(g, identity_matrix(n), ones(n))
         s = Exponent(2)
         res = certify_inequality_fourier(tphi, s)
-        oracle = oracle_fourier(np.asarray(tphi.entries), float(conjugate(s)))
+        oracle = oracle_fourier(tphi.rows(0, n), float(conjugate(s)))
         assert res.c_hat_vertex == pytest.approx(oracle, abs=1e-12)
         assert res.c_hat <= lp_norm(g, s) + 1e-9
 

@@ -126,10 +126,9 @@ class TestCesaroOp:
         op = {"implicit": lambda: CesaroOp(n), "dense": lambda: cesaro_matrix(n),
               "dense-lower": lambda: random_lower_triangular(n, seed=n)}[through]()
         if through == "dense-lower":
-            s = op.entries
-        got = diagonal_sandwich(TruncatedSeq(g), op, TruncatedSeq(h)).entries
+            s = op.rows(0, n)
+        got = diagonal_sandwich(TruncatedSeq(g), op, TruncatedSeq(h)).rows(0, n)
         assert got.tobytes() == reference_sandwich(g, s, h).tobytes()
-        assert not got.flags.writeable
 
     def test_spaces_and_size(self):
         op = CesaroOp(5)
@@ -190,23 +189,23 @@ def test_cesaro_products_match_the_dense_matrix(n):
 class TestDiagonalSandwich:
     def test_unit_multipliers_preserve(self):
         op = cesaro_matrix(5)
-        assert np.array_equal(diagonal_sandwich(ones(5), op, ones(5)).entries,
+        assert np.array_equal(diagonal_sandwich(ones(5), op, ones(5)).rows(0, 5),
                               op.entries)
 
     def test_diagonal_product(self):
         out = diagonal_sandwich(TruncatedSeq([1.0, 2.0]), identity_matrix(2),
                                 TruncatedSeq([3.0, 4.0]))
-        assert np.allclose(out.entries, [[3.0, 0.0], [0.0, 8.0]])
+        assert np.allclose(out.rows(0, 2), [[3.0, 0.0], [0.0, 8.0]])
 
     def test_cesaro_entries(self):
         rng = np.random.default_rng(1)
         g = TruncatedSeq(rng.standard_normal(6))
         h = TruncatedSeq(rng.standard_normal(6))
-        out = diagonal_sandwich(g, cesaro_matrix(6), h)
+        out = diagonal_sandwich(g, cesaro_matrix(6), h).rows(0, 6)
         for i in range(1, 7):
             for j in range(1, 7):
                 expected = g.coeffs[i - 1] * h.coeffs[j - 1] / i if j <= i else 0.0
-                assert out.entries[i - 1, j - 1] == pytest.approx(expected, abs=1e-15)
+                assert out[i - 1, j - 1] == pytest.approx(expected, abs=1e-15)
 
     def test_matches_entrywise_application(self):
         rng = np.random.default_rng(2)
@@ -221,7 +220,7 @@ class TestDiagonalSandwich:
 
 class TestImplicitSandwich:
     """``diagonal_sandwich`` holds g, S and h.  Its rows have the bits of the
-    dense product (``TestCesaroOp`` checks ``entries``), its products agree
+    dense product (``TestCesaroOp`` checks all of them), its products agree
     with the dense matrix, and an entry that is not finite is refused when
     it is built."""
 
@@ -263,7 +262,7 @@ class TestImplicitSandwich:
         g, h = np.ones(n), np.ones(n)
         g[0] = h[-1] = 1e200
         op = diagonal_sandwich(TruncatedSeq(g), CesaroOp(n), TruncatedSeq(h))
-        assert op.entries.tobytes() == reference_sandwich(g, reference_cesaro(n), h).tobytes()
+        assert op.rows(0, n).tobytes() == reference_sandwich(g, reference_cesaro(n), h).tobytes()
 
 
 class TestRandomLower:
@@ -287,7 +286,6 @@ class TestRandomLower:
             rows = op.rows(lo, hi)
             assert rows.flags.writeable and rows.flags.owndata
             assert rows.tobytes() == ref[lo:hi].tobytes(), (lo, hi)
-        assert op.entries.tobytes() == ref.tobytes() and not op.entries.flags.writeable
         x = np.random.default_rng(0).standard_normal(n)
         scale = np.abs(ref)
         assert np.all(np.abs(op.matvec(x) - ref @ x) <= 1e-12 * (scale @ np.abs(x)))
@@ -398,7 +396,7 @@ class TestFactorableMatrix:
 
 class TestIO:
     def test_csv_round_trip(self, tmp_path):
-        op = random_lower_triangular(5, seed=3)
+        op = MatrixOp(random_lower_triangular(5, seed=3).rows(0, 5), lp_space(2), lp_space(2))
         path = tmp_path / "m.csv"
         matrix_to_csv(op, path)
         back = matrix_from_csv(path)
@@ -439,22 +437,18 @@ class TestIO:
         seq_to_csv(x, path)
         assert np.array_equal(seq_from_csv(path).coeffs, x.coeffs)
 
-    def test_matrix_must_be_square(self, tmp_path):
+    def test_matrix_must_be_square(self):
         with pytest.raises(SizeMismatch):
             MatrixOp(np.ones((2, 3)), lp_space(2), lp_space(2))
         with pytest.raises(SizeMismatch):
             identity_matrix(0)
         with pytest.raises(SizeMismatch):
             random_lower_triangular(0, seed=1)
-        path = tmp_path / "empty.csv"
-        path.write_text("N=0\n")
-        with pytest.raises(SizeMismatch):
-            matrix_from_csv(path)
 
     def test_perturb_entry_bounds(self):
         op = cesaro_matrix(3)
         out = perturb_entry(op, 1, 3, 0.5)
-        assert out.entries[0, 2] == 0.5
+        assert out.rows(0, 1)[0, 2] == 0.5
         assert op.entries[0, 2] == 0.0
 
     # file name, its text, the reader, and the message after "<path>"
@@ -468,6 +462,10 @@ class TestIO:
         "csv-empty": ("m.csv", "", matrix_from_csv, ":1: expected header 'N=<n>'"),
         "csv-row-count": ("m.csv", "N=2\n1,2\n", matrix_from_csv,
                           ": expected 2 rows, found 1"),
+        "csv-size-zero": ("m.csv", "N=0\n", matrix_from_csv,
+                          ":1: size in header must be at least 1, got 'N=0'"),
+        "csv-size-negative": ("m.csv", "N=-2\n1,2\n3,4\n", matrix_from_csv,
+                              ":1: size in header must be at least 1, got 'N=-2'"),
         "json-syntax": ("m.json", '{"entries": [[1]],\n "domain": }', matrix_from_json_file,
                         ":2: Expecting value"),
         "json-missing-key": ("m.json", '{"entries": [[1]]}', matrix_from_json_file,
@@ -970,18 +968,14 @@ class TestJson:
 
 
 def built_ops(tmp_path):
-    """One MatrixOp from every constructor in the module."""
+    """One MatrixOp from every constructor in the module that returns one."""
     a = cesaro_matrix(4)
     csv_path, json_path = tmp_path / "m.csv", tmp_path / "m.json"
     matrix_to_csv(a, csv_path)
     json_path.write_text(json.dumps(a.to_json()))
     return {
         "cesaro_matrix": a,
-        "identity_matrix": identity_matrix(4),
-        "random_lower_triangular": random_lower_triangular(4, seed=1),
         "factorable_matrix": factorable_matrix(ones(4), ones(4), j0=2),
-        "perturb_entry": perturb_entry(a, 1, 2, 0.5),
-        "diagonal_sandwich": diagonal_sandwich(ones(4), a, ones(4)),
         "matrix_from_csv": matrix_from_csv(csv_path),
         "matrix_from_json_file": matrix_from_json_file(json_path),
         "MatrixOp(list)": MatrixOp([[1.0, 2.0], [3.0, 4.0]], lp_space(2), lp_space(2)),
@@ -1038,7 +1032,8 @@ class TestOwnership:
         before = a.entries.copy()
         out = perturb_entry(a, n, 1, 0.5)
         x = np.random.default_rng(0).standard_normal(n)
-        dense, scale = out.entries, np.abs(out.entries)
+        dense = out.rows(0, n)
+        scale = np.abs(dense)
         assert np.all(np.abs(out.matvec(x) - dense @ x) <= 1e-12 * (scale @ np.abs(x)))
         assert np.all(np.abs(out.rmatvec(x) - x @ dense) <= 1e-12 * (np.abs(x) @ scale))
         blocks = [(lo, hi, out.rows(lo, hi)) for lo, hi in operators._block_bounds(n)]
@@ -1046,13 +1041,51 @@ class TestOwnership:
         assert a.entries.tobytes() == before.tobytes()
         for lo, hi, rows in blocks:
             assert np.shares_memory(rows, a.entries) == (hi < n)
-        assert out.entries[n - 1, 0] == before[n - 1, 0] + 0.5
-        assert not np.shares_memory(out.entries, a.entries)
+        assert dense[n - 1, 0] == before[n - 1, 0] + 0.5
+        assert not np.shares_memory(dense, a.entries)
 
     def test_sandwich_overflow_is_spec_error(self):
         big = TruncatedSeq(np.full(3, 1e200))
         with np.errstate(over="ignore"), pytest.raises(SpecError, match="finite"):
             diagonal_sandwich(big, identity_matrix(3), big)
+
+
+#: every constructor of an operator that stores no entries, at size 4
+IMPLICIT_OPS = {
+    "CesaroOp": lambda: CesaroOp(4),
+    "identity_matrix": lambda: identity_matrix(4),
+    "random_lower_triangular": lambda: random_lower_triangular(4, seed=1),
+    "perturb_entry": lambda: perturb_entry(CesaroOp(4), 1, 2, 0.5),
+    "diagonal_sandwich": lambda: diagonal_sandwich(ones(4), CesaroOp(4), ones(4)),
+}
+
+
+def entries_reads(source):
+    """The line of each use of an attribute named ``entries`` in this module
+    source."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Attribute) and node.attr == "entries")
+
+
+class TestOneReadPath:
+    """``rows(lo, hi)`` is the one way to read an operator that stores no
+    entries: only a ``MatrixOp`` has ``.entries``, and only ``operators``
+    reads it."""
+
+    @pytest.mark.parametrize("make", IMPLICIT_OPS.values(), ids=IMPLICIT_OPS.keys())
+    def test_implicit_kinds_have_no_entries(self, make):
+        assert not hasattr(make(), "entries")
+
+    def test_only_operators_reads_entries(self):
+        found = [f"{path.name}:{line}"
+                 for path in sorted((SRC / "strongfactor").glob("*.py"))
+                 if path.name != "operators.py"
+                 for line in entries_reads(path.read_text(encoding="utf-8"))]
+        assert found == []
+
+    def test_guard_finds_each_read(self):
+        source = "a = op.entries\nb = np.asarray(op.rows(0, n))\nc = f(x).entries[0]\n"
+        assert entries_reads(source) == [1, 3]
 
 
 class TestConstructorMemory:
