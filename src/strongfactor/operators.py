@@ -482,8 +482,8 @@ def _write_csv(path, rows: np.ndarray, header: str | None = None) -> None:
             fh.write(",".join(map(repr, row.tolist())) + "\n")
 
 
-def matrix_to_csv(op: MatrixOp, path) -> None:
-    _write_csv(path, op.entries, header=f"N={op.n}")
+def matrix_to_csv(op, path) -> None:
+    _write_csv(path, op.rows(0, op.n), header=f"N={op.n}")
 
 
 def matrix_from_csv(path) -> MatrixOp:
