@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import DomainMismatch, ExponentRange, IndexOutOfRange, SpecError
 from .exponents import Exponent
-from .seq_spaces import IndexDomain, TruncatedSeq
+from .seq_spaces import IndexDomain, TruncatedSeq, weighted_lp_norm
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 SQRT_PI = math.sqrt(math.pi)
@@ -289,12 +289,11 @@ def fourier_coeffs(f: GridFunction, spec: BasisSpec, count: int) -> TruncatedSeq
 
 
 def lp_function_norm(f: GridFunction, p: Exponent) -> float:
-    """(integral |f|^p)^(1/p) against the rule's measure; p = inf rejected."""
-    p = Exponent(p)
-    if p.is_inf:
+    """(integral |f|^p)^(1/p) against the rule's measure: the weighted l^p norm
+    of the samples with the rule's weights as the weight; p = inf rejected."""
+    if Exponent(p).is_inf:
         raise ExponentRange("sup norm is not defined for sampled functions")
-    pf = float(p)
-    return float(np.dot(f.rule.weights, np.abs(f.values) ** pf) ** (1.0 / pf))
+    return weighted_lp_norm(f.values, p, f.rule.weights)
 
 
 def representing_setup(spec: BasisSpec):

@@ -119,14 +119,18 @@ def _block_bounds(n: int, lo: int = 0, hi: int | None = None):
     return ((k, min(k + step, hi)) for k in range(lo, hi, step))
 
 
+def _size(n: int) -> int:
+    if n < 1:
+        raise SizeMismatch(f"matrix must be square and nonempty, got shape ({n}, {n})")
+    return n
+
+
 class CesaroOp:
     """Running-averages operator C_N on l^2, held implicitly: entry (i, j) is
     1/i for j <= i, else 0.  Only ``rows`` builds entries."""
 
     def __init__(self, n: int):
-        if n < 1:
-            raise SpecError("matrix size must be >= 1")
-        self.n = n
+        self.n = _size(n)
         self.domain = self.codomain = _L2
 
     def rows(self, lo: int, hi: int) -> np.ndarray:
@@ -147,12 +151,6 @@ class CesaroOp:
 def cesaro_matrix(n: int) -> MatrixOp:
     """Running-averages operator as a dense ``MatrixOp`` on l^2."""
     return _fresh(CesaroOp(n).rows(0, n), _L2, _L2)
-
-
-def _size(n: int) -> int:
-    if n < 1:
-        raise SizeMismatch(f"matrix must be square and nonempty, got shape ({n}, {n})")
-    return n
 
 
 class _Identity:
@@ -354,8 +352,8 @@ def operator_norm_estimate(op, seed: int = 0) -> NormEstimate:
     a = op.rows(0, n)
     pairs = itertools.chain(((np.eye(1, n, j)[0], a[:, j]) for j in range(n)),
                             ((x, op.matvec(x)) for x in rng.standard_normal((_NORM_TRIALS, n))))
-    best = max((space_norm(TruncatedSeq(y), op.codomain) / dn for x, y in pairs
-                if (dn := space_norm(TruncatedSeq(x), op.domain)) > 0), default=0.0)
+    best = max((space_norm(y, op.codomain) / dn for x, y in pairs
+                if (dn := space_norm(x, op.domain)) > 0), default=0.0)
     return NormEstimate(best, 0, False)
 
 

@@ -21,7 +21,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DomainMismatch, LengthMismatch, SpecError
+from .errors import DomainMismatch, IndexOutOfRange, LengthMismatch, SpecError
 from .exponents import Exponent, conjugate
 
 
@@ -113,8 +113,7 @@ class SeqSpaceSpec:
         if self.kind is SpaceKind.LP_WEIGHTED:
             if self.weight is None:
                 raise SpecError("weighted space needs a weight sequence")
-            if np.any(self.weight.coeffs <= 0):
-                raise SpecError("weight entries must be strictly positive")
+            _positive(self.weight.coeffs)
 
     def to_json(self) -> dict:
         out = {"kind": self.kind.value, "p": self.p.to_json()}
@@ -145,14 +144,24 @@ def _coeffs(x) -> np.ndarray:
     return np.asarray(x, dtype=float)
 
 
-def _scaled_lp(v: np.ndarray, pf: float, weight=1.0) -> tuple[float, float]:
+def _positive(weight: np.ndarray) -> np.ndarray:
+    """The weight, once every entry is checked finite and strictly positive."""
+    if not (weight.min(initial=math.inf) > 0 and weight.max(initial=0.0) < math.inf):
+        raise SpecError("weight entries must be finite and strictly positive")
+    return weight
+
+
+def _scaled_lp(v: np.ndarray, p: Exponent, weight=1.0) -> tuple[float, float]:
     """(m, t) with m = max v and t = (sum W_i (v_i/m)^p)^(1/p), for v >= 0.
 
     The norm is m*t.  Every power is taken of a ratio at most 1, so no term
     overflows and the largest does not underflow (Blue 1978; LAPACK dnrm2).
-    A zero or non-finite m is returned with t = 1.  At p = 1 no power is
-    taken, and the plain sum is returned as t with m = 1.
+    A zero or non-finite m, or the max at p = inf (weight ignored), comes with
+    t = 1.  At p = 1 no power is taken: t is the plain sum, with m = 1.
     """
+    if p.is_inf:
+        return float(v.max(initial=0.0)), 1.0
+    pf = float(p)
     if pf == 1.0:
         return 1.0, float((weight * v).sum())
     m = float(v.max(initial=0.0))
@@ -164,53 +173,44 @@ def _scaled_lp(v: np.ndarray, pf: float, weight=1.0) -> tuple[float, float]:
 def lp_norm(x, p: Exponent) -> float:
     """(sum |x_i|^p)^(1/p), evaluated scaled by max |x_i|; max |x_i| for
     p = inf."""
-    v = np.abs(_coeffs(x))
-    p = Exponent(p)
-    if p.is_inf:
-        return float(v.max(initial=0.0))
-    m, t = _scaled_lp(v, float(p))
+    m, t = _scaled_lp(np.abs(_coeffs(x)), Exponent(p))
     return m * t
 
 
 def weighted_lp_norm(x, p: Exponent, weight) -> float:
-    """(sum W_i |x_i|^p)^(1/p), evaluated scaled by max |x_i|.
+    """(sum W_i |x_i|^p)^(1/p) for finite W_i > 0, evaluated scaled by max |x_i|.
 
     For p = inf the weight is ignored and the sup norm is returned; the
     weighted sup case never arises here and this convention keeps the
     operation total.
     """
     v = np.abs(_coeffs(x))
-    w = _coeffs(weight)
+    w = _positive(_coeffs(weight))
     if v.size != w.size:
         raise LengthMismatch(f"sequence length {v.size} != weight length {w.size}")
-    p = Exponent(p)
-    if p.is_inf:
-        return float(v.max(initial=0.0))
-    m, t = _scaled_lp(v, float(p), w)
+    m, t = _scaled_lp(v, Exponent(p), w)
     return m * t
 
 
+def _block_ids(k):
+    """sign(k) * max(1, frexp exponent of |k| - 1), elementwise: the smallest m
+    with |k| <= 2^m, 0 at k = 0; exact while |k| - 1 is, for |k| <= 2^53."""
+    return np.sign(k) * np.maximum(1, np.frexp(np.abs(k) - 1)[1])
+
+
 def dyadic_block_id(k: int) -> int:
-    """Block label for index k under the smallest-|m| assignment."""
-    if k == 0:
-        return 0
-    a = abs(k)
-    m = max(1, (a - 1).bit_length())
-    return m if k > 0 else -m
+    """Block label for index k under the smallest-|m| assignment, |k| <= 2^53."""
+    if abs(k) > 2 ** 53:
+        raise IndexOutOfRange(f"index {k} outside |k| <= 2^53, where block labels are exact")
+    return int(_block_ids(k))
 
 
 def kellogg_norm(lam: TruncatedSeq, p: Exponent, q: Exponent) -> float:
     """Mixed norm: l^p within each dyadic block, combined in l^q over blocks."""
     if not isinstance(lam, TruncatedSeq) or lam.index_domain is not IndexDomain.ZSYM:
         raise DomainMismatch("mixed-norm evaluation needs a ZSYM sequence")
-    p, q = Exponent(p), Exponent(q)
-    ids = np.fromiter((dyadic_block_id(int(k)) for k in lam.indices()),
-                      dtype=int, count=len(lam))
-    v = np.abs(lam.coeffs)
-    inner = []
-    for b in np.unique(ids):
-        inner.append(lp_norm(v[ids == b], p))
-    return lp_norm(np.asarray(inner), q)
+    ids = _block_ids(lam.indices())
+    return lp_norm([lp_norm(lam.coeffs[ids == b], p) for b in np.unique(ids)], q)
 
 
 def space_norm(x, spec: SeqSpaceSpec) -> float:
@@ -234,7 +234,8 @@ def dual_norm(c, s: Exponent) -> tuple[float, TruncatedSeq]:
     v = seq.coeffs
     s = Exponent(s)
     sp = conjugate(s)
-    value = lp_norm(v, sp)
+    m, t = _scaled_lp(np.abs(v), sp)
+    value = m * t
     if value == 0.0:
         return 0.0, TruncatedSeq(np.zeros_like(v), seq.index_domain)
     if s == Exponent(1):
@@ -246,6 +247,5 @@ def dual_norm(c, s: Exponent) -> tuple[float, TruncatedSeq]:
         return value, TruncatedSeq(np.sign(v), seq.index_domain)
     # |f_i| = (|v_i|/m)^(s'-1) / t^(s'-1) with value = m*t: scaled, like the norm
     spf = float(sp)
-    m, t = _scaled_lp(np.abs(v), spf)
     f = np.sign(v) * (np.abs(v) / m) ** (spf - 1.0) / t ** (spf - 1.0)
     return value, TruncatedSeq(f, seq.index_domain)

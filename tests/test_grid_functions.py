@@ -3,6 +3,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from strongfactor.errors import (
     DomainMismatch,
@@ -33,6 +36,9 @@ from strongfactor.grid_functions import (
 from strongfactor.seq_spaces import TruncatedSeq, lp_norm
 
 TRIG8 = BasisSpec(BasisFamily.TRIG_REAL, 8)
+
+#: (c, p) where the unscaled sum of c^p underflowed or overflowed
+EXTREME_CONSTANTS = [(1e-5, 100), (1e-200, 2), (10.0, 1000), (1e200, 2)]
 
 
 class TestEvalBasis:
@@ -241,6 +247,35 @@ class TestFunctionNorm:
     def test_sup_rejected(self):
         with pytest.raises(ExponentRange):
             lp_function_norm(constant(1.0, TRIG8), INF)
+
+    @pytest.mark.parametrize("c, p", EXTREME_CONSTANTS)
+    def test_extreme_constants(self, c, p):
+        # the Legendre rule's weights add up to 2, the length of [-1, 1]
+        f = constant(c, BasisSpec(BasisFamily.LEGENDRE, 1))
+        with np.errstate(all="raise"):
+            got = lp_function_norm(f, Exponent(p))
+        assert abs(got - c * 2.0 ** (1 / p)) <= math.ulp(c * 2.0 ** (1 / p))
+
+    # Laguerre is left out: its weights reach 2e-101, so at p = 1 a weighted
+    # sample times 2^-800 leaves the normal range
+    @settings(deadline=None)
+    @given(st.sampled_from([BasisFamily.TRIG_REAL, BasisFamily.LEGENDRE,
+                            BasisFamily.CHEBYSHEV1, BasisFamily.CHEBYSHEV2]),
+           arrays(np.float64, st.integers(1, 24), elements=st.one_of(
+               st.just(0.0), st.floats(1e-3, 1e3), st.floats(-1e3, -1e-3))),
+           st.sampled_from([1, Fraction(4, 3), 2, 3, 100, 1000]),
+           st.integers(-800, 800))
+    @example(BasisFamily.LEGENDRE, np.array([1e-5]), 100, 16)
+    @example(BasisFamily.LEGENDRE, np.array([1e-200]), 2, 664)
+    @example(BasisFamily.LEGENDRE, np.array([10.0]), 1000, -3)
+    @example(BasisFamily.LEGENDRE, np.array([1e200]), 2, -664)
+    def test_exactly_homogeneous_at_every_scale(self, family, v, p, k):
+        # v repeats over the nodes; 2^k times it stays normal, and so do the norms
+        rule = default_rule(family)
+        values = np.resize(v, rule.nodes.size)
+        e = Exponent(p)
+        assert lp_function_norm(GridFunction(rule, np.ldexp(values, k)), e) == math.ldexp(
+            lp_function_norm(GridFunction(rule, values), e), k)
 
 
 class TestParsevalHausdorffYoung:

@@ -134,7 +134,8 @@ class TestCesaroOp:
         op = CesaroOp(5)
         assert op.n == 5 and op.domain == op.codomain == lp_space(2)
         assert cesaro_matrix(5).domain == op.domain
-        with pytest.raises(SpecError, match="matrix size must be >= 1"):
+        with pytest.raises(SizeMismatch, match=r"^matrix must be square and nonempty, "
+                                                r"got shape \(0, 0\)$"):
             CesaroOp(0)
 
     def test_matrix_rows_are_a_read_only_view(self):

@@ -7,7 +7,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from strongfactor.errors import DomainMismatch, LengthMismatch, SpecError
+from strongfactor.errors import DomainMismatch, IndexOutOfRange, LengthMismatch, SpecError
 from strongfactor.exponents import INF, Exponent, conjugate
 from strongfactor.seq_spaces import (
     IndexDomain,
@@ -26,6 +26,16 @@ finite_vectors = arrays(
     np.float64, st.integers(1, 24),
     elements=st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False),
 )
+
+
+#: entries 0 or of magnitude in [1e-3, 1e3]: times 2^k, |k| <= 800, still 0 or
+#: normal, and so are the norms
+scalable_entries = st.one_of(st.just(0.0), st.floats(1e-3, 1e3), st.floats(-1e3, -1e-3))
+scalable_vectors = arrays(np.float64, st.integers(1, 24), elements=scalable_entries)
+scales = st.integers(-800, 800)
+scale_exponents = st.sampled_from([1, Fraction(4, 3), 2, 3, 100, 1000, "inf"])
+
+BAD_WEIGHT = "^weight entries must be finite and strictly positive$"
 
 
 def zsym(values):
@@ -143,6 +153,11 @@ class TestWeightedNorm:
     def test_sup_ignores_weight(self):
         assert weighted_lp_norm([1.0, -4.0], INF, [100.0, 0.5]) == 4.0
 
+    @pytest.mark.parametrize("weight", [(-1.0, -1.0), (-1.0, 0.5), (math.inf, 1.0)])
+    def test_weight_must_be_finite_and_positive(self, weight):
+        with pytest.raises(SpecError, match=BAD_WEIGHT):
+            weighted_lp_norm([1.0, 1.0], Exponent(2), weight)
+
     def test_extreme_scales(self):
         w = [1.0, 2.0, 0.5, 1.0]
         assert weighted_lp_norm(np.full(4, 1e-5), Exponent(100), w) == pytest.approx(
@@ -164,10 +179,36 @@ def oracle_block_assignment(k: int) -> int:
     return m if k > 0 else -m
 
 
+def reference_kellogg(lam: TruncatedSeq, p: Exponent, q: Exponent) -> float:
+    """Mixed norm from the per-index oracle: blocks in ascending label order."""
+    blocks = {}
+    for k, v in zip(lam.indices(), lam.coeffs):
+        blocks.setdefault(oracle_block_assignment(int(k)), []).append(v)
+    inner = [lp_norm(np.asarray(vs), p) for _, vs in sorted(blocks.items())]
+    return lp_norm(np.asarray(inner), q)
+
+
 class TestKelloggNorm:
     def test_block_assignment_matches_oracle(self):
         for k in range(-70, 71):
             assert dyadic_block_id(k) == oracle_block_assignment(k)
+
+    def test_block_labels_at_powers_of_two(self):
+        for m in range(41):
+            for k in (2 ** m - 1, 2 ** m, 2 ** m + 1):
+                assert dyadic_block_id(k) == oracle_block_assignment(k), k
+                assert dyadic_block_id(-k) == oracle_block_assignment(-k), -k
+
+    def test_block_labels_refused_where_inexact(self):
+        # |k| - 1 = 2^54 - 1 rounds up to 2^54 as a float
+        assert dyadic_block_id(-2 ** 53) == -53
+        with pytest.raises(IndexOutOfRange, match="2\\^53"):
+            dyadic_block_id(2 ** 54)
+
+    def test_wide_window_matches_per_index_reference(self):
+        lam = zsym(np.random.default_rng(12).standard_normal(2 * 2 ** 12 + 1))
+        p, q = Exponent(Fraction(4, 3)), Exponent(Fraction(5, 2))
+        assert kellogg_norm(lam, p, q) == reference_kellogg(lam, p, q)
 
     def test_origin_is_own_block(self):
         lam = zsym([0.0, 0.0, 2.5, 0.0, 0.0])
@@ -196,12 +237,7 @@ class TestKelloggNorm:
             m = int(rng.integers(1, 64))
             lam = zsym(rng.standard_normal(2 * m + 1))
             p, q = Exponent(Fraction(5, 2)), Exponent(2)
-            blocks = {}
-            for k, v in zip(lam.indices(), lam.coeffs):
-                blocks.setdefault(oracle_block_assignment(int(k)), []).append(v)
-            inner = [lp_norm(np.asarray(vs), p) for _, vs in sorted(blocks.items())]
-            expected = lp_norm(np.asarray(inner), q)
-            assert kellogg_norm(lam, p, q) == pytest.approx(expected, rel=1e-12)
+            assert kellogg_norm(lam, p, q) == reference_kellogg(lam, p, q)
 
     def test_embedding_into_lp(self):
         rng = np.random.default_rng(5)
@@ -242,6 +278,43 @@ class TestWeightedHomogeneity:
         assert weighted_lp_norm(smaller, p, w) <= weighted_lp_norm(x, p, w) + 1e-12
 
 
+class TestScaleEquivariance:
+    """Every norm is exactly 2^k-homogeneous while entries and results stay
+    normal: the scaled sums take powers of ratios to the largest entry, which
+    a power of two leaves alone."""
+
+    @settings(deadline=None)
+    @given(scalable_vectors, scale_exponents, scales)
+    def test_lp_norm(self, v, p, k):
+        e = Exponent(p)
+        assert lp_norm(np.ldexp(v, k), e) == math.ldexp(lp_norm(v, e), k)
+
+    @settings(deadline=None)
+    @given(scalable_vectors, scale_exponents, scales, st.data())
+    def test_weighted_lp_norm(self, v, p, k, data):
+        w = data.draw(arrays(np.float64, v.size, elements=st.floats(0.5, 2.0)))
+        e = Exponent(p)
+        assert weighted_lp_norm(np.ldexp(v, k), e, w) == math.ldexp(weighted_lp_norm(v, e, w), k)
+
+    @settings(deadline=None)
+    @given(arrays(np.float64, st.integers(0, 20).map(lambda m: 2 * m + 1),
+                  elements=scalable_entries),
+           scale_exponents, scale_exponents, scales)
+    def test_kellogg_norm(self, v, p, q, k):
+        p, q = Exponent(p), Exponent(q)
+        assert kellogg_norm(zsym(np.ldexp(v, k)), p, q) == math.ldexp(
+            kellogg_norm(zsym(v), p, q), k)
+
+    @settings(deadline=None)
+    @given(scalable_vectors, st.sampled_from([1, Fraction(4, 3), 2, 3, 100, "inf"]), scales)
+    def test_dual_norm(self, v, s, k):
+        e = Exponent(s)
+        value, f = dual_norm(v, e)
+        scaled_value, scaled_f = dual_norm(np.ldexp(v, k), e)
+        assert scaled_value == math.ldexp(value, k)
+        assert scaled_f.coeffs.tobytes() == f.coeffs.tobytes()
+
+
 class TestDualNorm:
     def test_unit_vector(self):
         value, f = dual_norm(TruncatedSeq([1.0, 0.0, 0.0]), Exponent(2))
@@ -277,7 +350,7 @@ class TestDualNorm:
 
 class TestSpaceSpec:
     def test_weight_must_be_positive(self):
-        with pytest.raises(SpecError):
+        with pytest.raises(SpecError, match=BAD_WEIGHT):
             SeqSpaceSpec(SpaceKind.LP_WEIGHTED, Exponent(2),
                          weight=TruncatedSeq([1.0, 0.0]))
 
