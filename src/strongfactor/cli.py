@@ -61,18 +61,21 @@ class _Parser(argparse.ArgumentParser):
         raise SpecError(message)
 
 
+#: each named sequence, as a function of the indices 1..N
+_SEQUENCES = {
+    "ones": np.ones_like,
+    "harmonic": lambda idx: 1.0 / idx,
+    "invsq": lambda idx: 1.0 / idx ** 2,
+    "alt": lambda idx: (-1.0) ** (idx + 1) / idx,
+}
+_SEQUENCE_FORMS = [*_SEQUENCES, "shift<k>:<name>"]
+
+
 def _named_sequence(name: str, n: int) -> np.ndarray:
-    idx = np.arange(1, n + 1, dtype=float)
-    if name == "ones":
-        return np.ones(n)
-    if name == "harmonic":
-        return 1.0 / idx
-    if name == "invsq":
-        return 1.0 / idx ** 2
-    if name == "alt":
-        return (-1.0) ** (idx + 1) / idx
-    raise SpecError(f"unknown sequence generator {name!r} "
-                    "(available: ones, harmonic, invsq, alt, shift<k>:<name>)")
+    if name not in _SEQUENCES:
+        raise SpecError(f"unknown sequence generator {name!r} "
+                        f"(available: {', '.join(_SEQUENCE_FORMS)})")
+    return _SEQUENCES[name](np.arange(1, n + 1, dtype=float))
 
 
 def _load_sequence(spec: str, n: int) -> TruncatedSeq:
@@ -84,19 +87,28 @@ def _load_sequence(spec: str, n: int) -> TruncatedSeq:
             raise SpecError(f"shift {k} leaves no nonzero entries at N={n}")
         base = _named_sequence(m.group(2), n - k)
         return TruncatedSeq(np.concatenate([np.zeros(k), base]))
-    try:
-        return TruncatedSeq(_named_sequence(spec, n))
-    except SpecError:
-        if Path(spec).exists():
-            seq = seq_from_csv(spec)
-            if len(seq) != n:
-                raise SpecError(f"{spec}: sequence length {len(seq)} != N={n}")
-            return seq
-        raise
+    if spec not in _SEQUENCES and Path(spec).exists():
+        seq = seq_from_csv(spec)
+        if len(seq) != n:
+            raise SpecError(f"{spec}: sequence length {len(seq)} != N={n}")
+        return seq
+    return TruncatedSeq(_named_sequence(spec, n))
 
 
 def _read_matrix_file(path: str) -> MatrixOp:
     return matrix_from_json_file(path) if path.endswith(".json") else matrix_from_csv(path)
+
+
+#: each --gen name: its builder from (args, N) and the sequence options it needs
+_GENERATORS = {
+    "identity": (lambda args, n: identity_matrix(n), ()),
+    "cesaro": (lambda args, n: CesaroOp(n), ()),
+    "random-lower": (lambda args, n: random_lower_triangular(n, seed=args.seed), ()),
+    "rank-one": (lambda args, n: diagonal_sandwich(_load_sequence(args.g, n), CesaroOp(n),
+                                                   _load_sequence(args.h, n)), ("g", "h")),
+    "diag": (lambda args, n: diagonal_sandwich(_load_sequence(args.g, n), identity_matrix(n),
+                                               TruncatedSeq(np.ones(n))), ("g",)),
+}
 
 
 def _load_matrix(args, n: int):
@@ -104,8 +116,15 @@ def _load_matrix(args, n: int):
         raise SpecError("give either --matrix or --gen, not both")
     if args.matrix:
         op = _read_matrix_file(args.matrix)
+    elif args.gen in _GENERATORS:
+        build, needs = _GENERATORS[args.gen]
+        if not all(getattr(args, name) for name in needs):
+            raise SpecError(f"--gen {args.gen} needs "
+                            + " and ".join(f"--{name}" for name in needs))
+        op = build(args, n)
     elif args.gen:
-        op = _generate_matrix(args, n)
+        raise SpecError(f"unknown generator {args.gen!r} "
+                        f"(available: {', '.join(_GENERATORS)})")
     else:
         raise SpecError("an input matrix is required (--matrix or --gen)")
     if args.perturb:
@@ -122,29 +141,6 @@ def _load_h(args, n: int) -> TruncatedSeq:
     if not args.h:
         raise SpecError("missing multiplier --h")
     return _load_sequence(args.h, n)
-
-
-def _generate_matrix(args, n: int):
-    gen = args.gen
-    if gen == "identity":
-        return identity_matrix(n)
-    if gen == "cesaro":
-        return CesaroOp(n)
-    if gen == "random-lower":
-        return random_lower_triangular(n, seed=args.seed)
-    if gen == "rank-one":
-        if not args.g or not args.h:
-            raise SpecError("--gen rank-one needs --g and --h")
-        g = _load_sequence(args.g, n)
-        h = _load_sequence(args.h, n)
-        return diagonal_sandwich(g, CesaroOp(n), h)
-    if gen == "diag":
-        if not args.g:
-            raise SpecError("--gen diag needs --g")
-        g = _load_sequence(args.g, n)
-        return diagonal_sandwich(g, identity_matrix(n), TruncatedSeq(np.ones(n)))
-    raise SpecError(f"unknown generator {gen!r} "
-                    "(available: identity, cesaro, random-lower, rank-one, diag)")
 
 
 def _job_echo(args) -> dict:
@@ -192,10 +188,8 @@ def _cmd_check_fourier(args) -> int:
 def _cmd_check_matrix(args) -> int:
     op = _load_matrix(args, args.N)
     through = args.through
-    if through == "cesaro":
-        b = CesaroOp(op.n)
-    elif through == "identity":
-        b = identity_matrix(op.n)
+    if through in ("cesaro", "identity"):
+        b = _GENERATORS[through][0](args, op.n)
     elif Path(through).exists():
         b = _read_matrix_file(through)
     else:
@@ -219,19 +213,15 @@ def _cmd_certify(args) -> int:
         result = certify_inequality_fourier(op, s)
         exps = {"r": r, "q": q, "s_rprime_q": s}
     if result.refuted:
-        cert = Certificate(
-            verdict=Verdict.DOES_NOT_FACTOR, h=held,
-            witness={"pattern": result.pattern.to_json(), "lhs": result.lhs,
-                     "rhs": result.rhs},
-            exponents=exps, tol=args.tol, truncation=op.n,
-            notes=("refuting pattern: vanishing right-hand side with "
-                   "positive left-hand side",))
+        verdict = Verdict.DOES_NOT_FACTOR
+        witness = {"pattern": result.pattern.to_json(), "lhs": result.lhs,
+                   "rhs": result.rhs}
+        note = "refuting pattern: vanishing right-hand side with positive left-hand side"
     else:
-        cert = Certificate(
-            verdict=Verdict.INCONCLUSIVE, h=held, exponents=exps, tol=args.tol,
-            truncation=op.n,
-            notes=(f"finite evidence only: attained constant "
-                   f"c_hat={result.c_hat:.12g}",))
+        verdict, witness = Verdict.INCONCLUSIVE, None
+        note = f"finite evidence only: attained constant c_hat={result.c_hat:.12g}"
+    cert = Certificate(verdict=verdict, h=held, witness=witness, exponents=exps,
+                       tol=args.tol, truncation=op.n, notes=(note,))
     certifier = {**result.to_json(), "seed": args.seed}
     return _finish_certificate(cert, args, extra={"certifier": certifier})
 
@@ -295,11 +285,11 @@ def _add_common(sub, exponents: str = "", with_matrix=True):
                          help=f"exponent {exp} (number, ratio, or inf)")
     if with_matrix:
         sub.add_argument("--matrix", help="matrix file (.csv with N=<n> header, or .json)")
-        sub.add_argument("--gen", help="built-in generator: identity, cesaro, "
-                                       "random-lower, rank-one, diag")
+        sub.add_argument("--gen", help="built-in generator: " + ", ".join(_GENERATORS))
         sub.add_argument("--perturb", help="i,j,eps single-entry perturbation")
-        sub.add_argument("--g", help="sequence: ones|harmonic|invsq|alt|shift<k>:<name>|CSV path")
-        sub.add_argument("--h", help="sequence: ones|harmonic|invsq|alt|shift<k>:<name>|CSV path")
+        for seq in "gh":
+            sub.add_argument(f"--{seq}", help="sequence: "
+                                              + "|".join([*_SEQUENCE_FORMS, "CSV path"]))
 
 
 def build_parser() -> _Parser:

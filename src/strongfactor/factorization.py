@@ -88,15 +88,14 @@ class SignPattern:
     r: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.r, dtype=float)
+        arr = np.array(self.r, dtype=float)
         if not (np.abs(arr) <= 1.0 + 1e-12).all():
             raise SpecError("pattern entries must lie in [-1, 1]")
-        arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "r", arr)
 
     def to_json(self):
-        return np.asarray(self.r).tolist()
+        return self.r.tolist()
 
 
 def _json_number(x: float):  # JSON has no infinity; "inf" as exponents write it

@@ -71,14 +71,12 @@ class QuadRule:
     label: str
 
     def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=float)
-        weights = np.asarray(self.weights, dtype=float)
+        nodes = np.array(self.nodes, dtype=float)
+        weights = np.array(self.weights, dtype=float)
         if nodes.shape != weights.shape or nodes.ndim != 1:
             raise SpecError("nodes and weights must be matching 1-D arrays")
         if np.any(np.diff(nodes) <= 0):
             raise SpecError("nodes must be strictly increasing")
-        nodes = nodes.copy()
-        weights = weights.copy()
         nodes.flags.writeable = False
         weights.flags.writeable = False
         object.__setattr__(self, "nodes", nodes)
@@ -88,13 +86,9 @@ class QuadRule:
 def composite_gauss_legendre(a: float, b: float, panels: int, order: int) -> QuadRule:
     ref_x, ref_w = np.polynomial.legendre.leggauss(order)
     edges = np.linspace(a, b, panels + 1)
-    nodes, weights = [], []
-    for k in range(panels):
-        lo, hi = edges[k], edges[k + 1]
-        half = 0.5 * (hi - lo)
-        nodes.append(half * ref_x + 0.5 * (lo + hi))
-        weights.append(half * ref_w)
-    return QuadRule(np.concatenate(nodes), np.concatenate(weights), (a, b),
+    lo, hi = edges[:-1, None], edges[1:, None]  # one panel per row
+    half = 0.5 * (hi - lo)
+    return QuadRule((half * ref_x + 0.5 * (lo + hi)).ravel(), (half * ref_w).ravel(), (a, b),
                     f"gl[{panels}x{order}]({a:g},{b:g})")
 
 
@@ -110,7 +104,7 @@ def gauss_chebyshev2(n: int) -> QuadRule:
     t = k * math.pi / (n + 1)
     nodes = np.cos(t)[::-1]
     weights = (math.pi / (n + 1)) * np.sin(t) ** 2
-    return QuadRule(nodes, weights[::-1].copy(), (-1.0, 1.0), f"gc2[{n}]")
+    return QuadRule(nodes, weights[::-1], (-1.0, 1.0), f"gc2[{n}]")
 
 
 def gauss_laguerre(n: int) -> QuadRule:
@@ -141,12 +135,11 @@ class GridFunction:
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
+        vals = np.array(self.values, dtype=float)
         if vals.shape != self.rule.nodes.shape:
             raise DomainMismatch("values must be given at every rule node")
         if not np.all(np.isfinite(vals)):
             raise SpecError("function values must be finite at every node")
-        vals = vals.copy()
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
 
@@ -159,16 +152,13 @@ class GridFunction:
 
     def multiplied(self, factor) -> "GridFunction":
         """Pointwise product with a callable or a per-node value array."""
-        if callable(factor):
-            other = np.asarray(factor(self.rule.nodes), dtype=float)
-        else:
-            other = np.asarray(factor, dtype=float)
-        return GridFunction(self.rule, self.values * other)
+        other = factor(self.rule.nodes) if callable(factor) else factor
+        return GridFunction(self.rule, self.values * np.asarray(other, dtype=float))
 
 
 def from_callable(fn, spec: BasisSpec) -> GridFunction:
     rule = default_rule(spec.family)
-    return GridFunction(rule, np.asarray(fn(rule.nodes), dtype=float))
+    return GridFunction(rule, fn(rule.nodes))
 
 
 def constant(c: float, spec: BasisSpec) -> GridFunction:
@@ -254,7 +244,7 @@ def basis_element(spec: BasisSpec, n: int) -> GridFunction:
     if n < 1 or n > spec.count:
         raise IndexOutOfRange(f"basis index {n} outside 1..{spec.count}")
     rule = default_rule(spec.family)
-    return GridFunction(rule, _basis_matrix(spec, n, rule)[n - 1].copy())
+    return GridFunction(rule, _basis_matrix(spec, n, rule)[n - 1])
 
 
 def random_trig_poly(degree: int, seed: int) -> tuple[GridFunction, TruncatedSeq]:

@@ -360,7 +360,8 @@ def operator_norm_estimate(op, seed: int = 0) -> NormEstimate:
 def _lanczos_norm(op, x: np.ndarray) -> NormEstimate:
     """Golub-Kahan-Lanczos from x with full reorthogonalisation, op V_k = U_k B_k
     with the alphas on B_k's diagonal and the betas above it; converged when
-    beta_k |e_k^T p| <= _LANCZOS_TOL sigma, (sigma, p) B_k's top left pair."""
+    beta_k |e_k^T p| <= _LANCZOS_TOL sigma, (sigma, p) B_k's top left pair.
+    A non-finite alpha or beta stops it with the estimate inf, unconverged."""
     us, vs, alphas, betas = [], [x / np.linalg.norm(x)], [], []
     for k in range(1, _LANCZOS_STEPS + 1):
         u = op.matvec(vs[-1]) - (betas[-1] * us[-1] if us else 0.0)
@@ -368,6 +369,8 @@ def _lanczos_norm(op, x: np.ndarray) -> NormEstimate:
         us.append(u / alphas[-1] if alphas[-1] else u)  # u = 0: op V_k lies in span U
         v = op.rmatvec(us[-1]) - alphas[-1] * vs[-1]
         betas.append(_reorthogonalise(v, vs))
+        if not np.isfinite((alphas[-1], betas[-1])).all():  # op overflowed: no finite bound
+            return NormEstimate(np.inf, k, False)
         left, sigma, _ = np.linalg.svd(np.diag(alphas) + np.diag(betas[:-1], 1))
         if betas[-1] * abs(left[-1, 0]) <= _LANCZOS_TOL * sigma[0]:
             return NormEstimate(float(sigma[0]), k, True)

@@ -38,7 +38,7 @@ class TruncatedSeq:
     index_domain: IndexDomain = IndexDomain.NAT1
 
     def __post_init__(self):
-        arr = np.asarray(self.coeffs, dtype=float)
+        arr = np.array(self.coeffs, dtype=float)
         if arr.ndim != 1:
             raise SpecError("coefficient array must be one-dimensional")
         if arr.size == 0:
@@ -47,7 +47,6 @@ class TruncatedSeq:
             raise SpecError("coefficients must be finite")
         if self.index_domain is IndexDomain.ZSYM and arr.size % 2 == 0:
             raise DomainMismatch("ZSYM window -M..M has odd length")
-        arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "coeffs", arr)
 
@@ -85,8 +84,7 @@ class TruncatedSeq:
 
     @classmethod
     def from_json(cls, obj: dict) -> "TruncatedSeq":
-        return cls(np.asarray(obj["coeffs"], dtype=float),
-                   IndexDomain(obj.get("index_domain", "NAT1")))
+        return cls(obj["coeffs"], IndexDomain(obj.get("index_domain", "NAT1")))
 
 
 class SpaceKind(Enum):
@@ -230,7 +228,7 @@ def dual_norm(c, s: Exponent) -> tuple[float, TruncatedSeq]:
     |c_i|^(s'-1).  Zero input returns (0, zero vector).  Ties in the s = 1
     case resolve to the first maximal index.
     """
-    seq = c if isinstance(c, TruncatedSeq) else TruncatedSeq(np.asarray(c, dtype=float))
+    seq = c if isinstance(c, TruncatedSeq) else TruncatedSeq(c)
     v = seq.coeffs
     s = Exponent(s)
     sp = conjugate(s)

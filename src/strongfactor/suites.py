@@ -213,10 +213,11 @@ def _random_multiplier(rng, n: int) -> np.ndarray:
 
 @_suite("roundtrip")
 def cesaro_roundtrip(res: SuiteResult, seed: int = 0) -> None:
-    """50 seeded (g, h) pairs at N = 128: sandwich matrices certify FACTORS
-    with g recovered within 1e-12; 1e-3 single-entry perturbations above the
-    diagonal flip the verdict at tol 1e-6; h with leading zeros (j0 = 2, 3)
-    behaves identically."""
+    """Seeded (g, h) pairs at N = 128, 50 with h_1 != 0 and 10 each whose h
+    starts at j0 = 2 and at j0 = 3: sandwich matrices certify FACTORS with g
+    recovered from j0 on within 1e-12, and 1e-3 single-entry perturbations
+    flip the verdict at tol 1e-6, three random entries above the diagonal
+    at j0 = 1, else entry (1, 1), a forced zero once h_1 = 0."""
     rng = np.random.default_rng(seed)
     n = 128
     op = cesaro_matrix(n)
@@ -224,27 +225,9 @@ def cesaro_roundtrip(res: SuiteResult, seed: int = 0) -> None:
     worst_rec = 0.0
     flips = 0
     flips_expected = 0
-    for trial in range(50):
-        g = TruncatedSeq(_random_multiplier(rng, n))
-        h = TruncatedSeq(_random_multiplier(rng, n))
-        a = diagonal_sandwich(g, op, h)
-        cert = cesaro_factor_check(a, h, p, q, r, tol=1e-9)
-        if cert.verdict is not Verdict.FACTORS:
-            res.fail(f"trial {trial}: expected FACTORS, got {cert.verdict.value}")
-            continue
-        rec = float(np.abs(cert.g.coeffs - g.coeffs).max())
-        worst_rec = max(worst_rec, rec)
-        if rec > 1e-12:
-            res.fail(f"trial {trial}: recovery error {rec:.3e}")
-        for _ in range(3):
-            i = int(rng.integers(1, n))
-            j = int(rng.integers(i + 1, n + 1))
-            flips_expected += 1
-            bad = perturb_entry(a, i, j, 1e-3)
-            if cesaro_factor_check(bad, h, p, q, r, tol=1e-6).verdict is Verdict.DOES_NOT_FACTOR:
-                flips += 1
-    for j0 in (2, 3):
-        for trial in range(10):
+    for j0, trials in (1, 50), (2, 10), (3, 10):
+        for trial in range(trials):
+            label = f"trial {trial}" if j0 == 1 else f"j0={j0} trial {trial}"
             g = TruncatedSeq(_random_multiplier(rng, n))
             hv = _random_multiplier(rng, n)
             hv[:j0 - 1] = 0.0
@@ -252,16 +235,19 @@ def cesaro_roundtrip(res: SuiteResult, seed: int = 0) -> None:
             a = diagonal_sandwich(g, op, h)
             cert = cesaro_factor_check(a, h, p, q, r, tol=1e-9)
             if cert.verdict is not Verdict.FACTORS:
-                res.fail(f"j0={j0} trial {trial}: got {cert.verdict.value}")
+                res.fail(f"{label}: expected FACTORS, got {cert.verdict.value}")
                 continue
             rec = float(np.abs(cert.g.coeffs[j0 - 1:] - g.coeffs[j0 - 1:]).max())
             worst_rec = max(worst_rec, rec)
             if rec > 1e-12:
-                res.fail(f"j0={j0} trial {trial}: recovery error {rec:.3e}")
-            flips_expected += 1
-            bad = perturb_entry(a, 1, 1, 1e-3)
-            if cesaro_factor_check(bad, h, p, q, r, tol=1e-6).verdict is Verdict.DOES_NOT_FACTOR:
-                flips += 1
+                res.fail(f"{label}: recovery error {rec:.3e}")
+            perturbed = [(1, 1)] if j0 > 1 else [
+                (i := int(rng.integers(1, n)), int(rng.integers(i + 1, n + 1))) for _ in range(3)]
+            flips_expected += len(perturbed)
+            for i, j in perturbed:
+                bad = perturb_entry(a, i, j, 1e-3)
+                verdict = cesaro_factor_check(bad, h, p, q, r, tol=1e-6).verdict
+                flips += verdict is Verdict.DOES_NOT_FACTOR
     if flips != flips_expected:
         res.fail(f"only {flips}/{flips_expected} perturbations flipped the verdict")
     res.details.append(f"worst recovery error {worst_rec:.3e}; "

@@ -869,6 +869,16 @@ class TestSuiteCommand:
         assert res.name == "determinism" and res.passed and res.runtime_s > 0.0
         assert suites.kellogg_embedding(seed=3).name == "kellogg"
 
+    @pytest.mark.parametrize("seed", [0, 1, 5, 9])
+    def test_roundtrip_flips_every_perturbation(self, seed):
+        # 50 trials with h_1 != 0 perturb three entries each, 10 each at
+        # j0 = 2 and j0 = 3 perturb one: one sweep, 170 perturbations
+        from strongfactor import suites
+
+        res = suites.cesaro_roundtrip(seed=seed)
+        assert res.passed, res.details
+        assert res.details[-1].endswith("; 170/170 perturbations flipped")
+
     def test_unknown_suite(self):
         assert run(["suite", "--name", "nope"]) == 64
 

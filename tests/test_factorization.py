@@ -1553,8 +1553,9 @@ class TestVerifyRepresenting:
 
 
 # each input check as (call, error, message): lengths that differ from the
-# matrix size, a degenerate exponent, a pattern outside the unit ball, and a
-# FACTORS certificate whose residual exceeds its tol
+# matrix size, a degenerate exponent, a certifier side that overflows at the
+# largest sign pattern, a pattern count below one, a pattern outside the unit
+# ball, and a FACTORS certificate whose residual exceeds its tol
 INPUT_CHECKS = {
     "j0-length": (lambda: cesaro_factor_check(cesaro_matrix(3), ones(2), P2, P2, P2),
                   LengthMismatch, "multiplier length 2 != matrix size 3"),
@@ -1564,6 +1565,17 @@ INPUT_CHECKS = {
                               LengthMismatch, "multiplier length 2 != matrix size 3"),
     "certify-fourier-s1": (lambda: certify_inequality_fourier(cesaro_matrix(2), Exponent(1)),
                            DegenerateExponent, "multiplier exponent 1 has infinite conjugate"),
+    "certify-fourier-lhs-overflow": (
+        lambda: certify_inequality_fourier(
+            MatrixOp(np.diag([1e308, 1e308]), lp_space(2), lp_space(2)), Exponent(4)),
+        SpecError, "the LHS of a sign pattern overflows the float range"),
+    "certify-cesaro-rhs-overflow": (
+        lambda: certify_inequality_cesaro(identity_matrix(3), TruncatedSeq(np.full(3, 1e300)),
+                                          Exponent(4)),
+        SpecError, "the RHS of a sign pattern overflows the float range"),
+    "certify-cesaro-patterns": (
+        lambda: certify_inequality_cesaro(cesaro_matrix(3), ones(3), Exponent(4), patterns=0),
+        SpecError, "patterns must be >= 1"),
     "pattern-entry": (lambda: SignPattern(np.array([[0.5, -1.5]])),
                       SpecError, "pattern entries must lie in [-1, 1]"),
     "pattern-entry-nan": (lambda: SignPattern(np.array([np.nan, 0.5])),

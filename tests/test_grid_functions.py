@@ -150,6 +150,30 @@ class TestQuadrature:
         assert np.all(np.diff(rule.nodes) > 0)
         assert rule.weights.sum() == pytest.approx(1.0, rel=1e-14)
 
+    @pytest.mark.parametrize("a, b, panels, order", [
+        (-math.pi, math.pi, 32, 20), (-1.0, 1.0, 8, 16), (0.0, 1.0, 1, 1), (-3.3, 7.1, 17, 9)])
+    def test_composite_rule_bits(self, a, b, panels, order):
+        # the per-panel loop the rule's one array expression replaced
+        ref_x, ref_w = np.polynomial.legendre.leggauss(order)
+        edges = np.linspace(a, b, panels + 1)
+        half = [0.5 * (hi - lo) for lo, hi in zip(edges[:-1], edges[1:])]
+        nodes = np.concatenate([h * ref_x + 0.5 * (lo + hi)
+                                for h, lo, hi in zip(half, edges[:-1], edges[1:])])
+        rule = composite_gauss_legendre(a, b, panels, order)
+        assert rule.nodes.tobytes() == nodes.tobytes()
+        assert rule.weights.tobytes() == np.concatenate([h * ref_w for h in half]).tobytes()
+
+    @pytest.mark.parametrize("make", [
+        lambda values: GridFunction(default_rule(BasisFamily.LEGENDRE), values),
+        lambda values: QuadRule(np.cumsum(values), values, (0.0, 1.0), "x"),
+        lambda values: TruncatedSeq(values)], ids=["GridFunction", "QuadRule", "TruncatedSeq"])
+    def test_constructors_own_a_frozen_copy(self, make):
+        values = np.linspace(0.5, 1.5, default_rule(BasisFamily.LEGENDRE).nodes.size)
+        for given in (values, values.tolist()):
+            held = [a for a in vars(make(given)).values() if isinstance(a, np.ndarray)]
+            assert held and all(not a.flags.writeable and a.flags.owndata for a in held)
+            assert not any(np.shares_memory(a, values) for a in held)
+
     @pytest.mark.parametrize("family, interval", [
         (BasisFamily.TRIG_REAL, (-math.pi, math.pi)),
         (BasisFamily.LEGENDRE, (-1.0, 1.0)),
@@ -161,6 +185,18 @@ class TestQuadrature:
         assert BasisSpec(family, 1).interval == interval
         assert default_rule(family).interval == interval
         assert default_rule(family) is default_rule(family)
+
+
+class TestGridFunction:
+    @pytest.mark.parametrize("family", list(BasisFamily))
+    def test_multiplied_by_values_or_by_callable(self, family):
+        f = basis_element(BasisSpec(family, 4), 3)
+        weight = lambda x: 1.0 + np.asarray(x) ** 2 / 10.0
+        per_node = weight(f.rule.nodes)
+        by_callable = f.multiplied(weight)
+        for factor in (per_node, per_node.tolist()):
+            assert f.multiplied(factor).values.tobytes() == by_callable.values.tobytes()
+        assert by_callable.rule is f.rule
 
 
 class TestOrthonormality:
@@ -215,6 +251,10 @@ INPUT_CHECKS = {
                 SpecError, "nodes and weights must be matching 1-D arrays"),
     "grid-shape": (lambda: GridFunction(default_rule(BasisFamily.LEGENDRE), np.ones(3)),
                    DomainMismatch, "values must be given at every rule node"),
+    "grid-nonfinite": (lambda: GridFunction(default_rule(BasisFamily.LEGENDRE),
+                                            np.full(default_rule(BasisFamily.LEGENDRE).nodes.size,
+                                                    np.nan)),
+                       SpecError, "function values must be finite at every node"),
     "basis-count": (lambda: BasisSpec(BasisFamily.LEGENDRE, 0),
                     SpecError, "basis count must be >= 1"),
     "trig-degree": (lambda: random_trig_poly(-1, seed=0), SpecError, "degree must be >= 0"),

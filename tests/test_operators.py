@@ -368,6 +368,24 @@ class TestNormEstimate:
         n = 2 ** 14
         assert traced_peak(lambda: operator_norm_estimate(CesaroOp(n))) < 0.01 * 8 * n * n
 
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_overflowing_operator_estimates_inf(self, p):
+        # on l^2 the first non-finite alpha or beta stops Lanczos before the
+        # SVD, which would raise numpy's LinAlgError; off l^2 the ratio is inf
+        op = MatrixOp(np.full((3, 3), 1e308), lp_space(p), lp_space(2))
+        with pytest.warns(RuntimeWarning):  # numpy reports the overflow
+            est = operator_norm_estimate(op)
+        assert est.value == math.inf and not est.converged
+        assert est.steps == (1 if p == 2 else 0)
+
+    def test_step_limit_exit(self, monkeypatch):
+        monkeypatch.setattr(operators, "_LANCZOS_STEPS", 2)
+        est = operator_norm_estimate(random_lower_triangular(40, 1))
+        assert est.steps == 2 and est.converged is False
+        sigma = float(np.linalg.svd(random_lower_triangular(40, 1).rows(0, 40),
+                                    compute_uv=False)[0])
+        assert 0 < est.value <= sigma * (1 + 1e-12)
+
 
 class TestHardyInequality:
     @pytest.mark.parametrize("p", [Fraction(4, 3), 2, 3])
