@@ -1,8 +1,8 @@
 """Checkers and certifiers for strong factorization through the Fourier and
 running-averages operators.
 
-Two complementary routes are provided for each operator family and are never
-merged:
+Two views of one fact are provided for each operator family, and one
+kernel decides both:
 
 * **shape checkers** decide the verdict from the closed matrix shape that an
   exact factorization forces, recovering the outer multiplier when it exists.
@@ -13,13 +13,15 @@ merged:
   exponents.  The representing-operator check T = M_g alpha M_h is the
   fourth caller: it hands the kernel T and alpha M_h applied to the first
   basis functions;
-* **inequality certifiers** score sign patterns r in the equivalent inequality
+* **inequality certifiers** score patterns r in the equivalent inequality
   sum_ij r_ij a_ij <= C (sum_i wt_i |sum_j w_ij r_ij|^s')^(1/s'): one form
   for both families (Cesàro: w_ij = h_j on j <= i, wt_i = i^(-s'); Fourier:
-  w = I, wt = 1) and one driver, in closed form when each row of w has one
-  nonzero entry.  A pattern with vanishing right-hand side and positive
-  left-hand side is a genuine refutation; without one, the sweep reports
-  the truncation's constant with a pattern that attains it.  A finite
+  w = I, wt = 1) and one driver.  The inequality is refuted exactly when
+  the shape kernel says DOES_NOT_FACTOR, and the witness gives a pattern
+  with right-hand side 0 and positive left-hand side; otherwise the
+  constant is ||g||_s of the recovered g, reported with a pattern that
+  attains it.  A +-1 vertex search, in closed form when each row of w has
+  one nonzero entry, reports the best vertex ratio beside it.  A finite
   truncation can never prove the full inequality, so that constant is
   finite-truncation evidence only.
 
@@ -67,10 +69,6 @@ from .seq_spaces import IndexDomain, SpaceKind, TruncatedSeq, dual_norm, lp_norm
 
 EXACT_TOL = 1e-9       # identities exact in exact arithmetic
 QUADRATURE_TOL = 1e-6  # identities that pass through quadrature
-
-#: a pattern refutes when RHS falls below this while LHS exceeds the LHS floor
-REFUTE_RHS_TOL = 1e-12
-REFUTE_LHS_TOL = 1e-9
 
 EVIDENCE_NOTE = "multiplier norm is finite-truncation evidence, not a membership proof"
 
@@ -267,7 +265,6 @@ def cesaro_factor_check(a, h: TruncatedSeq, p: Exponent, q: Exponent,
     s_rq = multiplier_exponent(r, q)
     s_pr = multiplier_exponent(p, r)
     n = a.n
-    c = CesaroOp(n)
     column = np.empty(n)
 
     def a_rows(lo, hi):
@@ -275,13 +272,8 @@ def cesaro_factor_check(a, h: TruncatedSeq, p: Exponent, q: Exponent,
         column[lo:hi] = rows[:, j0 - 1]
         return rows
 
-    def w_rows(lo, hi):
-        w = c.rows(lo, hi)
-        w *= hv
-        return w
-
     cert = _sandwich_check(
-        n, a_rows, w_rows, tol, s_rq,
+        n, a_rows, _cesaro_w_rows(hv, n), tol, s_rq,
         notes=(f"shifted shape with j0={j0}",) if j0 > 1 else (),
         h=h, h_norm=(lp_norm(hv, s_pr), s_pr),
         exponents={"p": p, "q": q, "r": r, "s_rq": s_rq, "s_pr": s_pr})
@@ -350,17 +342,19 @@ def matrix_factor_check(a, b, h: TruncatedSeq, tol: float = EXACT_TOL) -> Certif
 class CertifierResult:
     """Outcome of a sign-pattern sweep.
 
-    ``c_hat_vertex`` is the largest ratio LHS/RHS over the searched +-1
-    vertex patterns: all of them up to 4 x 4, else the seeded starts.
-    When a refuting pattern (RHS ~ 0 < LHS, zeroed entries allowed) is
-    found, ``c_hat`` is inf and ``pattern`` is the refuting pattern.
-    Otherwise ``c_hat`` is the attained constant: the ratio on ``pattern``,
-    which attains sup LHS/RHS over [-1, 1]^(N x N) when every row of A is
-    proportional to w's, and is never below ``c_hat_vertex``.  Either way
-    ``lhs`` and ``rhs`` are the evaluator's values on ``pattern``.  A ratio
-    that overflows makes both constants inf without a refutation.  ``rows``
-    and ``cols`` are N, but in the row form (closed form at s = inf)
-    ``pattern`` is a vector on row ``rows`` of A, counted from 1.
+    ``refuted`` is the shape check's DOES_NOT_FACTOR: ``pattern`` then
+    lies on the witness row, with RHS exactly 0 and LHS a positive multiple
+    of the witness's 2 x 2 minor (0 only where that minor rounds to 0), and
+    ``c_hat`` is inf.  Otherwise ``c_hat`` is the attained constant, the
+    ratio on ``pattern``, which is built from the g that the check
+    recovers and attains sup LHS/RHS over [-1, 1]^(N x N), and is never
+    below ``c_hat_vertex``.  ``c_hat_vertex`` is the largest ratio LHS/RHS
+    over the searched +-1 vertex patterns: all of them up to 4 x 4, else
+    the seeded starts.  Either way ``lhs`` and ``rhs`` are the evaluator's
+    values on ``pattern``.  A ratio that overflows makes both constants
+    inf without a refutation.  ``rows`` and ``cols`` are N, but in the row
+    form (closed form at s = inf) ``pattern`` is a vector on row ``rows``
+    of A, counted from 1.
     """
 
     c_hat: float
@@ -389,42 +383,6 @@ class CertifierResult:
 EXHAUSTIVE_LIMIT = 16
 
 
-def _max_dot_with_zero_sum(c: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Maximize c . r over r in [-1, 1]^k subject to w . r = 0.
-
-    Exact small LP: the dual piecewise-linear objective is minimized where the
-    step function sum_j w_j sign(c_j - lambda w_j) crosses zero, which leaves
-    at most one fractional coordinate.  The zero vector is feasible, so the
-    optimum is always >= 0.  In the order of c_j / w_j, each r_j flips from
-    sign(w_j) to -sign(w_j) while the gap sum |w_j| - 2 sum |w_flipped| stays
-    >= 0; the gaps are one sequential ``subtract.accumulate``, which rounds
-    as subtracting the steps one at a time does, and they never grow, so
-    the crossing is a ``searchsorted``.
-    """
-    k = c.size
-    r = np.zeros(k)
-    active = np.flatnonzero(w != 0.0)
-    free = np.flatnonzero(w == 0.0)
-    r[free] = np.sign(c[free])
-    if active.size == 0:
-        return r
-    with np.errstate(over="ignore"):  # an overflow is +-inf, which sorts alike
-        lam = c[active] / w[active]
-    order = active[np.argsort(lam, kind="stable")]
-    sign = np.sign(w[order])
-    gaps = np.subtract.accumulate(np.r_[np.abs(w[active]).sum(), 2.0 * np.abs(w[order])])
-    cross = int(np.searchsorted(-gaps[1:], 0.0, side="right"))  # the first gap < 0
-    r[order] = sign
-    r[order[:cross]] = -sign[:cross]
-    if cross < order.size:
-        j = order[cross]
-        r[j] = 0.0
-        # |r_j| <= 1 holds in exact arithmetic at the crossing; clip guards
-        # against summation rounding when w_j is tiny relative to the rest
-        r[j] = min(1.0, max(-1.0, -float(np.dot(w, r)) / w[j]))
-    return r
-
-
 class _Form:
     """LHS = sum_ij r_ij a_ij and RHS = (sum_i wt_i |sum_j w_ij r_ij|^s')^(1/s')
     of the weighted inequality, evaluated on stacks of n x n patterns."""
@@ -447,31 +405,20 @@ class _Form:
         return lhs, rhs_pow ** (1.0 / self.sp)
 
 
-def _refutes(lhs, rhs):
-    """Whether each (lhs, rhs) refutes: the RHS vanishes, the LHS does not."""
-    return (rhs <= REFUTE_RHS_TOL) & (lhs > REFUTE_LHS_TOL)
-
-
 def _select(stack, lhs: np.ndarray, rhs: np.ndarray):
     """The best vertex (ratio, pattern, lhs, rhs) over the patterns with
-    RHS > REFUTE_RHS_TOL, earliest on ties, and the first refuting
-    (pattern, lhs, rhs); either is None when the stack has none.  ``stack``
+    RHS > 0, earliest on ties, or None when the stack has none.  ``stack``
     is an array of patterns, scored by ``lhs`` and ``rhs``."""
-    bounded = rhs > REFUTE_RHS_TOL
-    refutes = _refutes(lhs, rhs)
-    vertex = refute = None
-    if bounded.any():
-        ratios = np.where(bounded, lhs / np.where(bounded, rhs, 1.0), -math.inf)
-        k = int(np.argmax(ratios))
-        vertex = (float(ratios[k]), stack[k].copy(), float(lhs[k]), float(rhs[k]))
-    if refutes.any():
-        k = int(np.argmax(refutes))
-        refute = (stack[k].copy(), float(lhs[k]), float(rhs[k]))
-    return vertex, refute
+    bounded = rhs > 0.0
+    if not bounded.any():
+        return None
+    ratios = np.where(bounded, lhs / np.where(bounded, rhs, 1.0), -math.inf)
+    k = int(np.argmax(ratios))
+    return float(ratios[k]), stack[k].copy(), float(lhs[k]), float(rhs[k])
 
 
 def _exhaustive_vertex_max(form, n: int, m: int):
-    """Best ratio over all 2^(n*m) sign matrices; first refuting vertex if any.
+    """Best ratio over all 2^(n*m) sign matrices.
 
     Enumeration order is the binary code order, and ties keep the earliest
     pattern, so the result is deterministic.
@@ -487,8 +434,7 @@ def _exhaustive_vertex_max(form, n: int, m: int):
 
 
 def _sampled_vertex_max(form, n: int, m: int, patterns: int, seed: int):
-    """Best ratio over ``patterns`` seeded +-1 starts, and the first start
-    that refutes, which ends the sweep.
+    """Best ratio over ``patterns`` seeded +-1 starts.
 
     The starts are drawn and scored in the row blocks of
     ``operators._block_bounds``, one n x m pattern a row, so no stack of
@@ -503,76 +449,76 @@ def _sampled_vertex_max(form, n: int, m: int, patterns: int, seed: int):
         starts = rng.random((hi - lo, n, m))
         np.subtract(starts, 0.5, out=starts)
         np.copysign(1.0, starts, out=starts)  # -1 below 0.5, else +1
-        lhs, rhs = form.evaluate(starts)
-        cut = int(np.argmax(np.append(_refutes(lhs, rhs), True))) + 1
-        best, refute = _select(starts[:cut], lhs[:cut], rhs[:cut])
+        best = _select(starts, *form.evaluate(starts))
         if best is not None and (vertex is None or best[0] > vertex[0]):
             vertex = best
-        if refute is not None:
-            return vertex, refute
-    return vertex, None
+    return vertex
 
 
 def _closed_form(ent: np.ndarray, w: np.ndarray, wt: np.ndarray, sp: float):
-    """``_select``'s best vertex and first refutation, and ``rows``, when row
-    i of w has one nonzero entry, w_ic_i.  Every +-1 vertex has the same
-    RHS, so the sign-matched one is optimal; zeroed at each c_i it has RHS 0.
-    At s' = 1 a ratio of row sums is at most its largest row ratio, so the
-    row form is exact: a vector pattern on row k of A, with LHS =
-    sum_j r_kj a_kj against RHS = wt_k |w_kc_k r_kc_k|.  A row's LHS rounds
-    as np.dot's (a lone -0.0 product sums to +0.0); the last power is the
-    scalar ``**``, correctly rounded more often than np.power."""
+    """``_select``'s best vertex, and ``rows``, when row i of w has one
+    nonzero entry, w_ic_i.  Every +-1 vertex has the same RHS, so the
+    sign-matched one is optimal.  At s' = 1 a ratio of row sums is at most
+    its largest row ratio, so the row form is exact: a vector pattern on
+    row k of A, with LHS = sum_j r_kj a_kj against RHS = wt_k |w_kc_k r_kc_k|.
+    A row's LHS rounds as np.dot's (a lone -0.0 product sums to +0.0); the
+    last power is the scalar ``**``, correctly rounded more often than
+    np.power."""
     n = ent.shape[0]
     col, k = (w != 0.0).argmax(axis=1), np.arange(n)
-    rowform = sp == 1.0
-    stack = np.empty((2, n, n))
-    vert, zeroed = stack
-    np.sign(ent, out=zeroed)
-    np.add(zeroed, zeroed == 0.0, out=vert)  # sign(a_ij), and 1 where a_ij = 0
-    if rowform:
-        zeroed[:] = vert
-    zeroed[k, col] = 0.0
-    if rowform:  # row t of the stack is a vector pattern on row t % n of A
-        lhs = (stack[:, :, None, :] @ ent[:, :, None]).reshape(2 * n)
-        stack, k = stack.reshape(2 * n, n), np.tile(k, 2)
-        rhs = wt[k] * np.abs(w[k, col[k]] * stack[np.arange(2 * n), col[k]])
-    else:
+    stack = np.sign(ent)[None]
+    stack += stack == 0.0  # sign(a_ij), and 1 where a_ij = 0
+    if sp != 1.0:
         lhs = np.array([(r * ent).sum() for r in stack])
         rhs_pow = (wt * np.abs(w[k, col] * stack[:, k, col]) ** sp).sum(axis=1)
-        rhs = np.array([float(x) ** (1.0 / sp) for x in rhs_pow])
-    vertex, refute = _select(stack, lhs, rhs)
-    if not rowform or not (vertex or refute):
-        return vertex, refute, n
+        return _select(stack, lhs, np.array([float(x) ** (1.0 / sp) for x in rhs_pow])), n
+    # row t of the stack is a vector pattern on row t of A
+    lhs = (stack[:, :, None, :] @ ent[:, :, None]).reshape(n)
+    stack = stack.reshape(n, n)
+    rhs = wt * np.abs(w[k, col] * stack[k, col])
+    vertex = _select(stack, lhs, rhs)
+    if vertex is None:
+        return None, n
     # _select took the first row scoring the reported (lhs, rhs)
-    found = refute[1:] if refute else vertex[2:]
-    return vertex, refute, 1 + int(np.argmax((lhs == found[0]) & (rhs == found[1]))) % n
+    return vertex, 1 + int(np.argmax((lhs == vertex[2]) & (rhs == vertex[3])))
 
 
-def _attained(form) -> np.ndarray | None:
+def _refutation(ent: np.ndarray, w: np.ndarray, i: int, j: int) -> np.ndarray:
+    """The pattern that refutes on row i (0-based) when a_ij breaks the
+    shape: with p the first nonzero entry of row i of w, r_ij = t w_ip and
+    r_ip = -t w_ij, zero elsewhere.  t = +-2^k is the largest power of two
+    with max |r| <= 1, signed to make LHS = t (a_ij w_ip - a_ip w_ij)
+    positive; scaling by 2^k is exact, so both products in row i's sum are
+    the same float and the RHS is exactly 0.  A row of w that is all zero
+    gets r_ij = sign(a_ij) alone."""
+    r = np.zeros_like(ent)
+    support = np.flatnonzero(w[i])
+    if support.size == 0:
+        r[i, j] = np.sign(ent[i, j])
+        return r
+    p = support[0]
+    frac, e = math.frexp(max(abs(w[i, p]), abs(w[i, j])))
+    k = (frac == 0.5) - e
+    t = math.copysign(1.0, ent[i, j] * w[i, p] - ent[i, p] * w[i, j])
+    r[i, j] = math.ldexp(t * w[i, p], k)
+    r[i, p] = math.ldexp(-t * w[i, j], k) + 0.0  # + 0.0 turns -0.0 into 0.0
+    return r
+
+
+def _attained(form, g: TruncatedSeq) -> np.ndarray | None:
     """The n x n pattern that attains sup LHS/RHS over [-1, 1]^(n x n) when
-    every row of A is gamma_i w_i, or None when there is none to build.
+    row i of A is g_i wt_i^(1/s') w_i, or None when there is none to build.
 
-    Then LHS = sum_i gamma_i S_i with S_i = sum_j w_ij r_ij, so by
-    homogeneity the supremum is ||c||_s with c_i = gamma_i wt_i^(-1/s'),
-    attained by S_i = f_i wt_i^(-1/s') with f the l^s' extremizer of
-    ``dual_norm``, scaled so that |S_i| <= ||w_i||_1 with equality on some
-    row, and r_i = (S_i / ||w_i||_1) sign(w_i).  gamma_i is read as
-    a_i . w_i / w_i . w_i, over w_i scaled by its largest |w_ij| so that
-    neither product underflows; a zero row gets gamma_i = 0.
+    Then LHS = sum_i g_i wt_i^(1/s') S_i with S_i = sum_j w_ij r_ij, so by
+    homogeneity the supremum is ||g||_s, attained by S_i = f_i wt_i^(-1/s')
+    with f the l^s' extremizer of ``dual_norm``, scaled so that
+    |S_i| <= ||w_i||_1 with equality on some row, and
+    r_i = (S_i / ||w_i||_1) sign(w_i).
     """
-    ent, w, wt, sp = form.ent, form.w, form.wt, form.sp
-    top = np.abs(w).max(axis=1, keepdims=True)
+    w, wt, sp = form.w, form.wt, form.sp
     with np.errstate(divide="ignore", invalid="ignore"):
-        u = np.divide(w, top, out=np.zeros_like(w), where=top > 0.0)
-        uu = np.einsum("ij,ij->i", u, u)
-        gamma = np.divide(np.einsum("ij,ij->i", ent, u), uu * top[:, 0],
-                          out=np.zeros_like(uu), where=uu > 0.0)
-        lift = wt ** (-1.0 / sp)
-        c = gamma * lift
-        if not np.isfinite(c).all():
-            return None
         norms = np.abs(w).sum(axis=1)
-        q = np.divide(dual_norm(c, Exponent(sp))[1].coeffs * lift, norms,
+        q = np.divide(dual_norm(g, Exponent(sp))[1].coeffs * wt ** (-1.0 / sp), norms,
                       out=np.zeros_like(norms), where=norms > 0.0)
         peak = np.abs(q).max()
         if not 0.0 < peak < math.inf:
@@ -580,56 +526,76 @@ def _attained(form) -> np.ndarray | None:
         return (q / peak)[:, None] * np.sign(w)
 
 
-def _sweep(ent: np.ndarray, w: np.ndarray, wt: np.ndarray, sp: float, patterns: int,
+def _sweep(a, w_rows, w: np.ndarray, wt: np.ndarray, s: Exponent, patterns: int,
            seed: int) -> CertifierResult:
-    """Certify the inequality that ``_Form(ent, w, wt, sp)`` scores.
+    """Certify the inequality that ``_Form(A, w, wt, s')`` scores, where
+    ``w_rows`` reads the rows wt_i^(1/s') w_i of B M_h for the shape kernel.
 
-    The vertex search (``c_hat_vertex``) is ``_closed_form`` when each row
-    of w has exactly one nonzero entry, else the enumeration of the +-1
-    vertices up to EXHAUSTIVE_LIMIT entries, else the seeded starts.
-    Failing a refutation there, a per-row search over patterns with zeroed
-    entries looks for one; failing that too, every row of A is
-    proportional to w's, and ``_attained``'s pattern gives ``c_hat``
-    unless a searched vertex scores higher.  The row form keeps its
-    vector pattern, which is exact already.  An LHS or RHS that overflows
-    at the sign pattern of A or of w, the largest there is, is a
-    SpecError."""
-    n = ent.shape[0]
+    The kernel decides refutation and constant: on DOES_NOT_FACTOR,
+    ``_refutation`` builds the pattern from the witness; on FACTORS,
+    ``_attained`` builds it from the recovered g, and gives ``c_hat``
+    unless a searched vertex scores higher; on a zero operator the best
+    vertex is reported.  The vertex search (``c_hat_vertex``) is
+    ``_closed_form`` when each row of w has exactly one nonzero entry,
+    else the enumeration of the +-1 vertices up to EXHAUSTIVE_LIMIT
+    entries, else the seeded starts.  The row form keeps its vector
+    pattern, which is exact already.  An LHS or RHS that overflows at the
+    sign pattern of A or of w, the largest there is, is a SpecError,
+    raised before the kernel runs."""
+    n, sp = a.n, float(conjugate(s))
+    ent = a.rows(0, n)
     with np.errstate(over="ignore", invalid="ignore"):
         for side, top in ("LHS", np.abs(ent).sum()), ("RHS", wt @ np.abs(w).sum(axis=1) ** sp):
             if not np.isfinite(top):
                 raise SpecError(f"the {side} of a sign pattern overflows the float range")
+    cert = _sandwich_check(n, lambda lo, hi: ent[lo:hi], w_rows, EXACT_TOL, s)
     form, rows = _Form(ent, w, wt, sp), n
     closed = (np.count_nonzero(w, axis=1) == 1).all()
+    rowform = closed and sp == 1.0
     with np.errstate(over="ignore"):
         if closed:
-            vertex, refute, rows = _closed_form(ent, w, wt, sp)
+            vertex, rows = _closed_form(ent, w, wt, sp)
         elif n * n <= EXHAUSTIVE_LIMIT:
-            vertex, refute = _exhaustive_vertex_max(form, n, n)
+            vertex = _exhaustive_vertex_max(form, n, n)
         else:
-            vertex, refute = _sampled_vertex_max(form, n, n, patterns, seed)
-        if refute is None and not closed:
-            # per row, maximize the LHS subject to sum_j w_ij r_ij = 0, up to
-            # w's last nonzero entry (all of a zero row: each r_ij is free)
-            r = np.sign(ent)[None]
-            for i, end in enumerate(n - (w[:, ::-1] != 0.0).argmax(axis=1)):
-                r[0, i, :end] = _max_dot_with_zero_sum(ent[i, :end], w[i, :end])
-            refute = _select(r, *form.evaluate(r))[1]
+            vertex = _sampled_vertex_max(form, n, n, patterns, seed)
         if vertex is None:
             # no searched vertex has a nonvanishing RHS: report the all-ones pattern
             ones = np.ones((1, n, n))
             lhs, rhs = form.evaluate(ones)
-            vertex = _select(ones, lhs, rhs)[0] or (0.0, ones[0], float(lhs[0]), float(rhs[0]))
+            vertex = (0.0, ones[0], float(lhs[0]), float(rhs[0]))
+        c_vertex = max(vertex[0], 0.0)
+        if cert.verdict is Verdict.DOES_NOT_FACTOR:
+            i = cert.witness["i"] - 1
+            r = _refutation(ent, w, i, cert.witness["j"] - 1)
+            if rowform:  # row i as a vector
+                r, rows = r[i], i + 1
+                lhs, rhs = float(r @ ent[i]), float(wt[i] * abs(r @ w[i]))
+            else:
+                lhs, rhs = (float(x[0]) for x in form.evaluate(r[None]))
+            return CertifierResult(math.inf, SignPattern(r), lhs, rhs, True, c_vertex,
+                                   rows, n)
         best = vertex
-        if refute is None and not (closed and sp == 1.0):
-            r = _attained(form)
-            attained = None if r is None else _select(r[None], *form.evaluate(r[None]))[0]
+        if cert.verdict is Verdict.FACTORS and not rowform:
+            r = _attained(form, cert.g)
+            attained = None if r is None else _select(r[None], *form.evaluate(r[None]))
             if attained and attained[0] >= vertex[0]:
                 best = attained
-    c_vertex, c_best = max(vertex[0], 0.0), max(best[0], 0.0)
-    pattern, lhs, rhs = refute or best[1:]
-    return CertifierResult(math.inf if refute else c_best, SignPattern(pattern), lhs, rhs,
-                           refute is not None, c_vertex, rows, pattern.shape[-1])
+    ratio, pattern, lhs, rhs = best
+    return CertifierResult(max(ratio, 0.0), SignPattern(pattern), lhs, rhs, False, c_vertex,
+                           rows, n)
+
+
+def _cesaro_w_rows(hv: np.ndarray, n: int):
+    """Rows lo..hi-1 of C_N M_h, as ``_sandwich_check`` reads w."""
+    c = CesaroOp(n)
+
+    def w_rows(lo, hi):
+        w = c.rows(lo, hi)
+        w *= hv
+        return w
+
+    return w_rows
 
 
 def certify_inequality_cesaro(a, h: TruncatedSeq, s_rq: Exponent, patterns: int = 64,
@@ -647,9 +613,9 @@ def certify_inequality_cesaro(a, h: TruncatedSeq, s_rq: Exponent, patterns: int 
         raise LengthMismatch(f"multiplier length {len(h)} != matrix size {a.n}")
     if patterns < 1:
         raise SpecError("patterns must be >= 1")
-    sp, n = float(conjugate(s_rq)), a.n
-    return _sweep(a.rows(0, n), np.tri(n) * h.coeffs,
-                  np.arange(1, n + 1, dtype=float) ** (-sp), sp, patterns, seed)
+    n, hv = a.n, h.coeffs
+    wt = np.arange(1, n + 1, dtype=float) ** (-float(conjugate(s_rq)))
+    return _sweep(a, _cesaro_w_rows(hv, n), np.tri(n) * hv, wt, s_rq, patterns, seed)
 
 
 def certify_inequality_fourier(tphi, s: Exponent) -> CertifierResult:
@@ -659,8 +625,8 @@ def certify_inequality_fourier(tphi, s: Exponent) -> CertifierResult:
     s = Exponent(s)
     if s == Exponent(1):
         raise DegenerateExponent("multiplier exponent 1 has infinite conjugate")
-    n = tphi.n
-    return _sweep(tphi.rows(0, n), _Identity(n).rows(0, n), np.ones(n), float(conjugate(s)),
+    ident = _Identity(tphi.n)
+    return _sweep(tphi, ident.rows, ident.rows(0, tphi.n), np.ones(tphi.n), s,
                   patterns=1, seed=0)
 
 

@@ -333,7 +333,7 @@ def certifier_brute_force(res: SuiteResult, seed: int = 0) -> None:
         h = TruncatedSeq(np.ones(n))
         sweep = certify_inequality_cesaro(ident, h, INF, patterns=8, seed=seed)
         if not (sweep.refuted and math.isinf(sweep.c_hat) and sweep.lhs > 0
-                and sweep.rhs <= 1e-12):
+                and sweep.rhs == 0.0):
             res.fail(f"identity n={n}: refutation not found")
             continue
         # recompute the refutation from the returned pattern, independently

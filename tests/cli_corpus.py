@@ -14,6 +14,11 @@ job, byte for byte.  To compare against another commit:
     python tests/cli_corpus.py > /tmp/head.txt
     diff /tmp/parent.txt /tmp/head.txt
 
+CI runs this comparison against the parent commit and fails unless the
+argvs of the lines that differ are exactly those listed, one masked argv a
+line, in ``tests/corpus_moves.txt``, and unless a commit that moves any line
+also changes that file; so a commit that moves nothing empties it.
+
 The jobs run in one process, in order, with ``XDG_CACHE_HOME`` at a fresh
 temporary directory, so the matrix cache starts empty.  File inputs are
 written with numpy into a temporary directory whose path is masked as
@@ -68,6 +73,16 @@ def _write_inputs(tmp: Path) -> None:
     np.savetxt(tmp / "h.csv", 1.0 + idx / 10.0, fmt="%.17g")
     np.savetxt(tmp / "e1.csv", np.eye(1, n)[0], fmt="%.17g")
     np.savetxt(tmp / "short.csv", idx[:3], fmt="%.17g")
+    # a Cesaro sandwich whose factor moved between g (~1e13) and h (~1e-13),
+    # and an identity with 1e-12 on every off-diagonal entry: both factor
+    g4, h4 = np.array([1.0, -2.0, 0.5, 3.0]) * 1e13, np.array([1.0, 0.5, 0.25, 0.8]) * 1e-13
+    np.savetxt(tmp / "scaled.csv", g4[:, None] * np.tri(4) / np.arange(1.0, 5.0)[:, None] * h4,
+               fmt="%.17g", delimiter=",", header="N=4", comments="")
+    np.savetxt(tmp / "scaled-h.csv", h4, fmt="%.17g")
+    near = np.full((40, 40), 1e-12)
+    np.fill_diagonal(near, 1.0)
+    np.savetxt(tmp / "near-identity.csv", near, fmt="%.17g", delimiter=",", header="N=40",
+               comments="")
     (tmp / "bad.csv").write_text("N=2\n1.0,x\n0.0,1.0\n")
     (tmp / "ragged.csv").write_text("N=2\n1.0,0.0\n0.0\n")
     (tmp / "nokey.json").write_text(json.dumps({"entries": [[1.0]]}))
@@ -109,6 +124,14 @@ def _jobs(tmp: Path):
              ("cesaro", "ones", f"{t}/e1.csv", "8"), ("random-lower", "ones", "harmonic", "5"))):
         yield ["certify", "--form", form, "--gen", gen, "--g", g, "--h", h, "--N", n,
                *exps, *quiet]
+    for exps in rq:
+        yield ["certify", "--form", "cesaro", "--matrix", f"{t}/scaled.csv",
+               "--h", f"{t}/scaled-h.csv", "--N", "4", *exps, *quiet]
+    yield ["check-cesaro", "--matrix", f"{t}/scaled.csv", "--h", f"{t}/scaled-h.csv",
+           "--N", "4", *shapes[1], *quiet]
+    for r in ("3/2", "2"):
+        yield ["certify", "--form", "fourier", "--matrix", f"{t}/near-identity.csv",
+               "--N", "40", "--r", r, "--q", "2", *quiet]
     for seed, patterns in ("0", "1"), ("3", "5"):
         yield ["certify", "--gen", "random-lower", "--h", "alt", "--N", "7", "--r", "4",
                "--q", "2", "--seed", seed, "--patterns", patterns, *quiet]

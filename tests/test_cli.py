@@ -396,16 +396,19 @@ class TestNonFiniteNumbers:
         assert doc["g_norm"] == {"value": "inf", "exponent": 4.0}
 
     def test_subnormal_h_certifies_without_warning(self, tmp_path):
-        # c_j / w_j overflows at w_1 = h_1 = 1e-322 in the zero-sum LP
+        # the pivot w_21 = h_1 / 2 = 5e-323 puts g_2 beyond the float range:
+        # certify reads the shape check's kernel, so both commands stop at the
+        # same error line, with no numpy warning
         h = tmp_path / "h.csv"
         seq_to_csv(TruncatedSeq([1e-322, 1.0]), h)
-        done = run_process(["certify", "--gen", "rank-one", "--g", "alt", "--h", str(h),
-                            "--N", "2", "--perturb", "2,1,1e-3", "--q", "2", "--r", "2",
-                            "--no-timestamp"])
-        assert done.returncode == 1
-        assert done.stderr == ""
-        doc = strict_json(done.stdout.split("\n", 1)[1])
-        assert doc["certifier"]["refuted"] is True
+        source = ["--gen", "rank-one", "--g", "alt", "--h", str(h), "--N", "2",
+                  "--perturb", "2,1,1e-3", "--q", "2", "--r", "2", "--no-timestamp"]
+        done = [run_process([cmd, *source, *extra])
+                for cmd, extra in (("certify", []), ("check-cesaro", ["--p", "2"]))]
+        for d in done:
+            assert (d.returncode, d.stdout) == (64, "")
+        assert done[0].stderr == done[1].stderr == (
+            "error: recovered g_2 = a_ij / (b_ij h_j) overflows the float range\n")
 
 
 class TestCertifierOverflow:

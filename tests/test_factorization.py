@@ -770,97 +770,6 @@ class TestSuiteOracles:
         assert oracle_cesaro(ent, hv, 2.0) == -math.inf
 
 
-class TestRefutationLP:
-    """The per-row search maximizes c . r subject to w . r = 0 over the cube;
-    validated against the dual: min over lambda of sum |c_j - lambda w_j|,
-    attained at a breakpoint of the piecewise-linear objective."""
-
-    @staticmethod
-    def dual_optimum(c, w):
-        active = [j for j in range(len(w)) if w[j] != 0.0]
-        free_part = sum(abs(c[j]) for j in range(len(w)) if w[j] == 0.0)
-        if not active:
-            return free_part
-        candidates = [c[j] / w[j] for j in active]
-        return free_part + min(
-            sum(abs(c[j] - lam * w[j]) for j in active) for lam in candidates)
-
-    def test_matches_dual_on_random_instances(self):
-        from strongfactor.factorization import _max_dot_with_zero_sum
-
-        rng = np.random.default_rng(17)
-        for k in (1, 2, 3, 7, 20):
-            for _ in range(20):
-                c = rng.standard_normal(k)
-                w = rng.standard_normal(k)
-                w[rng.random(k) < 0.25] = 0.0
-                r = _max_dot_with_zero_sum(c, w)
-                assert np.abs(r).max() <= 1.0 + 1e-12
-                assert abs(float(np.dot(w, r))) <= 1e-12
-                value = float(np.dot(c, r))
-                assert value >= -1e-12  # zero is feasible
-                assert value == pytest.approx(self.dual_optimum(c, w), abs=1e-10)
-
-    @staticmethod
-    def sequential(c, w):
-        """The reference search: the crossing found by subtracting one step
-        at a time, which ``subtract.accumulate`` must reproduce bit for bit."""
-        r = np.zeros(c.size)
-        active, free = np.flatnonzero(w != 0.0), np.flatnonzero(w == 0.0)
-        r[free] = np.sign(c[free])
-        if active.size == 0:
-            return r
-        with np.errstate(over="ignore"):
-            order = active[np.argsort(c[active] / w[active], kind="stable")]
-        r[order] = np.sign(w[order])
-        gap = float(np.abs(w[active]).sum())
-        for j in order:
-            step = 2.0 * abs(w[j])
-            if gap - step >= 0.0:
-                r[j] = -np.sign(w[j])
-                gap -= step
-                continue
-            r[j] = 0.0
-            r[j] = min(1.0, max(-1.0, -float(np.dot(w, r)) / w[j]))
-            break
-        return r
-
-    def test_matches_sequential_search_bit_for_bit(self):
-        # ties in c_j / w_j, proportional rows, one-signed w, spreads of 16
-        # orders of magnitude, where the gaps round, and tenths, where a gap
-        # reaches exactly 0 while the dot product at the crossing rounds
-        from strongfactor.factorization import _max_dot_with_zero_sum
-
-        # the gap after r_3 flips is exactly 0, so r_3 flips whole and r_2,
-        # where the gap turns negative, takes the rounded remainder
-        c, w = np.array([2.0, 1.0, 1.25]), np.array([0.2, 0.5, -0.7])
-        assert _max_dot_with_zero_sum(c, w).tolist() == [1.0, 0.9999999999999999, 1.0]
-        rng = np.random.default_rng(123)
-        for k in (1, 2, 3, 5, 8, 64, 257):
-            for t in range(72):
-                c = rng.standard_normal(k) * 10.0 ** rng.uniform(-8, 8, k)
-                w = rng.standard_normal(k) * 10.0 ** rng.uniform(-8, 8, k)
-                if t % 6 == 1:
-                    w[rng.random(k) < 0.3] = 0.0
-                elif t % 6 == 2:
-                    c = w * rng.integers(-2, 3, k)
-                elif t % 6 == 3:
-                    w, c = np.round(w), np.round(3.0 * c)
-                elif t % 6 == 4:
-                    w = np.abs(w)
-                elif t % 6 == 5:
-                    w = rng.integers(1, 10, k) / 10.0 * rng.choice([-1.0, 1.0], k)
-                got, want = _max_dot_with_zero_sum(c, w), self.sequential(c, w)
-                assert got.tobytes() == want.tobytes(), (k, t)
-
-    def test_all_zero_weights(self):
-        from strongfactor.factorization import _max_dot_with_zero_sum
-
-        c = np.array([1.0, -2.0, 0.0])
-        r = _max_dot_with_zero_sum(c, np.zeros(3))
-        assert np.array_equal(r, np.sign(c))
-
-
 def cesaro_form(ent, hv, sp):
     """The form that ``certify_inequality_cesaro`` sweeps: w_ij = h_j on
     j <= i and wt_i = i^(-s')."""
@@ -916,11 +825,11 @@ class TestCesaroForm:
         assert_reports_its_pattern(res, form)
         search = (_exhaustive_vertex_max(form, n, n) if n * n <= 16
                   else _sampled_vertex_max(form, n, n, 16, 2))
-        assert res.c_hat_vertex == search[0][0]
+        assert res.c_hat_vertex == search[0]
 
     @pytest.mark.parametrize("n", [2, 5])
     def test_refutation_is_the_evaluators_value(self, n):
-        # with h_1 != 0 no vertex refutes: the targeted search finds it
+        # the pattern is built from the shape check's witness, not searched
         res = certify_inequality_cesaro(identity_matrix(n), ones(n), Exponent(4),
                                         patterns=4, seed=0)
         assert res.refuted
@@ -930,32 +839,15 @@ class TestCesaroForm:
 
 
 def whole_draw_sweep(form, n, patterns, seed):
-    """The seeded starts drawn and scored as one (patterns, n, n) stack, cut
-    after the first refuting start: (best vertex, refutation) as (ratio,
-    pattern, lhs, rhs) and (pattern, lhs, rhs), and the index of the
-    refuting start (None when no start refutes)."""
+    """The best of the seeded starts drawn and scored as one (patterns, n, n)
+    stack, as (ratio, pattern, lhs, rhs), earliest on ties."""
     starts = np.where(np.random.default_rng(seed).random((patterns, n, n)) < 0.5, -1.0, 1.0)
     lhs, rhs = form.evaluate(starts)
-    best = refute = first = None
+    best = None
     for k in range(patterns):
-        if rhs[k] <= 1e-12 and lhs[k] > 1e-9:
-            refute, first = (starts[k], float(lhs[k]), float(rhs[k])), k
-            break
-        if rhs[k] > 1e-12 and (best is None or lhs[k] / rhs[k] > best[0]):
+        if rhs[k] > 0.0 and (best is None or lhs[k] / rhs[k] > best[0]):
             best = (float(lhs[k] / rhs[k]), starts[k], float(lhs[k]), float(rhs[k]))
-    return best, refute, first
-
-
-def assert_same_sweep(got, expected):
-    for a, b in zip(got, expected):
-        assert (a is None) == (b is None)
-        if a is not None:
-            assert len(a) == len(b)
-            for x, y in zip(a, b):
-                if isinstance(x, np.ndarray):
-                    assert np.array_equal(x, y)
-                else:
-                    assert x == y
+    return best
 
 
 def assert_reports_its_pattern(res, form):
@@ -972,9 +864,10 @@ def assert_reports_its_pattern(res, form):
 
 
 class TestAttainedConstant:
-    """Once no pattern refutes, every row of A is gamma_i w_i, and the
-    reported c_hat is the constant sup LHS/RHS over the box, attained by the
-    reported pattern: ||g||_s for a Cesaro sandwich M_g C M_h."""
+    """Once the shape check says FACTORS, every row of A is proportional to
+    w's, and the reported c_hat is the constant sup LHS/RHS over the box,
+    attained by the reported pattern: ||g||_s for a Cesaro sandwich
+    M_g C M_h."""
 
     @staticmethod
     def sandwich(n, seed):
@@ -1020,34 +913,10 @@ class TestAttainedConstant:
         _, h, a = self.sandwich(n, 7)
         form = cesaro_form(a.rows(0, n), h.coeffs, 2.0)
         for seed in range(2):
-            best, refute, _ = whole_draw_sweep(form, n, patterns, seed)
-            assert refute is None
-            assert_same_sweep(_sampled_vertex_max(form, n, n, patterns, seed), (best, refute))
-
-    def test_refuting_start_in_a_later_block(self):
-        # h = 1e-13 puts the RHS of the starts near REFUTE_RHS_TOL: start 9,
-        # in the second block of 8, is the first to refute; the best vertex
-        # is read from the starts before it only
-        from strongfactor.factorization import _sampled_vertex_max
-
-        n = 64
-        ent = np.tril(np.random.default_rng(0).standard_normal((n, n)))
-        form = cesaro_form(ent, np.full(n, 1e-13), 1.0)
-        best, refute, first = whole_draw_sweep(form, n, 64, 0)
-        assert first == 9
-        assert_same_sweep(_sampled_vertex_max(form, n, n, 64, 0), (best, refute))
-
-    @pytest.mark.parametrize("patterns", [1, 8])
-    def test_refuting_start_ends_the_sweep(self, patterns):
-        # with h = 0 every RHS vanishes: the first draw refutes
-        n = 8
-        a = diagonal_sandwich(harmonic(n), cesaro_matrix(n), ones(n))
-        res = certify_inequality_cesaro(a, TruncatedSeq(np.zeros(n)), Exponent(4),
-                                        patterns=patterns, seed=5)
-        first = np.where(np.random.default_rng(5).random((n, n)) < 0.5, -1.0, 1.0)
-        assert res.refuted and math.isinf(res.c_hat) and res.c_hat_vertex == 0.0
-        assert np.array_equal(np.asarray(res.pattern.r), first)
-        assert res.rhs == 0.0 and res.lhs == float(np.sum(first * a.rows(0, n)))
+            got = _sampled_vertex_max(form, n, n, patterns, seed)
+            want = whole_draw_sweep(form, n, patterns, seed)
+            assert got[0] == want[0] and got[2:] == want[2:]
+            assert np.array_equal(got[1], want[1])
 
 
 class TestCertifyCesaro:
@@ -1089,11 +958,10 @@ class TestCertifyCesaro:
         res = certify_inequality_cesaro(identity_matrix(2), ones(2), INF,
                                         patterns=4, seed=0)
         assert res.refuted and math.isinf(res.c_hat)
-        # validate the refuting pattern independently
-        r = np.asarray(res.pattern.r)
-        assert abs(r[0, 0]) <= 1e-12  # row-1 prefix is the single entry r_11
-        assert abs(r[1, 0] + r[1, 1]) <= 1e-12
-        assert res.lhs > 0 and res.rhs <= 1e-12
+        # the witness is a_22 against the pivot w_21 = h_1: r_22 = w_21 and
+        # r_21 = -w_22, so row 2 sums to 0 and LHS = a_22 = 1
+        assert np.asarray(res.pattern.r).tolist() == [[0.0, 0.0], [-1.0, 1.0]]
+        assert (res.lhs, res.rhs) == (1.0, 0.0)
 
     @pytest.mark.parametrize("n", [3, 6])
     @pytest.mark.parametrize("s", [Exponent(4), INF])
@@ -1104,6 +972,29 @@ class TestCertifyCesaro:
         assert (res.c_hat, res.c_hat_vertex, res.refuted) == (0.0, 0.0, False)
         assert_reports_its_pattern(res, cesaro_form(zero.entries, np.ones(n),
                                                     float(conjugate(s))))
+
+    @staticmethod
+    def scaled_sandwich(cg, ch):
+        g = TruncatedSeq(np.array([1.0, -2.0, 0.5, 3.0]) * cg)
+        h = TruncatedSeq(np.array([1.0, 0.5, 0.25, 0.8]) * ch)
+        return g, h, diagonal_sandwich(g, cesaro_matrix(4), h)
+
+    @pytest.mark.parametrize("s", [Exponent(4), P2, Exponent("4/3"), INF])
+    def test_factor_moved_between_g_and_h_is_not_refuted(self, s):
+        # max |a_ij| is 1, but g ~ 1e13 and h ~ 1e-13: the shape check says
+        # FACTORS, and the constant is ||g||_s of the g it recovers
+        g, h, a = self.scaled_sandwich(1e13, 1e-13)
+        res = certify_inequality_cesaro(a, h, s)
+        assert not res.refuted
+        assert res.c_hat == pytest.approx(lp_norm(g, s), rel=1e-14, abs=0.0)
+
+    def test_tiny_h_still_scores_the_vertices(self):
+        # every RHS is about 2e-160, which is positive; the check calls the
+        # 1e-160 operator a zero operator, so c_hat is the vertex value
+        _, h, a = self.scaled_sandwich(1.0, 1e-160)
+        res = certify_inequality_cesaro(a, h, Exponent(4))
+        assert not res.refuted and res.c_hat_vertex > 0.0
+        assert res.c_hat == res.c_hat_vertex
 
     def test_degenerate_exponent(self):
         with pytest.raises(DegenerateExponent):
@@ -1174,22 +1065,51 @@ def certifier_corpus():
                 yield n, f"{kind} perturbed ({i}, {j}) by {eps:.1e}", perturb_entry(a, i, j, eps), h
 
 
+def replay_refutation(res, ent, w, wt, sp):
+    """Re-score a refuting pattern with plain loops, apart from ``_Form``:
+    RHS = (sum_i wt(i) |sum_j w(i, j) r_ij|^sp)^(1/sp) is exactly 0, LHS =
+    sum_ij r_ij a_ij is positive and is the reported value, and the pattern
+    has at most two nonzero entries, the largest of size in [1/2, 1].  A
+    vector pattern (the row form) lies on row ``res.rows`` of A."""
+    n = ent.shape[0]
+    r = np.asarray(res.pattern.r)
+    rows = {res.rows - 1: r} if r.ndim == 1 else dict(enumerate(r))
+    lhs = rhs_pow = 0.0
+    for i, ri in rows.items():
+        lhs += sum(float(ri[j]) * float(ent[i, j]) for j in range(n))
+        rhs_pow += wt(i) * abs(sum(w(i, j) * float(ri[j]) for j in range(n))) ** sp
+    assert res.refuted and math.isinf(res.c_hat)
+    assert rhs_pow ** (1.0 / sp) == 0.0 == res.rhs
+    assert lhs > 0.0 and lhs == res.lhs
+    assert np.count_nonzero(r) <= 2
+    assert 0.5 <= np.abs(r).max() <= 1.0
+
+
+def replay_cesaro_refutation(res, ent, hv, sp):
+    replay_refutation(res, ent, lambda i, j: float(hv[j]) if j <= i else 0.0,
+                      lambda i: (i + 1.0) ** -sp, sp)
+
+
 class TestCertifierAgreesWithShapeCheck:
     """The Cesàro certifier refutes exactly when the shape check gives
     DOES_NOT_FACTOR, and on FACTORS its vertex ratio stays below the
-    recovered multiplier's norm (Hoelder).  The two routes share no code.
-    The shape check also takes the h with h_1 = 0."""
+    recovered multiplier's norm (Hoelder).  The certifier reads both from
+    the check's kernel, so every refuting pattern is replayed here by plain
+    loops.  The shape check also takes the h with h_1 = 0."""
 
     @pytest.mark.parametrize("r, q", [(2, 2), (4, 2), (3, Fraction(3, 2))])
     def test_refuted_iff_does_not_factor(self, r, q):
         r, q = Exponent(r), Exponent(q)
         s = multiplier_exponent(r, q)
+        sp = float(conjugate(s))
         verdicts = set()
         for seed, (n, label, a, h) in enumerate(certifier_corpus()):
             cert = cesaro_factor_check(a, h, P2, q, r)
             res = certify_inequality_cesaro(a, h, s, patterns=16, seed=seed)
             verdicts.add(cert.verdict)
             assert res.refuted == (cert.verdict is Verdict.DOES_NOT_FACTOR), (n, label)
+            if res.refuted:
+                replay_cesaro_refutation(res, a.rows(0, n), h.coeffs, sp)
             if cert.verdict is Verdict.FACTORS:
                 assert res.c_hat_vertex <= cert.g_norm[0] * (1.0 + 1e-9), (n, label)
         assert verdicts == {Verdict.FACTORS, Verdict.DOES_NOT_FACTOR}
@@ -1226,12 +1146,12 @@ class TestCertifierAgreesWithShapeCheck:
 
 
 def reference_fourier(ent, s):
-    """The Fourier certifier before the shared closed form: a closure
-    evaluator at finite s and a loop over rows at s = inf.  Returns
-    (c_hat, pattern, lhs, rhs, refuted, c_hat_vertex, rows)."""
+    """The Fourier certifier's vertex search before the shared closed form:
+    a closure evaluator at finite s and a loop over rows at s = inf.
+    Returns (c_hat_vertex, pattern, lhs, rhs, rows) of the best vertex."""
     n = ent.shape[0]
     if s.is_inf:
-        best, refutation = (-math.inf, None, 0.0, 0.0, 0), None
+        best = (-math.inf, None, 0.0, 0.0, 0)
         for row in range(1, n + 1):
             arow = ent[row - 1]
             r = np.sign(arow)
@@ -1239,31 +1159,14 @@ def reference_fourier(ent, s):
             lhs = float(np.dot(r, arow))
             if lhs / 1.0 > best[0]:
                 best = (lhs / 1.0, r.copy(), lhs, 1.0, row)
-            r_zero = r.copy()
-            r_zero[row - 1] = 0.0
-            lhs0 = float(np.dot(r_zero, arow))
-            if refutation is None and lhs0 > 1e-9:
-                refutation = (r_zero, lhs0, 0.0, row)
     else:
         sp = float(conjugate(s))
-
-        def evaluate(r):
-            lhs = float(np.sum(r * ent))
-            return lhs, float((np.abs(np.diagonal(r)) ** sp).sum() ** (1.0 / sp))
-
-        r_best = np.sign(ent)
-        r_best[r_best == 0.0] = 1.0
-        lhs, rhs = evaluate(r_best)
-        best = (lhs / rhs, r_best, lhs, rhs, n)
-        r_zero = np.sign(ent)
-        np.fill_diagonal(r_zero, 0.0)
-        lhs0, rhs0 = evaluate(r_zero)
-        refutation = (r_zero, lhs0, rhs0, n) if rhs0 <= 1e-12 and lhs0 > 1e-9 else None
-    ratio, *found = best
-    c_vertex = max(ratio, 0.0)
-    if refutation is None:
-        return (c_vertex, *found[:3], False, c_vertex, found[3])
-    return (math.inf, *refutation[:3], True, c_vertex, refutation[3])
+        r = np.sign(ent)
+        r[r == 0.0] = 1.0
+        lhs = float(np.sum(r * ent))
+        rhs = float((np.abs(np.diagonal(r)) ** sp).sum() ** (1.0 / sp))
+        best = (lhs / rhs, r, lhs, rhs, n)
+    return (max(best[0], 0.0), *best[1:])
 
 
 def fourier_cases():
@@ -1288,24 +1191,31 @@ class TestCertifyFourier:
     @pytest.mark.parametrize("s", [Exponent(2), Exponent(4), Exponent("4/3"),
                                    Exponent("3/2"), Exponent(6), INF])
     def test_matches_reference(self, s):
-        # bit for bit, -0.0 and rows included: the vertex search always, and
-        # the report too when it refutes or takes the row form (s = inf);
-        # a bounded report at finite s is the attained constant
+        # refuted exactly when the shape check says DOES_NOT_FACTOR, each
+        # refuting pattern replayed by plain loops; the vertex search bit for
+        # bit, -0.0 and rows included, and the whole report in the row form
+        # (s = inf); a bounded report at finite s is the attained constant
         def bits(values):
             return [v.tobytes() if isinstance(v, np.ndarray) else repr(v) for v in values]
 
+        sp = float(conjugate(s))
         for ent in fourier_cases():
             n = ent.shape[0]
-            res = certify_inequality_fourier(MatrixOp(ent, lp_space(2), lp_space(2)), s)
-            got = (res.c_hat, np.asarray(res.pattern.r), res.lhs, res.rhs, res.refuted,
-                   res.c_hat_vertex, res.rows)
+            op = MatrixOp(ent, lp_space(2), lp_space(2))
+            res = certify_inequality_fourier(op, s)
+            cert = fourier_factor_check(op, P2, P2, P2)
             expected = reference_fourier(ent, s)
-            if res.refuted or s.is_inf:
-                assert got[1].shape == expected[1].shape
+            assert repr(res.c_hat_vertex) == repr(expected[0])
+            assert res.refuted == (cert.verdict is Verdict.DOES_NOT_FACTOR)
+            if res.refuted:
+                replay_refutation(res, ent, lambda i, j: float(i == j), lambda i: 1.0, sp)
+                assert res.rows == (cert.witness["i"] if s.is_inf else n)
+                continue
+            if s.is_inf:
+                got = (res.c_hat, np.asarray(res.pattern.r), res.lhs, res.rhs, res.rows)
                 assert bits(got) == bits(expected)
                 continue
-            assert bits(got[4:]) == bits(expected[4:])
-            sp = float(conjugate(s))
+            assert res.rows == n
             assert_reports_its_pattern(res, factorization._Form(ent, np.eye(n), np.ones(n), sp))
             # the sup over the box is ||diag A||_s, up to A's mass off the
             # diagonal, which no refutation took
@@ -1321,6 +1231,16 @@ class TestCertifyFourier:
         res = certify_inequality_fourier(MatrixOp(np.array([[-0.0]]), lp_space(2),
                                                   lp_space(2)), s)
         assert repr((res.c_hat, res.c_hat_vertex, res.lhs)) == "(0.0, 0.0, 0.0)"
+
+    @pytest.mark.parametrize("s", [P2, Exponent(4), Exponent("4/3"), INF])
+    def test_near_identity_is_not_refuted_at_any_s(self, s):
+        # 1e-12 off the diagonal is within the check's tolerance, though the
+        # row sums of N = 40 such entries pass 1e-9
+        n = 40
+        ent = np.full((n, n), 1e-12)
+        np.fill_diagonal(ent, 1.0)
+        res = certify_inequality_fourier(MatrixOp(ent, lp_space(2), lp_space(2)), s)
+        assert not res.refuted and res.c_hat >= lp_norm(np.ones(n), s)
 
     def test_diagonal_attains_norm_with_constant_magnitude(self):
         for n in (2, 3, 4):
