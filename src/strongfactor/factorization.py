@@ -14,16 +14,16 @@ kernel decides both:
   fourth caller: it hands the kernel T and alpha M_h applied to the first
   basis functions;
 * **inequality certifiers** score patterns r in the equivalent inequality
-  sum_ij r_ij a_ij <= C (sum_i wt_i |sum_j w_ij r_ij|^s')^(1/s'): one form
-  for both families (Cesàro: w_ij = h_j on j <= i, wt_i = i^(-s'); Fourier:
-  w = I, wt = 1) and one driver.  The inequality is refuted exactly when
-  the shape kernel says DOES_NOT_FACTOR, and the witness gives a pattern
-  with right-hand side 0 and positive left-hand side; otherwise the
-  constant is ||g||_s of the recovered g, reported with a pattern that
-  attains it.  A +-1 vertex search, in closed form when each row of w has
-  one nonzero entry, reports the best vertex ratio beside it.  A finite
-  truncation can never prove the full inequality, so that constant is
-  finite-truncation evidence only.
+  sum_ij r_ij a_ij <= C ||(sum_j w_ij r_ij)_i||_s', on the w = B M_h that
+  the shape kernel reads: one form for both families (Cesàro:
+  w_ij = h_j / i on j <= i; Fourier: w = I) and one driver.  The inequality
+  is refuted exactly when the shape kernel says DOES_NOT_FACTOR, and the
+  witness gives a pattern with right-hand side 0 and positive left-hand
+  side; otherwise the constant is ||g||_s of the recovered g, reported
+  with a pattern that attains it.  A +-1 vertex search, in closed form
+  when each row of w has one nonzero entry, reports the best vertex ratio
+  beside it.  A finite truncation can never prove the full inequality, so
+  that constant is finite-truncation evidence only.
 
 Verdicts follow the nontrivial-operator policy: an (approximately) zero
 operator yields INCONCLUSIVE, never FACTORS.
@@ -65,7 +65,7 @@ from .grid_functions import (
     fourier_coeffs,
 )
 from .operators import CesaroOp, _block_bounds, _Identity
-from .seq_spaces import IndexDomain, SpaceKind, TruncatedSeq, dual_norm, lp_norm
+from .seq_spaces import IndexDomain, SpaceKind, TruncatedSeq, _scaled_lp, dual_norm, lp_norm
 
 EXACT_TOL = 1e-9       # identities exact in exact arithmetic
 QUADRATURE_TOL = 1e-6  # identities that pass through quadrature
@@ -384,25 +384,26 @@ EXHAUSTIVE_LIMIT = 16
 
 
 class _Form:
-    """LHS = sum_ij r_ij a_ij and RHS = (sum_i wt_i |sum_j w_ij r_ij|^s')^(1/s')
-    of the weighted inequality, evaluated on stacks of n x n patterns."""
+    """LHS = sum_ij r_ij a_ij and RHS = ||(sum_j w_ij r_ij)_i||_s' of the
+    inequality, with w the rows of B M_h, evaluated on stacks of n x n
+    patterns."""
 
-    def __init__(self, ent: np.ndarray, w: np.ndarray, wt: np.ndarray, sp: float):
-        self.ent, self.w, self.wt, self.sp = ent, w, wt, sp
+    def __init__(self, ent: np.ndarray, w: np.ndarray, sp):
+        self.ent, self.w, self.sp = ent, w, Exponent(sp)
 
     def evaluate(self, r: np.ndarray):
         """LHS and RHS of each pattern in a stack of shape (P, n, n).
 
         Each sum runs over one row of one pattern at a time: einsum, unlike
-        BLAS, then reduces each pattern in the same order whatever P is, so
-        a pattern scores the same alone as inside a stack.  (A single
+        BLAS, then reduces each pattern in the same order whatever P is, and
+        ``_scaled_lp`` gives each row of its stack the bits it gives alone,
+        so a pattern scores the same alone as inside a stack.  (A single
         "pij,ij->p" contraction does not: at P = 1 it reduces a pattern of
         more than 8192 entries in another order.)
         """
         lhs = np.einsum("pij,ij->pi", r, self.ent).sum(axis=1)
-        rows = np.einsum("pij,ij->pi", r, self.w)
-        rhs_pow = np.einsum("pi,i->p", np.abs(rows) ** self.sp, self.wt)
-        return lhs, rhs_pow ** (1.0 / self.sp)
+        m, t = _scaled_lp(np.abs(np.einsum("pij,ij->pi", r, self.w)), self.sp)
+        return lhs, m * t
 
 
 def _select(stack, lhs: np.ndarray, rhs: np.ndarray):
@@ -421,7 +422,8 @@ def _exhaustive_vertex_max(form, n: int, m: int):
     """Best ratio over all 2^(n*m) sign matrices.
 
     Enumeration order is the binary code order, and ties keep the earliest
-    pattern, so the result is deterministic.
+    pattern, so the result is deterministic.  Code 2^(n*m) - 1 - c negates
+    code c, its LHS and not its RHS, so only the first half is scored.
     """
     k = n * m
     # entry b of pattern c is -1 or +1 as bit b of c is 0 or 1; k <= 16 bits
@@ -430,7 +432,10 @@ def _exhaustive_vertex_max(form, n: int, m: int):
     codes = np.arange(1 << k, dtype="<u4").view(np.uint8).reshape(-1, 4)
     stack = np.array([-1.0, 1.0])[
         np.unpackbits(codes, axis=1, count=k, bitorder="little")].reshape(-1, n, m)
-    return _select(stack, *form.evaluate(stack))
+    lhs, rhs = form.evaluate(stack[:len(stack) // 2])
+    # 0.0 - x, not -x: a vanishing LHS is +0.0 for either sign
+    return _select(stack, np.concatenate((lhs, 0.0 - lhs[::-1])),
+                   np.concatenate((rhs, rhs[::-1])))
 
 
 def _sampled_vertex_max(form, n: int, m: int, patterns: int, seed: int):
@@ -455,30 +460,25 @@ def _sampled_vertex_max(form, n: int, m: int, patterns: int, seed: int):
     return vertex
 
 
-def _closed_form(ent: np.ndarray, w: np.ndarray, wt: np.ndarray, sp: float):
+def _closed_form(form):
     """``_select``'s best vertex, and ``rows``, when row i of w has one
     nonzero entry, w_ic_i.  Every +-1 vertex has the same RHS, so the
-    sign-matched one is optimal.  At s' = 1 a ratio of row sums is at most
-    its largest row ratio, so the row form is exact: a vector pattern on
-    row k of A, with LHS = sum_j r_kj a_kj against RHS = wt_k |w_kc_k r_kc_k|.
-    A row's LHS rounds as np.dot's (a lone -0.0 product sums to +0.0); the
-    last power is the scalar ``**``, correctly rounded more often than
-    np.power."""
+    sign-matched one is optimal, and ``form`` scores it.  At s' = 1 a ratio
+    of row sums is at most its largest row ratio, so the row form is exact:
+    a vector pattern on row k of A, with LHS = sum_j r_kj a_kj against
+    RHS = |w_kc_k r_kc_k| = |w_kc_k|.  A row's LHS rounds as np.dot's (a
+    lone -0.0 product sums to +0.0)."""
+    ent = form.ent
     n = ent.shape[0]
-    col, k = (w != 0.0).argmax(axis=1), np.arange(n)
     stack = np.sign(ent)[None]
     stack += stack == 0.0  # sign(a_ij), and 1 where a_ij = 0
-    if sp != 1.0:
-        lhs = np.array([(r * ent).sum() for r in stack])
-        rhs_pow = (wt * np.abs(w[k, col] * stack[:, k, col]) ** sp).sum(axis=1)
-        return _select(stack, lhs, np.array([float(x) ** (1.0 / sp) for x in rhs_pow])), n
+    if form.sp != Exponent(1):
+        return _select(stack, *form.evaluate(stack)), n
     # row t of the stack is a vector pattern on row t of A
     lhs = (stack[:, :, None, :] @ ent[:, :, None]).reshape(n)
     stack = stack.reshape(n, n)
-    rhs = wt * np.abs(w[k, col] * stack[k, col])
-    vertex = _select(stack, lhs, rhs)
-    if vertex is None:
-        return None, n
+    rhs = np.abs(form.w).max(axis=1)
+    vertex = _select(stack, lhs, rhs)  # every RHS is positive
     # _select took the first row scoring the reported (lhs, rhs)
     return vertex, 1 + int(np.argmax((lhs == vertex[2]) & (rhs == vertex[3])))
 
@@ -488,9 +488,10 @@ def _refutation(ent: np.ndarray, w: np.ndarray, i: int, j: int) -> np.ndarray:
     shape: with p the first nonzero entry of row i of w, r_ij = t w_ip and
     r_ip = -t w_ij, zero elsewhere.  t = +-2^k is the largest power of two
     with max |r| <= 1, signed to make LHS = t (a_ij w_ip - a_ip w_ij)
-    positive; scaling by 2^k is exact, so both products in row i's sum are
-    the same float and the RHS is exactly 0.  A row of w that is all zero
-    gets r_ij = sign(a_ij) alone."""
+    positive, a sign read from the scaled entries, whose products with A
+    cannot overflow; scaling by 2^k is exact, so both products in row i's
+    sum are the same float and the RHS is exactly 0.  A row of w that is
+    all zero gets r_ij = sign(a_ij) alone."""
     r = np.zeros_like(ent)
     support = np.flatnonzero(w[i])
     if support.size == 0:
@@ -498,38 +499,34 @@ def _refutation(ent: np.ndarray, w: np.ndarray, i: int, j: int) -> np.ndarray:
         return r
     p = support[0]
     frac, e = math.frexp(max(abs(w[i, p]), abs(w[i, j])))
-    k = (frac == 0.5) - e
-    t = math.copysign(1.0, ent[i, j] * w[i, p] - ent[i, p] * w[i, j])
-    r[i, j] = math.ldexp(t * w[i, p], k)
-    r[i, p] = math.ldexp(-t * w[i, j], k) + 0.0  # + 0.0 turns -0.0 into 0.0
+    wp, wj = (math.ldexp(w[i, c], (frac == 0.5) - e) for c in (p, j))
+    t = math.copysign(1.0, ent[i, j] * wp - ent[i, p] * wj)
+    r[i, j], r[i, p] = t * wp, -t * wj + 0.0  # + 0.0 turns -0.0 into 0.0
     return r
 
 
 def _attained(form, g: TruncatedSeq) -> np.ndarray | None:
     """The n x n pattern that attains sup LHS/RHS over [-1, 1]^(n x n) when
-    row i of A is g_i wt_i^(1/s') w_i, or None when there is none to build.
+    row i of A is g_i w_i, or None when there is none to build.
 
-    Then LHS = sum_i g_i wt_i^(1/s') S_i with S_i = sum_j w_ij r_ij, so by
-    homogeneity the supremum is ||g||_s, attained by S_i = f_i wt_i^(-1/s')
-    with f the l^s' extremizer of ``dual_norm``, scaled so that
-    |S_i| <= ||w_i||_1 with equality on some row, and
-    r_i = (S_i / ||w_i||_1) sign(w_i).
+    Then LHS = sum_i g_i S_i with S_i = sum_j w_ij r_ij, so by homogeneity
+    the supremum is ||g||_s, attained by S proportional to f, the l^s'
+    extremizer of ``dual_norm``: r_i = (f_i / ||w_i||_1) sign(w_i), scaled
+    by its peak so that max |r_ij| = 1.
     """
-    w, wt, sp = form.w, form.wt, form.sp
-    with np.errstate(divide="ignore", invalid="ignore"):
-        norms = np.abs(w).sum(axis=1)
-        q = np.divide(dual_norm(g, Exponent(sp))[1].coeffs * wt ** (-1.0 / sp), norms,
-                      out=np.zeros_like(norms), where=norms > 0.0)
-        peak = np.abs(q).max()
-        if not 0.0 < peak < math.inf:
-            return None
-        return (q / peak)[:, None] * np.sign(w)
+    norms = np.abs(form.w).sum(axis=1)
+    q = np.divide(dual_norm(g, form.sp)[1].coeffs, norms,
+                  out=np.zeros_like(norms), where=norms > 0.0)
+    peak = np.abs(q).max()
+    if not 0.0 < peak < math.inf:
+        return None
+    return (q / peak)[:, None] * np.sign(form.w)
 
 
-def _sweep(a, w_rows, w: np.ndarray, wt: np.ndarray, s: Exponent, patterns: int,
-           seed: int) -> CertifierResult:
-    """Certify the inequality that ``_Form(A, w, wt, s')`` scores, where
-    ``w_rows`` reads the rows wt_i^(1/s') w_i of B M_h for the shape kernel.
+def _sweep(a, w_rows, s: Exponent, patterns: int, seed: int) -> CertifierResult:
+    """Certify the inequality that ``_Form(A, w, s')`` scores, where w =
+    ``w_rows(0, n)`` holds the rows of B M_h, read once: the shape kernel
+    and the form read the same array.
 
     The kernel decides refutation and constant: on DOES_NOT_FACTOR,
     ``_refutation`` builds the pattern from the witness; on FACTORS,
@@ -541,20 +538,21 @@ def _sweep(a, w_rows, w: np.ndarray, wt: np.ndarray, s: Exponent, patterns: int,
     entries, else the seeded starts.  The row form keeps its vector
     pattern, which is exact already.  An LHS or RHS that overflows at the
     sign pattern of A or of w, the largest there is, is a SpecError,
-    raised before the kernel runs."""
-    n, sp = a.n, float(conjugate(s))
-    ent = a.rows(0, n)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for side, top in ("LHS", np.abs(ent).sum()), ("RHS", wt @ np.abs(w).sum(axis=1) ** sp):
+    raised before the kernel runs; the RHS is a scaled norm, so only one
+    that overflows is refused."""
+    n, sp = a.n, conjugate(s)
+    ent, w = a.rows(0, n), w_rows(0, n)
+    with np.errstate(over="ignore"):
+        for side, top in ("LHS", np.abs(ent).sum()), ("RHS", lp_norm(np.abs(w).sum(axis=1), sp)):
             if not np.isfinite(top):
                 raise SpecError(f"the {side} of a sign pattern overflows the float range")
-    cert = _sandwich_check(n, lambda lo, hi: ent[lo:hi], w_rows, EXACT_TOL, s)
-    form, rows = _Form(ent, w, wt, sp), n
+    cert = _sandwich_check(n, lambda lo, hi: ent[lo:hi], lambda lo, hi: w[lo:hi], EXACT_TOL, s)
+    form, rows = _Form(ent, w, sp), n
     closed = (np.count_nonzero(w, axis=1) == 1).all()
-    rowform = closed and sp == 1.0
+    rowform = closed and sp == Exponent(1)
     with np.errstate(over="ignore"):
         if closed:
-            vertex, rows = _closed_form(ent, w, wt, sp)
+            vertex, rows = _closed_form(form)
         elif n * n <= EXHAUSTIVE_LIMIT:
             vertex = _exhaustive_vertex_max(form, n, n)
         else:
@@ -570,7 +568,7 @@ def _sweep(a, w_rows, w: np.ndarray, wt: np.ndarray, s: Exponent, patterns: int,
             r = _refutation(ent, w, i, cert.witness["j"] - 1)
             if rowform:  # row i as a vector
                 r, rows = r[i], i + 1
-                lhs, rhs = float(r @ ent[i]), float(wt[i] * abs(r @ w[i]))
+                lhs, rhs = float(r @ ent[i]), float(abs(r @ w[i]))
             else:
                 lhs, rhs = (float(x[0]) for x in form.evaluate(r[None]))
             return CertifierResult(math.inf, SignPattern(r), lhs, rhs, True, c_vertex,
@@ -601,11 +599,11 @@ def _cesaro_w_rows(hv: np.ndarray, n: int):
 def certify_inequality_cesaro(a, h: TruncatedSeq, s_rq: Exponent, patterns: int = 64,
                               seed: int = 0) -> CertifierResult:
     """Sweep sign patterns through the running-averages inequality, LHS =
-    sum_ij r_ij a_ij against RHS = (sum_i i^(-s') |sum_{j<=i} h_j r_ij|^s')^(1/s')
-    with s' conjugate to the multiplier exponent: ``_sweep`` with
-    w_ij = h_j on j <= i and wt_i = i^(-s'), in closed form when only h_1 is
-    nonzero.  A refutation is reported as c_hat = inf with the refuting
-    pattern as witness.  Deterministic given the seed."""
+    sum_ij r_ij a_ij against RHS = ||(sum_{j<=i} h_j r_ij / i)_i||_s' with s'
+    conjugate to the multiplier exponent: ``_sweep`` with w = C_N M_h, in
+    closed form when only h_1 is nonzero.  A refutation is reported as
+    c_hat = inf with the refuting pattern as witness.  Deterministic given
+    the seed."""
     s_rq = Exponent(s_rq)
     if s_rq == Exponent(1):
         raise DegenerateExponent("multiplier exponent 1 has infinite conjugate")
@@ -613,21 +611,17 @@ def certify_inequality_cesaro(a, h: TruncatedSeq, s_rq: Exponent, patterns: int 
         raise LengthMismatch(f"multiplier length {len(h)} != matrix size {a.n}")
     if patterns < 1:
         raise SpecError("patterns must be >= 1")
-    n, hv = a.n, h.coeffs
-    wt = np.arange(1, n + 1, dtype=float) ** (-float(conjugate(s_rq)))
-    return _sweep(a, _cesaro_w_rows(hv, n), np.tri(n) * hv, wt, s_rq, patterns, seed)
+    return _sweep(a, _cesaro_w_rows(h.coeffs, a.n), s_rq, patterns, seed)
 
 
 def certify_inequality_fourier(tphi, s: Exponent) -> CertifierResult:
     """Sweep sign patterns through the coefficient-operator inequality,
     LHS = sum_ij r_ij a_ij against the l^(s') norm of r's diagonal: ``_sweep``
-    with w = I and wt = 1, which takes the closed form.  Nothing is sampled."""
+    with w = I, which takes the closed form.  Nothing is sampled."""
     s = Exponent(s)
     if s == Exponent(1):
         raise DegenerateExponent("multiplier exponent 1 has infinite conjugate")
-    ident = _Identity(tphi.n)
-    return _sweep(tphi, ident.rows, ident.rows(0, tphi.n), np.ones(tphi.n), s,
-                  patterns=1, seed=0)
+    return _sweep(tphi, _Identity(tphi.n).rows, s, patterns=1, seed=0)
 
 
 # ---------------------------------------------------------------------------

@@ -149,21 +149,33 @@ def _positive(weight: np.ndarray) -> np.ndarray:
     return weight
 
 
-def _scaled_lp(v: np.ndarray, p: Exponent, weight=1.0) -> tuple[float, float]:
-    """(m, t) with m = max v and t = (sum W_i (v_i/m)^p)^(1/p), for v >= 0.
+def _scaled_lp(v: np.ndarray, p: Exponent, weight=1.0):
+    """(m, t) with m = max v and t = (sum W_i (v_i/m)^p)^(1/p), for v >= 0,
+    taken over the last axis: floats for a vector, and for a stack arrays
+    that hold, bit for bit, the floats of each row taken alone.
 
     The norm is m*t.  Every power is taken of a ratio at most 1, so no term
     overflows and the largest does not underflow (Blue 1978; LAPACK dnrm2).
     A zero or non-finite m, or the max at p = inf (weight ignored), comes with
     t = 1.  At p = 1 no power is taken: t is the plain sum, with m = 1.
     """
-    if p.is_inf:
-        return float(v.max(initial=0.0)), 1.0
     pf = float(p)
     if pf == 1.0:
-        return 1.0, float((weight * v).sum())
+        t = (weight * v).sum(axis=-1)
+        return (np.ones_like(t), t) if v.ndim > 1 else (1.0, float(t))
+    if v.ndim > 1:
+        # max is exact, and faster over a contiguous copy with the last axis first
+        m = np.ascontiguousarray(np.moveaxis(v, -1, 0)).max(axis=0, initial=0.0)
+        ok = (m != 0.0) & np.isfinite(m)
+        with np.errstate(over="ignore"):  # overflows only in rows that t = 1 replaces
+            sums = (weight * (v / np.where(ok, m, 1.0)[..., None]) ** pf).sum(axis=-1)
+        # each distinct sum is rooted once, as a vector's is, by the scalar **,
+        # whose bits np.power does not keep (at p = inf the root is x^0 = 1)
+        distinct = np.unique(sums)
+        t = np.array([x ** (1.0 / pf) for x in distinct.tolist()])
+        return m, np.where(ok, t[np.searchsorted(distinct, sums)], 1.0)
     m = float(v.max(initial=0.0))
-    if m == 0.0 or not math.isfinite(m):
+    if p.is_inf or m == 0.0 or not math.isfinite(m):
         return m, 1.0
     return m, float((weight * (v / m) ** pf).sum() ** (1.0 / pf))
 

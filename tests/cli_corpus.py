@@ -79,6 +79,14 @@ def _write_inputs(tmp: Path) -> None:
     np.savetxt(tmp / "scaled.csv", g4[:, None] * np.tri(4) / np.arange(1.0, 5.0)[:, None] * h4,
                fmt="%.17g", delimiter=",", header="N=4", comments="")
     np.savetxt(tmp / "scaled-h.csv", h4, fmt="%.17g")
+    # a Cesaro sandwich with g = 1e6 and h = (1e-300, 0, 0), and two constant h
+    # that take the identity's certifier RHS to the edge of the float range
+    h3 = np.array([1e-300, 0.0, 0.0])
+    np.savetxt(tmp / "tiny.csv", 1e6 * np.tri(3) / np.arange(1.0, 4.0)[:, None] * h3,
+               fmt="%.17g", delimiter=",", header="N=3", comments="")
+    np.savetxt(tmp / "tiny-h.csv", h3, fmt="%.17g")
+    for c in ("1e300", "1e308"):
+        np.savetxt(tmp / f"h{c}.csv", np.full(3, float(c)), fmt="%.17g")
     near = np.full((40, 40), 1e-12)
     np.fill_diagonal(near, 1.0)
     np.savetxt(tmp / "near-identity.csv", near, fmt="%.17g", delimiter=",", header="N=40",
@@ -129,6 +137,21 @@ def _jobs(tmp: Path):
                "--h", f"{t}/scaled-h.csv", "--N", "4", *exps, *quiet]
     yield ["check-cesaro", "--matrix", f"{t}/scaled.csv", "--h", f"{t}/scaled-h.csv",
            "--N", "4", *shapes[1], *quiet]
+    for exps in rq:
+        yield ["certify", "--form", "cesaro", "--matrix", f"{t}/tiny.csv",
+               "--h", f"{t}/tiny-h.csv", "--N", "3", *exps, *quiet]
+    for c in ("1e300", "1e308"):
+        yield ["certify", "--form", "cesaro", "--gen", "identity", "--h", f"{t}/h{c}.csv",
+               "--N", "3", *rq[0], *quiet]
+    # a large s' (s = 1001/1000), and both forms at N = 64 and 256, at finite s and s = inf
+    yield ["certify", "--form", "cesaro", "--gen", "rank-one", "--g", "harmonic", "--h", "ones",
+           "--N", "200", "--r", "inf", "--q", "1001/1000", *quiet]
+    for n, r in itertools.product(("64", "256"), ("4", "2")):
+        yield ["certify", "--form", "cesaro", "--gen", "rank-one", "--g", "alt", "--h", "ones",
+               "--N", n, "--r", r, "--q", "2", *quiet]
+    for n, r in itertools.product(("64", "256"), ("3/2", "2")):
+        yield ["certify", "--form", "fourier", "--gen", "diag", "--g", "alt", "--N", n,
+               "--r", r, "--q", "2", *quiet]
     for r in ("3/2", "2"):
         yield ["certify", "--form", "fourier", "--matrix", f"{t}/near-identity.csv",
                "--N", "40", "--r", r, "--q", "2", *quiet]

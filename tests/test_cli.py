@@ -19,7 +19,8 @@ from strongfactor.operators import (
     matrix_to_csv,
     seq_to_csv,
 )
-from strongfactor.seq_spaces import TruncatedSeq, lp_space
+from strongfactor.exponents import Exponent
+from strongfactor.seq_spaces import TruncatedSeq, lp_norm, lp_space
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -450,6 +451,19 @@ class TestCertifierOverflow:
 
 
 class TestCertify:
+    def test_large_conjugate_exponent_attains_g_norm(self, tmp_path):
+        # s = 1001/1000, so s' = 1001: the row sums of C_N M_h are 1, and their
+        # scaled l^1001 norm is finite, though i^1001 is not for i >= 2
+        out = tmp_path / "cert.json"
+        code = run(["certify", "--form", "cesaro", "--gen", "rank-one", "--g", "harmonic",
+                    "--h", "ones", "--N", "200", "--r", "inf", "--q", "1001/1000",
+                    "--out", str(out)])
+        assert code == 2
+        certifier = read_cert(out)["certifier"]
+        bound = lp_norm(1.0 / np.arange(1, 201), Exponent("1001/1000"))
+        assert certifier["refuted"] is False
+        assert abs(certifier["c_hat"] - bound) <= 1e-14 * bound
+
     def test_bounded_evidence_is_inconclusive(self, tmp_path):
         out = tmp_path / "cert.json"
         code = run(["certify", "--form", "cesaro", "--gen", "rank-one",

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from strongfactor.errors import (
     AllZeroMultiplier,
@@ -770,13 +772,18 @@ class TestSuiteOracles:
         assert oracle_cesaro(ent, hv, 2.0) == -math.inf
 
 
+def cesaro_w(hv, i, j):
+    """Entry (i, j), counted from 0, of C_N M_h as the certifier reads it:
+    h_j times the rounded 1/i on j <= i."""
+    return (1.0 / (i + 1)) * float(hv[j]) if j <= i else 0.0
+
+
 def cesaro_form(ent, hv, sp):
-    """The form that ``certify_inequality_cesaro`` sweeps: w_ij = h_j on
-    j <= i and wt_i = i^(-s')."""
+    """The form that ``certify_inequality_cesaro`` sweeps: w = C_N M_h."""
     from strongfactor.factorization import _Form
 
     n = len(hv)
-    return _Form(ent, np.tri(n) * hv, np.arange(1, n + 1, dtype=float) ** (-sp), sp)
+    return _Form(ent, np.array([[cesaro_w(hv, i, j) for j in range(n)] for i in range(n)]), sp)
 
 
 class TestCesaroForm:
@@ -784,13 +791,13 @@ class TestCesaroForm:
 
     @staticmethod
     def reference(ent, hv, sp, r):
-        """LHS and RHS of one pattern in plain Python, as in oracle_cesaro."""
+        """LHS and RHS of one pattern in plain Python, RHS = the l^s' norm of
+        the row sums of w_ij r_ij."""
         n = len(hv)
         lhs = sum(r[i, j] * ent[i, j] for i in range(n) for j in range(n))
         rhs_pow = 0.0
         for i in range(n):
-            s = sum(hv[j] * r[i, j] for j in range(i + 1))
-            rhs_pow += abs(s) ** sp / (i + 1) ** sp
+            rhs_pow += abs(sum(cesaro_w(hv, i, j) * r[i, j] for j in range(n))) ** sp
         return lhs, rhs_pow ** (1.0 / sp)
 
     @pytest.mark.parametrize("n", [1, 5, 32])
@@ -836,6 +843,30 @@ class TestCesaroForm:
         form = cesaro_form(identity_matrix(n).rows(0, n), np.ones(n), float(conjugate(Exponent(4))))
         lhs, rhs = form.evaluate(np.asarray(res.pattern.r)[None])
         assert (res.lhs, res.rhs) == (lhs[0], rhs[0])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_exhaustive_sweep_is_the_whole_stack_scored(n):
+    # the second half of the codes is scored as the negation of the first;
+    # zeros and -0.0 in A, and the zero operator, keep every bit
+    from strongfactor.factorization import _Form, _exhaustive_vertex_max, _select
+
+    rng = np.random.default_rng(60 + n)
+    # entry b of pattern c is +1 where bit b of c is set
+    stack = np.array([p[::-1] for p in itertools.product([-1.0, 1.0], repeat=n * n)])
+    stack = stack.reshape(-1, n, n)
+    for trial in range(6):
+        ent = rng.standard_normal((n, n)) * 10.0 ** rng.uniform(-5, 5, (n, n))
+        ent[rng.random((n, n)) < 0.3] = 0.0
+        ent[rng.random((n, n)) < 0.2] = -0.0
+        if trial == 0:
+            ent[:] = 0.0
+        w = np.tril(rng.uniform(0.5, 1.5, (n, n)))
+        for sp in (1.0, 4.0 / 3.0, 2.0):
+            form = _Form(ent, w, sp)
+            got, want = _exhaustive_vertex_max(form, n, n), _select(stack, *form.evaluate(stack))
+            assert repr((got[0], *got[2:])) == repr((want[0], *want[2:]))
+            assert got[1].tobytes() == want[1].tobytes()
 
 
 def whole_draw_sweep(form, n, patterns, seed):
@@ -988,13 +1019,53 @@ class TestCertifyCesaro:
         assert not res.refuted
         assert res.c_hat == pytest.approx(lp_norm(g, s), rel=1e-14, abs=0.0)
 
-    def test_tiny_h_still_scores_the_vertices(self):
-        # every RHS is about 2e-160, which is positive; the check calls the
-        # 1e-160 operator a zero operator, so c_hat is the vertex value
-        _, h, a = self.scaled_sandwich(1.0, 1e-160)
-        res = certify_inequality_cesaro(a, h, Exponent(4))
+    @pytest.mark.parametrize("c, s", [(1e-160, Exponent(4)), (1e-200, P2),
+                                      (1e-200, Exponent("4/3"))])
+    def test_tiny_h_still_scores_the_vertices(self, c, s):
+        # every RHS is about c and positive, though its s'-th power may
+        # underflow; the check calls the tiny operator a zero operator, so
+        # c_hat is the vertex value
+        _, h, a = self.scaled_sandwich(1.0, c)
+        res = certify_inequality_cesaro(a, h, s)
         assert not res.refuted and res.c_hat_vertex > 0.0
         assert res.c_hat == res.c_hat_vertex
+
+    @pytest.mark.parametrize("s", [P2, Exponent(4)])
+    def test_closed_form_scores_a_tiny_h(self, s):
+        # h = (1e-300, 0, 0) with g = 1e6: entries about 1e-294, every RHS^s'
+        # underflows, but the scaled RHS does not
+        n = 3
+        g, h = TruncatedSeq(np.full(n, 1e6)), TruncatedSeq([1e-300, 0.0, 0.0])
+        res = certify_inequality_cesaro(diagonal_sandwich(g, cesaro_matrix(n), h), h, s)
+        assert not res.refuted and res.c_hat_vertex > 0.0
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.integers(2, 5), st.integers(-800, 800), st.sampled_from([P2, Exponent(4), INF]),
+           st.integers(0, 2 ** 32 - 1))
+    @example(n=3, k=514, s=P2, seed=0)
+    def test_vertex_ratio_is_invariant_under_h_times_power_of_two(self, n, k, s, seed):
+        # A = M_g C M_h and w = C M_h both scale by 2^k, and so, exactly, do
+        # every LHS and RHS; entries stay normal for |k| <= 800.  At k = 514
+        # the check refutes the 2^514 sandwich (its tolerance is absolute),
+        # and the witness's products a_ij w_ip overflow unless taken scaled
+        rng = np.random.default_rng(seed)
+        g = TruncatedSeq(rng.uniform(0.5, 2.0, n) * np.where(rng.random(n) < 0.5, -1.0, 1.0))
+        hv = rng.uniform(0.5, 2.0, n)
+        hv[rng.random(n) < 0.3] = 0.0
+        hv[0] = 1.0
+        vertex = []
+        for scale in (0, k):
+            h = TruncatedSeq(np.ldexp(hv, scale))
+            a = diagonal_sandwich(g, cesaro_matrix(n), h)
+            vertex.append(certify_inequality_cesaro(a, h, s, patterns=8, seed=1).c_hat_vertex)
+        assert repr(vertex[0]) == repr(vertex[1])
+
+    def test_identity_with_huge_h_is_refuted(self):
+        # every row sum of C_3 M_h is 1e300 and the scaled RHS is finite, so
+        # the identity is refuted; at h = 1e308 the RHS overflows (INPUT_CHECKS)
+        res = certify_inequality_cesaro(identity_matrix(3), TruncatedSeq(np.full(3, 1e300)),
+                                        Exponent(4))
+        assert res.refuted and res.rhs == 0.0 < res.lhs
 
     def test_degenerate_exponent(self):
         with pytest.raises(DegenerateExponent):
@@ -1065,9 +1136,9 @@ def certifier_corpus():
                 yield n, f"{kind} perturbed ({i}, {j}) by {eps:.1e}", perturb_entry(a, i, j, eps), h
 
 
-def replay_refutation(res, ent, w, wt, sp):
+def replay_refutation(res, ent, w, sp):
     """Re-score a refuting pattern with plain loops, apart from ``_Form``:
-    RHS = (sum_i wt(i) |sum_j w(i, j) r_ij|^sp)^(1/sp) is exactly 0, LHS =
+    RHS = (sum_i |sum_j w(i, j) r_ij|^sp)^(1/sp) is exactly 0, LHS =
     sum_ij r_ij a_ij is positive and is the reported value, and the pattern
     has at most two nonzero entries, the largest of size in [1/2, 1].  A
     vector pattern (the row form) lies on row ``res.rows`` of A."""
@@ -1077,7 +1148,7 @@ def replay_refutation(res, ent, w, wt, sp):
     lhs = rhs_pow = 0.0
     for i, ri in rows.items():
         lhs += sum(float(ri[j]) * float(ent[i, j]) for j in range(n))
-        rhs_pow += wt(i) * abs(sum(w(i, j) * float(ri[j]) for j in range(n))) ** sp
+        rhs_pow += abs(sum(w(i, j) * float(ri[j]) for j in range(n))) ** sp
     assert res.refuted and math.isinf(res.c_hat)
     assert rhs_pow ** (1.0 / sp) == 0.0 == res.rhs
     assert lhs > 0.0 and lhs == res.lhs
@@ -1086,8 +1157,7 @@ def replay_refutation(res, ent, w, wt, sp):
 
 
 def replay_cesaro_refutation(res, ent, hv, sp):
-    replay_refutation(res, ent, lambda i, j: float(hv[j]) if j <= i else 0.0,
-                      lambda i: (i + 1.0) ** -sp, sp)
+    replay_refutation(res, ent, lambda i, j: cesaro_w(hv, i, j), sp)
 
 
 class TestCertifierAgreesWithShapeCheck:
@@ -1147,8 +1217,11 @@ class TestCertifierAgreesWithShapeCheck:
 
 def reference_fourier(ent, s):
     """The Fourier certifier's vertex search before the shared closed form:
-    a closure evaluator at finite s and a loop over rows at s = inf.
-    Returns (c_hat_vertex, pattern, lhs, rhs, rows) of the best vertex."""
+    a closure evaluator at finite s and a loop over rows at s = inf.  At
+    finite s the LHS adds einsum's row sums, and the RHS is the scaled sum
+    m (sum_i (|r_ii| / m)^s')^(1/s') with m = max |r_ii|, rooted by the
+    scalar ``**``.  Returns (c_hat_vertex, pattern, lhs, rhs, rows) of the
+    best vertex."""
     n = ent.shape[0]
     if s.is_inf:
         best = (-math.inf, None, 0.0, 0.0, 0)
@@ -1163,8 +1236,10 @@ def reference_fourier(ent, s):
         sp = float(conjugate(s))
         r = np.sign(ent)
         r[r == 0.0] = 1.0
-        lhs = float(np.sum(r * ent))
-        rhs = float((np.abs(np.diagonal(r)) ** sp).sum() ** (1.0 / sp))
+        lhs = float(np.einsum("ij,ij->i", r, ent).sum())
+        diag = [abs(float(x)) for x in np.diagonal(r)]
+        m = max(diag)
+        rhs = m * sum((x / m) ** sp for x in diag) ** (1.0 / sp)
         best = (lhs / rhs, r, lhs, rhs, n)
     return (max(best[0], 0.0), *best[1:])
 
@@ -1208,7 +1283,7 @@ class TestCertifyFourier:
             assert repr(res.c_hat_vertex) == repr(expected[0])
             assert res.refuted == (cert.verdict is Verdict.DOES_NOT_FACTOR)
             if res.refuted:
-                replay_refutation(res, ent, lambda i, j: float(i == j), lambda i: 1.0, sp)
+                replay_refutation(res, ent, lambda i, j: float(i == j), sp)
                 assert res.rows == (cert.witness["i"] if s.is_inf else n)
                 continue
             if s.is_inf:
@@ -1216,7 +1291,7 @@ class TestCertifyFourier:
                 assert bits(got) == bits(expected)
                 continue
             assert res.rows == n
-            assert_reports_its_pattern(res, factorization._Form(ent, np.eye(n), np.ones(n), sp))
+            assert_reports_its_pattern(res, factorization._Form(ent, np.eye(n), sp))
             # the sup over the box is ||diag A||_s, up to A's mass off the
             # diagonal, which no refutation took
             diag = lp_norm(np.diagonal(ent), s)
@@ -1490,7 +1565,7 @@ INPUT_CHECKS = {
             MatrixOp(np.diag([1e308, 1e308]), lp_space(2), lp_space(2)), Exponent(4)),
         SpecError, "the LHS of a sign pattern overflows the float range"),
     "certify-cesaro-rhs-overflow": (
-        lambda: certify_inequality_cesaro(identity_matrix(3), TruncatedSeq(np.full(3, 1e300)),
+        lambda: certify_inequality_cesaro(identity_matrix(3), TruncatedSeq(np.full(3, 1e308)),
                                           Exponent(4)),
         SpecError, "the RHS of a sign pattern overflows the float range"),
     "certify-cesaro-patterns": (

@@ -14,6 +14,7 @@ from strongfactor.seq_spaces import (
     SeqSpaceSpec,
     SpaceKind,
     TruncatedSeq,
+    _scaled_lp,
     dual_norm,
     dyadic_block_id,
     kellogg_norm,
@@ -313,6 +314,38 @@ class TestScaleEquivariance:
         scaled_value, scaled_f = dual_norm(np.ldexp(v, k), e)
         assert scaled_value == math.ldexp(value, k)
         assert scaled_f.coeffs.tobytes() == f.coeffs.tobytes()
+
+
+class TestScaledStack:
+    """``_scaled_lp`` on a stack gives each row the bits that the row gives
+    alone, as floats."""
+
+    @staticmethod
+    def assert_rows_alone(stack, p, weight=1.0):
+        m, t = _scaled_lp(stack, p, weight)
+        assert m.shape == t.shape == stack.shape[:-1]
+        for k in np.ndindex(stack.shape[:-1]):
+            alone = _scaled_lp(stack[k], p, weight)
+            assert all(type(x) is float for x in alone)
+            assert repr((float(m[k]), float(t[k]))) == repr(alone)
+
+    @settings(deadline=None)
+    @given(st.integers(1, 40).flatmap(lambda n: arrays(
+               np.float64, st.tuples(st.integers(1, 6), st.just(n)),
+               elements=st.one_of(st.just(0.0), st.floats(1e-300, 1e300)))),
+           st.sampled_from([1, Fraction(4, 3), 2, 3, 1001, "inf"]))
+    def test_rows_match_vectors(self, stack, p):
+        self.assert_rows_alone(stack, Exponent(p))
+
+    @pytest.mark.parametrize("p", [1, Fraction(4, 3), 2, 1001, "inf"])
+    def test_zero_and_non_finite_rows(self, p):
+        rng = np.random.default_rng(12)
+        stack = np.abs(rng.standard_normal((2, 5, 9))) * 10.0 ** rng.uniform(-300, 300, (2, 5, 1))
+        stack[0, 0] = 0.0
+        stack[0, 1, 3] = np.inf
+        stack[1, 2, 0] = 1.7e308
+        self.assert_rows_alone(stack, Exponent(p))
+        self.assert_rows_alone(stack, Exponent(p), rng.uniform(0.25, 1.0, 9))
 
 
 class TestDualNorm:
