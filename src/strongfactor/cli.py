@@ -221,7 +221,7 @@ def _cmd_certify(args) -> int:
         verdict, witness = Verdict.INCONCLUSIVE, None
         note = f"finite evidence only: attained constant c_hat={result.c_hat:.12g}"
     cert = Certificate(verdict=verdict, h=held, witness=witness, exponents=exps,
-                       tol=args.tol, truncation=op.n, notes=(note,))
+                       truncation=op.n, notes=(note,))
     certifier = {**result.to_json(), "seed": args.seed}
     return _finish_certificate(cert, args, extra={"certifier": certifier})
 
@@ -269,12 +269,13 @@ def _checked(convert, ok, rule: str):
 _SEED = _checked(int, lambda s: s >= 0, "at least 0")  # numpy refuses a negative seed
 
 
-def _add_common(sub, exponents: str = "", with_matrix=True):
+def _add_common(sub, exponents: str = "", with_matrix=True, with_tol=True):
     sub.add_argument("--N", type=_checked(int, lambda n: n >= 1, "at least 1"),
                      default=64, help="truncation size")
-    sub.add_argument("--tol", type=_checked(float, lambda t: 0.0 <= t < math.inf,
-                                            "finite and >= 0"),
-                     default=EXACT_TOL, help="decision tolerance")
+    if with_tol:
+        sub.add_argument("--tol", type=_checked(float, lambda t: 0.0 <= t < math.inf,
+                                                "finite and >= 0"),
+                         default=EXACT_TOL, help="decision tolerance")
     sub.add_argument("--seed", type=_SEED, default=0, help="seed recorded in output")
     sub.add_argument("--out", help="certificate path (default: print to stdout)")
     sub.add_argument("--no-timestamp", action="store_true",
@@ -317,13 +318,14 @@ def build_parser() -> _Parser:
     sub.set_defaults(run=_cmd_check_matrix)
 
     sub = subs.add_parser("certify", help="sign-pattern inequality sweep")
-    _add_common(sub, "qr")
+    _add_common(sub, "qr", with_tol=False)
     sub.add_argument("--form", choices=("cesaro", "fourier"), default="cesaro")
     sub.add_argument("--patterns", type=_checked(int, lambda p: p >= 1, "at least 1"),
                      default=64, help="sampled patterns when the rectangle is too large "
                                       "for exhaustive enumeration (--form fourier does "
                                       "not sample)")
-    sub.set_defaults(run=_cmd_certify)
+    # the sweep decides at EXACT_TOL, which the job echo records as tol
+    sub.set_defaults(tol=EXACT_TOL, run=_cmd_certify)
 
     sub = subs.add_parser("verify-representing",
                           help="decide the two-sides-diagonal identity on "

@@ -352,9 +352,9 @@ class CertifierResult:
     over the searched +-1 vertex patterns: all of them up to 4 x 4, else
     the seeded starts.  Either way ``lhs`` and ``rhs`` are the evaluator's
     values on ``pattern``.  A ratio that overflows makes both constants
-    inf without a refutation.  ``rows`` and ``cols`` are N, but in the row
-    form (closed form at s = inf) ``pattern`` is a vector on row ``rows``
-    of A, counted from 1.
+    inf without a refutation.  ``rows`` and ``cols`` are N, but a pattern
+    whose nonzero entries all lie in row k of A is written as that row, a
+    vector, with ``rows`` = k, counted from 1.
     """
 
     c_hat: float
@@ -401,6 +401,7 @@ class _Form:
         "pij,ij->p" contraction does not: at P = 1 it reduces a pattern of
         more than 8192 entries in another order.)
         """
+        r = np.ascontiguousarray(r)  # einsum sums a strided stack in another order
         lhs = np.einsum("pij,ij->pi", r, self.ent).sum(axis=1)
         m, t = _scaled_lp(np.abs(np.einsum("pij,ij->pi", r, self.w)), self.sp)
         return lhs, m * t
@@ -461,26 +462,11 @@ def _sampled_vertex_max(form, n: int, m: int, patterns: int, seed: int):
 
 
 def _closed_form(form):
-    """``_select``'s best vertex, and ``rows``, when row i of w has one
-    nonzero entry, w_ic_i.  Every +-1 vertex has the same RHS, so the
-    sign-matched one is optimal, and ``form`` scores it.  At s' = 1 a ratio
-    of row sums is at most its largest row ratio, so the row form is exact:
-    a vector pattern on row k of A, with LHS = sum_j r_kj a_kj against
-    RHS = |w_kc_k r_kc_k| = |w_kc_k|.  A row's LHS rounds as np.dot's (a
-    lone -0.0 product sums to +0.0)."""
-    ent = form.ent
-    n = ent.shape[0]
-    stack = np.sign(ent)[None]
+    """``_select``'s best vertex when row i of w has one nonzero entry: every
+    +-1 vertex then has the same RHS, so the sign-matched one is optimal."""
+    stack = np.sign(form.ent)[None]
     stack += stack == 0.0  # sign(a_ij), and 1 where a_ij = 0
-    if form.sp != Exponent(1):
-        return _select(stack, *form.evaluate(stack)), n
-    # row t of the stack is a vector pattern on row t of A
-    lhs = (stack[:, :, None, :] @ ent[:, :, None]).reshape(n)
-    stack = stack.reshape(n, n)
-    rhs = np.abs(form.w).max(axis=1)
-    vertex = _select(stack, lhs, rhs)  # every RHS is positive
-    # _select took the first row scoring the reported (lhs, rhs)
-    return vertex, 1 + int(np.argmax((lhs == vertex[2]) & (rhs == vertex[3])))
+    return _select(stack, *form.evaluate(stack))
 
 
 def _refutation(ent: np.ndarray, w: np.ndarray, i: int, j: int) -> np.ndarray:
@@ -526,7 +512,8 @@ def _attained(form, g: TruncatedSeq) -> np.ndarray | None:
 def _sweep(a, w_rows, s: Exponent, patterns: int, seed: int) -> CertifierResult:
     """Certify the inequality that ``_Form(A, w, s')`` scores, where w =
     ``w_rows(0, n)`` holds the rows of B M_h, read once: the shape kernel
-    and the form read the same array.
+    and the form read the same array, and the form scores every pattern
+    reported.
 
     The kernel decides refutation and constant: on DOES_NOT_FACTOR,
     ``_refutation`` builds the pattern from the witness; on FACTORS,
@@ -535,11 +522,12 @@ def _sweep(a, w_rows, s: Exponent, patterns: int, seed: int) -> CertifierResult:
     vertex is reported.  The vertex search (``c_hat_vertex``) is
     ``_closed_form`` when each row of w has exactly one nonzero entry,
     else the enumeration of the +-1 vertices up to EXHAUSTIVE_LIMIT
-    entries, else the seeded starts.  The row form keeps its vector
-    pattern, which is exact already.  An LHS or RHS that overflows at the
-    sign pattern of A or of w, the largest there is, is a SpecError,
-    raised before the kernel runs; the RHS is a scaled norm, so only one
-    that overflows is refused."""
+    entries, else the seeded starts.  A pattern with nonzero entries in
+    one row only (every refutation, and the attained pattern at s = inf)
+    is written as that row.  An LHS or RHS that overflows at the sign
+    pattern of A or of w, the largest there is, is a SpecError, raised
+    before the kernel runs; the RHS is a scaled norm, so only one that
+    overflows is refused."""
     n, sp = a.n, conjugate(s)
     ent, w = a.rows(0, n), w_rows(0, n)
     with np.errstate(over="ignore"):
@@ -547,12 +535,10 @@ def _sweep(a, w_rows, s: Exponent, patterns: int, seed: int) -> CertifierResult:
             if not np.isfinite(top):
                 raise SpecError(f"the {side} of a sign pattern overflows the float range")
     cert = _sandwich_check(n, lambda lo, hi: ent[lo:hi], lambda lo, hi: w[lo:hi], EXACT_TOL, s)
-    form, rows = _Form(ent, w, sp), n
-    closed = (np.count_nonzero(w, axis=1) == 1).all()
-    rowform = closed and sp == Exponent(1)
+    form = _Form(ent, w, sp)
     with np.errstate(over="ignore"):
-        if closed:
-            vertex, rows = _closed_form(form)
+        if (np.count_nonzero(w, axis=1) == 1).all():
+            vertex = _closed_form(form)
         elif n * n <= EXHAUSTIVE_LIMIT:
             vertex = _exhaustive_vertex_max(form, n, n)
         else:
@@ -563,24 +549,23 @@ def _sweep(a, w_rows, s: Exponent, patterns: int, seed: int) -> CertifierResult:
             lhs, rhs = form.evaluate(ones)
             vertex = (0.0, ones[0], float(lhs[0]), float(rhs[0]))
         c_vertex = max(vertex[0], 0.0)
-        if cert.verdict is Verdict.DOES_NOT_FACTOR:
-            i = cert.witness["i"] - 1
-            r = _refutation(ent, w, i, cert.witness["j"] - 1)
-            if rowform:  # row i as a vector
-                r, rows = r[i], i + 1
-                lhs, rhs = float(r @ ent[i]), float(abs(r @ w[i]))
-            else:
-                lhs, rhs = (float(x[0]) for x in form.evaluate(r[None]))
-            return CertifierResult(math.inf, SignPattern(r), lhs, rhs, True, c_vertex,
-                                   rows, n)
-        best = vertex
-        if cert.verdict is Verdict.FACTORS and not rowform:
+        best, refuted = vertex, cert.verdict is Verdict.DOES_NOT_FACTOR
+        if refuted:
+            r = _refutation(ent, w, cert.witness["i"] - 1, cert.witness["j"] - 1)
+            lhs, rhs = form.evaluate(r[None])
+            best = (math.inf, r, float(lhs[0]), float(rhs[0]))
+        elif cert.verdict is Verdict.FACTORS:
             r = _attained(form, cert.g)
             attained = None if r is None else _select(r[None], *form.evaluate(r[None]))
             if attained and attained[0] >= vertex[0]:
                 best = attained
     ratio, pattern, lhs, rhs = best
-    return CertifierResult(max(ratio, 0.0), SignPattern(pattern), lhs, rhs, False, c_vertex,
+    live = np.flatnonzero(pattern.any(axis=1))
+    rows = n
+    if live.size == 1:  # one row: written as that row
+        rows = int(live[0]) + 1
+        pattern = pattern[rows - 1]
+    return CertifierResult(max(ratio, 0.0), SignPattern(pattern), lhs, rhs, refuted, c_vertex,
                            rows, n)
 
 

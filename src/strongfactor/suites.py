@@ -338,6 +338,9 @@ def certifier_brute_force(res: SuiteResult, seed: int = 0) -> None:
             continue
         # recompute the refutation from the returned pattern, independently
         rpat, ent = np.asarray(sweep.pattern.r), ident.rows(0, n)
+        if rpat.ndim == 1:  # a one-row pattern is written as row ``rows``
+            rpat = np.zeros((n, n))
+            rpat[sweep.rows - 1] = sweep.pattern.r
         lhs = sum(rpat[i, j] * float(ent[i, j]) for i in range(n) for j in range(n))
         srows = [sum(float(h.coeffs[j]) * rpat[i, j] for j in range(min(i + 1, n)))
                  for i in range(n)]

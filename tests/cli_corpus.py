@@ -72,6 +72,7 @@ def _write_inputs(tmp: Path) -> None:
                fmt="%.17g", delimiter=",", header=f"N={big}", comments="")
     np.savetxt(tmp / "h.csv", 1.0 + idx / 10.0, fmt="%.17g")
     np.savetxt(tmp / "e1.csv", np.eye(1, n)[0], fmt="%.17g")
+    np.savetxt(tmp / "g12.csv", [1.0, 2.0], fmt="%.17g")
     np.savetxt(tmp / "short.csv", idx[:3], fmt="%.17g")
     # a Cesaro sandwich whose factor moved between g (~1e13) and h (~1e-13),
     # and an identity with 1e-12 on every off-diagonal entry: both factor
@@ -152,6 +153,12 @@ def _jobs(tmp: Path):
     for n, r in itertools.product(("64", "256"), ("3/2", "2")):
         yield ["certify", "--form", "fourier", "--gen", "diag", "--g", "alt", "--N", n,
                "--r", r, "--q", "2", *quiet]
+    # diag(1, 2) at s = inf: the best +-1 vertex is 1.5, below ||g||_inf = 2;
+    # and a refutation at N = 256, written as one row
+    yield ["certify", "--form", "fourier", "--gen", "diag", "--g", f"{t}/g12.csv", "--N", "2",
+           "--r", "2", "--q", "2", *quiet]
+    yield ["certify", "--form", "cesaro", "--gen", "identity", "--h", "ones", "--N", "256",
+           "--r", "4", "--q", "2", *quiet]
     for r in ("3/2", "2"):
         yield ["certify", "--form", "fourier", "--matrix", f"{t}/near-identity.csv",
                "--N", "40", "--r", r, "--q", "2", *quiet]

@@ -498,6 +498,30 @@ class TestCertify:
             assert capsys.readouterr().err.endswith(
                 f"error: argument --patterns: must be at least 1, got {patterns}\n")
 
+    def test_tol_is_not_an_option(self, tmp_path, capsys):
+        # the sweep decides at 1e-9 whatever --tol says, so it takes none;
+        # the certificate still records the 1e-9 it decided at
+        job = ["certify", "--form", "cesaro", "--gen", "rank-one", "--g", "alt", "--h", "ones",
+               "--N", "6", "--perturb", "3,2,1e-3", "--r", "2", "--q", "2"]
+        assert run([*job, "--tol", "0.5"]) == 64
+        assert capsys.readouterr().err == "error: unrecognized arguments: --tol 0.5\n"
+        out = tmp_path / "cert.json"
+        assert run([*job, "--out", str(out)]) == 1
+        doc = read_cert(out)
+        assert doc["job"]["tol"] == doc["tolerances"]["tol"] == 1e-9
+
+    def test_n256_certificate_at_s_inf_stays_small(self, tmp_path):
+        # r = q = 2 gives s = inf: the attained pattern has one nonzero row, at
+        # the peak |g_1| of g = alt, and is written as that row, not as
+        # 65 536 entries
+        out = tmp_path / "cert.json"
+        assert run(["certify", "--form", "cesaro", "--gen", "rank-one", "--g", "alt",
+                    "--h", "ones", "--N", "256", "--r", "2", "--q", "2", "--no-timestamp",
+                    "--out", str(out)]) == 2
+        assert out.stat().st_size < 16 * 1024
+        certifier = read_cert(out)["certifier"]
+        assert (certifier["rows"], certifier["cols"], len(certifier["pattern"])) == (1, 256, 256)
+
     def test_fourier_form(self, tmp_path):
         out = tmp_path / "cert.json"
         code = run(["certify", "--form", "fourier", "--gen", "diag",
@@ -684,8 +708,8 @@ class TestDeterminism:
 
 
 class TestJobEcho:
-    """The job echo holds every parsed option but the three that say where
-    the output goes or which handler runs."""
+    """The job echo holds every parsed option, parser defaults included, but
+    the three that say where the output goes or which handler runs."""
 
     NOT_ECHOED = {"run", "out", "no_timestamp"}
     JOBS = {
@@ -713,7 +737,8 @@ class TestJobEcho:
     @pytest.mark.parametrize("command", sorted(JOBS))
     def test_echo_keys_are_the_parser_destinations(self, tmp_path, command):
         dest, subs = self.subcommands()
-        expected = {dest} | {a.dest for a in subs[command]._actions} - {"help"}
+        expected = ({dest} | {a.dest for a in subs[command]._actions}
+                    | set(subs[command]._defaults)) - {"help"}
         out = tmp_path / "c.json"
         run([command, "--N", "4", *self.JOBS[command], "--out", str(out)])
         assert set(read_cert(out)["job"]) == expected - self.NOT_ECHOED

@@ -841,7 +841,7 @@ class TestCesaroForm:
                                         patterns=4, seed=0)
         assert res.refuted
         form = cesaro_form(identity_matrix(n).rows(0, n), np.ones(n), float(conjugate(Exponent(4))))
-        lhs, rhs = form.evaluate(np.asarray(res.pattern.r)[None])
+        lhs, rhs = form.evaluate(full_pattern(res)[None])
         assert (res.lhs, res.rhs) == (lhs[0], rhs[0])
 
 
@@ -869,6 +869,22 @@ def test_exhaustive_sweep_is_the_whole_stack_scored(n):
             assert got[1].tobytes() == want[1].tobytes()
 
 
+@pytest.mark.parametrize("seed", [1, 2])
+def test_strided_stack_scores_as_its_contiguous_copy(seed):
+    # einsum sums a strided operand in another order; the evaluator does not
+    # see the strides
+    from strongfactor.factorization import _Form
+
+    stack = np.array(list(itertools.product([-1.0, 1.0], repeat=9)))[:, ::-1].reshape(-1, 3, 3)
+    assert not stack.flags.c_contiguous
+    rng = np.random.default_rng(seed)
+    ent, w = rng.standard_normal((3, 3)), np.tril(rng.uniform(0.5, 1.5, (3, 3)))
+    for sp in (1.0, 4.0 / 3.0, 2.0):
+        form = _Form(ent, w, sp)
+        got, want = form.evaluate(stack), form.evaluate(np.ascontiguousarray(stack))
+        assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
+
+
 def whole_draw_sweep(form, n, patterns, seed):
     """The best of the seeded starts drawn and scored as one (patterns, n, n)
     stack, as (ratio, pattern, lhs, rhs), earliest on ties."""
@@ -881,11 +897,25 @@ def whole_draw_sweep(form, n, patterns, seed):
     return best
 
 
+def full_pattern(res):
+    """The reported pattern as an N x N array: a one-row pattern, written as
+    a vector, is put back on row ``res.rows``."""
+    r = np.asarray(res.pattern.r)
+    if r.ndim == 2:
+        assert res.rows == res.cols
+        return r
+    full = np.zeros((res.cols, res.cols))
+    full[res.rows - 1] = r
+    return full
+
+
 def assert_reports_its_pattern(res, form):
     """(lhs, rhs) are the evaluator's values on the reported pattern, every
     entry of which lies in [-1, 1], and a bounded c_hat is their ratio, at
-    least the vertex search's."""
-    r = np.asarray(res.pattern.r)
+    least the vertex search's.  A pattern with nonzero entries in one row
+    only is written as that row."""
+    r = full_pattern(res)
+    assert np.asarray(res.pattern.r).ndim == (1 if np.count_nonzero(r.any(axis=1)) == 1 else 2)
     assert np.abs(r).max(initial=0.0) <= 1.0
     lhs, rhs = form.evaluate(r[None])
     assert (res.lhs, res.rhs) == (lhs[0], rhs[0])
@@ -931,8 +961,7 @@ class TestAttainedConstant:
                 continue
             bounded += 1
             cert = cesaro_factor_check(a, h, P2, Exponent(q), Exponent(r))
-            if res.pattern.r.ndim == 2:  # the row form at s = inf keeps its vector
-                assert_reports_its_pattern(res, cesaro_form(a.rows(0, n), h.coeffs, sp))
+            assert_reports_its_pattern(res, cesaro_form(a.rows(0, n), h.coeffs, sp))
             assert res.c_hat == pytest.approx(cert.g_norm[0], rel=1e-12, abs=0.0), (n, label)
         assert bounded >= 40
 
@@ -990,9 +1019,10 @@ class TestCertifyCesaro:
                                         patterns=4, seed=0)
         assert res.refuted and math.isinf(res.c_hat)
         # the witness is a_22 against the pivot w_21 = h_1: r_22 = w_21 and
-        # r_21 = -w_22, so row 2 sums to 0 and LHS = a_22 = 1
-        assert np.asarray(res.pattern.r).tolist() == [[0.0, 0.0], [-1.0, 1.0]]
-        assert (res.lhs, res.rhs) == (1.0, 0.0)
+        # r_21 = -w_22, so row 2 sums to 0 and LHS = a_22 = 1; the pattern
+        # is written as row 2
+        assert np.asarray(res.pattern.r).tolist() == [-1.0, 1.0]
+        assert (res.rows, res.cols, res.lhs, res.rhs) == (2, 2, 1.0, 0.0)
 
     @pytest.mark.parametrize("n", [3, 6])
     @pytest.mark.parametrize("s", [Exponent(4), INF])
@@ -1059,6 +1089,19 @@ class TestCertifyCesaro:
             a = diagonal_sandwich(g, cesaro_matrix(n), h)
             vertex.append(certify_inequality_cesaro(a, h, s, patterns=8, seed=1).c_hat_vertex)
         assert repr(vertex[0]) == repr(vertex[1])
+
+    def test_no_vertex_with_positive_rhs_scores_zero(self):
+        # h_2 / 2 = 2.5e-324 rounds to 0, so w = C_2 M_h vanishes and no vertex
+        # has RHS > 0: c_hat_vertex is the all-ones pattern's 0; the identity
+        # is still refuted, on a_11 alone
+        res = certify_inequality_cesaro(identity_matrix(2), TruncatedSeq([0.0, 5e-324]), INF)
+        assert res.refuted and res.c_hat_vertex == 0.0
+        assert (np.asarray(res.pattern.r).tolist(), res.rows) == ([1.0, 0.0], 1)
+        # a zero operator reports the all-ones pattern itself
+        zero = MatrixOp(np.zeros((2, 2)), lp_space(2), lp_space(2))
+        res = certify_inequality_cesaro(zero, TruncatedSeq([0.0, 0.0]), INF)
+        assert (res.c_hat, res.c_hat_vertex, res.lhs, res.rhs) == (0.0, 0.0, 0.0, 0.0)
+        assert np.asarray(res.pattern.r).tolist() == [[1.0, 1.0], [1.0, 1.0]]
 
     def test_identity_with_huge_h_is_refuted(self):
         # every row sum of C_3 M_h is 1e300 and the scaled RHS is finite, so
@@ -1140,15 +1183,15 @@ def replay_refutation(res, ent, w, sp):
     """Re-score a refuting pattern with plain loops, apart from ``_Form``:
     RHS = (sum_i |sum_j w(i, j) r_ij|^sp)^(1/sp) is exactly 0, LHS =
     sum_ij r_ij a_ij is positive and is the reported value, and the pattern
-    has at most two nonzero entries, the largest of size in [1/2, 1].  A
-    vector pattern (the row form) lies on row ``res.rows`` of A."""
+    has at most two nonzero entries, the largest of size in [1/2, 1].  They
+    lie in one row, so the pattern is written as that row, row ``res.rows``
+    of A."""
     n = ent.shape[0]
     r = np.asarray(res.pattern.r)
-    rows = {res.rows - 1: r} if r.ndim == 1 else dict(enumerate(r))
-    lhs = rhs_pow = 0.0
-    for i, ri in rows.items():
-        lhs += sum(float(ri[j]) * float(ent[i, j]) for j in range(n))
-        rhs_pow += abs(sum(w(i, j) * float(ri[j]) for j in range(n))) ** sp
+    assert r.shape == (n,) and 1 <= res.rows <= n
+    i = res.rows - 1
+    lhs = sum(float(r[j]) * float(ent[i, j]) for j in range(n))
+    rhs_pow = abs(sum(w(i, j) * float(r[j]) for j in range(n))) ** sp
     assert res.refuted and math.isinf(res.c_hat)
     assert rhs_pow ** (1.0 / sp) == 0.0 == res.rhs
     assert lhs > 0.0 and lhs == res.lhs
@@ -1191,57 +1234,28 @@ class TestCertifierAgreesWithShapeCheck:
 
     def test_closed_form_matches_oracle(self):
         # only h_1 != 0: every +-1 vertex has the same RHS, so the closed form
-        # gives the vertex optimum that the brute-force enumeration finds
-        s = multiplier_exponent(Exponent(4), P2)
-        for n, label, a, h in self.spikes(4):
-            res = certify_inequality_cesaro(a, h, s, patterns=16, seed=0)
-            oracle = oracle_cesaro(a.rows(0, n), h.coeffs, float(conjugate(s)))
-            assert res.c_hat_vertex == pytest.approx(oracle, abs=1e-12), (n, label)
-
-    def test_closed_form_row_form(self):
-        # at s = inf the pattern is a vector on the row k of A that maximizes
-        # sum_j |a_kj| / (|h_1| / k), which no +-1 matrix ratio exceeds
-        for n, label, a, h in self.spikes(12):
-            ent = a.rows(0, n)
-            res = certify_inequality_cesaro(a, h, INF, patterns=16, seed=0)
-            pattern = np.asarray(res.pattern.r)
-            assert pattern.shape == (n,) and res.cols == n, (n, label)
-            ratios = np.abs(ent).sum(axis=1) * np.arange(1, n + 1) / abs(h.coeffs[0])
-            assert res.c_hat_vertex == pytest.approx(ratios.max(), rel=1e-12), (n, label)
-            if not res.refuted:
-                assert res.rows == 1 + int(np.argmax(ratios)), (n, label)
-                assert np.array_equal(pattern, np.where(ent[res.rows - 1] < 0, -1.0, 1.0))
-            if n <= 3:
-                assert res.c_hat_vertex >= oracle_cesaro(ent, h.coeffs, 1.0) - 1e-12
+        # gives the vertex optimum that the brute-force enumeration finds, at
+        # s = inf (s' = 1) too
+        for s in multiplier_exponent(Exponent(4), P2), INF:
+            for n, label, a, h in self.spikes(4):
+                res = certify_inequality_cesaro(a, h, s, patterns=16, seed=0)
+                oracle = oracle_cesaro(a.rows(0, n), h.coeffs, float(conjugate(s)))
+                assert res.c_hat_vertex == pytest.approx(oracle, abs=1e-12), (n, label, s)
 
 
 def reference_fourier(ent, s):
-    """The Fourier certifier's vertex search before the shared closed form:
-    a closure evaluator at finite s and a loop over rows at s = inf.  At
-    finite s the LHS adds einsum's row sums, and the RHS is the scaled sum
-    m (sum_i (|r_ii| / m)^s')^(1/s') with m = max |r_ii|, rooted by the
-    scalar ``**``.  Returns (c_hat_vertex, pattern, lhs, rhs, rows) of the
-    best vertex."""
-    n = ent.shape[0]
-    if s.is_inf:
-        best = (-math.inf, None, 0.0, 0.0, 0)
-        for row in range(1, n + 1):
-            arow = ent[row - 1]
-            r = np.sign(arow)
-            r[r == 0.0] = 1.0
-            lhs = float(np.dot(r, arow))
-            if lhs / 1.0 > best[0]:
-                best = (lhs / 1.0, r.copy(), lhs, 1.0, row)
-    else:
-        sp = float(conjugate(s))
-        r = np.sign(ent)
-        r[r == 0.0] = 1.0
-        lhs = float(np.einsum("ij,ij->i", r, ent).sum())
-        diag = [abs(float(x)) for x in np.diagonal(r)]
-        m = max(diag)
-        rhs = m * sum((x / m) ** sp for x in diag) ** (1.0 / sp)
-        best = (lhs / rhs, r, lhs, rhs, n)
-    return (max(best[0], 0.0), *best[1:])
+    """The Fourier certifier's vertex value, by a closure evaluator of the
+    sign-matched vertex at every s: the LHS adds einsum's row sums, and the
+    RHS is the scaled sum m (sum_i (|r_ii| / m)^s')^(1/s') with
+    m = max |r_ii| = 1, rooted by the scalar ``**``."""
+    sp = float(conjugate(s))
+    r = np.sign(ent)
+    r[r == 0.0] = 1.0
+    lhs = float(np.einsum("ij,ij->i", r, ent).sum())
+    diag = [abs(float(x)) for x in np.diagonal(r)]
+    m = max(diag)
+    rhs = m * sum((x / m) ** sp for x in diag) ** (1.0 / sp)
+    return max(lhs / rhs, 0.0)
 
 
 def fourier_cases():
@@ -1267,30 +1281,21 @@ class TestCertifyFourier:
                                    Exponent("3/2"), Exponent(6), INF])
     def test_matches_reference(self, s):
         # refuted exactly when the shape check says DOES_NOT_FACTOR, each
-        # refuting pattern replayed by plain loops; the vertex search bit for
-        # bit, -0.0 and rows included, and the whole report in the row form
-        # (s = inf); a bounded report at finite s is the attained constant
-        def bits(values):
-            return [v.tobytes() if isinstance(v, np.ndarray) else repr(v) for v in values]
-
+        # refuting pattern replayed by plain loops on the witness's row; the
+        # vertex search bit for bit, -0.0 included; a bounded report is the
+        # attained constant
         sp = float(conjugate(s))
         for ent in fourier_cases():
             n = ent.shape[0]
             op = MatrixOp(ent, lp_space(2), lp_space(2))
             res = certify_inequality_fourier(op, s)
             cert = fourier_factor_check(op, P2, P2, P2)
-            expected = reference_fourier(ent, s)
-            assert repr(res.c_hat_vertex) == repr(expected[0])
+            assert repr(res.c_hat_vertex) == repr(reference_fourier(ent, s))
             assert res.refuted == (cert.verdict is Verdict.DOES_NOT_FACTOR)
             if res.refuted:
                 replay_refutation(res, ent, lambda i, j: float(i == j), sp)
-                assert res.rows == (cert.witness["i"] if s.is_inf else n)
+                assert res.rows == cert.witness["i"]
                 continue
-            if s.is_inf:
-                got = (res.c_hat, np.asarray(res.pattern.r), res.lhs, res.rhs, res.rows)
-                assert bits(got) == bits(expected)
-                continue
-            assert res.rows == n
             assert_reports_its_pattern(res, factorization._Form(ent, np.eye(n), sp))
             # the sup over the box is ||diag A||_s, up to A's mass off the
             # diagonal, which no refutation took
@@ -1298,11 +1303,23 @@ class TestCertifyFourier:
             off = np.abs(ent).sum() - np.abs(np.diagonal(ent)).sum()
             assert abs(res.c_hat - diag) <= 1e-12 * diag + off
 
+    def test_closed_form_at_s_inf_is_the_vertex_optimum(self):
+        # at s' = 1 every +-1 vertex has RHS n, so the sign-matched one is
+        # the best vertex: diag(1, 2) scores (1 + 2) / 2, below ||g||_inf = 2
+        cases = [np.diag([1.0, 2.0]), *(ent for ent in fourier_cases() if ent.shape[0] <= 4)]
+        for ent in cases:
+            res = certify_inequality_fourier(MatrixOp(ent, lp_space(2), lp_space(2)), INF)
+            oracle = max(oracle_fourier(ent, 1.0), 0.0)
+            assert res.c_hat_vertex == pytest.approx(oracle, rel=1e-12, abs=1e-12)
+        res = certify_inequality_fourier(MatrixOp(np.diag([1.0, 2.0]), lp_space(2),
+                                                  lp_space(2)), INF)
+        assert (res.c_hat_vertex, res.c_hat) == (1.5, 2.0)
+        assert (np.asarray(res.pattern.r).tolist(), res.rows) == ([0.0, 1.0], 2)
+
     @pytest.mark.parametrize("s", [Exponent(2), INF])
     def test_negative_zero_operator_gives_zero(self, s):
-        # a lone -0.0 entry scores LHS +0.0 in both forms; the row loop that
-        # the row form replaced gave -0.0, as np.dot multiplies length-1
-        # vectors as scalars
+        # a lone -0.0 entry scores LHS +0.0 at every s, though np.dot, which
+        # multiplies length-1 vectors as scalars, gives -0.0
         res = certify_inequality_fourier(MatrixOp(np.array([[-0.0]]), lp_space(2),
                                                   lp_space(2)), s)
         assert repr((res.c_hat, res.c_hat_vertex, res.lhs)) == "(0.0, 0.0, 0.0)"
@@ -1351,7 +1368,7 @@ class TestCertifyFourier:
         res = certify_inequality_fourier(zero, Exponent(4))
         assert res.c_hat == 0.0
 
-    def test_sup_case_uses_row_form(self):
+    def test_sup_case_attains_sup_g(self):
         g = TruncatedSeq([0.25, -2.0, 1.0])
         tphi = diagonal_sandwich(g, identity_matrix(3), ones(3))
         res = certify_inequality_fourier(tphi, INF)
