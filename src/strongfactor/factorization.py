@@ -410,7 +410,7 @@ class _Form:
 def _select(stack, lhs: np.ndarray, rhs: np.ndarray):
     """The best vertex (ratio, pattern, lhs, rhs) over the patterns with
     RHS > 0, earliest on ties, or None when the stack has none.  ``stack``
-    is an array of patterns, scored by ``lhs`` and ``rhs``."""
+    is an array of patterns or codes, scored by ``lhs`` and ``rhs``."""
     bounded = rhs > 0.0
     if not bounded.any():
         return None
@@ -419,24 +419,35 @@ def _select(stack, lhs: np.ndarray, rhs: np.ndarray):
     return float(ratios[k]), stack[k].copy(), float(lhs[k]), float(rhs[k])
 
 
+def _vertices(codes: np.ndarray, n: int, m: int) -> np.ndarray:
+    """The n x m sign matrices of ``codes``: entry b of pattern c is -1 or +1
+    as bit b of c is 0 or 1.  The n*m <= 32 bits of each little-endian code
+    are unpacked as bytes, and no 0/1 copy of them outlives the +-1 stack."""
+    bits = np.ascontiguousarray(codes, "<u4").view(np.uint8).reshape(-1, 4)
+    return np.array([-1.0, 1.0])[
+        np.unpackbits(bits, axis=1, count=n * m, bitorder="little")].reshape(-1, n, m)
+
+
 def _exhaustive_vertex_max(form, n: int, m: int):
     """Best ratio over all 2^(n*m) sign matrices.
 
     Enumeration order is the binary code order, and ties keep the earliest
     pattern, so the result is deterministic.  Code 2^(n*m) - 1 - c negates
-    code c, its LHS and not its RHS, so only the first half is scored.
+    code c, its LHS and not its RHS, so only the first half is scored.  It
+    is scored in the row blocks of ``operators._block_bounds`` and only the
+    scores are held: the evaluator scores a pattern the same inside any stack.
     """
     k = n * m
-    # entry b of pattern c is -1 or +1 as bit b of c is 0 or 1; k <= 16 bits
-    # of each little-endian code are unpacked as bytes, and no 0/1 copy of
-    # them outlives the +-1 stack
-    codes = np.arange(1 << k, dtype="<u4").view(np.uint8).reshape(-1, 4)
-    stack = np.array([-1.0, 1.0])[
-        np.unpackbits(codes, axis=1, count=k, bitorder="little")].reshape(-1, n, m)
-    lhs, rhs = form.evaluate(stack[:len(stack) // 2])
+    codes = np.arange(1 << k, dtype="<u4")
+    lhs, rhs = map(np.concatenate, zip(*(
+        form.evaluate(_vertices(codes[lo:hi], n, m))
+        for lo, hi in _block_bounds(k, 0, len(codes) // 2))))
     # 0.0 - x, not -x: a vanishing LHS is +0.0 for either sign
-    return _select(stack, np.concatenate((lhs, 0.0 - lhs[::-1])),
+    best = _select(codes, np.concatenate((lhs, 0.0 - lhs[::-1])),
                    np.concatenate((rhs, rhs[::-1])))
+    if best is None:
+        return None
+    return best[0], _vertices(best[1], n, m)[0], *best[2:]
 
 
 def _sampled_vertex_max(form, n: int, m: int, patterns: int, seed: int):

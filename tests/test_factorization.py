@@ -869,6 +869,27 @@ def test_exhaustive_sweep_is_the_whole_stack_scored(n):
             assert got[1].tobytes() == want[1].tobytes()
 
 
+@pytest.mark.parametrize("n, entries", [(2, 8), (3, 64), (4, 16 * 97)])
+def test_exhaustive_sweep_scored_in_many_blocks(n, entries, monkeypatch):
+    # blocks of entries // (n * n) patterns, which need not divide the half
+    # swept: the zero operator's ties, and every best, cross block boundaries
+    from strongfactor import operators
+
+    monkeypatch.setattr(operators, "_BLOCK_ENTRIES", entries)
+    assert len(list(operators._block_bounds(n * n, 0, 1 << (n * n - 1)))) > 3
+    test_exhaustive_sweep_is_the_whole_stack_scored(n)
+
+
+def test_exhaustive_sweep_holds_no_sign_stack(traced_peak):
+    # the 2^16 sign matrices of 4 x 4 are 8 MB as one float stack; the sweep
+    # holds one block of them and the scores of all
+    from strongfactor.factorization import _Form, _exhaustive_vertex_max
+
+    rng = np.random.default_rng(7)
+    form = _Form(rng.standard_normal((4, 4)), np.tril(rng.uniform(0.5, 1.5, (4, 4))), 2.0)
+    assert traced_peak(lambda: _exhaustive_vertex_max(form, 4, 4)) < 6 << 20
+
+
 @pytest.mark.parametrize("seed", [1, 2])
 def test_strided_stack_scores_as_its_contiguous_copy(seed):
     # einsum sums a strided operand in another order; the evaluator does not
@@ -1236,10 +1257,12 @@ class TestCertifierAgreesWithShapeCheck:
         # only h_1 != 0: every +-1 vertex has the same RHS, so the closed form
         # gives the vertex optimum that the brute-force enumeration finds, at
         # s = inf (s' = 1) too
+        from strongfactor.suites import _oracle_cesaro_vertex_max
+
         for s in multiplier_exponent(Exponent(4), P2), INF:
             for n, label, a, h in self.spikes(4):
                 res = certify_inequality_cesaro(a, h, s, patterns=16, seed=0)
-                oracle = oracle_cesaro(a.rows(0, n), h.coeffs, float(conjugate(s)))
+                oracle = _oracle_cesaro_vertex_max(a.rows(0, n), h.coeffs, float(conjugate(s)))
                 assert res.c_hat_vertex == pytest.approx(oracle, abs=1e-12), (n, label, s)
 
 
